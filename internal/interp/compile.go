@@ -49,9 +49,15 @@ func compileProgram(prog *ft.Program, model *perfmodel.Model, an *perfmodel.Anal
 	// Shells first so call sites can reference procedures compiled later
 	// (mutual recursion).
 	for _, p := range prog.AllProcs {
+		numCo := 0
+		for _, d := range p.ParamDecl {
+			if d != nil && !d.IsArray() && d.Intent != ft.IntentIn {
+				numCo++
+			}
+		}
 		cp.procs[p.Index] = &cproc{
 			proc: p, qname: p.QName(), inlined: an.Inlinable[p],
-			numSlots: p.NumSlots, shadow: shadow,
+			numSlots: p.NumSlots, numCo: numCo, shadow: shadow,
 		}
 	}
 	cp.main = cp.procs[prog.Main.Index]
@@ -429,16 +435,27 @@ func (c *compiler) expr(e ft.Expr) vexpr {
 // eref is a compiled array element reference (Interp.elementRef).
 type eref struct {
 	get    func(m *vm, fr *vframe) *Array
-	idxs   []vexpr
+	idxs   []index
 	name   string
 	pos    ft.Pos
 	ialu   float64
 	errNil error
 }
 
+// index is one compiled array index. Exactly one form is set: the
+// unboxed integer closure when the index is affine (affineIndex), the
+// Value path otherwise.
+type index struct {
+	i vint
+	v vexpr
+}
+
+// vint evaluates an integer expression unboxed, charging its cost.
+type vint func(m *vm, fr *vframe) int64
+
 func (c *compiler) elemRef(e *ft.IndexExpr) *eref {
 	r := &eref{
-		idxs: make([]vexpr, len(e.Indices)),
+		idxs: make([]index, len(e.Indices)),
 		name: e.Arr.Name,
 		pos:  e.Pos,
 		ialu: c.cost(perfmodel.OpIntALU, 4),
@@ -451,9 +468,77 @@ func (c *compiler) elemRef(e *ft.IndexExpr) *eref {
 		r.get = func(m *vm, fr *vframe) *Array { return nil }
 	}
 	for k, ix := range e.Indices {
-		r.idxs[k] = c.expr(ix)
+		if affineIndex(ix) {
+			r.idxs[k].i = c.intIndex(ix)
+		} else {
+			r.idxs[k].v = c.expr(ix)
+		}
 	}
 	return r
+}
+
+// affineIndex reports whether e compiles to an unboxed index: an integer
+// literal, an integer scalar variable (local, module or parameter), or
+// +, - or * over those forms. Everything else (/, **, unary minus,
+// calls, intrinsics) keeps the Value path.
+func affineIndex(e ft.Expr) bool {
+	switch e := e.(type) {
+	case *ft.IntLit:
+		return true
+	case *ft.VarRef:
+		d := e.Decl
+		return d != nil && !d.IsArray() && d.Base == ft.TInteger
+	case *ft.BinExpr:
+		switch e.Op {
+		case ft.PLUS, ft.MINUS, ft.STAR:
+			return affineIndex(e.X) && affineIndex(e.Y)
+		}
+	}
+	return false
+}
+
+// intIndex compiles an affineIndex expression. It reads the same slots
+// as readDecl and charges like binary()'s integer arithmetic: both
+// operands first, then one OpIntALU for the operation.
+func (c *compiler) intIndex(e ft.Expr) vint {
+	switch e := e.(type) {
+	case *ft.IntLit:
+		v := e.Val
+		return func(m *vm, fr *vframe) int64 { return v }
+	case *ft.VarRef:
+		slot := e.Decl.Slot
+		if e.Decl.Proc != nil {
+			return func(m *vm, fr *vframe) int64 { return fr.i[slot] }
+		}
+		mi := e.Decl.InMod.Index
+		return func(m *vm, fr *vframe) int64 { return m.gl[mi].i[slot] }
+	}
+	b := e.(*ft.BinExpr)
+	x, y := c.intIndex(b.X), c.intIndex(b.Y)
+	cost := c.cost(perfmodel.OpIntALU, 4)
+	switch b.Op {
+	case ft.PLUS:
+		return func(m *vm, fr *vframe) int64 {
+			xv := x(m, fr)
+			yv := y(m, fr)
+			m.charge(cost)
+			return xv + yv
+		}
+	case ft.MINUS:
+		return func(m *vm, fr *vframe) int64 {
+			xv := x(m, fr)
+			yv := y(m, fr)
+			m.charge(cost)
+			return xv - yv
+		}
+	default: // ft.STAR
+		return func(m *vm, fr *vframe) int64 {
+			xv := x(m, fr)
+			yv := y(m, fr)
+			m.charge(cost)
+			return xv * yv
+		}
+	}
 }
 
 func (r *eref) resolve(m *vm, fr *vframe) (*Array, int, error) {
@@ -468,13 +553,23 @@ func (r *eref) resolve(m *vm, fr *vframe) (*Array, int, error) {
 	} else {
 		idx = make([]int, len(r.idxs))
 	}
-	for k, ixe := range r.idxs {
-		v, err := ixe(m, fr)
-		if err != nil {
-			return nil, 0, err
+	for k := range r.idxs {
+		if ix := &r.idxs[k]; ix.i != nil {
+			idx[k] = int(ix.i(m, fr))
+		} else {
+			v, err := ix.v(m, fr)
+			if err != nil {
+				return nil, 0, err
+			}
+			idx[k] = int(v.asInt())
 		}
 		m.charge(r.ialu)
-		idx[k] = int(v.asInt())
+	}
+	if len(idx) == 1 && len(arr.Ext) == 1 {
+		// Rank 1 inline; an out-of-range index takes flatIndex's error.
+		if off := idx[0] - arr.Lo[0]; off >= 0 && off < arr.Ext[0] {
+			return arr, off, nil
+		}
 	}
 	off, err := arr.flatIndex(idx)
 	if err != nil {
@@ -1387,15 +1482,19 @@ func (m *vm) dot(a, b *Array, kind int, pos ft.Pos, rs rsite) (Value, error) {
 
 // argPlan is the compiled binding strategy for one actual argument.
 type argPlan struct {
-	dummy   *ft.VarDecl
+	slot    int   // the dummy's slot in the callee frame
 	missing error // set when the dummy declaration is absent
 
 	// Array dummies bind by reference.
 	isArr   bool
 	arrBind func(m *vm, fr *vframe) (*Array, error)
 
-	// Scalar dummies copy in (and maybe out).
+	// Scalar dummies copy in (and maybe out). Exactly one of val and
+	// rval is set: rval is the unboxed form of a real actual bound to a
+	// real dummy, with its cast charge decided statically (rcast).
 	val       vexpr
+	rval      vreals
+	rcast     bool
 	realDummy bool
 	dummyKind int
 	lit       bool
@@ -1412,6 +1511,11 @@ type argPlan struct {
 	outStore  func(m *vm, fr *vframe, v Value)
 	outName   string
 	outElem   *eref
+	// outSlot/outMod locate a real scalar destination, which is written
+	// lane by lane (outMod < 0 for the caller's locals); outStore is set
+	// only for an integer or logical one.
+	outSlot int
+	outMod  int
 }
 
 // coRec is one pending scalar copy-out for the current call.
@@ -1504,18 +1608,27 @@ func (c *compiler) invoke(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) vexpr 
 				Msg: fmt.Sprintf("%s: missing dummy decl", q)}
 			continue
 		}
-		p.dummy = dummy
+		p.slot = dummy.Slot
 		if dummy.IsArray() {
 			p.isArr = true
 			p.arrBind = c.argArrayBind(argExpr, dummy)
 			continue
 		}
-		p.val = c.expr(argExpr)
 		p.realDummy = dummy.Base == ft.TReal
 		p.dummyKind = dummy.Kind
 		p.lit = isLiteral(argExpr)
-		p.dummyType = dummy.Type()
-		p.store = c.storeDecl(dummy)
+		at := argExpr.Type()
+		if p.realDummy && at.Base == ft.TReal && at.Rank == 0 {
+			// realExpr forms carry their static kind at run time, so the
+			// Value path's dynamic cast test folds to a constant.
+			p.rval = c.realExpr(argExpr)
+			p.rcast = at.Kind != p.dummyKind && !p.lit
+		}
+		if p.rval == nil {
+			p.val = c.expr(argExpr)
+			p.dummyType = dummy.Type()
+			p.store = c.storeDecl(dummy)
+		}
 		if dummy.Intent != ft.IntentIn {
 			p.wantOut = true
 			p.required = dummy.Intent == ft.IntentOut || dummy.Intent == ft.IntentInOut
@@ -1523,17 +1636,26 @@ func (c *compiler) invoke(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) vexpr 
 				p.intentErr = &RunError{Pos: argExpr.ExprPos(), Kind: FailInternal,
 					Msg: fmt.Sprintf("intent(%s) argument is not a variable", dummy.Intent)}
 			}
-			p.readBack = c.readDecl(dummy)
 			switch a := argExpr.(type) {
 			case *ft.VarRef:
 				if a.Decl != nil && !a.Decl.IsParam {
 					p.outScalar = a.Decl
 					p.outType = a.Decl.Type()
-					p.outStore = c.storeDecl(a.Decl)
 					p.outName = a.Decl.Name
+					if p.outType.Base == ft.TReal {
+						p.outSlot, p.outMod = a.Decl.Slot, -1
+						if a.Decl.Proc == nil {
+							p.outMod = a.Decl.InMod.Index
+						}
+					} else {
+						p.outStore = c.storeDecl(a.Decl)
+					}
 				}
 			case *ft.IndexExpr:
 				p.outElem = c.elemRef(a)
+			}
+			if p.outStore != nil || !p.realDummy && (p.outScalar != nil || p.outElem != nil) {
+				p.readBack = c.readDecl(dummy)
 			}
 		}
 	}
@@ -1562,9 +1684,9 @@ func (c *compiler) invoke(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) vexpr 
 		cf := callee.frame()
 		defer callee.put(cf)
 
-		// Phase 1: bind arguments.
-		var cobuf [4]coRec
-		copyOuts := cobuf[:0]
+		// Phase 1: bind arguments. Pending copy-outs live in the callee
+		// activation's own storage, sized for its copy-out dummies.
+		copyOuts := cf.co[:0]
 		for _, p := range plans {
 			if p.missing != nil {
 				return Value{}, p.missing
@@ -1574,19 +1696,33 @@ func (c *compiler) invoke(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) vexpr 
 				if err != nil {
 					return Value{}, err
 				}
-				cf.a[p.dummy.Slot] = arr
+				cf.a[p.slot] = arr
 				continue
 			}
-			v, err := p.val(m, fr)
-			if err != nil {
-				return Value{}, err
+			if p.rval != nil {
+				f, sh, err := p.rval(m, fr)
+				if err != nil {
+					return Value{}, err
+				}
+				if p.rcast {
+					m.cast(1)
+				}
+				cf.f[p.slot] = convertReal(f, p.dummyKind)
+				if cf.sh != nil {
+					cf.sh[p.slot] = sh
+				}
+			} else {
+				v, err := p.val(m, fr)
+				if err != nil {
+					return Value{}, err
+				}
+				if p.realDummy && v.Base == ft.TReal && v.Kind != p.dummyKind && !p.lit {
+					// Post-wrapper programs never reach here with a mismatch; it
+					// is still priced correctly for raw (pre-transform) programs.
+					m.cast(1)
+				}
+				p.store(m, cf, convertScalar(v, p.dummyType))
 			}
-			if p.realDummy && v.Base == ft.TReal && v.Kind != p.dummyKind && !p.lit {
-				// Post-wrapper programs never reach here with a mismatch; it
-				// is still priced correctly for raw (pre-transform) programs.
-				m.cast(1)
-			}
-			p.store(m, cf, convertScalar(v, p.dummyType))
 			if p.wantOut {
 				switch {
 				case p.outScalar != nil:
@@ -1638,26 +1774,50 @@ func (c *compiler) invoke(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) vexpr 
 			return Value{}, err
 		}
 
-		// Phase 4: scalar copy-out.
+		// Phase 4: scalar copy-out. An integer or logical destination
+		// converts through the dummy's Value. A real one is written lane by
+		// lane, and a real dummy's lanes are read directly.
 		for _, co := range copyOuts {
-			v := co.p.readBack(m, cf)
-			if co.p.outScalar != nil {
-				out := convertScalar(v, co.p.outType)
-				if m.trap && out.Base == ft.TReal && nonFinite(out.F) {
-					return Value{}, &RunError{Pos: pos, Kind: FailNonFinite,
-						Msg: fmt.Sprintf("non-finite value returned into %s", co.p.outName)}
-				}
-				co.p.outStore(m, fr, out)
+			p := co.p
+			if p.outStore != nil {
+				p.outStore(m, fr, convertScalar(p.readBack(m, cf), p.outType))
 				continue
 			}
-			f := convertReal(v.asFloat(), co.arr.Kind)
-			if m.trap && nonFinite(f) {
+			var f, sh float64
+			if p.realDummy {
+				f = cf.f[p.slot]
+				sh = f
+				if cf.sh != nil {
+					sh = cf.sh[p.slot]
+				}
+			} else {
+				v := p.readBack(m, cf)
+				f, sh = v.asFloat(), v.sh()
+			}
+			if p.outScalar != nil {
+				fs := convertReal(f, p.outType.Kind)
+				if m.trap && nonFinite(fs) {
+					return Value{}, &RunError{Pos: pos, Kind: FailNonFinite,
+						Msg: fmt.Sprintf("non-finite value returned into %s", p.outName)}
+				}
+				g := fr
+				if p.outMod >= 0 {
+					g = m.gl[p.outMod]
+				}
+				g.f[p.outSlot] = fs
+				if g.sh != nil {
+					g.sh[p.outSlot] = sh
+				}
+				continue
+			}
+			fs := convertReal(f, co.arr.Kind)
+			if m.trap && nonFinite(fs) {
 				return Value{}, &RunError{Pos: pos, Kind: FailNonFinite,
 					Msg: "non-finite value returned into array element"}
 			}
-			co.arr.Data[co.off] = f
+			co.arr.Data[co.off] = fs
 			if co.arr.Shadow != nil {
-				co.arr.Shadow[co.off] = v.sh()
+				co.arr.Shadow[co.off] = sh
 			}
 		}
 

@@ -341,11 +341,29 @@ func intArithVal(op ft.TokKind, pos ft.Pos, x, y int64) (Value, error) {
 		return intValue(x / y), nil
 	case ft.POW:
 		if y < 0 {
-			return intValue(0), nil // Fortran: integer pow with negative exponent truncates to 0 (|x|>1)
+			// Fortran: x**y is 1/(x**-y) truncated toward zero.
+			switch x {
+			case 0:
+				return Value{}, &RunError{Pos: pos, Kind: FailNonFinite, Msg: "integer zero raised to a negative power"}
+			case 1:
+				return intValue(1), nil
+			case -1:
+				if y&1 == 0 {
+					return intValue(1), nil
+				}
+				return intValue(-1), nil
+			}
+			return intValue(0), nil // |x| > 1
 		}
+		// Square-and-multiply: the int64 wraparound of y repeated
+		// multiplications (multiplication mod 2^64 is associative) in
+		// log2(y) steps.
 		r := int64(1)
-		for n := int64(0); n < y; n++ {
-			r *= x
+		for ; y > 0; y >>= 1 {
+			if y&1 == 1 {
+				r *= x
+			}
+			x *= x
 		}
 		return intValue(r), nil
 	default:

@@ -7,8 +7,10 @@ package interp
 // to native float32 arithmetic and is observable from n=3 up.
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"testing"
 
 	ft "repro/internal/fortran"
@@ -167,6 +169,80 @@ end program p
 		}
 		if v.Sh != math.Pow(x, 3) {
 			t.Errorf("%v: shadow lane %.17g, want float64 reference %.17g", eng, v.Sh, math.Pow(x, 3))
+		}
+	}
+}
+
+// TestIntegerPow runs integer ** through both engines. Non-negative
+// exponents wrap like y repeated int64 multiplications (checked against
+// math/big modulo 2^64) and finish in log2(y) steps even for huge y.
+// Negative exponents truncate 1/(x**-y) toward zero, so only bases 1 and
+// -1 survive, and base 0 is a division by zero.
+func TestIntegerPow(t *testing.T) {
+	wrapPow := func(x, y int64) int64 {
+		mod := new(big.Int).Lsh(big.NewInt(1), 64)
+		r := new(big.Int).Exp(new(big.Int).SetUint64(uint64(x)), big.NewInt(y), mod)
+		return int64(r.Uint64())
+	}
+	cases := []struct {
+		x, y    int64
+		want    int64
+		wantErr string
+	}{
+		{x: 2, y: 10, want: 1024},
+		{x: 3, y: 0, want: 1},
+		{x: 0, y: 0, want: 1},
+		{x: 0, y: 5, want: 0},
+		{x: -2, y: 3, want: -8},
+		{x: -3, y: 4, want: 81},
+		{x: 3, y: 40, want: wrapPow(3, 40)},
+		{x: -7, y: 31, want: wrapPow(-7, 31)},
+		{x: 2, y: 63, want: math.MinInt64},
+		{x: 2, y: 64, want: 0},
+		{x: 3, y: 2000000000, want: wrapPow(3, 2000000000)},
+		{x: 2, y: -1, want: 0},
+		{x: -5, y: -2, want: 0},
+		{x: 1, y: -2, want: 1},
+		{x: -1, y: -3, want: -1},
+		{x: -1, y: -4, want: 1},
+		{x: 0, y: -1, wantErr: "integer zero raised to a negative power"},
+	}
+	for _, tc := range cases {
+		src := fmt.Sprintf(`
+module e
+  implicit none
+  integer :: r_out
+end module e
+program p
+  use e
+  implicit none
+  integer :: a, b
+  a = %d
+  b = %d
+  r_out = a ** b
+end program p
+`, tc.x, tc.y)
+		prog := ft.MustParse(src)
+		ft.MustAnalyze(prog, ft.Options{})
+		for _, eng := range []Engine{EngineAST, EngineVM} {
+			in, err := New(prog, Config{Model: perfmodel.Default(), Engine: eng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = in.Run()
+			if tc.wantErr != "" {
+				var re *RunError
+				if !errors.As(err, &re) || re.Kind != FailNonFinite || re.Msg != tc.wantErr {
+					t.Errorf("%v: %d ** %d: got error %v, want FailNonFinite %q", eng, tc.x, tc.y, err, tc.wantErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%v: %d ** %d: %v", eng, tc.x, tc.y, err)
+			}
+			if v, _ := in.Global("e.r_out"); v.I != tc.want {
+				t.Errorf("%v: %d ** %d = %d, want %d", eng, tc.x, tc.y, v.I, tc.want)
+			}
 		}
 	}
 }

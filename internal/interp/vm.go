@@ -48,6 +48,7 @@ type vframe struct {
 	i  []int64
 	b  []bool
 	a  []*Array
+	co []coRec // pending scalar copy-outs of the call that owns this activation
 }
 
 // cproc is one compiled procedure.
@@ -58,6 +59,7 @@ type cproc struct {
 	body     []vstmt
 	inlined  bool
 	numSlots int
+	numCo    int // scalar dummies that are not intent(in): copy-out capacity
 	shadow   bool
 	pool     []*vframe
 }
@@ -79,6 +81,9 @@ func (cp *cproc) frame() *vframe {
 	}
 	if cp.shadow {
 		fr.sh = make([]float64, cp.numSlots)
+	}
+	if cp.numCo > 0 {
+		fr.co = make([]coRec, 0, cp.numCo)
 	}
 	return fr
 }

@@ -242,22 +242,29 @@ func BenchmarkSubstrateTransformApply(b *testing.B) {
 	}
 }
 
+// BenchmarkSubstrateInterpModelRun compiles and runs each bundled
+// model's baseline the way a tuner evaluation does (GPTL profiling and
+// the non-finite trap on), one sub-benchmark per model. Profile one:
+// go test -run '^$' -bench SubstrateInterpModelRun/mom6 -cpuprofile cpu.out
 func BenchmarkSubstrateInterpModelRun(b *testing.B) {
-	m := models.MOM6()
-	prog, err := m.Parse()
-	if err != nil {
-		b.Fatal(err)
-	}
 	machine := perfmodel.Default()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		in, err := interp.New(prog, interp.Config{Model: machine, TrapNonFinite: true})
+	for _, m := range models.All() {
+		prog, err := m.Parse()
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := in.Run(); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(m.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				in, err := interp.New(prog, interp.Config{Model: machine, TrapNonFinite: true, Profile: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := in.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

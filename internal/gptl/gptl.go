@@ -25,13 +25,17 @@ type Clock func() float64
 // units per event.
 type Advancer func(units float64)
 
-// Region accumulates statistics for one named timer region.
+// Region accumulates statistics for one named timer region. A *Region
+// from Lookup is also a handle: StartRegion and StopRegion time it
+// without hashing its name.
 type Region struct {
 	Name      string
 	Calls     int64
 	Self      float64 // time excluding child regions
 	Inclusive float64 // time including child regions (outermost instances)
 	MaxDepth  int
+
+	active int // open instances (recursion depth)
 }
 
 // PerCall returns the average self time per call.
@@ -56,7 +60,6 @@ type Timers struct {
 	overhead float64
 	regions  map[string]*Region
 	stack    []stackEntry
-	active   map[string]int // recursion depth per region
 }
 
 // New returns a timer set reading the given clock.
@@ -64,7 +67,6 @@ func New(clock Clock) *Timers {
 	return &Timers{
 		clock:   clock,
 		regions: make(map[string]*Region),
-		active:  make(map[string]int),
 	}
 }
 
@@ -76,30 +78,52 @@ func (t *Timers) SetOverhead(unitsPerEvent float64, advance Advancer) {
 }
 
 // Start opens the named region. Regions nest; the same name may recurse.
-func (t *Timers) Start(name string) {
-	if t.advance != nil && t.overhead > 0 {
-		t.advance(t.overhead)
+func (t *Timers) Start(name string) { t.StartRegion(t.Lookup(name)) }
+
+// Stop closes the named region, which must be the innermost open region.
+func (t *Timers) Stop(name string) error {
+	r := t.regions[name]
+	if r == nil {
+		// Never started, so it is not innermost: StopRegion reports it.
+		r = &Region{Name: name}
 	}
+	return t.StopRegion(r)
+}
+
+// Lookup returns the region named name, creating it on first use: the
+// pointer Region(name) returns from then on. Lookup by itself opens
+// nothing, but the region is listed by Regions and Report once created.
+func (t *Timers) Lookup(name string) *Region {
 	r, ok := t.regions[name]
 	if !ok {
 		r = &Region{Name: name}
 		t.regions[name] = r
 	}
-	t.active[name]++
+	return r
+}
+
+// StartRegion opens r, a handle from Lookup; it is Start without the
+// name lookup.
+func (t *Timers) StartRegion(r *Region) {
+	if t.advance != nil && t.overhead > 0 {
+		t.advance(t.overhead)
+	}
+	r.active++
 	if d := len(t.stack) + 1; d > r.MaxDepth {
 		r.MaxDepth = d
 	}
 	t.stack = append(t.stack, stackEntry{region: r, start: t.clock()})
 }
 
-// Stop closes the named region, which must be the innermost open region.
-func (t *Timers) Stop(name string) error {
+// StopRegion closes r, which must be the innermost open region; it is
+// Stop without the name lookup, with the same errors.
+func (t *Timers) StopRegion(r *Region) error {
 	if len(t.stack) == 0 {
-		return fmt.Errorf("gptl: Stop(%q) with no open region", name)
+		return fmt.Errorf("gptl: Stop(%q) with no open region", r.Name)
 	}
 	top := t.stack[len(t.stack)-1]
-	if top.region.Name != name {
-		return fmt.Errorf("gptl: Stop(%q) but innermost open region is %q", name, top.region.Name)
+	if top.region != r {
+		return fmt.Errorf("gptl: Stop(%q) but innermost open region is %q", r.Name, top.region.Name)
 	}
 	t.stack = t.stack[:len(t.stack)-1]
 	// Read the clock *before* charging the stop-event overhead: the
@@ -112,11 +136,10 @@ func (t *Timers) Stop(name string) error {
 	if t.advance != nil && t.overhead > 0 {
 		t.advance(t.overhead)
 	}
-	r := top.region
 	r.Calls++
 	r.Self += total - top.child
-	t.active[name]--
-	if t.active[name] == 0 {
+	r.active--
+	if r.active == 0 {
 		// Only outermost instances contribute to inclusive time, as in
 		// GPTL's handling of recursion.
 		r.Inclusive += total
@@ -152,21 +175,22 @@ func (t *Timers) Regions() []*Region {
 // (keep == nil keeps all). Hotspot CPU time in the tuner is the total
 // self time of the hotspot module's procedures, mirroring the paper's
 // exclusion of non-targeted model functions but not of intrinsics.
+// The sum runs in Regions order, so it does not depend on map order.
 func (t *Timers) TotalSelf(keep func(name string) bool) float64 {
 	var sum float64
-	for name, r := range t.regions {
-		if keep == nil || keep(name) {
+	for _, r := range t.Regions() {
+		if keep == nil || keep(r.Name) {
 			sum += r.Self
 		}
 	}
 	return sum
 }
 
-// Reset clears all accumulated statistics and the region stack.
+// Reset clears all accumulated statistics and the region stack. It
+// invalidates every handle Lookup returned: call Lookup again after it.
 func (t *Timers) Reset() {
 	t.regions = make(map[string]*Region)
 	t.stack = t.stack[:0]
-	t.active = make(map[string]int)
 }
 
 // Report renders a GPTL-style table of the regions.

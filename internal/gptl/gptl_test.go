@@ -1,6 +1,7 @@
 package gptl
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -321,5 +322,130 @@ func TestFormatRegionsMatchesReport(t *testing.T) {
 	}
 	if FormatRegions(nil) == "" {
 		t.Error("FormatRegions(nil) lost the header")
+	}
+}
+
+// TestTotalSelfDeterministic: the total of self times is one value,
+// summed in Regions order, however often it is asked for. Float addition
+// is not associative, so a sum in map order could differ between calls.
+func TestTotalSelfDeterministic(t *testing.T) {
+	c := &fakeClock{}
+	tm := New(c.clock)
+	for i, self := range []float64{0.1, 0.2, 0.3, 0.001, 7.7} {
+		name := fmt.Sprintf("r%d", i)
+		tm.Start(name)
+		c.advance(self)
+		if err := tm.Stop(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want float64
+	for _, r := range tm.Regions() {
+		want += r.Self
+	}
+	for call := 0; call < 200; call++ {
+		if got := tm.TotalSelf(nil); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: TotalSelf(nil) = %.17g, want %.17g (the sum in Regions order)", call, got, want)
+		}
+	}
+}
+
+// timerEvent is one step of a replayed timing sequence: open or close
+// a region, then advance the clock.
+type timerEvent struct {
+	start bool
+	name  string
+	dt    float64
+}
+
+// handleEvents nests regions and recurses in one of them.
+var handleEvents = []timerEvent{
+	{true, "main", 1}, {true, "f", 2}, {true, "g", 3}, {true, "f", 4},
+	{false, "f", 5}, {false, "g", 6}, {false, "f", 7}, {true, "g", 0.5},
+	{false, "g", 0.25}, {true, "f", 1}, {true, "f", 2}, {true, "f", 3},
+	{false, "f", 4}, {false, "f", 5}, {false, "f", 6}, {false, "main", 0},
+}
+
+// TestRegionHandlesMatchNames replays one event sequence through the
+// by-name API and through handles and requires identical statistics.
+func TestRegionHandlesMatchNames(t *testing.T) {
+	replay := func(byHandle bool) *Timers {
+		c := &fakeClock{}
+		tm := New(c.clock)
+		tm.SetOverhead(0.125, c.advance)
+		for k, ev := range handleEvents {
+			var err error
+			switch {
+			case ev.start && byHandle:
+				tm.StartRegion(tm.Lookup(ev.name))
+			case ev.start:
+				tm.Start(ev.name)
+			case byHandle:
+				err = tm.StopRegion(tm.Lookup(ev.name))
+			default:
+				err = tm.Stop(ev.name)
+			}
+			if err != nil {
+				t.Fatalf("event %d (handles=%v): %v", k, byHandle, err)
+			}
+			c.advance(ev.dt)
+		}
+		return tm
+	}
+	byName, byHandle := replay(false), replay(true)
+	if a, b := byName.Report(), byHandle.Report(); a != b {
+		t.Errorf("reports diverged:\n--- by name ---\n%s--- by handle ---\n%s", a, b)
+	}
+	for _, name := range []string{"main", "f", "g"} {
+		a, b := byName.Region(name), byHandle.Region(name)
+		if a == nil || b == nil || *a != *b {
+			t.Errorf("region %s diverged: by name %+v, by handle %+v", name, a, b)
+		}
+	}
+	if f := byName.Region("f"); f.MaxDepth != 4 || f.Calls != 5 {
+		t.Errorf("f: depth %d calls %d, want 4/5", f.MaxDepth, f.Calls)
+	}
+}
+
+// TestStopRegionErrors: StopRegion fails with Stop's error texts.
+func TestStopRegionErrors(t *testing.T) {
+	c := &fakeClock{}
+	tm := New(c.clock)
+	a, b := tm.Lookup("a"), tm.Lookup("b")
+	errText := func(err error) string {
+		if err == nil {
+			return "<nil>"
+		}
+		return err.Error()
+	}
+	if got, want := errText(tm.StopRegion(a)), `gptl: Stop("a") with no open region`; got != want {
+		t.Errorf("StopRegion with nothing open: %s, want %s", got, want)
+	}
+	tm.StartRegion(a)
+	tm.StartRegion(b)
+	want := errText(tm.Stop("a"))
+	if got := errText(tm.StopRegion(a)); got != want || got != `gptl: Stop("a") but innermost open region is "b"` {
+		t.Errorf("StopRegion of an outer region: %s, Stop gives %s", got, want)
+	}
+	if err := tm.StopRegion(b); err != nil {
+		t.Errorf("StopRegion of the innermost region: %v", err)
+	}
+	if err := tm.StopRegion(a); err != nil {
+		t.Errorf("StopRegion after its child closed: %v", err)
+	}
+}
+
+// TestLookupIsRegion: Lookup creates the region Region then returns.
+func TestLookupIsRegion(t *testing.T) {
+	tm := New((&fakeClock{}).clock)
+	if tm.Region("r") != nil {
+		t.Fatal("region exists before first use")
+	}
+	r := tm.Lookup("r")
+	if got := tm.Region("r"); got != r {
+		t.Errorf("Region(r) = %p, Lookup(r) = %p", got, r)
+	}
+	if tm.Lookup("r") != r {
+		t.Error("a second Lookup returned a different region")
 	}
 }

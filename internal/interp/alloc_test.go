@@ -72,6 +72,60 @@ end program p
 	return prog
 }
 
+// chainProgram makes n calls in the shape of MOM6's Newton step,
+// fk = zonal_flux_layer(h_r(i, k), h_l(i, k), uvel_face(i, k) + du): a
+// real function using sign whose third actual adds to the result of a
+// function with two no-intent integer dummies, both copied back out.
+func chainProgram(n int) *ft.Program {
+	src := fmt.Sprintf(`
+module chain
+  implicit none
+  integer, parameter :: ncall = %d
+  real(kind=8) :: h(17), u(16, 2), acc
+contains
+  function zf(hupw, hdnw, uface) result(f)
+    real(kind=8) :: hupw
+    real(kind=8) :: hdnw
+    real(kind=8) :: uface
+    real(kind=8) :: f
+    f = uface * (0.5d0 * (hupw + hdnw) + sign(0.5d0, uface) * (hupw - hdnw) * 0.3d0)
+  end function zf
+
+  function uf(i, k) result(v)
+    integer :: i
+    integer :: k
+    real(kind=8) :: v
+    v = u(i, k)
+  end function uf
+end module chain
+
+program p
+  use chain
+  implicit none
+  integer :: i, k, it
+  real(kind=8) :: fk, du
+  du = 0.125d0
+  do i = 1, 17
+    h(i) = 0.25d0 * i
+  end do
+  do k = 1, 2
+    do i = 1, 16
+      u(i, k) = 0.5d0 * i - k
+    end do
+  end do
+  k = 2
+  do it = 1, ncall
+    i = mod(it, 16) + 1
+    fk = zf(h(i), h(i + 1), uf(i, k) + du)
+    acc = acc + fk
+  end do
+end program p
+`, n)
+	prog := ft.MustParse(src)
+	ft.MustAnalyze(prog, ft.Options{})
+	return prog
+}
+
 // runAllocs returns the allocations made by one VM Run of prog (New is
 // outside the measurement), the least of three tries.
 func runAllocs(t *testing.T, prog *ft.Program) uint64 {
@@ -99,9 +153,11 @@ func runAllocs(t *testing.T, prog *ft.Program) uint64 {
 // making 1000 calls of each procedure allocates exactly as much as one
 // making 10 (frames, arrays and the result map are per-run costs).
 func TestVMCallsAllocationFree(t *testing.T) {
-	small := runAllocs(t, callProgram(10))
-	large := runAllocs(t, callProgram(1000))
-	if small != large {
-		t.Errorf("Run allocations grow with the call count: %d at N=10, %d at N=1000", small, large)
+	for name, build := range map[string]func(int) *ft.Program{"copy-out": callProgram, "chain": chainProgram} {
+		small := runAllocs(t, build(10))
+		large := runAllocs(t, build(1000))
+		if small != large {
+			t.Errorf("%s: Run allocations grow with the call count: %d at N=10, %d at N=1000", name, small, large)
+		}
 	}
 }

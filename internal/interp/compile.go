@@ -27,6 +27,7 @@ import (
 	"math"
 
 	ft "repro/internal/fortran"
+	"repro/internal/gptl"
 	"repro/internal/numerics"
 	"repro/internal/perfmodel"
 )
@@ -1489,11 +1490,13 @@ type argPlan struct {
 	isArr   bool
 	arrBind func(m *vm, fr *vframe) (*Array, error)
 
-	// Scalar dummies copy in (and maybe out). Exactly one of val and
-	// rval is set: rval is the unboxed form of a real actual bound to a
-	// real dummy, with its cast charge decided statically (rcast).
+	// Scalar dummies copy in (and maybe out). Exactly one of val, rval
+	// and ival is set: rval is the unboxed form of a real actual bound to
+	// a real dummy, with its cast charge decided statically (rcast), and
+	// ival that of an affine integer actual bound to an integer dummy.
 	val       vexpr
 	rval      vreals
+	ival      vint
 	rcast     bool
 	realDummy bool
 	dummyKind int
@@ -1512,10 +1515,20 @@ type argPlan struct {
 	outName   string
 	outElem   *eref
 	// outSlot/outMod locate a real scalar destination, which is written
-	// lane by lane (outMod < 0 for the caller's locals); outStore is set
-	// only for an integer or logical one.
+	// lane by lane, or an integer one of an integer dummy (intOut),
+	// copied slot to slot; outMod < 0 for the caller's locals. outStore
+	// is set for any other scalar destination.
 	outSlot int
 	outMod  int
+	intOut  bool
+}
+
+// outFrame returns the frame that holds the scalar copy-out destination.
+func (p *argPlan) outFrame(m *vm, fr *vframe) *vframe {
+	if p.outMod >= 0 {
+		return m.gl[p.outMod]
+	}
+	return fr
 }
 
 // coRec is one pending scalar copy-out for the current call.
@@ -1585,27 +1598,38 @@ func (c *compiler) argArrayBind(argExpr ft.Expr, dummy *ft.VarDecl) func(m *vm, 
 	}
 }
 
-// invoke compiles a user-procedure call: arrays by reference, scalars by
-// copy-in/copy-out (Interp.invoke, phase for phase).
-func (c *compiler) invoke(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) vexpr {
-	callee := c.cp.procs[proc.Index]
-	inlined := callee.inlined
-	q := callee.qname
-	brCost := c.cost(perfmodel.OpBranch, 4)
-	callCost := c.model.CallCycles
-	timerOv := c.model.TimerOverhead
+// ccall is one compiled user-procedure call: phases 1–4 of
+// Interp.invoke (bind, init, run, copy-out). The Value form (invoke)
+// and the unboxed real form (realCall) share it and differ only in how
+// they read a function's result from the callee frame.
+type ccall struct {
+	callee   *cproc
+	plans    []argPlan
+	pos      ft.Pos
+	brCost   float64
+	callCost float64
+	timerOv  float64
+}
 
-	plans := make([]*argPlan, len(args))
+// callSite compiles the argument binding plans for a call of proc.
+func (c *compiler) callSite(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) *ccall {
+	s := &ccall{
+		callee:   c.cp.procs[proc.Index],
+		plans:    make([]argPlan, len(args)),
+		pos:      pos,
+		brCost:   c.cost(perfmodel.OpBranch, 4),
+		callCost: c.model.CallCycles,
+		timerOv:  c.model.TimerOverhead,
+	}
 	for ai, argExpr := range args {
-		p := &argPlan{}
-		plans[ai] = p
+		p := &s.plans[ai]
 		var dummy *ft.VarDecl
 		if ai < len(proc.ParamDecl) {
 			dummy = proc.ParamDecl[ai]
 		}
 		if dummy == nil {
 			p.missing = &RunError{Pos: pos, Kind: FailInternal,
-				Msg: fmt.Sprintf("%s: missing dummy decl", q)}
+				Msg: fmt.Sprintf("%s: missing dummy decl", s.callee.qname)}
 			continue
 		}
 		p.slot = dummy.Slot
@@ -1618,13 +1642,16 @@ func (c *compiler) invoke(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) vexpr 
 		p.dummyKind = dummy.Kind
 		p.lit = isLiteral(argExpr)
 		at := argExpr.Type()
-		if p.realDummy && at.Base == ft.TReal && at.Rank == 0 {
+		switch {
+		case dummy.Base == ft.TInteger && affineIndex(argExpr):
+			p.ival = c.intIndex(argExpr)
+		case p.realDummy && at.Base == ft.TReal && at.Rank == 0:
 			// realExpr forms carry their static kind at run time, so the
 			// Value path's dynamic cast test folds to a constant.
 			p.rval = c.realExpr(argExpr)
 			p.rcast = at.Kind != p.dummyKind && !p.lit
 		}
-		if p.rval == nil {
+		if p.rval == nil && p.ival == nil {
 			p.val = c.expr(argExpr)
 			p.dummyType = dummy.Type()
 			p.store = c.storeDecl(dummy)
@@ -1642,7 +1669,8 @@ func (c *compiler) invoke(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) vexpr 
 					p.outScalar = a.Decl
 					p.outType = a.Decl.Type()
 					p.outName = a.Decl.Name
-					if p.outType.Base == ft.TReal {
+					p.intOut = p.outType.Base == ft.TInteger && dummy.Base == ft.TInteger
+					if p.outType.Base == ft.TReal || p.intOut {
 						p.outSlot, p.outMod = a.Decl.Slot, -1
 						if a.Decl.Proc == nil {
 							p.outMod = a.Decl.InMod.Index
@@ -1654,180 +1682,223 @@ func (c *compiler) invoke(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) vexpr 
 			case *ft.IndexExpr:
 				p.outElem = c.elemRef(a)
 			}
-			if p.outStore != nil || !p.realDummy && (p.outScalar != nil || p.outElem != nil) {
+			if p.outStore != nil || !p.realDummy && !p.intOut && (p.outScalar != nil || p.outElem != nil) {
 				p.readBack = c.readDecl(dummy)
 			}
 		}
 	}
+	return s
+}
 
-	isFunc := proc.Kind == ft.KFunction
-	var readResult func(m *vm, fr *vframe) Value
-	if isFunc && proc.Result != nil {
-		readResult = c.readDecl(proc.Result)
-	}
-	noResult := &RunError{Pos: pos, Kind: FailInternal,
-		Msg: fmt.Sprintf("%s has no result", q)}
-	depthErr := func(m *vm) error {
-		return &RunError{Pos: pos, Kind: FailInternal,
+// call runs the call and returns the callee's activation frame still
+// live: the caller reads the result from it and then puts it back. On
+// an error the frame is already back in the pool.
+func (s *ccall) call(m *vm, fr *vframe) (*vframe, error) {
+	if m.depth >= m.maxDepth {
+		return nil, &RunError{Pos: s.pos, Kind: FailInternal,
 			Msg: fmt.Sprintf("call stack exceeds %d frames", m.maxDepth)}
 	}
+	callee := s.callee
+	if !callee.inlined {
+		m.charge(s.brCost)
+		m.cycles += s.callCost * m.vecFactor
+	}
+	cf := callee.frame()
+	if err := s.run(m, fr, cf); err != nil {
+		callee.put(cf)
+		return nil, err
+	}
+	return cf, nil
+}
 
+// run binds the arguments into cf, initializes the callee's locals, runs
+// its body inside its GPTL region and copies the scalars out.
+func (s *ccall) run(m *vm, fr, cf *vframe) error {
+	callee := s.callee
+
+	// Phase 1: bind arguments. Pending copy-outs live in the callee
+	// activation's own storage, sized for its copy-out dummies.
+	copyOuts := cf.co[:0]
+	for k := range s.plans {
+		p := &s.plans[k]
+		if p.missing != nil {
+			return p.missing
+		}
+		if p.isArr {
+			arr, err := p.arrBind(m, fr)
+			if err != nil {
+				return err
+			}
+			cf.a[p.slot] = arr
+			continue
+		}
+		switch {
+		case p.ival != nil:
+			cf.i[p.slot] = p.ival(m, fr)
+		case p.rval != nil:
+			f, sh, err := p.rval(m, fr)
+			if err != nil {
+				return err
+			}
+			if p.rcast {
+				m.cast(1)
+			}
+			cf.f[p.slot] = convertReal(f, p.dummyKind)
+			if cf.sh != nil {
+				cf.sh[p.slot] = sh
+			}
+		default:
+			v, err := p.val(m, fr)
+			if err != nil {
+				return err
+			}
+			if p.realDummy && v.Base == ft.TReal && v.Kind != p.dummyKind && !p.lit {
+				// Post-wrapper programs never reach here with a mismatch; it
+				// is still priced correctly for raw (pre-transform) programs.
+				m.cast(1)
+			}
+			p.store(m, cf, convertScalar(v, p.dummyType))
+		}
+		if p.wantOut {
+			switch {
+			case p.outScalar != nil:
+				copyOuts = append(copyOuts, coRec{p: p})
+			case p.outElem != nil:
+				arr, off, err := p.outElem.resolve(m, fr)
+				if err == nil {
+					copyOuts = append(copyOuts, coRec{p: p, arr: arr, off: off})
+				} else if p.required {
+					return p.intentErr
+				}
+			case p.required:
+				return p.intentErr
+			}
+		}
+	}
+
+	// Phase 2: initialize non-argument locals (may use argument values).
+	for _, init := range callee.inits {
+		if err := init(m, cf); err != nil {
+			return err
+		}
+	}
+
+	// Phase 3: execute, inside the callee's GPTL region. Its handle is
+	// looked up on the procedure's first call, so a procedure that never
+	// runs gets no region, exactly as with Timers.Start.
+	var region *gptl.Region
+	if m.timers != nil {
+		if !callee.inlined {
+			m.cycles += s.timerOv
+		}
+		idx := callee.proc.Index
+		if region = m.regions[idx]; region == nil {
+			region = m.timers.Lookup(callee.qname)
+			m.regions[idx] = region
+		}
+		m.timers.StartRegion(region)
+	}
+	m.depth++
+	m.curProc = append(m.curProc, callee)
+	_, err := m.runStmts(cf, callee.body)
+	m.curProc = m.curProc[:len(m.curProc)-1]
+	m.depth--
+	if m.timers != nil {
+		// Stop reads the clock before the stop-event overhead is
+		// charged (mirroring gptl.Timers.Stop): the instrumentation cost
+		// lands in the caller, not inside the measured region.
+		if terr := m.timers.StopRegion(region); terr != nil && err == nil {
+			err = &RunError{Pos: s.pos, Kind: FailInternal, Msg: terr.Error()}
+		}
+		if !callee.inlined {
+			m.cycles += s.timerOv
+		}
+	}
+	if err != nil {
+		return err
+	}
+
+	// Phase 4: scalar copy-out. A logical destination converts through
+	// the dummy's Value. An integer dummy copies slot to slot into an
+	// integer scalar. A real destination is written lane by lane, and a
+	// real dummy's lanes are read directly.
+	for _, co := range copyOuts {
+		p := co.p
+		if p.outStore != nil {
+			p.outStore(m, fr, convertScalar(p.readBack(m, cf), p.outType))
+			continue
+		}
+		if p.intOut {
+			p.outFrame(m, fr).i[p.outSlot] = cf.i[p.slot]
+			continue
+		}
+		var f, sh float64
+		if p.realDummy {
+			f = cf.f[p.slot]
+			sh = f
+			if cf.sh != nil {
+				sh = cf.sh[p.slot]
+			}
+		} else {
+			v := p.readBack(m, cf)
+			f, sh = v.asFloat(), v.sh()
+		}
+		if p.outScalar != nil {
+			fs := convertReal(f, p.outType.Kind)
+			if m.trap && nonFinite(fs) {
+				return &RunError{Pos: s.pos, Kind: FailNonFinite,
+					Msg: fmt.Sprintf("non-finite value returned into %s", p.outName)}
+			}
+			g := p.outFrame(m, fr)
+			g.f[p.outSlot] = fs
+			if g.sh != nil {
+				g.sh[p.outSlot] = sh
+			}
+			continue
+		}
+		fs := convertReal(f, co.arr.Kind)
+		if m.trap && nonFinite(fs) {
+			return &RunError{Pos: s.pos, Kind: FailNonFinite,
+				Msg: "non-finite value returned into array element"}
+		}
+		co.arr.Data[co.off] = fs
+		if co.arr.Shadow != nil {
+			co.arr.Shadow[co.off] = sh
+		}
+	}
+	return nil
+}
+
+// invoke compiles a user-procedure call to its Value form: arrays by
+// reference, scalars by copy-in/copy-out (Interp.invoke, phase for
+// phase), and a function's result read through readDecl.
+func (c *compiler) invoke(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) vexpr {
+	s := c.callSite(proc, args, pos)
+	callee := s.callee
+	var noResult error // a subroutine call yields the empty Value
+	if proc.Kind == ft.KFunction {
+		if proc.Result != nil {
+			readResult := c.readDecl(proc.Result)
+			return func(m *vm, fr *vframe) (Value, error) {
+				cf, err := s.call(m, fr)
+				if err != nil {
+					return Value{}, err
+				}
+				v := readResult(m, cf)
+				callee.put(cf)
+				return v, nil
+			}
+		}
+		noResult = &RunError{Pos: pos, Kind: FailInternal,
+			Msg: fmt.Sprintf("%s has no result", callee.qname)}
+	}
 	return func(m *vm, fr *vframe) (Value, error) {
-		if m.depth >= m.maxDepth {
-			return Value{}, depthErr(m)
-		}
-		if !inlined {
-			m.charge(brCost)
-			m.cycles += callCost * m.vecFactor
-		}
-
-		cf := callee.frame()
-		defer callee.put(cf)
-
-		// Phase 1: bind arguments. Pending copy-outs live in the callee
-		// activation's own storage, sized for its copy-out dummies.
-		copyOuts := cf.co[:0]
-		for _, p := range plans {
-			if p.missing != nil {
-				return Value{}, p.missing
-			}
-			if p.isArr {
-				arr, err := p.arrBind(m, fr)
-				if err != nil {
-					return Value{}, err
-				}
-				cf.a[p.slot] = arr
-				continue
-			}
-			if p.rval != nil {
-				f, sh, err := p.rval(m, fr)
-				if err != nil {
-					return Value{}, err
-				}
-				if p.rcast {
-					m.cast(1)
-				}
-				cf.f[p.slot] = convertReal(f, p.dummyKind)
-				if cf.sh != nil {
-					cf.sh[p.slot] = sh
-				}
-			} else {
-				v, err := p.val(m, fr)
-				if err != nil {
-					return Value{}, err
-				}
-				if p.realDummy && v.Base == ft.TReal && v.Kind != p.dummyKind && !p.lit {
-					// Post-wrapper programs never reach here with a mismatch; it
-					// is still priced correctly for raw (pre-transform) programs.
-					m.cast(1)
-				}
-				p.store(m, cf, convertScalar(v, p.dummyType))
-			}
-			if p.wantOut {
-				switch {
-				case p.outScalar != nil:
-					copyOuts = append(copyOuts, coRec{p: p})
-				case p.outElem != nil:
-					arr, off, err := p.outElem.resolve(m, fr)
-					if err == nil {
-						copyOuts = append(copyOuts, coRec{p: p, arr: arr, off: off})
-					} else if p.required {
-						return Value{}, p.intentErr
-					}
-				case p.required:
-					return Value{}, p.intentErr
-				}
-			}
-		}
-
-		// Phase 2: initialize non-argument locals (may use argument values).
-		for _, init := range callee.inits {
-			if err := init(m, cf); err != nil {
-				return Value{}, err
-			}
-		}
-
-		// Phase 3: execute.
-		if m.timers != nil {
-			if !inlined {
-				m.cycles += timerOv
-			}
-			m.timers.Start(q)
-		}
-		m.depth++
-		m.curProc = append(m.curProc, callee)
-		_, err := m.runStmts(cf, callee.body)
-		m.curProc = m.curProc[:len(m.curProc)-1]
-		m.depth--
-		if m.timers != nil {
-			// Stop reads the clock before the stop-event overhead is
-			// charged (mirroring gptl.Timers.Stop): the instrumentation cost
-			// lands in the caller, not inside the measured region.
-			if terr := m.timers.Stop(q); terr != nil && err == nil {
-				err = &RunError{Pos: pos, Kind: FailInternal, Msg: terr.Error()}
-			}
-			if !inlined {
-				m.cycles += timerOv
-			}
-		}
+		cf, err := s.call(m, fr)
 		if err != nil {
 			return Value{}, err
 		}
-
-		// Phase 4: scalar copy-out. An integer or logical destination
-		// converts through the dummy's Value. A real one is written lane by
-		// lane, and a real dummy's lanes are read directly.
-		for _, co := range copyOuts {
-			p := co.p
-			if p.outStore != nil {
-				p.outStore(m, fr, convertScalar(p.readBack(m, cf), p.outType))
-				continue
-			}
-			var f, sh float64
-			if p.realDummy {
-				f = cf.f[p.slot]
-				sh = f
-				if cf.sh != nil {
-					sh = cf.sh[p.slot]
-				}
-			} else {
-				v := p.readBack(m, cf)
-				f, sh = v.asFloat(), v.sh()
-			}
-			if p.outScalar != nil {
-				fs := convertReal(f, p.outType.Kind)
-				if m.trap && nonFinite(fs) {
-					return Value{}, &RunError{Pos: pos, Kind: FailNonFinite,
-						Msg: fmt.Sprintf("non-finite value returned into %s", p.outName)}
-				}
-				g := fr
-				if p.outMod >= 0 {
-					g = m.gl[p.outMod]
-				}
-				g.f[p.outSlot] = fs
-				if g.sh != nil {
-					g.sh[p.outSlot] = sh
-				}
-				continue
-			}
-			fs := convertReal(f, co.arr.Kind)
-			if m.trap && nonFinite(fs) {
-				return Value{}, &RunError{Pos: pos, Kind: FailNonFinite,
-					Msg: "non-finite value returned into array element"}
-			}
-			co.arr.Data[co.off] = fs
-			if co.arr.Shadow != nil {
-				co.arr.Shadow[co.off] = sh
-			}
-		}
-
-		if isFunc {
-			if readResult == nil {
-				return Value{}, noResult
-			}
-			return readResult(m, cf), nil
-		}
-		return Value{}, nil
+		callee.put(cf)
+		return Value{}, noResult
 	}
 }
 
@@ -2112,7 +2183,6 @@ func (c *compiler) assign(s *ft.AssignStmt) vstmt {
 	}
 	pos := s.Pos
 	atom := assignAtom(s.LHS, lt)
-	rhs := c.expr(s.RHS)
 	rt := s.RHS.Type()
 
 	// Conversion cost for the store (static decision).
@@ -2139,6 +2209,7 @@ func (c *compiler) assign(s *ft.AssignStmt) vstmt {
 				return c.realAssignVar(s, lhs.Decl, lhs.Name, rv, chConv, atom)
 			}
 		}
+		rhs := c.expr(s.RHS)
 		store := c.storeDecl(lhs.Decl)
 		as := c.asite(pos.Line, atom)
 		isReal := lt.Base == ft.TReal
@@ -2174,6 +2245,7 @@ func (c *compiler) assign(s *ft.AssignStmt) vstmt {
 		if rv := c.realExpr(s.RHS); rv != nil {
 			return c.realAssignElem(s, lhs, rv, chConv, atom)
 		}
+		rhs := c.expr(s.RHS)
 		er := c.elemRef(lhs)
 		storeCost := [2]float64{c.cost(perfmodel.OpStore, 4), c.cost(perfmodel.OpStore, 8)}
 		as := c.asite(pos.Line, atom)

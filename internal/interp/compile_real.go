@@ -28,8 +28,8 @@ import (
 type vreals func(m *vm, fr *vframe) (float64, float64, error)
 
 // realExpr compiles e to the unboxed fast path, or returns nil when e
-// needs the general Value path (calls, arrays of unknown shape, int
-// subexpressions, ...).
+// needs the general Value path (integer subexpressions, functions
+// without a real scalar result, most multi-argument intrinsics, ...).
 func (c *compiler) realExpr(e ft.Expr) vreals {
 	switch e := e.(type) {
 	case *ft.RealLit:
@@ -124,9 +124,46 @@ func (c *compiler) realExpr(e ft.Expr) vreals {
 	case *ft.BinExpr:
 		return c.realBinary(e)
 	case *ft.CallExpr:
-		return c.realIntrinsic(e)
+		if e.Intrinsic != "" {
+			return c.realIntrinsic(e)
+		}
+		return c.realCall(e)
 	}
 	return nil
+}
+
+// realCall compiles a call of a user function with a real scalar
+// result: the shared call core, then the result's lanes read straight
+// from the callee frame. A function without a result keeps the Value
+// path and its "has no result" error.
+func (c *compiler) realCall(e *ft.CallExpr) vreals {
+	p := e.Proc
+	if p == nil || p.Result == nil || p.Result.IsArray() || p.Result.Base != ft.TReal {
+		return nil
+	}
+	s := c.callSite(p, e.Args, e.Pos)
+	callee := s.callee
+	slot := p.Result.Slot
+	if c.rec == nil {
+		return func(m *vm, fr *vframe) (float64, float64, error) {
+			cf, err := s.call(m, fr)
+			if err != nil {
+				return 0, 0, err
+			}
+			f := cf.f[slot]
+			callee.put(cf)
+			return f, f, nil
+		}
+	}
+	return func(m *vm, fr *vframe) (float64, float64, error) {
+		cf, err := s.call(m, fr)
+		if err != nil {
+			return 0, 0, err
+		}
+		f, sh := cf.f[slot], cf.sh[slot]
+		callee.put(cf)
+		return f, sh, nil
+	}
 }
 
 // realBinary compiles real arithmetic (the tail of compiler.binary)
@@ -406,9 +443,19 @@ func (c *compiler) realBinary(e *ft.BinExpr) vreals {
 }
 
 // realIntrinsic compiles the single-argument real intrinsics (the
-// unIntrinsic table) unboxed. Everything else falls back.
+// unIntrinsic table), and sign, min and max over real arguments,
+// unboxed. Everything else falls back.
 func (c *compiler) realIntrinsic(e *ft.CallExpr) vreals {
-	if e.Intrinsic == "" || e.Typ.Base != ft.TReal || len(e.Args) != 1 {
+	if e.Typ.Base != ft.TReal {
+		return nil
+	}
+	switch e.Intrinsic {
+	case "sign":
+		return c.realSign(e)
+	case "min", "max":
+		return c.realMinMax(e)
+	}
+	if len(e.Args) != 1 {
 		return nil
 	}
 	var cls perfmodel.OpClass
@@ -484,6 +531,120 @@ func (c *compiler) realIntrinsic(e *ft.CallExpr) vreals {
 		}
 		rs.intrinsic(m, name, x, f, r, sh)
 		return f, sh, nil
+	}
+}
+
+// realArgs compiles every argument unboxed, or returns nil unless all
+// are real scalars with an unboxed form (integer and mixed arguments
+// keep the Value path).
+func (c *compiler) realArgs(args []ft.Expr) []vreals {
+	out := make([]vreals, len(args))
+	for k, a := range args {
+		if t := a.Type(); t.Base != ft.TReal || t.Rank != 0 {
+			return nil
+		}
+		if out[k] = c.realExpr(a); out[k] == nil {
+			return nil
+		}
+	}
+	return out
+}
+
+// realSign compiles sign(a, b) over two reals, mirroring intrinsic()'s
+// real case: no operand cast, one OpSimple, and both lanes take the
+// sign of b's primary lane.
+func (c *compiler) realSign(e *ft.CallExpr) vreals {
+	args := c.realArgs(e.Args)
+	if len(args) != 2 {
+		return nil
+	}
+	a0, a1 := args[0], args[1]
+	kk := e.Typ.Kind
+	cost := c.cost(perfmodel.OpSimple, kk)
+	if c.rec == nil {
+		return func(m *vm, fr *vframe) (float64, float64, error) {
+			x0, _, err := a0(m, fr)
+			if err != nil {
+				return 0, 0, err
+			}
+			x1, _, err := a1(m, fr)
+			if err != nil {
+				return 0, 0, err
+			}
+			m.charge(cost)
+			mg := math.Abs(x0)
+			if math.Signbit(x1) {
+				mg = -mg
+			}
+			f := convertReal(mg, kk)
+			return f, f, nil
+		}
+	}
+	return func(m *vm, fr *vframe) (float64, float64, error) {
+		x0, s0, err := a0(m, fr)
+		if err != nil {
+			return 0, 0, err
+		}
+		x1, _, err := a1(m, fr)
+		if err != nil {
+			return 0, 0, err
+		}
+		m.charge(cost)
+		mg, ms := math.Abs(x0), math.Abs(s0)
+		if math.Signbit(x1) {
+			mg, ms = -mg, -ms
+		}
+		return convertReal(mg, kk), ms, nil
+	}
+}
+
+// realMinMax compiles min/max over two or more reals, mirroring
+// intrinsic(): every argument is evaluated before the one OpSimple×(n−1)
+// charge, and each lane reduces on its own, left to right.
+func (c *compiler) realMinMax(e *ft.CallExpr) vreals {
+	args := c.realArgs(e.Args)
+	if len(args) < 2 {
+		return nil
+	}
+	first, rest := args[0], args[1:]
+	kk := e.Typ.Kind
+	costN := c.cost(perfmodel.OpSimple, kk) * float64(len(args)-1)
+	pick := math.Max
+	if e.Intrinsic == "min" {
+		pick = math.Min
+	}
+	if c.rec == nil {
+		return func(m *vm, fr *vframe) (float64, float64, error) {
+			best, _, err := first(m, fr)
+			if err != nil {
+				return 0, 0, err
+			}
+			for _, a := range rest {
+				f, _, err := a(m, fr)
+				if err != nil {
+					return 0, 0, err
+				}
+				best = pick(best, f)
+			}
+			m.charge(costN)
+			f := convertReal(best, kk)
+			return f, f, nil
+		}
+	}
+	return func(m *vm, fr *vframe) (float64, float64, error) {
+		best, sh, err := first(m, fr)
+		if err != nil {
+			return 0, 0, err
+		}
+		for _, a := range rest {
+			f, s, err := a(m, fr)
+			if err != nil {
+				return 0, 0, err
+			}
+			best, sh = pick(best, f), pick(sh, s)
+		}
+		m.charge(costN)
+		return convertReal(best, kk), sh, nil
 	}
 }
 

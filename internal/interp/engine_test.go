@@ -178,14 +178,18 @@ func parseModelFile(t *testing.T, path string) *ft.Program {
 	return prog
 }
 
-// TestEngineDifferentialModels runs every bundled model source — and
-// its uniform 32-bit lowering, the cast-heaviest variant the tuner ever
-// builds — through both engines, with and without shadow execution.
+// TestEngineDifferentialModels runs every bundled model source through
+// both engines, with and without shadow execution, along with two of
+// its lowerings: uniform 32-bit, the cast-heaviest variant the tuner
+// ever builds, and a partial one (every other atom at kind 4) whose
+// mismatched call sites go through generated wrappers, as most variants
+// a tune evaluates do.
 func TestEngineDifferentialModels(t *testing.T) {
 	files, err := filepath.Glob("../models/src/*.ft")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no model sources found: %v", err)
 	}
+	wantWrappers := map[string]int{"adcirc.ft": 5, "funarc.ft": 0, "mom6.ft": 7, "mpas_a.ft": 11}
 	for _, f := range files {
 		f := f
 		t.Run(filepath.Base(f), func(t *testing.T) {
@@ -193,12 +197,30 @@ func TestEngineDifferentialModels(t *testing.T) {
 			compareEngines(t, prog, false, false)
 			compareEngines(t, prog, true, false)
 
-			v, err := transform.Apply(prog, transform.Uniform(transform.Atoms(prog), 4))
+			atoms := transform.Atoms(prog)
+			v, err := transform.Apply(prog, transform.Uniform(atoms, 4))
 			if err != nil {
 				t.Fatalf("uniform-32 transform: %v", err)
 			}
 			compareEngines(t, v.Prog, false, false)
 			compareEngines(t, v.Prog, true, false)
+
+			mixed := transform.Assignment{}
+			for k := 0; k < len(atoms); k += 2 {
+				mixed[atoms[k].QName] = 4
+			}
+			v, err = transform.Apply(prog, mixed)
+			if err != nil {
+				t.Fatalf("alternate-atom transform: %v", err)
+			}
+			if want, ok := wantWrappers[filepath.Base(f)]; !ok || v.Wrappers != want {
+				t.Errorf("alternate-atom lowering generated %d wrappers, want %d (known model: %v)", v.Wrappers, want, ok)
+			}
+			msg := compareEngines(t, v.Prog, false, false)
+			if num := compareEngines(t, v.Prog, true, false); num != msg {
+				t.Errorf("alternate-atom lowering: numerics changed the outcome: %q, without %q", num, msg)
+			}
+			t.Logf("alternate-atom lowering: %d wrappers, outcome %q", v.Wrappers, msg)
 		})
 	}
 }
@@ -249,7 +271,8 @@ func TestEngineDifferentialBudget(t *testing.T) {
 // rounding behaviour: kind-4 arithmetic, **, and transcendentals.
 func TestEngineDifferentialProperty(t *testing.T) {
 	ops := []string{"+", "-", "*", "/"}
-	uns := []string{"sqrt(abs(%s))", "sin(%s)", "cos(%s)", "exp(min(%s, 4.0_8))", "abs(%s)", "-(%s)"}
+	uns := []string{"sqrt(abs(%s))", "sin(%s)", "cos(%s)", "exp(min(%s, 4.0_8))", "abs(%s)", "-(%s)",
+		"sign(%s, y)", "sign(x, %s)", "sign(0.1d0, %s)", "max(%s, x, 0.5_4)", "min(%s, y)"}
 	pows := []string{"abs(%s) ** 2", "abs(%s) ** 3", "abs(%s) ** 7", "abs(%s) ** y", "abs(%s) ** 0.5_4"}
 	var rng uint64 = 0x9e3779b97f4a7c15
 	next := func(n int) int { // xorshift, deterministic across runs
@@ -346,8 +369,12 @@ end program p
 // numerics and TrapNonFinite.
 func TestEngineDifferentialCalls(t *testing.T) {
 	tally, tallied := map[string]int{}, 0
+	formTally := map[string]int{}
 	for seed := 1; seed <= 120; seed++ {
-		src := genCallProgram(uint64(seed))
+		src, forms := genCallProgram(uint64(seed))
+		for f := range forms {
+			formTally[f]++
+		}
 		prog, err := ft.Parse(src)
 		if err != nil {
 			t.Fatalf("seed %d: parse: %v\n%s", seed, err, src)
@@ -369,6 +396,13 @@ func TestEngineDifferentialCalls(t *testing.T) {
 					t.Logf("seed %d source:\n%s", seed, src)
 				}
 			}
+		}
+	}
+	// Every function-call form the generator was built for must occur.
+	t.Logf("programs containing each call form: %v", formTally)
+	for form, least := range map[string]int{"scalar-rhs": 10, "element-rhs": 10, "abs-arg": 5, "sign-arg": 5, "nested": 5} {
+		if formTally[form] < least {
+			t.Errorf("only %d of 120 programs contain call form %q, want at least %d (tally %v)", formTally[form], form, least, formTally)
 		}
 	}
 	// The generator must keep reaching every outcome it was built for
@@ -405,7 +439,8 @@ func callOutcome(msg string) string {
 // The main loop runs i = 1..4; every index is placed inside its bounds by
 // evaluating it over that range, except one deliberately out-of-bounds
 // index in about one program in six.
-func genCallProgram(seed uint64) string {
+func genCallProgram(seed uint64) (string, map[string]bool) {
+	forms := map[string]bool{} // the function-call forms the program contains
 	rng := seed*0x9e3779b97f4a7c15 | 1
 	next := func(n int) int { // xorshift, deterministic across runs
 		rng ^= rng << 13
@@ -515,13 +550,37 @@ func genCallProgram(seed uint64) string {
 		isFunc bool
 		dums   []dummy
 	}
-	var procs []proc
+	// innerCall calls pr from a procedure body, where the caller's real
+	// dummies (reals) and module names are visible. Integer copy-outs go
+	// to si, never to mk, which indices read.
+	innerCall := func(pr proc, reals []string) string {
+		args := make([]string, len(pr.dums))
+		for k, du := range pr.dums {
+			out := du.intent == "out" || du.intent == "inout"
+			switch {
+			case du.base == "i" && du.intent == "in":
+				args[k] = pick("mk", "np", "si", "mk + 1")
+			case du.base == "i" && out:
+				args[k] = "si"
+			case du.base == "i":
+				args[k] = pick("si", "3", "mk + 1")
+			case out:
+				args[k] = pick(append([]string{"s8", "s4", elem(true)}, reals...)...)
+			default:
+				args[k] = pick(append([]string{"s8", "0.5d0", "rp", elem(true)}, reals...)...)
+			}
+		}
+		return fmt.Sprintf("%s(%s)", pr.name, strings.Join(args, ", "))
+	}
+
+	var procs, funcs []proc
 	var mod strings.Builder
 	for p := 0; p < 2+next(2); p++ {
 		pr := proc{name: fmt.Sprintf("p%d", p), isFunc: next(3) == 0}
 		if pr.isFunc {
 			pr.name = fmt.Sprintf("f%d", p)
 		}
+		earlier := funcs
 		var names []string
 		for d := 0; d < next(8); d++ {
 			du := dummy{
@@ -588,17 +647,18 @@ func genCallProgram(seed uint64) string {
 			fmt.Fprintf(&mod, "    %s = %s\n", du.name, rexpr(du.base == "r8"))
 		}
 		if pr.isFunc {
-			fmt.Fprintf(&mod, "    r = %s\n", rexpr(false))
+			e := rexpr(false)
+			if len(earlier) > 0 && next(3) > 0 {
+				// Nested function calls: this one runs inside another's frame.
+				e = fmt.Sprintf("%s %s %s", innerCall(earlier[next(len(earlier))], reals), pick("+", "-", "*"), e)
+				forms["nested"] = true
+			}
+			fmt.Fprintf(&mod, "    r = %s\n", e)
+			funcs = append(funcs, pr)
 		}
 		fmt.Fprintf(&mod, "  end %s %s\n", kw, pr.name)
 	}
 
-	var funcs []proc
-	for _, pr := range procs {
-		if pr.isFunc {
-			funcs = append(funcs, pr)
-		}
-	}
 	realVar := func() string { return pick("x8", "y8", "s8", "x4", "y4", "s4") }
 	var call func(pr proc, depth int) string
 	call = func(pr proc, depth int) string {
@@ -642,12 +702,34 @@ func genCallProgram(seed uint64) string {
 
 	var body strings.Builder
 	for s := 0; s < 3+next(4); s++ {
-		switch next(5) {
-		case 0:
+		switch k := next(8); {
+		case k == 0:
 			fmt.Fprintf(&body, "    %s = %s %s %s\n", elem(false), elem(false), pick("+", "*", "-"), pick(realVar(), "0.75d0", elem(false)))
-		case 1:
+		case k == 1:
 			v := realVar()
 			fmt.Fprintf(&body, "    %s = %s * 0.5d0 + %s\n", v, v, elem(false))
+		case k <= 4 && len(funcs) > 0:
+			// A function call as a whole right-hand side, or as the
+			// argument of abs or sign.
+			fc := call(funcs[next(len(funcs))], 0)
+			switch {
+			case k == 2:
+				fmt.Fprintf(&body, "    %s = %s\n", realVar(), fc)
+				forms["scalar-rhs"] = true
+			case k == 3:
+				fmt.Fprintf(&body, "    %s = %s\n", elem(false), fc)
+				forms["element-rhs"] = true
+			case next(2) == 0:
+				fmt.Fprintf(&body, "    %s = abs(%s) * 0.5d0\n", realVar(), fc)
+				forms["abs-arg"] = true
+			default:
+				sa := [2]string{fc, realVar()}
+				if next(2) == 0 {
+					sa[0], sa[1] = sa[1], sa[0]
+				}
+				fmt.Fprintf(&body, "    %s = sign(%s, %s)\n", realVar(), sa[0], sa[1])
+				forms["sign-arg"] = true
+			}
 		default:
 			pr := procs[next(len(procs))]
 			if pr.isFunc {
@@ -686,7 +768,7 @@ func genCallProgram(seed uint64) string {
 	b.WriteString("  n = 2\n  do i = 1, 4\n")
 	b.WriteString(body.String())
 	b.WriteString("  end do\n  s8 = s8 + x8 + y8\n  s4 = s4 + x4 + y4\n  si = si + n\nend program main\n")
-	return b.String()
+	return b.String(), forms
 }
 
 // TestCycleBudgetBoundary pins the budget contract documented on

@@ -107,6 +107,10 @@ type vm struct {
 	rec    *numerics.Recorder
 	stdout io.Writer
 	timers *gptl.Timers
+	// regions caches each procedure's GPTL region handle by
+	// Procedure.Index, filled on its first call (nil without Profile).
+	// Nothing resets timers, so the handles stay valid for the run.
+	regions []*gptl.Region
 
 	gl []*vframe // module storage by Module.Index
 
@@ -161,6 +165,7 @@ func newVM(prog *ft.Program, cfg *Config, model *perfmodel.Model, an *perfmodel.
 	}
 	if cfg.Profile {
 		m.timers = gptl.New(func() float64 { return m.cycles })
+		m.regions = make([]*gptl.Region, len(prog.AllProcs))
 	}
 	return m
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -55,6 +56,31 @@ func TestTuneWorkersJournalMatchesInProcess(t *testing.T) {
 	// The fleet trail must be inspectable after the fact.
 	if err := cmdJournal([]string{fleetPath}); err != nil {
 		t.Fatalf("journal summary: %v", err)
+	}
+}
+
+// TestTuneRejectsFleetFlagsTheModeIgnores: chaos acts only on -listen
+// connections and the kill/wedge injection only on spawned children, so
+// setting either in the other mode is a usage error, not a silent
+// no-op.
+func TestTuneRejectsFleetFlagsTheModeIgnores(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-fleet-chaos-drop", []string{"-workers", "2", "-fleet-chaos-drop", "0.5", "-fleet-chaos-partition", "0.5"}},
+		{"-fleet-kill-rate", []string{"-workers", "2", "-listen", pickPort(t), "-fleet-kill-rate", "0.5"}},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- cmdTune(append([]string{"-model", "funarc"}, tc.args...)) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.flag) {
+				t.Errorf("tune %v: err = %v, want a usage error naming %s", tc.args, err, tc.flag)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("tune %v is still running; want %s rejected", tc.args, tc.flag)
+		}
 	}
 }
 

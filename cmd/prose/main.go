@@ -143,8 +143,8 @@ commands:
   baseline   profile a model baseline (hotspot share, per-procedure times)
   atoms      list a model's search atoms (tunable FP declarations)
   tune       run the delta-debugging precision-tuning search
-  worker     serve evaluations to a tune -workers coordinator (spawned over
-             pipes, or dialing a tune -listen address with -connect)
+  worker     serve evaluations to a tune coordinator over TCP (spawned by
+             tune -workers, or dialing a tune -listen address with -connect)
   variant    apply a precision assignment and print the generated source
   reduce     taint-based program reduction for target variables (paper III-C)
   blame      one-at-a-time precision sensitivity ranking (ADAPT-style)
@@ -162,6 +162,29 @@ commands:
 
 run 'prose <command> -h' for flags.
 `)
+}
+
+// checkFleetFlagMode rejects a fault-injection flag set in a fleet mode
+// that would ignore it: -fleet-chaos-* act only on -listen connections,
+// and the worker kill/wedge flags only on children that -workers spawns.
+func checkFleetFlagMode(fs *flag.FlagSet, workers int, listen string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err != nil {
+			return
+		}
+		switch f.Name {
+		case "fleet-kill-rate", "fleet-fault-seed", "fleet-wedge-key":
+			if workers == 0 || listen != "" {
+				err = fmt.Errorf("tune: -%s needs -workers N without -listen (it configures spawned workers)", f.Name)
+			}
+		default:
+			if strings.HasPrefix(f.Name, "fleet-chaos-") && listen == "" {
+				err = fmt.Errorf("tune: -%s needs -listen (chaos is injected on dial-in connections)", f.Name)
+			}
+		}
+	})
+	return err
 }
 
 func modelFlag(fs *flag.FlagSet) *string {
@@ -257,7 +280,7 @@ func cmdTune(args []string) error {
 	ledgerDir := fs.String("ledger", "", "archive this run's manifest into the run ledger at DIR (inspect with 'prose runs' / 'prose compare'); with -journal, also streams decision telemetry to <journal>.decisions")
 	decisionsPath := fs.String("decisions", "", "stream per-round search-decision telemetry to this file (byte-stable across -par and -resume; journal bytes unchanged)")
 	engineName := fs.String("engine", "vm", "interpreter engine: vm (closure-compiled, default) or ast (reference tree-walker); bit-identical results either way")
-	workers := fs.Int("workers", 0, "shard variant evaluation across N 'prose worker' subprocesses (0 = in-process); worker crashes become supervised retries and the journal stays byte-identical")
+	workers := fs.Int("workers", 0, "shard variant evaluation across N 'prose worker' processes (0 = in-process); worker crashes become supervised retries and the journal stays byte-identical")
 	leaseTTL := fs.Duration("lease-ttl", fleet.DefaultLeaseTTL, "fleet: wall-clock budget per leased evaluation; an expired lease is failed as a hang fault and reassigned")
 	workerHeartbeat := fs.Duration("worker-heartbeat", fleet.DefaultHeartbeat, "fleet: worker heartbeat interval (a silent worker is declared lost and replaced)")
 	workerRestarts := fs.Int("worker-restarts", fleet.DefaultMaxRestarts, "fleet: respawns per worker slot before it is retired")
@@ -265,7 +288,7 @@ func cmdTune(args []string) error {
 	fleetKillRate := fs.Float64("fleet-kill-rate", 0, "fault injection: each worker SIGKILLs itself before evaluating with this probability per (key, attempt), deterministic in -fleet-fault-seed")
 	fleetFaultSeed := fs.Int64("fleet-fault-seed", 1, "fault injection: seed for -fleet-kill-rate decisions")
 	fleetWedgeKey := fs.String("fleet-wedge-key", "", "fault injection: the worker leased this assignment key wedges (stops heartbeating) on its first attempt")
-	listen := fs.String("listen", "", "fleet: accept -workers N off-host workers over TCP on this address instead of spawning subprocesses; workers dial in with 'prose worker -connect'")
+	listen := fs.String("listen", "", "fleet: accept -workers N off-host workers over TCP on this address instead of spawning them; workers dial in with 'prose worker -connect'")
 	chaosDrop := fs.Float64("fleet-chaos-drop", 0, "network chaos (with -listen): drop each frame with this probability, deterministic in -fleet-chaos-seed")
 	chaosDup := fs.Float64("fleet-chaos-dup", 0, "network chaos: deliver each frame twice with this probability")
 	chaosReorder := fs.Float64("fleet-chaos-reorder", 0, "network chaos: hold each frame past its successor with this probability")
@@ -345,15 +368,18 @@ func cmdTune(args []string) error {
 		stopSignals()
 	}()
 
-	// -workers: build the worker fleet. The subprocesses are this very
+	// -workers: build the worker fleet. The children are this very
 	// binary running `prose worker` with the flags that shape the
 	// evaluation stream (model, seed, whole-model, budget, engine); a
-	// fingerprint handshake at spawn rejects any drift. Fleet knobs, like
-	// parallelism, are not fingerprinted — the journal is byte-identical
-	// at any pool size.
+	// fingerprint handshake on every connection rejects any drift. Fleet
+	// knobs, like parallelism, are not fingerprinted — the journal is
+	// byte-identical at any pool size.
 	var coord *fleet.Coordinator
 	if *listen != "" && *workers == 0 {
 		return fmt.Errorf("tune: -listen needs -workers N (the expected pool size)")
+	}
+	if err := checkFleetFlagMode(fs, *workers, *listen); err != nil {
+		return err
 	}
 	if *workers > 0 {
 		if opts.Parallelism < *workers {

@@ -12,15 +12,16 @@ import (
 	"repro/internal/interp"
 )
 
-// cmdWorker serves evaluations to a `prose tune -workers N` coordinator
-// over stdin/stdout. It is spawned by the coordinator, not usually run
-// by hand: stdin carries lease messages, stdout carries heartbeats and
-// results, stderr passes through for diagnostics.
+// cmdWorker serves evaluations to a `prose tune` coordinator over TCP,
+// reconnecting with session resume on connection loss. `prose tune
+// -workers N` spawns it with -connect, -session and -max-dials 1
+// against the tune's own loopback listener; under `prose tune -listen`
+// it is started by hand, on any host, and dials that address.
 //
 // The flags that shape the evaluation stream (model, seed, whole-model,
 // budget, engine) must match the coordinator's; the fingerprint
-// handshake at startup rejects any drift. The -fault-* flags are fault
-// injection for the fleet's own tests and smoke runs.
+// handshake on every connection rejects any drift. The -fault-* flags
+// are fault injection for the fleet's own tests and smoke runs.
 func cmdWorker(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	name := modelFlag(fs)
@@ -29,11 +30,11 @@ func cmdWorker(args []string) error {
 	budget := fs.Int("budget", 0, "max distinct variant evaluations (must match the coordinator)")
 	engineName := fs.String("engine", "vm", "interpreter engine (must match the coordinator)")
 	heartbeat := fs.Duration("heartbeat", fleet.DefaultHeartbeat, "heartbeat interval while evaluating")
-	connect := fs.String("connect", "", "dial a 'prose tune -listen' coordinator over TCP instead of serving stdin/stdout; reconnects with session resume on connection loss")
-	session := fs.String("session", "", "with -connect: stable session ID for lease resume across reconnects (default: random)")
-	missLimit := fs.Int("heartbeat-miss-limit", fleet.DefaultHeartbeatMissLimit, "with -connect: consecutive failed heartbeat sends before the worker reconnects")
-	reconnectBackoff := fs.Duration("reconnect-backoff", fleet.DefaultReconnectBackoff, "with -connect: base backoff between dial attempts (doubles, capped)")
-	maxDials := fs.Int("max-dials", fleet.DefaultMaxDials, "with -connect: dial attempts per reconnect before giving up")
+	connect := fs.String("connect", "", "the coordinator's address, as printed by 'prose tune -listen' (required)")
+	session := fs.String("session", "", "stable session ID for lease resume across reconnects (default: random)")
+	missLimit := fs.Int("heartbeat-miss-limit", fleet.DefaultHeartbeatMissLimit, "consecutive failed heartbeat sends before the worker reconnects")
+	reconnectBackoff := fs.Duration("reconnect-backoff", fleet.DefaultReconnectBackoff, "base backoff between dial attempts (doubles, capped)")
+	maxDials := fs.Int("max-dials", fleet.DefaultMaxDials, "dial attempts per reconnect before giving up")
 	killRate := fs.Float64("fault-kill-rate", 0, "fault injection: SIGKILL self before evaluating with this probability per (key, attempt)")
 	faultSeed := fs.Int64("fault-seed", 1, "fault injection: seed for -fault-kill-rate decisions")
 	crashKey := fs.String("fault-crash-key", "", "fault injection: SIGKILL self when leased this assignment key")
@@ -43,6 +44,9 @@ func cmdWorker(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *connect == "" {
+		return fmt.Errorf("worker: -connect is required")
+	}
 	engine, err := interp.ParseEngine(*engineName)
 	if err != nil {
 		return fmt.Errorf("worker: %w", err)
@@ -51,13 +55,13 @@ func cmdWorker(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *connect == "" {
-		// The coordinator owns this process's lifetime: a ^C at the
-		// terminal reaches the whole process group, but the orderly
-		// path is the coordinator's shutdown message (or it killing
-		// us), not the worker racing it to exit mid-lease. A -connect
-		// worker runs by hand on a remote host instead, so it keeps
-		// default signal handling.
+	if os.Getenv("PROSE_FLEET_WORKER") == "1" {
+		// fleet.Command spawned us, so the coordinator owns this
+		// process's lifetime: a ^C at the terminal reaches the whole
+		// process group, but the orderly path is the coordinator's
+		// shutdown frame (or it killing us), not the worker racing it to
+		// exit mid-lease. A worker started by hand keeps default signal
+		// handling.
 		signal.Ignore(os.Interrupt, syscall.SIGTERM)
 	}
 	t, err := core.New(m, core.Options{
@@ -66,31 +70,15 @@ func cmdWorker(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *connect != "" {
-		return fleet.ServeNet(fleet.NetServeConfig{
-			Addr:               *connect,
-			Eval:               t,
-			Fingerprint:        t.Fingerprint(),
-			Session:            *session,
-			Heartbeat:          *heartbeat,
-			HeartbeatMissLimit: *missLimit,
-			ReconnectBackoff:   *reconnectBackoff,
-			MaxDials:           *maxDials,
-			Fault: fleet.WorkerFaults{
-				KillRate: *killRate,
-				Seed:     *faultSeed,
-				CrashKey: *crashKey,
-				WedgeKey: *wedgeKey,
-				SlowKey:  *slowKey,
-				Slow:     *slow,
-			},
-		})
-	}
-	return fleet.Serve(fleet.ServeConfig{
-		Transport:   fleet.NewPipeTransport(os.Stdin, os.Stdout),
-		Eval:        t,
-		Fingerprint: t.Fingerprint(),
-		Heartbeat:   *heartbeat,
+	return fleet.ServeNet(fleet.NetServeConfig{
+		Addr:               *connect,
+		Eval:               t,
+		Fingerprint:        t.Fingerprint(),
+		Session:            *session,
+		Heartbeat:          *heartbeat,
+		HeartbeatMissLimit: *missLimit,
+		ReconnectBackoff:   *reconnectBackoff,
+		MaxDials:           *maxDials,
 		Fault: fleet.WorkerFaults{
 			KillRate: *killRate,
 			Seed:     *faultSeed,

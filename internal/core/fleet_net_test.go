@@ -27,7 +27,7 @@ import (
 // partition_expired, dup_refused) and the fleet stats; it never
 // reaches an outcome.
 //
-// Like the pipe-fleet edition, the chaos runs enable the distributed
+// Like the spawned-fleet edition, the chaos runs enable the distributed
 // observability plane (trace context in lease grants, spans and metric
 // snapshots shipped back through the chaos layer) while the reference
 // run does not: byte identity proves the shipping survives drops,

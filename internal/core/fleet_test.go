@@ -2,9 +2,9 @@ package core
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -18,11 +18,12 @@ import (
 )
 
 // TestMain doubles as the fleet worker executable: the fleet tests
-// re-exec this test binary with FLEET_TUNER_WORKER=1, and the worker
-// runs a real funarc tuner behind the production fleet.Serve loop — so
-// the byte-identity test below exercises the exact stack `prose tune
-// -workers` ships: subprocess spawn, JSONL pipes, fingerprint
-// handshake, heartbeats, SIGKILLed workers, lease reassignment.
+// spawn this test binary through fleet.Command with
+// FLEET_TUNER_WORKER=1 in the environment, and the worker runs a real
+// funarc tuner behind the production fleet.ServeNet loop — so the
+// byte-identity test below exercises the exact stack `prose tune
+// -workers` ships: child spawn, loopback TCP, fingerprint handshake,
+// heartbeats, SIGKILLed workers, lease reassignment.
 func TestMain(m *testing.M) {
 	if os.Getenv("FLEET_TUNER_WORKER") == "1" {
 		if err := runTunerWorker(); err != nil {
@@ -35,6 +36,13 @@ func TestMain(m *testing.M) {
 }
 
 func runTunerWorker() error {
+	fs := flag.NewFlagSet("tuner-worker", flag.ContinueOnError)
+	addr := fs.String("connect", "", "coordinator address")
+	session := fs.String("session", "", "session ID")
+	maxDials := fs.Int("max-dials", 0, "dial attempts per reconnect")
+	if err := fs.Parse(os.Args[1:]); err != nil {
+		return err
+	}
 	t, err := New(models.Funarc(), Options{Seed: 1})
 	if err != nil {
 		return err
@@ -46,59 +54,34 @@ func runTunerWorker() error {
 	if v := os.Getenv("FLEET_TUNER_SEED"); v != "" {
 		faults.Seed, _ = strconv.ParseInt(v, 10, 64)
 	}
-	hb := 50 * time.Millisecond
-	return fleet.Serve(fleet.ServeConfig{
-		Transport:   fleet.NewPipeTransport(os.Stdin, os.Stdout),
+	return fleet.ServeNet(fleet.NetServeConfig{
+		Addr:        *addr,
+		Session:     *session,
+		MaxDials:    *maxDials,
 		Eval:        t,
 		Fingerprint: t.Fingerprint(),
-		Heartbeat:   hb,
+		Heartbeat:   50 * time.Millisecond,
 		Fault:       faults,
 	})
 }
 
-// tunerSpawn re-execs the test binary as a real-tuner worker.
-func tunerSpawn(extra ...string) fleet.SpawnFunc {
-	return func(id int) (fleet.Transport, fleet.Process, error) {
-		cmd := exec.Command(os.Args[0])
-		cmd.Stderr = os.Stderr
-		cmd.Env = append(os.Environ(), "FLEET_TUNER_WORKER=1")
-		cmd.Env = append(cmd.Env, extra...)
-		stdin, err := cmd.StdinPipe()
-		if err != nil {
-			return nil, nil, err
-		}
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := cmd.Start(); err != nil {
-			return nil, nil, err
-		}
-		return fleet.NewPipeTransport(stdout, stdin), &testProc{cmd}, nil
+// tunerSpawn spawns the test binary as a real-tuner worker through
+// fleet.Command, with the environment overrides ("K=V" strings) set for
+// the test.
+func tunerSpawn(t *testing.T, extra ...string) fleet.SpawnFunc {
+	t.Setenv("FLEET_TUNER_WORKER", "1")
+	for _, kv := range extra {
+		k, v, _ := strings.Cut(kv, "=")
+		t.Setenv(k, v)
 	}
-}
-
-type testProc struct{ cmd *exec.Cmd }
-
-func (p *testProc) Kill() error {
-	if p.cmd.Process == nil {
-		return nil
-	}
-	return p.cmd.Process.Kill()
-}
-func (p *testProc) Wait() error { return p.cmd.Wait() }
-func (p *testProc) Pid() int {
-	if p.cmd.Process == nil {
-		return 0
-	}
-	return p.cmd.Process.Pid
+	return fleet.Command(os.Args[0])
 }
 
 func newFleet(t *testing.T, workers int, env ...string) *fleet.Coordinator {
 	t.Helper()
 	coord, err := fleet.New(fleet.Config{
 		Workers:   workers,
-		Spawn:     tunerSpawn(env...),
+		Spawn:     tunerSpawn(t, env...),
 		Heartbeat: 50 * time.Millisecond,
 		// With one worker, every injected death lands on the same slot;
 		// give it headroom so routine kills never retire the pool.
@@ -253,8 +236,8 @@ func TestFleetDegradeFallsBackInProcess(t *testing.T) {
 
 	coord, err := fleet.New(fleet.Config{
 		Workers: 2,
-		Spawn: func(id int) (fleet.Transport, fleet.Process, error) {
-			return nil, nil, fmt.Errorf("cluster full")
+		Spawn: func(id int, addr, session string) (fleet.Process, error) {
+			return nil, fmt.Errorf("cluster full")
 		},
 		MaxRestarts:    1,
 		RestartBackoff: time.Millisecond,

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -45,8 +46,8 @@ const (
 	// expired and been reassigned; it was dropped, keeping journal
 	// appends exactly-once.
 	EventLateResult = "late_result"
-	// EventWorkerExit: a worker process died (EOF on its pipe) — a
-	// SIGKILL, OOM kill, or crash.
+	// EventWorkerExit: a worker process died (EOF on its connection) —
+	// a SIGKILL, OOM kill, or crash.
 	EventWorkerExit = "worker_exit"
 	// EventWorkerLost: a worker went silent (missed heartbeats) and was
 	// killed.
@@ -95,7 +96,8 @@ type Event struct {
 
 // Process is the coordinator's handle on one worker subprocess.
 type Process interface {
-	// Kill terminates the process immediately (SIGKILL).
+	// Kill terminates the process immediately (SIGKILL). It is called
+	// while Wait blocks in another goroutine.
 	Kill() error
 	// Wait reaps the process after it exits.
 	Wait() error
@@ -103,32 +105,27 @@ type Process interface {
 	Pid() int
 }
 
-// SpawnFunc launches worker number id and returns its transport and
-// process handle.
-type SpawnFunc func(id int) (Transport, Process, error)
+// SpawnFunc launches worker number id as a child process that dials
+// the coordinator's listener at addr and handshakes with session.
+type SpawnFunc func(id int, addr, session string) (Process, error)
 
-// Command returns a SpawnFunc that launches `name args...` with the
-// worker protocol on its stdin/stdout, stderr passed through, and
-// PROSE_FLEET_WORKER=1 / PROSE_FLEET_WORKER_ID in its environment.
+// Command returns a SpawnFunc that launches `name args... -connect ADDR
+// -session ID -max-dials 1` with stderr passed through and
+// PROSE_FLEET_WORKER=1 / PROSE_FLEET_WORKER_ID in its environment. The
+// single dial is what ends a child whose coordinator died: its redial
+// is refused, so it exits instead of outliving the tune.
 func Command(name string, args ...string) SpawnFunc {
-	return func(id int) (Transport, Process, error) {
-		cmd := exec.Command(name, args...)
+	return func(id int, addr, session string) (Process, error) {
+		cmd := exec.Command(name, slices.Concat(args,
+			[]string{"-connect", addr, "-session", session, "-max-dials", "1"})...)
 		cmd.Stderr = os.Stderr
 		cmd.Env = append(os.Environ(),
 			"PROSE_FLEET_WORKER=1",
 			fmt.Sprintf("PROSE_FLEET_WORKER_ID=%d", id))
-		stdin, err := cmd.StdinPipe()
-		if err != nil {
-			return nil, nil, err
-		}
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			return nil, nil, err
-		}
 		if err := cmd.Start(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return NewPipeTransport(stdout, stdin), (*procHandle)(cmd), nil
+		return (*procHandle)(cmd), nil
 	}
 }
 
@@ -155,8 +152,8 @@ type Config struct {
 	// Workers is the pool size (required, >= 1).
 	Workers int
 	// Spawn launches one worker. Exactly one of Spawn and Net must be
-	// set: Spawn for subprocess (pipe) workers, Net for off-host
-	// workers that dial in.
+	// set: Spawn for child processes that dial the coordinator's own
+	// loopback listener, Net for off-host workers that dial in.
 	Spawn SpawnFunc
 	// Net accepts dialing network workers instead of spawning
 	// subprocesses (see NetConfig). Exactly one of Spawn and Net.
@@ -180,8 +177,9 @@ type Config struct {
 	MinWorkers int
 	// RestartBackoff is slept before each respawn.
 	RestartBackoff time.Duration
-	// ReadyTimeout bounds the spawn-to-handshake window (workers load
-	// the model and measure a baseline before reporting ready).
+	// ReadyTimeout bounds the spawn-to-handshake window and a dialed
+	// connection's wait for its ready frame (workers load the model and
+	// measure a baseline before dialing).
 	ReadyTimeout time.Duration
 	// LetExpiredFinish keeps a worker alive after its lease expires so
 	// its late result can arrive (and be dropped by the exactly-once
@@ -354,18 +352,18 @@ type slot struct {
 	obsSeq  int64
 	obsSnap obs.Snapshot
 
-	// Network mode only: the bound worker session, its in-flight
-	// lease parked across a disconnect (with the timer that expires
-	// it), the channel admit hands fresh connections through, and the
-	// live connection (closed by admit when the session redials).
+	// The bound worker session, the channel admit hands its
+	// connections through, and the live connection (closed by admit
+	// when the session redials). Dial-in slots only: the in-flight
+	// lease parked across a disconnect, with the timer that expires it.
 	session     string
-	orphan      *lease
-	orphanTimer *time.Timer
 	netCh       chan *netConn
 	netLive     net.Conn
+	orphan      *lease
+	orphanTimer *time.Timer
 }
 
-// Coordinator shards evaluations across a pool of worker subprocesses.
+// Coordinator shards evaluations across a pool of worker processes.
 // It implements search.Evaluator/SpanEvaluator: construct it with New,
 // hand it to core.Options.Fleet (which calls Start and Close around the
 // tune), and every Evaluate becomes a lease on the queue.
@@ -391,10 +389,9 @@ type Coordinator struct {
 	detail   string
 	st       Stats
 
-	// Network mode only (guarded by mu): session → bound slot routing,
-	// the set of sessions ever admitted (a re-admission of a known
-	// session is a reconnect), and the shared chaos state for accepted
-	// connections.
+	// Guarded by mu: session → bound slot routing, the set of sessions
+	// ever admitted (a re-admission of a known session is a reconnect),
+	// and the shared chaos state for accepted connections.
 	sessions     map[string]*slot
 	seenSessions map[string]bool
 	nchaos       *chaos
@@ -426,8 +423,9 @@ func New(cfg Config) (*Coordinator, error) {
 	}, nil
 }
 
-// Start spawns the worker pool. ctx bounds the fleet's lifetime (the
-// tuner passes its hard-cancellation context); Close stops it too.
+// Start opens the listener and starts the worker slots. ctx bounds the
+// fleet's lifetime (the tuner passes its hard-cancellation context);
+// Close stops it too.
 func (c *Coordinator) Start(ctx context.Context, rt Runtime) error {
 	if rt.Local == nil {
 		return fmt.Errorf("fleet: Runtime.Local is required")
@@ -440,6 +438,18 @@ func (c *Coordinator) Start(ctx context.Context, rt Runtime) error {
 		c.mu.Unlock()
 		return fmt.Errorf("fleet: already started")
 	}
+	if c.cfg.Spawn != nil {
+		// A spawning fleet is a network fleet on a loopback listener of
+		// its own, which its children dial. Code that must tell the two
+		// kinds apart tests Spawn.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			c.mu.Unlock()
+			return fmt.Errorf("fleet: loopback listener: %w", err)
+		}
+		c.cfg.Net = &NetConfig{Listener: ln}
+	}
+	c.nchaos = newChaos(c.cfg.Net.Chaos)
 	c.started = true
 	c.rt = rt
 	c.st.Workers = c.cfg.Workers
@@ -447,32 +457,22 @@ func (c *Coordinator) Start(ctx context.Context, rt Runtime) error {
 		ctx = context.Background()
 	}
 	c.ctx, c.cancel = context.WithCancel(ctx)
-	netMode := c.cfg.Net != nil
-	if netMode {
-		c.sessions = make(map[string]*slot)
-		c.seenSessions = make(map[string]bool)
-		c.nchaos = newChaos(c.cfg.Net.Chaos)
-	}
+	c.sessions = make(map[string]*slot)
+	c.seenSessions = make(map[string]bool)
 	for i := 0; i < c.cfg.Workers; i++ {
-		s := &slot{id: i, state: StateSpawning}
-		if netMode {
-			s.netCh = make(chan *netConn, 1)
-		}
-		c.slots = append(c.slots, s)
+		c.slots = append(c.slots, &slot{id: i, state: StateSpawning, netCh: make(chan *netConn, 1)})
 	}
 	slots := c.slots
 	c.mu.Unlock()
-	if netMode {
-		// The listener dies with the context; closing it is what
-		// unblocks the accept loop.
-		c.wg.Add(2)
-		go func() {
-			defer c.wg.Done()
-			<-c.ctx.Done()
-			c.cfg.Net.Listener.Close()
-		}()
-		go c.acceptLoop()
-	}
+	// The listener dies with the context; closing it is what unblocks
+	// the accept loop.
+	c.wg.Add(2)
+	go func() {
+		defer c.wg.Done()
+		<-c.ctx.Done()
+		c.cfg.Net.Listener.Close()
+	}()
+	go c.acceptLoop()
 	for _, s := range slots {
 		c.wg.Add(1)
 		go c.slotLoop(s)
@@ -490,9 +490,9 @@ func (c *Coordinator) Close() error {
 		cancel()
 	}
 	c.wg.Wait()
-	// Network mode: release anything still parked or queued — orphan
-	// timers must not fire after Close, and admitted-but-unclaimed
-	// connections must not leak.
+	// Release anything still parked or queued — orphan timers must not
+	// fire after Close, and admitted-but-unclaimed connections must not
+	// leak.
 	c.mu.Lock()
 	for _, s := range c.slots {
 		if s.orphanTimer != nil {
@@ -500,12 +500,10 @@ func (c *Coordinator) Close() error {
 			s.orphanTimer = nil
 			s.orphan = nil
 		}
-		if s.netCh != nil {
-			select {
-			case nc := <-s.netCh:
-				nc.tr.Close()
-			default:
-			}
+		select {
+		case nc := <-s.netCh:
+			nc.tr.Close()
+		default:
 		}
 	}
 	c.mu.Unlock()
@@ -645,7 +643,7 @@ func (c *Coordinator) retire(s *slot, why string) {
 	}
 }
 
-// exitReason says how one worker process session ended.
+// exitReason says how one worker session ended.
 type exitReason int
 
 const (
@@ -654,45 +652,26 @@ const (
 	exitCrash                       // process died or misbehaved (respawn)
 	exitLost                        // heartbeats stopped (killed; respawn)
 	exitExpired                     // lease expired, kill-on-expiry (respawn)
-	exitPartition                   // network connection lost (net mode; await redial, no restart charge)
+	exitPartition                   // dial-in connection lost (await redial, no restart charge)
 )
 
-// slotLoop owns one worker slot: spawn, serve, and respawn with backoff
-// until the restart budget is spent, the fingerprint mismatches, or the
-// fleet shuts down. In network mode the slot waits for dialing workers
-// instead of spawning (netSlotLoop).
+// slotLoop owns one worker slot, one runWorker pass at a time, until
+// the fleet shuts down, the fingerprint mismatches, or the restart
+// budget is spent. A spawning slot charges the budget for every other
+// exit and backs off before respawning. A dial-in slot charges it only
+// for protocol breaches (exitCrash): partitions and expiries are the
+// network's fault, not the peer's, and a session may ride out any
+// number of them.
 func (c *Coordinator) slotLoop(s *slot) {
 	defer c.wg.Done()
-	if c.cfg.Net != nil {
-		c.netSlotLoop(s)
-		return
-	}
+	spawns := c.cfg.Spawn != nil
 	for {
 		if c.ctx.Err() != nil {
 			c.setState(s, StateStopped)
 			return
 		}
 		c.setState(s, StateSpawning)
-		tr, proc, err := c.cfg.Spawn(s.id)
-		var reason exitReason
-		var detail string
-		if err != nil {
-			reason, detail = exitCrash, fmt.Sprintf("spawn failed: %v", err)
-			c.event(Event{Type: EventWorkerExit, Worker: s.id, Kind: resilience.KindGeneric, Detail: detail})
-		} else {
-			c.mu.Lock()
-			s.pid = proc.Pid()
-			c.mu.Unlock()
-			c.rt.Metrics.Gauge(obs.GaugeFleetWorkersAlive).Set(float64(c.aliveProcs(+1)))
-			reason, detail = c.serveWorker(s, tr, nil)
-			proc.Kill()
-			tr.Close()
-			proc.Wait()
-			c.mu.Lock()
-			s.pid = 0
-			c.mu.Unlock()
-			c.rt.Metrics.Gauge(obs.GaugeFleetWorkersAlive).Set(float64(c.aliveProcs(-1)))
-		}
+		reason, detail := c.runWorker(s)
 		switch reason {
 		case exitShutdown:
 			c.setState(s, StateStopped)
@@ -705,6 +684,9 @@ func (c *Coordinator) slotLoop(s *slot) {
 		s.lastFault = detail
 		restarts := s.restarts
 		c.mu.Unlock()
+		if !spawns && reason != exitCrash {
+			continue
+		}
 		if restarts >= c.cfg.MaxRestarts {
 			c.retire(s, fmt.Sprintf("restart budget (%d) spent; last: %s", c.cfg.MaxRestarts, detail))
 			return
@@ -713,6 +695,9 @@ func (c *Coordinator) slotLoop(s *slot) {
 		s.restarts++
 		c.mu.Unlock()
 		c.rt.Metrics.Gauge(fmt.Sprintf("%s%d", obs.GaugeFleetWorkerRestartsPrefix, s.id)).Set(float64(restarts + 1))
+		if !spawns {
+			continue
+		}
 		c.counter(obs.MetricFleetRestarts).Add(1)
 		c.statAdd(func(st *Stats) { st.Restarts++ })
 		c.event(Event{Type: EventWorkerRestart, Worker: s.id, Detail: detail})
@@ -724,6 +709,83 @@ func (c *Coordinator) slotLoop(s *slot) {
 			return
 		}
 	}
+}
+
+// runWorker is one pass of a slot: spawn a child if the fleet spawns,
+// wait for the slot's connection, serve it, then kill and reap the
+// child. A child's session ends with the pass; a dial-in session stays
+// bound while a parked lease or a queued reconnect needs it.
+func (c *Coordinator) runWorker(s *slot) (exitReason, string) {
+	var ch *child
+	if c.cfg.Spawn != nil {
+		var err error
+		if ch, err = c.spawn(s); err != nil {
+			detail := fmt.Sprintf("spawn failed: %v", err)
+			c.event(Event{Type: EventWorkerExit, Worker: s.id, Kind: resilience.KindGeneric, Detail: detail})
+			return exitCrash, detail
+		}
+		c.setState(s, StateHandshake)
+	}
+	nc, reason, detail := c.awaitConn(s, ch)
+	if nc != nil {
+		c.mu.Lock()
+		s.netLive = nc.raw
+		c.mu.Unlock()
+		c.rt.Metrics.Gauge(obs.GaugeFleetWorkersAlive).Set(float64(c.aliveProcs(+1)))
+		reason, detail = c.serveWorker(s, nc)
+		c.rt.Metrics.Gauge(obs.GaugeFleetWorkersAlive).Set(float64(c.aliveProcs(-1)))
+	}
+	if ch != nil {
+		// Reap before closing the connection, so the child cannot
+		// redial into a session that is about to end.
+		ch.proc.Kill()
+		<-ch.exited
+	}
+	if nc != nil {
+		nc.tr.Close()
+	}
+	c.mu.Lock()
+	if nc != nil && s.netLive == nc.raw {
+		s.netLive = nil
+	}
+	s.pid = 0
+	if ch != nil || (s.orphan == nil && len(s.netCh) == 0) {
+		c.unbindLocked(s)
+	}
+	c.mu.Unlock()
+	return reason, detail
+}
+
+// child is a spawned worker process; exited closes once it is reaped.
+type child struct {
+	proc   Process
+	exited chan struct{}
+}
+
+// spawn binds a fresh session to the slot and launches a child that
+// dials the listener with it. The session is bound first, so admit
+// knows it by the time the child dials.
+func (c *Coordinator) spawn(s *slot) (*child, error) {
+	session := newSession()
+	c.mu.Lock()
+	c.bindLocked(s, session)
+	c.mu.Unlock()
+	proc, err := c.cfg.Spawn(s.id, c.cfg.Net.Listener.Addr().String(), session)
+	if err != nil {
+		c.mu.Lock()
+		c.unbindLocked(s)
+		c.mu.Unlock()
+		return nil, err
+	}
+	ch := &child{proc: proc, exited: make(chan struct{})}
+	go func() {
+		proc.Wait()
+		close(ch.exited)
+	}()
+	c.mu.Lock()
+	s.pid = proc.Pid()
+	c.mu.Unlock()
+	return ch, nil
 }
 
 // aliveProcs tracks the live-process count for the workers_alive gauge.
@@ -748,13 +810,13 @@ type workerReader struct {
 	err  error
 }
 
-// serveWorker drives one live worker session: handshake, then a
-// lease-serve loop. nc is non-nil for network sessions; the pipe path
-// passes nil. Every exit path resolves or parks the in-flight lease
-// (if any) before returning, so no Evaluate caller is ever stranded.
-func (c *Coordinator) serveWorker(s *slot, tr Transport, nc *netConn) (exitReason, string) {
-	// The reader goroutine exits when Recv fails; the caller's tr.Close
-	// and proc.Kill guarantee that on every return path.
+// serveWorker drives one admitted worker connection through its
+// leases. Every exit path resolves or parks the in-flight lease (if
+// any) before returning, so no Evaluate caller is ever stranded.
+func (c *Coordinator) serveWorker(s *slot, nc *netConn) (exitReason, string) {
+	tr := nc.tr
+	// The reader goroutine exits when Recv fails; runWorker's tr.Close
+	// guarantees that on every return path.
 	rd := &workerReader{msgs: make(chan Msg, 16)}
 	go func() {
 		defer close(rd.msgs)
@@ -768,50 +830,13 @@ func (c *Coordinator) serveWorker(s *slot, tr Transport, nc *netConn) (exitReaso
 		}
 	}()
 
-	c.setState(s, StateHandshake)
-	ready := time.NewTimer(c.cfg.ReadyTimeout)
-	defer ready.Stop()
-	select {
-	case m, ok := <-rd.msgs:
-		if !ok {
-			return exitCrash, "worker exited before handshake"
-		}
-		if m.Type != MsgReady {
-			return exitCrash, fmt.Sprintf("protocol error: first frame %q, want %q", m.Type, MsgReady)
-		}
-		if m.Fingerprint != c.rt.Fingerprint {
-			detail := fmt.Sprintf("worker fingerprint %.12s... does not match coordinator %.12s... (its evaluations would not reproduce the journal)",
-				m.Fingerprint, c.rt.Fingerprint)
-			c.event(Event{Type: EventFingerprintMismatch, Worker: s.id, Detail: detail})
-			return exitMismatch, detail
-		}
-	case <-ready.C:
-		return exitCrash, fmt.Sprintf("no handshake within %v", c.cfg.ReadyTimeout)
-	case <-c.ctx.Done():
-		return exitShutdown, ""
-	}
-
-	// A pipe worker that just handshook is a fresh process: its obs
-	// sequence and registry restart from zero, so the stale-frame guard
-	// and the delta merge must restart with it. (A network reconnect
-	// resumes the same process — same tracer, same registry, same
-	// sequence — so its state carries over.)
-	if nc == nil {
-		c.mu.Lock()
-		s.obsSeq = 0
-		s.obsSnap = obs.Snapshot{}
-		c.mu.Unlock()
-	}
-
-	// A reconnecting network session may still hold a parked lease:
+	// A reconnecting dial-in session may still hold a parked lease:
 	// re-adopt it and resume driving — without a second grant, because
 	// the worker is mid-evaluation (or re-offering its reply) already.
-	if nc != nil {
-		if l := c.adoptOrphan(s, nc); l != nil {
-			reason, detail, next := c.driveLease(s, tr, l, rd, nc)
-			if !next {
-				return reason, detail
-			}
+	if l := c.adoptOrphan(s, nc); l != nil {
+		reason, detail, next := c.driveLease(s, tr, l, rd)
+		if !next {
+			return reason, detail
 		}
 	}
 
@@ -837,10 +862,10 @@ func (c *Coordinator) serveWorker(s *slot, tr Transport, nc *netConn) (exitReaso
 			c.q.fail(l.id, &WorkerFault{Key: l.job.key, Kind: resilience.KindSchedulerKill,
 				Msg: fmt.Sprintf("fleet: worker died before receiving the lease on %q", l.job.key)})
 			c.workerDied(s, l.job.key, l.job.attempt, detail)
-			if nc != nil {
-				return exitPartition, detail
+			if c.cfg.Spawn != nil {
+				return exitCrash, detail
 			}
-			return exitCrash, detail
+			return exitPartition, detail
 		}
 		c.mu.Lock()
 		s.state = StateBusy
@@ -851,7 +876,7 @@ func (c *Coordinator) serveWorker(s *slot, tr Transport, nc *netConn) (exitReaso
 		c.statAdd(func(st *Stats) { st.Leases++ })
 		c.event(Event{Type: EventLeaseGrant, Worker: s.id, Key: l.job.key, Attempt: l.job.attempt})
 
-		reason, detail, next := c.driveLease(s, tr, l, rd, nc)
+		reason, detail, next := c.driveLease(s, tr, l, rd)
 		if !next {
 			return reason, detail
 		}
@@ -878,9 +903,10 @@ func (c *Coordinator) lateResult(s *slot, key string, attempt int) {
 // driveLease runs one granted lease to its end: a result/fault frame, a
 // deadline expiry, heartbeat silence, connection loss, process death,
 // or shutdown. It returns next=true when the worker survives to take
-// another lease. In network mode (nc non-nil) a lost connection parks
-// the lease for the session's reconnect instead of failing it.
-func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerReader, nc *netConn) (reason exitReason, detail string, next bool) {
+// another lease. A child that loses its connection or goes silent is
+// killed and its lease failed at once; a dial-in worker's lease is
+// parked for the session's reconnect instead.
+func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerReader) (reason exitReason, detail string, next bool) {
 	key, attempt := l.job.key, l.job.attempt
 	// draining: the lease has already been failed (expired) but the
 	// worker lives on (LetExpiredFinish) — we wait for its stale frame,
@@ -918,7 +944,7 @@ func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerRead
 					c.workerDied(s, key, attempt, det)
 					return exitCrash, det, false
 				}
-				if nc != nil {
+				if c.cfg.Spawn == nil {
 					// Connection lost: park the lease so the session's
 					// reconnect can re-adopt it; the orphan timer expires
 					// it at the original deadline if the worker never
@@ -1025,7 +1051,7 @@ func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerRead
 			if now.Sub(lastBeat) > time.Duration(c.cfg.HeartbeatMisses)*c.cfg.Heartbeat {
 				det := fmt.Sprintf("no heartbeat for %v (%d misses) during %q; killing worker",
 					now.Sub(lastBeat).Round(time.Millisecond), c.cfg.HeartbeatMisses, key)
-				if nc != nil {
+				if c.cfg.Spawn == nil {
 					// Silence over the network is indistinguishable from a
 					// partition: sever the connection and park the lease —
 					// if the worker is alive behind a partition it will

@@ -2,9 +2,12 @@ package fleet
 
 import (
 	"context"
+	"errors"
+	"flag"
 	"fmt"
+	"net"
 	"os"
-	"os/exec"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,10 +22,10 @@ import (
 const stubFingerprint = "stub-fingerprint"
 
 // TestMain doubles as the worker executable: the coordinator tests
-// re-exec this very test binary with FLEET_STUB_WORKER=1, and the stub
-// serves the production Serve loop over its stdin/stdout with a
-// deterministic toy evaluator — so the subprocess plumbing under test
-// is exactly the plumbing `prose worker` uses.
+// spawn this very test binary through Command with FLEET_STUB_WORKER=1
+// in the environment, and the stub dials the coordinator on the
+// production ServeNet loop with a deterministic toy evaluator — so the
+// spawn path under test is exactly the one `prose tune -workers` uses.
 func TestMain(m *testing.M) {
 	if os.Getenv("FLEET_STUB_WORKER") == "1" {
 		if err := runStubWorker(); err != nil {
@@ -35,6 +38,13 @@ func TestMain(m *testing.M) {
 }
 
 func runStubWorker() error {
+	fs := flag.NewFlagSet("stub", flag.ContinueOnError)
+	addr := fs.String("connect", "", "coordinator address")
+	session := fs.String("session", "", "session ID")
+	maxDials := fs.Int("max-dials", 0, "dial attempts per reconnect")
+	if err := fs.Parse(os.Args[1:]); err != nil {
+		return err
+	}
 	faults := WorkerFaults{
 		CrashKey: os.Getenv("FLEET_STUB_CRASH_KEY"),
 		WedgeKey: os.Getenv("FLEET_STUB_WEDGE_KEY"),
@@ -59,8 +69,10 @@ func runStubWorker() error {
 		ms, _ := strconv.Atoi(v)
 		hb = time.Duration(ms) * time.Millisecond
 	}
-	return Serve(ServeConfig{
-		Transport:   NewPipeTransport(os.Stdin, os.Stdout),
+	return ServeNet(NetServeConfig{
+		Addr:        *addr,
+		Session:     *session,
+		MaxDials:    *maxDials,
 		Eval:        stubEval{panicKey: os.Getenv("FLEET_STUB_PANIC_KEY")},
 		Fingerprint: fp,
 		Heartbeat:   hb,
@@ -87,27 +99,15 @@ func (e stubEval) Evaluate(a transform.Assignment) *search.Evaluation {
 	}
 }
 
-// stubSpawn re-execs the test binary as a stub worker with extra
-// environment overrides ("K=V" strings).
-func stubSpawn(extra ...string) SpawnFunc {
-	return func(id int) (Transport, Process, error) {
-		cmd := exec.Command(os.Args[0])
-		cmd.Stderr = os.Stderr
-		cmd.Env = append(os.Environ(), "FLEET_STUB_WORKER=1")
-		cmd.Env = append(cmd.Env, extra...)
-		stdin, err := cmd.StdinPipe()
-		if err != nil {
-			return nil, nil, err
-		}
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := cmd.Start(); err != nil {
-			return nil, nil, err
-		}
-		return NewPipeTransport(stdout, stdin), (*procHandle)(cmd), nil
+// stubSpawn spawns the test binary as a stub worker through Command,
+// with the environment overrides ("K=V" strings) set for the test.
+func stubSpawn(t testing.TB, extra ...string) SpawnFunc {
+	t.Setenv("FLEET_STUB_WORKER", "1")
+	for _, kv := range extra {
+		k, v, _ := strings.Cut(kv, "=")
+		t.Setenv(k, v)
 	}
+	return Command(os.Args[0])
 }
 
 // eventSink collects fleet events concurrency-safely.
@@ -174,7 +174,7 @@ func asn(n int) transform.Assignment {
 
 func TestFleetEvaluatesOnWorkers(t *testing.T) {
 	sink := &eventSink{}
-	c := startFleet(t, Config{Workers: 2, Spawn: stubSpawn(), OnEvent: sink.record}, Runtime{})
+	c := startFleet(t, Config{Workers: 2, Spawn: stubSpawn(t), OnEvent: sink.record}, Runtime{})
 
 	var wg sync.WaitGroup
 	results := make([]*search.Evaluation, 6)
@@ -232,7 +232,7 @@ func TestWorkerCrashIsRetriedToSuccess(t *testing.T) {
 	sink := &eventSink{}
 	c := startFleet(t, Config{
 		Workers: 1,
-		Spawn: stubSpawn(
+		Spawn: stubSpawn(t,
 			fmt.Sprintf("FLEET_STUB_KILL_RATE=%g", rate),
 			fmt.Sprintf("FLEET_STUB_SEED=%d", seed)),
 		RestartBackoff: 10 * time.Millisecond,
@@ -257,7 +257,7 @@ func TestWedgedWorkerIsDetectedByHeartbeatLoss(t *testing.T) {
 	sink := &eventSink{}
 	c := startFleet(t, Config{
 		Workers:         1,
-		Spawn:           stubSpawn("FLEET_STUB_WEDGE_KEY="+key, "FLEET_STUB_HB_MS=20"),
+		Spawn:           stubSpawn(t, "FLEET_STUB_WEDGE_KEY="+key, "FLEET_STUB_HB_MS=20"),
 		Heartbeat:       20 * time.Millisecond,
 		HeartbeatMisses: 4,
 		RestartBackoff:  10 * time.Millisecond,
@@ -283,7 +283,7 @@ func TestLateResultAfterExpiryIsDeduped(t *testing.T) {
 	sink := &eventSink{}
 	c := startFleet(t, Config{
 		Workers: 1,
-		Spawn: stubSpawn(
+		Spawn: stubSpawn(t,
 			"FLEET_STUB_SLOW_KEY="+key,
 			"FLEET_STUB_SLOW_MS=600",
 			"FLEET_STUB_HB_MS=20"),
@@ -326,7 +326,7 @@ func TestWorkerEvaluationPanicBecomesFaultFrame(t *testing.T) {
 	key := asn(1).Key()
 	c := startFleet(t, Config{
 		Workers: 1,
-		Spawn:   stubSpawn("FLEET_STUB_PANIC_KEY=" + key),
+		Spawn:   stubSpawn(t, "FLEET_STUB_PANIC_KEY="+key),
 	}, Runtime{})
 
 	defer func() {
@@ -354,7 +354,7 @@ func TestFingerprintMismatchRetiresWorkerAndDegrades(t *testing.T) {
 	sink := &eventSink{}
 	c := startFleet(t, Config{
 		Workers: 1,
-		Spawn:   stubSpawn("FLEET_STUB_FP=some-other-build"),
+		Spawn:   stubSpawn(t, "FLEET_STUB_FP=some-other-build"),
 		OnEvent: sink.record,
 	}, Runtime{})
 
@@ -381,8 +381,8 @@ func TestFingerprintMismatchRetiresWorkerAndDegrades(t *testing.T) {
 
 func TestSpawnFailureExhaustsRestartsAndDegrades(t *testing.T) {
 	sink := &eventSink{}
-	spawnFail := func(id int) (Transport, Process, error) {
-		return nil, nil, fmt.Errorf("no such binary")
+	spawnFail := func(id int, addr, session string) (Process, error) {
+		return nil, fmt.Errorf("no such binary")
 	}
 	c := startFleet(t, Config{
 		Workers:        1,
@@ -409,7 +409,7 @@ func TestSpawnFailureExhaustsRestartsAndDegrades(t *testing.T) {
 }
 
 func TestHealthAndDebugSnapshot(t *testing.T) {
-	c := startFleet(t, Config{Workers: 2, Spawn: stubSpawn()}, Runtime{})
+	c := startFleet(t, Config{Workers: 2, Spawn: stubSpawn(t)}, Runtime{})
 	if ev := c.Evaluate(asn(2)); ev.Status != search.StatusPass {
 		t.Fatalf("status = %v, want pass", ev.Status)
 	}
@@ -429,17 +429,123 @@ func TestHealthAndDebugSnapshot(t *testing.T) {
 	}
 }
 
+// TestLoopbackListenerAdmitsOnlyChildren: a spawning fleet's listener
+// binds only the sessions it handed to its children. A stranger, or a
+// dial with no session, is hung up on without a lease.
+func TestLoopbackListenerAdmitsOnlyChildren(t *testing.T) {
+	sink := &eventSink{}
+	type spawned struct {
+		addr string
+		pid  int
+	}
+	children := make(chan spawned, 1)
+	spawn := stubSpawn(t)
+	c := startFleet(t, Config{
+		Workers: 1,
+		Spawn: func(id int, addr, session string) (Process, error) {
+			p, err := spawn(id, addr, session)
+			if err == nil {
+				select {
+				case children <- spawned{addr, p.Pid()}:
+				default:
+				}
+			}
+			return p, err
+		},
+		OnEvent: sink.record,
+	}, Runtime{})
+	child := <-children
+	if ev := c.Evaluate(asn(1)); ev.Status != search.StatusPass {
+		t.Fatalf("status = %v, want pass", ev.Status)
+	}
+	waitFor(t, "idle child", func() bool {
+		h := c.Health()[0]
+		return h.State == StateIdle.String() && h.LeasesDone == 1
+	})
+	before := c.Health()
+	if before[0].Pid != child.pid {
+		t.Errorf("Health Pid = %d, want the child's %d", before[0].Pid, child.pid)
+	}
+
+	for _, session := range []string{"stranger", ""} {
+		rc := dialRaw(t, child.addr, session, 0)
+		rc.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		m, err := rc.tr.Recv()
+		var ne net.Error
+		switch {
+		case err == nil:
+			t.Errorf("session %q: got a %q frame, want the connection closed", session, m.Type)
+		case errors.As(err, &ne) && ne.Timeout():
+			t.Errorf("session %q: connection left open", session)
+		}
+		rc.conn.Close()
+	}
+	if after := c.Health(); !reflect.DeepEqual(after, before) {
+		t.Errorf("Health changed:\n  before %+v\n  after  %+v", before, after)
+	}
+	if st := c.Stats(); st.Leases != 1 {
+		t.Errorf("Leases = %d, want 1", st.Leases)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if len(sink.events) != 1 {
+		t.Errorf("events = %+v, want the one lease_grant", sink.events)
+	}
+}
+
+// TestChildExitsWhenCoordinatorDies: a child whose coordinator vanishes
+// without a shutdown frame does not linger — its single redial is
+// refused and it exits.
+func TestChildExitsWhenCoordinatorDies(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	proc, err := stubSpawn(t)(0, ln.Addr().String(), "orphaned")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan struct{})
+	go func() {
+		proc.Wait()
+		close(exited)
+	}()
+	defer func() {
+		proc.Kill()
+		<-exited
+	}()
+
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(30 * time.Second))
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("accept: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	m, err := NewNetTransport(conn, time.Second).Recv()
+	if err != nil || m.Type != MsgReady || m.Session != "orphaned" {
+		t.Fatalf("handshake = %+v, %v; want ready for session orphaned", m, err)
+	}
+	conn.Close()
+	ln.Close()
+	select {
+	case <-exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("child still running 5s after its coordinator went away")
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Workers: 0, Spawn: stubSpawn()}); err == nil {
+	if _, err := New(Config{Workers: 0, Spawn: stubSpawn(t)}); err == nil {
 		t.Error("Workers=0 accepted")
 	}
 	if _, err := New(Config{Workers: 1}); err == nil {
 		t.Error("nil Spawn accepted")
 	}
-	if _, err := New(Config{Workers: 2, Spawn: stubSpawn(), MinWorkers: 3}); err == nil {
+	if _, err := New(Config{Workers: 2, Spawn: stubSpawn(t), MinWorkers: 3}); err == nil {
 		t.Error("MinWorkers > Workers accepted")
 	}
-	c, err := New(Config{Workers: 1, Spawn: stubSpawn()})
+	c, err := New(Config{Workers: 1, Spawn: stubSpawn(t)})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

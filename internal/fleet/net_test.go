@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/journal"
+	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/search"
 	"repro/internal/transform"
@@ -244,6 +245,57 @@ func TestPartitionExpiryReassignsParkedLease(t *testing.T) {
 	}
 	c.Close()
 	w.Wait()
+}
+
+// TestReplacementWorkerObsStartsFresh: when a dial-in session leaves
+// and a new session binds its slot, the slot's obs sequence and
+// snapshot restart with the new worker, so its shipments are neither
+// dropped as stale nor merged as a delta against the old worker's
+// registry.
+func TestReplacementWorkerObsStartsFresh(t *testing.T) {
+	reg := obs.NewRegistry()
+	c, addr := startNetFleet(t, Config{Workers: 1, LeaseTTL: 200 * time.Millisecond},
+		NetConfig{}, Runtime{Metrics: reg})
+	answer := func(rc *rawClient, seq, evals int64) {
+		t.Helper()
+		reply := rc.result(rc.recvLease())
+		reply.ObsSeq = seq
+		reply.MetricsSnap = &obs.Snapshot{Counters: map[string]int64{"evals": evals}}
+		if err := rc.tr.Send(reply); err != nil {
+			t.Fatalf("send result: %v", err)
+		}
+	}
+	resCh := make(chan *search.Evaluation, 1)
+	go func() { resCh <- supervise(c).Evaluate(asn(1)) }()
+	a := dialRaw(t, addr, "a", 0)
+	answer(a, 5, 5)
+	if ev := <-resCh; ev.Status != search.StatusPass {
+		t.Fatalf("status = %v, want pass", ev.Status)
+	}
+
+	// Session a takes the next lease and vanishes; once the parked lease
+	// expires the slot is free for session b.
+	go func() { resCh <- supervise(c).Evaluate(asn(2)) }()
+	a.recvLease()
+	a.conn.Close()
+	waitFor(t, "partition expiry", func() bool { return c.Stats().PartitionExpired >= 1 })
+	b := dialRaw(t, addr, "b", 0)
+	defer b.conn.Close()
+	answer(b, 1, 1)
+	if ev := <-resCh; ev.Status != search.StatusPass {
+		t.Fatalf("status = %v, want pass", ev.Status)
+	}
+
+	snap := reg.Snapshot()
+	if n := snap.Counters[obs.MetricFleetObsStale]; n != 0 {
+		t.Errorf("%s = %d, want 0 (the new worker's first shipment was dropped)", obs.MetricFleetObsStale, n)
+	}
+	if n := snap.Counters[obs.MetricFleetWorkersPrefix+"evals"]; n != 6 {
+		t.Errorf("merged evals = %d, want 6 (5 from a, 1 from b)", n)
+	}
+	if h := c.Health(); h[0].MetricsSeq != 1 {
+		t.Errorf("MetricsSeq = %d, want 1 (session b's)", h[0].MetricsSeq)
+	}
 }
 
 func TestDuplicateReplyIsRefusedOnce(t *testing.T) {
@@ -480,7 +532,7 @@ func TestNetConfigValidation(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	if _, err := New(Config{Workers: 1, Spawn: stubSpawn(), Net: &NetConfig{Listener: ln}}); err == nil {
+	if _, err := New(Config{Workers: 1, Spawn: stubSpawn(t), Net: &NetConfig{Listener: ln}}); err == nil {
 		t.Error("Spawn+Net accepted; they are mutually exclusive")
 	}
 	if _, err := New(Config{Workers: 1, Net: &NetConfig{}}); err == nil {

@@ -9,14 +9,12 @@ import (
 	"repro/internal/resilience"
 )
 
-// NetConfig makes the coordinator accept dialing network workers
-// (`prose worker -connect`) instead of spawning subprocesses. The
-// same JSONL Msg protocol runs over the accepted connections; workers
-// register into the same lease queue, authenticate with the same
-// fingerprint handshake, and are health-checked by the same
-// heartbeat/TTL machinery — a partitioned worker degrades exactly
-// like a SIGKILLed one, except that its session may reconnect and
-// re-adopt its in-flight lease.
+// NetConfig makes the coordinator accept workers that dial in from
+// anywhere (`prose worker -connect`) instead of spawning children. They
+// run the same accept, handshake and lease loops as spawned children,
+// on the same heartbeat/TTL machinery — a partitioned worker degrades
+// exactly like a SIGKILLed one, except that its session may reconnect
+// and re-adopt its in-flight lease.
 type NetConfig struct {
 	// Listener accepts worker connections (required). The coordinator
 	// owns it: it is closed when the fleet shuts down.
@@ -40,6 +38,9 @@ type netConn struct {
 	// flight (0 = none); adoptOrphan checks it against the slot's
 	// parked lease.
 	lastLease int64
+	// mismatch is set when a child's fingerprint disagreed; its slot
+	// retires on receipt (awaitConn).
+	mismatch string
 }
 
 // acceptLoop admits worker connections until the listener closes
@@ -66,8 +67,9 @@ func (c *Coordinator) acceptLoop() {
 }
 
 // admit performs the handshake on one freshly accepted connection and
-// routes it to a worker slot: back to its session's bound slot on a
-// reconnect, else to the first free one. The ready frame is read off
+// routes it to a worker slot: to its session's bound slot, or for a new
+// dial-in session to the first free one. A spawning fleet admits only
+// the sessions it handed to its children. The ready frame is read off
 // the raw transport — before chaos wrapping — so an injected fault can
 // never starve the handshake and reconnects always make progress.
 func (c *Coordinator) admit(conn net.Conn) {
@@ -96,15 +98,20 @@ func (c *Coordinator) admit(conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
+	var mismatch string
 	if m.Fingerprint != c.rt.Fingerprint {
-		detail := fmt.Sprintf("worker fingerprint %.12s... does not match coordinator %.12s... (its evaluations would not reproduce the journal)",
+		mismatch = fmt.Sprintf("worker fingerprint %.12s... does not match coordinator %.12s... (its evaluations would not reproduce the journal)",
 			m.Fingerprint, c.rt.Fingerprint)
-		c.event(Event{Type: EventFingerprintMismatch, Worker: -1, Detail: detail})
-		conn.Close()
-		return
+		if c.cfg.Spawn == nil {
+			// A dial-in worker is turned away before it binds a slot; a
+			// child goes on to its slot, which retires.
+			c.event(Event{Type: EventFingerprintMismatch, Worker: -1, Detail: mismatch})
+			conn.Close()
+			return
+		}
 	}
-	tr := newReplayTransport(c.nchaos.wrap(raw, func() { conn.Close() }), m)
-	nc := &netConn{tr: tr, raw: conn, session: m.Session, lastLease: m.LastLease}
+	nc := &netConn{tr: c.nchaos.wrap(raw, func() { conn.Close() }), raw: conn,
+		session: m.Session, lastLease: m.LastLease, mismatch: mismatch}
 
 	c.mu.Lock()
 	if c.ctx.Err() != nil {
@@ -113,23 +120,18 @@ func (c *Coordinator) admit(conn net.Conn) {
 		return
 	}
 	s := c.sessions[m.Session]
-	if s == nil {
+	if s == nil && c.cfg.Spawn == nil {
 		for _, cand := range c.slots {
 			if cand.session == "" && cand.state != StateDead {
+				c.bindLocked(cand, m.Session)
 				s = cand
 				break
 			}
 		}
-		if s == nil {
-			// Pool full: every slot is bound or retired.
-			c.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.session = m.Session
-		c.sessions[m.Session] = s
 	}
-	if s.state == StateDead {
+	if s == nil || s.state == StateDead {
+		// A stranger on the loopback listener, a full pool, or a
+		// retired slot.
 		c.mu.Unlock()
 		conn.Close()
 		return
@@ -160,80 +162,57 @@ func (c *Coordinator) admit(conn net.Conn) {
 	}
 }
 
-// awaitConn blocks until the accept loop hands the slot a connection
-// or the fleet shuts down.
-func (c *Coordinator) awaitConn(s *slot) *netConn {
+// awaitConn blocks until admit hands the slot a connection. A child's
+// wait is bounded by ReadyTimeout and ends early if the child exits; a
+// child whose fingerprint mismatched arrives here too, and its slot
+// retires.
+func (c *Coordinator) awaitConn(s *slot, ch *child) (*netConn, exitReason, string) {
+	var exited <-chan struct{}
+	var timeout <-chan time.Time
+	if ch != nil {
+		t := time.NewTimer(c.cfg.ReadyTimeout)
+		defer t.Stop()
+		exited, timeout = ch.exited, t.C
+	}
 	select {
 	case nc := <-s.netCh:
-		return nc
+		if nc.mismatch != "" {
+			nc.tr.Close()
+			c.event(Event{Type: EventFingerprintMismatch, Worker: s.id, Detail: nc.mismatch})
+			return nil, exitMismatch, nc.mismatch
+		}
+		return nc, 0, ""
+	case <-exited:
+		return nil, exitCrash, "worker exited before handshake"
+	case <-timeout:
+		return nil, exitCrash, fmt.Sprintf("no handshake within %v", c.cfg.ReadyTimeout)
 	case <-c.ctx.Done():
-		return nil
+		return nil, exitShutdown, ""
 	}
 }
 
-// netSlotLoop owns one worker slot in network mode: wait for a
-// connection, serve it, and on connection loss wait for the session's
-// reconnect. Only protocol breaches (exitCrash) charge the restart
-// budget — partitions and expiries are the network's fault, not the
-// peer's, and a session may ride out any number of them.
-func (c *Coordinator) netSlotLoop(s *slot) {
-	for {
-		if c.ctx.Err() != nil {
-			c.setState(s, StateStopped)
-			return
-		}
-		c.setState(s, StateSpawning)
-		nc := c.awaitConn(s)
-		if nc == nil {
-			c.setState(s, StateStopped)
-			return
-		}
-		c.mu.Lock()
-		s.netLive = nc.raw
-		c.mu.Unlock()
-		c.rt.Metrics.Gauge(obs.GaugeFleetWorkersAlive).Set(float64(c.aliveProcs(+1)))
-		reason, detail := c.serveWorker(s, nc.tr, nc)
+// bindLocked binds session to s. A new session is a new worker
+// process, whose obs sequence and registry start from zero, so the
+// stale-frame guard and the delta merge restart with it (a reconnect
+// resumes its session, so its state carries over). c.mu must be held.
+func (c *Coordinator) bindLocked(s *slot, session string) {
+	s.session = session
+	c.sessions[session] = s
+	s.obsSeq = 0
+	s.obsSnap = obs.Snapshot{}
+}
+
+// unbindLocked frees the slot's session and drops a connection still
+// queued for it. c.mu must be held.
+func (c *Coordinator) unbindLocked(s *slot) {
+	if s.session != "" {
+		delete(c.sessions, s.session)
+		s.session = ""
+	}
+	select {
+	case nc := <-s.netCh:
 		nc.tr.Close()
-		c.mu.Lock()
-		if s.netLive == nc.raw {
-			s.netLive = nil
-		}
-		// Keep the session bound while a parked lease or a queued
-		// reconnect needs it; otherwise free the slot for any session.
-		if s.orphan == nil && len(s.netCh) == 0 && s.session != "" {
-			delete(c.sessions, s.session)
-			s.session = ""
-		}
-		c.mu.Unlock()
-		c.rt.Metrics.Gauge(obs.GaugeFleetWorkersAlive).Set(float64(c.aliveProcs(-1)))
-		switch reason {
-		case exitShutdown:
-			c.setState(s, StateStopped)
-			return
-		case exitMismatch:
-			c.retire(s, detail)
-			return
-		case exitPartition, exitExpired, exitLost:
-			c.mu.Lock()
-			s.lastFault = detail
-			c.mu.Unlock()
-			continue
-		}
-		// exitCrash: a protocol breach (malformed frame, corrupt
-		// result, bad handshake). No process to respawn, but the
-		// restart budget still bounds a misbehaving peer.
-		c.mu.Lock()
-		s.lastFault = detail
-		restarts := s.restarts
-		c.mu.Unlock()
-		if restarts >= c.cfg.MaxRestarts {
-			c.retire(s, fmt.Sprintf("restart budget (%d) spent; last: %s", c.cfg.MaxRestarts, detail))
-			return
-		}
-		c.mu.Lock()
-		s.restarts++
-		c.mu.Unlock()
-		c.rt.Metrics.Gauge(fmt.Sprintf("%s%d", obs.GaugeFleetWorkerRestartsPrefix, s.id)).Set(float64(restarts + 1))
+	default:
 	}
 }
 
@@ -263,9 +242,8 @@ func (c *Coordinator) expireOrphan(s *slot, l *lease) {
 	}
 	s.orphan = nil
 	s.orphanTimer = nil
-	if s.netLive == nil && len(s.netCh) == 0 && s.session != "" {
-		delete(c.sessions, s.session)
-		s.session = ""
+	if s.netLive == nil && len(s.netCh) == 0 {
+		c.unbindLocked(s)
 	}
 	c.mu.Unlock()
 	c.failOrphan(s, l)

@@ -13,9 +13,8 @@ import (
 const DefaultSendTimeout = 5 * time.Second
 
 // netTransport is Transport over a single TCP (or any net.Conn)
-// connection, carrying the same JSONL frames as the pipe transport
-// plus a per-message send deadline so a stalled peer cannot wedge the
-// sender forever.
+// connection: JSONL frames, with a per-message send deadline so a
+// stalled peer cannot wedge the sender forever.
 type netTransport struct {
 	mu          sync.Mutex
 	conn        net.Conn
@@ -53,40 +52,3 @@ func (t *netTransport) Recv() (Msg, error) {
 func (t *netTransport) Close() error {
 	return t.conn.Close()
 }
-
-// replayTransport re-delivers a frame already consumed from the inner
-// transport. The coordinator reads the ready handshake off a raw
-// connection before admitting it (so handshakes bypass chaos and
-// session routing happens first); the serve loop then sees the same
-// handshake via the replay.
-type replayTransport struct {
-	Transport
-	mu    sync.Mutex
-	first *Msg
-}
-
-func newReplayTransport(inner Transport, first Msg) Transport {
-	return &replayTransport{Transport: inner, first: &first}
-}
-
-func (t *replayTransport) Recv() (Msg, error) {
-	t.mu.Lock()
-	if m := t.first; m != nil {
-		t.first = nil
-		t.mu.Unlock()
-		return *m, nil
-	}
-	t.mu.Unlock()
-	return t.Transport.Recv()
-}
-
-// netProc adapts a network connection to the Process interface the
-// slot loop manages: there is no child process, so Kill severs the
-// connection and Wait has nothing to reap.
-type netProc struct {
-	conn net.Conn
-}
-
-func (p *netProc) Kill() error { return p.conn.Close() }
-func (p *netProc) Wait() error { return nil }
-func (p *netProc) Pid() int    { return 0 }

@@ -28,8 +28,7 @@ const (
 	DefaultMaxDials = 10
 )
 
-// NetServeConfig configures a dialing network worker (`prose worker
-// -connect`).
+// NetServeConfig configures a worker (`prose worker -connect`).
 type NetServeConfig struct {
 	// Addr is the coordinator's listen address (required unless Dial
 	// is set).
@@ -85,10 +84,15 @@ func (cfg *NetServeConfig) withDefaults() {
 		cfg.MaxDials = DefaultMaxDials
 	}
 	if cfg.Session == "" {
-		var b [8]byte
-		rand.Read(b[:])
-		cfg.Session = hex.EncodeToString(b[:])
+		cfg.Session = newSession()
 	}
+}
+
+// newSession returns a random session ID.
+func newSession() string {
+	var b [8]byte
+	rand.Read(b[:])
+	return hex.EncodeToString(b[:])
 }
 
 // netLink is a worker's self-healing connection to the coordinator:
@@ -212,12 +216,12 @@ func (lk *netLink) sendReply(m Msg) error {
 	return nil
 }
 
-// heartbeats beats on the link until stopped. Unlike the pipe worker —
-// where one failed send means the coordinator is gone and the process
-// exits — a network worker tolerates flaky sends: only
-// HeartbeatMissLimit consecutive failures declare the link dead and
-// trigger a reconnect. Each beat piggybacks the worker's pending
-// observability payload when shipping is on.
+// heartbeats beats on the link until stopped; the returned stop waits
+// for the beater to exit so a heartbeat can never trail the lease's
+// result frame. Flaky sends are tolerated: only HeartbeatMissLimit
+// consecutive failures declare the link dead and trigger a reconnect.
+// Each beat piggybacks the worker's pending observability payload when
+// shipping is on.
 func (lk *netLink) heartbeats(lease int64, wo *workerObs) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -257,13 +261,14 @@ func (lk *netLink) heartbeats(lease int64, wo *workerObs) (stop func()) {
 	}
 }
 
-// ServeNet runs a dialing network worker's lease loop: connect,
-// handshake, serve leases, and ride out connection losses by
-// reconnecting with session resume — in-flight work is never
-// abandoned, and its reply is delivered exactly once (the
-// coordinator's monotonic-lease dedup refuses duplicates). It returns
-// nil on an orderly shutdown frame and an error when the coordinator
-// stays unreachable past the dial budget.
+// ServeNet runs a worker's lease loop: connect, handshake, serve
+// leases, and ride out connection losses by reconnecting with session
+// resume — in-flight work is never abandoned, and its reply is
+// delivered exactly once (the coordinator's monotonic-lease dedup
+// refuses duplicates). Evaluation panics are caught and answered as
+// fault frames — the process survives them; only injected faults and
+// real crashes kill it. It returns nil on an orderly shutdown frame and
+// an error when the coordinator stays unreachable past the dial budget.
 func ServeNet(cfg NetServeConfig) error {
 	if cfg.Eval == nil {
 		return fmt.Errorf("fleet: ServeNet needs Eval")

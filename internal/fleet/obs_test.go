@@ -20,7 +20,7 @@ import (
 func TestFleetShipsWorkerSpansAndMetrics(t *testing.T) {
 	tracer := obs.NewTracer(stubFingerprint)
 	reg := obs.NewRegistry()
-	c := startFleet(t, Config{Workers: 2, Spawn: stubSpawn(), Heartbeat: 50 * time.Millisecond},
+	c := startFleet(t, Config{Workers: 2, Spawn: stubSpawn(t), Heartbeat: 50 * time.Millisecond},
 		Runtime{Trace: tracer, Metrics: reg})
 	root := tracer.Root("tune")
 	const evals = 4
@@ -95,7 +95,7 @@ func TestFleetShipsWorkerSpansAndMetrics(t *testing.T) {
 // a stale eval count, and a duplicated span batch must splice at most
 // once.
 func TestSpliceObsDropsStaleFrames(t *testing.T) {
-	c, err := New(Config{Workers: 1, Spawn: stubSpawn()})
+	c, err := New(Config{Workers: 1, Spawn: stubSpawn(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestSpliceObsDropsStaleFrames(t *testing.T) {
 func TestDebugFleetHandlerRace(t *testing.T) {
 	tracer := obs.NewTracer(stubFingerprint)
 	reg := obs.NewRegistry()
-	c := startFleet(t, Config{Workers: 2, Spawn: stubSpawn(), Heartbeat: 10 * time.Millisecond},
+	c := startFleet(t, Config{Workers: 2, Spawn: stubSpawn(t), Heartbeat: 10 * time.Millisecond},
 		Runtime{Trace: tracer, Metrics: reg})
 	h := c.DebugHandler()
 
@@ -180,7 +180,7 @@ func TestDebugFleetHandlerRace(t *testing.T) {
 func BenchmarkFleetTraceShipping(b *testing.B) {
 	for _, mode := range []string{"on", "off"} {
 		b.Run(mode, func(b *testing.B) {
-			c, err := New(Config{Workers: 1, Spawn: stubSpawn()})
+			c, err := New(Config{Workers: 1, Spawn: stubSpawn(b)})
 			if err != nil {
 				b.Fatal(err)
 			}

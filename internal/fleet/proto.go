@@ -1,9 +1,11 @@
-// Package fleet shards variant evaluation across worker subprocesses:
-// a coordinator leases evaluations to `prose worker` processes over a
-// JSONL pipe protocol, detects crash and hang (process exit, missed
-// heartbeats, lease expiry), reassigns expired leases, dedups double
-// completions so the journal sees exactly once, and degrades to
-// in-process evaluation when the pool collapses below a floor.
+// Package fleet shards variant evaluation across worker processes: a
+// coordinator leases evaluations to `prose worker` processes over a
+// JSONL protocol on TCP — children it spawns dial its loopback
+// listener, off-host workers dial a -listen address — detects crash
+// and hang (connection loss, missed heartbeats, lease expiry),
+// reassigns expired leases, dedups double completions so the journal
+// sees exactly once, and degrades to in-process evaluation when the
+// pool collapses below a floor.
 //
 // The coordinator is a search.Evaluator: worker failures surface as
 // panics carrying a *WorkerFault, so the resilience supervisor's
@@ -11,15 +13,14 @@
 // seeded backoff, sidecar events — owns the retry policy, and a lease
 // reassignment is just a supervised retry. Because workers reproduce
 // the coordinator's evaluations bit for bit (enforced by a fingerprint
-// handshake at spawn), the evaluation journal of a tune that absorbed
-// worker deaths is byte-identical to a fault-free run's at any pool
-// size; worker deaths are visible only in the events sidecar and obs
-// metrics.
+// handshake on every connection), the evaluation journal of a tune
+// that absorbed worker deaths is byte-identical to a fault-free run's
+// at any pool size; worker deaths are visible only in the events
+// sidecar and obs metrics.
 //
-// The wire protocol is deliberately transport-shaped: one Msg struct,
-// JSONL framing, and a Transport interface a pipe satisfies today and
-// an HTTP/socket transport can satisfy later without touching the
-// coordinator or worker loops.
+// The wire protocol is one Msg struct in JSONL framing behind a
+// Transport interface, which the chaos layer wraps to inject network
+// faults without touching the coordinator or worker loops.
 package fleet
 
 import (
@@ -27,7 +28,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/journal"
 	"repro/internal/obs"
@@ -85,8 +85,9 @@ type Msg struct {
 	Fault string `json:"fault,omitempty"`
 	// Persistent marks a fault retrying cannot cure (fault).
 	Persistent bool `json:"persistent,omitempty"`
-	// Session identifies a network worker across reconnects (ready).
-	// Pipe workers leave it empty: their identity is the pipe itself.
+	// Session identifies a worker across reconnects (ready). A spawned
+	// child uses the one its coordinator handed it, and only such
+	// sessions are admitted on the coordinator's loopback listener.
 	Session string `json:"session,omitempty"`
 	// LastLease is the lease a reconnecting network worker still holds
 	// in flight (ready). The coordinator uses it to re-adopt the
@@ -253,56 +254,10 @@ func (fr *frameReader) next() (Msg, error) {
 	}
 }
 
-// pipeTransport is the JSONL-over-pipes transport: one JSON object per
-// line. Send issues a single Write per message (marshal + trailing
-// newline), so frames up to the pipe's atomic write size never
-// interleave; the mutex serializes larger ones and concurrent senders.
-type pipeTransport struct {
-	mu sync.Mutex
-	fr *frameReader
-	r  io.Reader
-	w  io.Writer
-}
-
-// NewPipeTransport wraps a reader/writer pair (typically a subprocess's
-// stdout/stdin, or os.Stdin/os.Stdout on the worker side) in the JSONL
-// transport.
-func NewPipeTransport(r io.Reader, w io.Writer) Transport {
-	return &pipeTransport{fr: newFrameReader(r), r: r, w: w}
-}
-
-func (t *pipeTransport) Send(m Msg) error {
-	b, err := marshalFrame(m)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, err = t.w.Write(b)
-	return err
-}
-
-func (t *pipeTransport) Recv() (Msg, error) {
-	return t.fr.next()
-}
-
-func (t *pipeTransport) Close() error {
-	var firstErr error
-	if c, ok := t.w.(io.Closer); ok {
-		firstErr = c.Close()
-	}
-	if c, ok := t.r.(io.Closer); ok {
-		if err := c.Close(); firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
 // decodeResult validates and decodes a MsgResult payload: the record's
 // content key must match the shared fingerprint and the leased
 // assignment key, exactly as the journal validates its own lines — a
-// corrupt pipe or a confused worker cannot smuggle a wrong-variant
+// corrupt frame or a confused worker cannot smuggle a wrong-variant
 // record into the evaluation stream.
 func decodeResult(fingerprint, wantKey string, m Msg) (*journal.Record, error) {
 	rec := m.Result

@@ -1,16 +1,13 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"sync"
 	"syscall"
 	"time"
 
-	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/transform"
@@ -42,24 +39,6 @@ type WorkerFaults struct {
 	Slow time.Duration
 }
 
-// ServeConfig configures one worker process's serve loop.
-type ServeConfig struct {
-	// Transport carries the lease protocol (required); typically
-	// NewPipeTransport(os.Stdin, os.Stdout).
-	Transport Transport
-	// Eval evaluates leases (required); in `prose worker` it is the
-	// worker's own core.Tuner.
-	Eval search.Evaluator
-	// Fingerprint is the evaluation fingerprint sent in the handshake
-	// (required); the coordinator retires workers that disagree.
-	Fingerprint string
-	// Heartbeat is the liveness interval while evaluating (default
-	// DefaultHeartbeat; must match the coordinator's).
-	Heartbeat time.Duration
-	// Fault is the fault-injection configuration (zero = none).
-	Fault WorkerFaults
-}
-
 // MetricsAttacher is optionally implemented by evaluators that can
 // adopt a metrics registry after construction. A fleet worker's
 // evaluator starts uninstrumented; when the first lease arrives with
@@ -68,60 +47,6 @@ type ServeConfig struct {
 // start flowing. core.Tuner implements it.
 type MetricsAttacher interface {
 	AttachMetrics(*obs.Registry)
-}
-
-// Serve runs a worker's lease loop until the coordinator says shutdown
-// or the transport closes (EOF is an orderly end: the coordinator died
-// or dropped us, and our process has no further purpose). Evaluation
-// panics are caught and answered as fault frames — the process
-// survives them; only injected faults and real crashes kill it.
-func Serve(cfg ServeConfig) error {
-	if cfg.Transport == nil || cfg.Eval == nil {
-		return fmt.Errorf("fleet: Serve needs Transport and Eval")
-	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = DefaultHeartbeat
-	}
-	tr := cfg.Transport
-	wo := &workerObs{}
-	if err := tr.Send(Msg{Type: MsgReady, Fingerprint: cfg.Fingerprint}); err != nil {
-		return err
-	}
-	for {
-		m, err := tr.Recv()
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) {
-				return nil
-			}
-			return err
-		}
-		switch m.Type {
-		case MsgShutdown:
-			return nil
-		case MsgLease:
-			wo.enable(m.Obs, cfg.Eval)
-			cfg.Fault.preEval(m.Key, m.Attempt)
-			stop := heartbeats(tr, m.Lease, cfg.Heartbeat, wo)
-			sp := wo.leaseSpan(m)
-			ev, fault, faulted, persistent := runEval(cfg.Eval, m.Assignment, sp, wo.registry())
-			cfg.Fault.preReply(m.Key, m.Attempt)
-			stop()
-			var reply Msg
-			if faulted {
-				reply = Msg{Type: MsgFault, Lease: m.Lease, Fault: fault, Persistent: persistent}
-			} else {
-				rec := journal.FromEvaluation(cfg.Fingerprint, ev)
-				reply = Msg{Type: MsgResult, Lease: m.Lease, Result: &rec}
-			}
-			if err := wo.shipOverflow(tr.Send, m.Lease); err != nil {
-				return err
-			}
-			wo.attach(&reply)
-			if err := tr.Send(reply); err != nil {
-				return err
-			}
-		}
-	}
 }
 
 // workerObs is a worker process's observability state: a local tracer
@@ -273,44 +198,10 @@ func (f *WorkerFaults) preReply(key string, attempt int) {
 }
 
 // killSelf delivers an uncatchable SIGKILL to this process, simulating
-// the batch scheduler's kill without any goodbye on the pipe.
+// the batch scheduler's kill without any goodbye on the connection.
 func killSelf() {
 	syscall.Kill(os.Getpid(), syscall.SIGKILL)
 	select {} // unreachable; SIGKILL cannot be handled
-}
-
-// heartbeats beats on the transport until stopped; the returned stop
-// waits for the beater to exit so a heartbeat can never trail the
-// lease's result frame. Each beat piggybacks the worker's pending
-// observability payload (spans drained so far, current metric
-// snapshot) when shipping is on.
-func heartbeats(tr Transport, lease int64, every time.Duration, wo *workerObs) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				hb := Msg{Type: MsgHeartbeat, Lease: lease}
-				if wo != nil {
-					wo.attach(&hb)
-				}
-				if tr.Send(hb) != nil {
-					return
-				}
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
-	}
 }
 
 // runEval evaluates one lease, converting a panic into a fault reply.

@@ -226,10 +226,10 @@ func (p *Parser) parseProcedure() *Procedure {
 	proc := &Procedure{Pos: pos, Kind: kind, Name: name}
 	if p.at(LPAREN) {
 		p.advance()
-		for !p.at(RPAREN) {
+		for !p.at(RPAREN) && !p.atStmtEnd() {
 			proc.Params = append(proc.Params, p.expect(IDENT).Text)
-			if !p.at(RPAREN) {
-				p.expect(COMMA)
+			if !p.listSep() {
+				break
 			}
 		}
 		p.expect(RPAREN)
@@ -646,14 +646,35 @@ func (p *Parser) parseDo() Stmt {
 func (p *Parser) parseArgs() []Expr {
 	p.expect(LPAREN)
 	var args []Expr
-	for !p.at(RPAREN) {
+	for !p.at(RPAREN) && !p.atStmtEnd() {
 		args = append(args, p.parseExpr())
-		if !p.at(RPAREN) {
-			p.expect(COMMA)
+		if !p.listSep() {
+			break
 		}
 	}
 	p.expect(RPAREN)
 	return args
+}
+
+// atStmtEnd reports whether the current token ends the statement, so a
+// parenthesized list that reaches it is missing its ')'.
+func (p *Parser) atStmtEnd() bool {
+	return p.at(NEWLINE) || p.at(SEMI) || p.at(EOF)
+}
+
+// listSep consumes the ',' between two list items. It reports false,
+// ending the list, at the closing ')', at the end of the statement, and
+// after any other token, which it reports before skipping the line.
+func (p *Parser) listSep() bool {
+	if p.at(RPAREN) || p.atStmtEnd() {
+		return false
+	}
+	if !p.at(COMMA) {
+		p.expect(COMMA)
+		return false
+	}
+	p.advance()
+	return true
 }
 
 // Expression parsing, lowest to highest precedence:

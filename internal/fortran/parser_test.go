@@ -3,6 +3,7 @@ package fortran
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 const miniModule = `
@@ -304,5 +305,37 @@ func TestParseLongContinuedExpr(t *testing.T) {
 	got := ExprString(prog.Main.Body[0].(*AssignStmt).RHS)
 	if !strings.Contains(got, "3.0_8") {
 		t.Errorf("continuation lost trailing term: %s", got)
+	}
+}
+
+// unclosedLists are sources whose parenthesized list misses its ')', or
+// breaks off at a token that is no separator. The list loops once kept
+// appending errors at EOF forever on each of them.
+var unclosedLists = []string{
+	"program p\n  implicit none\n  call s(1, 2\nend program p\n",
+	"program p\n  implicit none\n  real(kind=8) :: x\n  x = max(1.0d0, 2.0d0\nend program p\n",
+	"module m\ncontains\n  subroutine s(a\n  end subroutine s\nend module m\nprogram p\nend program p\n",
+	// A declaration after an executable statement parses as a call.
+	"program p\n  implicit none\n  integer :: i\n  i = 1\n  real(kind=8) :: x\nend program p\n",
+	"program p\n  call s(1, 2",
+}
+
+// TestParseUnclosedListsReturn pins that Parse returns an error, within a
+// deadline, on every unclosed-list reproducer.
+func TestParseUnclosedListsReturn(t *testing.T) {
+	for i, src := range unclosedLists {
+		done := make(chan error, 1)
+		go func() {
+			_, err := Parse(src)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("reproducer %d parsed without error:\n%s", i, src)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("reproducer %d: Parse did not return within 5s:\n%s", i, src)
+		}
 	}
 }

@@ -126,6 +126,72 @@ end program p
 	return prog
 }
 
+// newtonProgram runs a DO WHILE for n iterations in the shape of MOM6's
+// zonal_flux_adjust: the test abs(resid) > tol * scale .and. iter <
+// itmax has tol = 0, so the loop runs to itmax = n (a stop fires if it
+// ends early); each iteration runs a do k loop that reads rank-2 module
+// arrays and calls a real function, and its update uses real(iter, 8).
+func newtonProgram(n int) *ft.Program {
+	src := fmt.Sprintf(`
+module newton
+  implicit none
+  integer, parameter :: ni = 8
+  integer, parameter :: nk = 4
+  integer, parameter :: itmax = %d
+  real(kind=8) :: h_l(ni, nk), h_r(ni, nk), u(ni, nk)
+contains
+  function flux(hupw, hdnw, uface) result(f)
+    real(kind=8) :: hupw
+    real(kind=8) :: hdnw
+    real(kind=8) :: uface
+    real(kind=8) :: f
+    f = uface * (0.5d0 * (hupw + hdnw) + sign(0.5d0, uface) * (hupw - hdnw) * 0.3d0)
+  end function flux
+
+  subroutine adjust(i, target)
+    integer, intent(in) :: i
+    real(kind=8), intent(in) :: target
+    real(kind=8) :: du, resid, dresid, fk, scale, tol
+    integer :: k, iter
+    tol = 0.0d0
+    du = 0.0d0
+    scale = abs(target) + 1.0d-2
+    iter = 0
+    resid = 1.0d0
+    do while (abs(resid) > tol * scale .and. iter < itmax)
+      resid = -target
+      dresid = 1.0d-12
+      do k = 1, nk
+        fk = flux(h_r(i, k), h_l(i, k), u(i, k) + du)
+        resid = resid + fk
+        dresid = dresid + 0.5d0 * (h_r(i, k) + h_l(i, k))
+      end do
+      du = du - resid / dresid + 1.0d-6 * real(iter, 8)
+      iter = iter + 1
+    end do
+    if (iter /= itmax) stop 9
+  end subroutine adjust
+end module newton
+
+program p
+  use newton
+  implicit none
+  integer :: i, k
+  do k = 1, nk
+    do i = 1, ni
+      h_l(i, k) = 1.0d0 + 0.125d0 * i
+      h_r(i, k) = 1.5d0 + 0.0625d0 * k
+      u(i, k) = 0.25d0 * i - 0.5d0 * k
+    end do
+  end do
+  call adjust(3, 2.5d0)
+end program p
+`, n)
+	prog := ft.MustParse(src)
+	ft.MustAnalyze(prog, ft.Options{})
+	return prog
+}
+
 // runAllocs returns the allocations made by one VM Run of prog (New is
 // outside the measurement), the least of three tries.
 func runAllocs(t *testing.T, prog *ft.Program) uint64 {
@@ -151,9 +217,13 @@ func runAllocs(t *testing.T, prog *ft.Program) uint64 {
 
 // TestVMCallsAllocationFree pins that a VM call allocates nothing: a run
 // making 1000 calls of each procedure allocates exactly as much as one
-// making 10 (frames, arrays and the result map are per-run costs).
+// making 10 (frames, arrays and the result map are per-run costs). The
+// Newton loop pins the same for its condition, rank-2 element reads and
+// integer conversions, over 10 and 1000 iterations.
 func TestVMCallsAllocationFree(t *testing.T) {
-	for name, build := range map[string]func(int) *ft.Program{"copy-out": callProgram, "chain": chainProgram} {
+	for name, build := range map[string]func(int) *ft.Program{
+		"copy-out": callProgram, "chain": chainProgram, "newton": newtonProgram,
+	} {
 		small := runAllocs(t, build(10))
 		large := runAllocs(t, build(1000))
 		if small != large {

@@ -433,15 +433,23 @@ func (c *compiler) expr(e ft.Expr) vexpr {
 	}
 }
 
-// eref is a compiled array element reference (Interp.elementRef).
+// eref is a compiled array element reference (Interp.elementRef). The
+// array is read straight from its declaration's slot: mod is the module
+// index of a module array, or arrLocal or arrUnresolved.
 type eref struct {
-	get    func(m *vm, fr *vframe) *Array
-	idxs   []index
-	name   string
-	pos    ft.Pos
-	ialu   float64
-	errNil error
+	slot, mod int32
+	affine    bool // rank 1 or 2 with every index affine: resolve's unboxed path
+	idxs      []index
+	name      string
+	pos       ft.Pos
+	ialu      float64
+	errNil    error
 }
+
+const (
+	arrLocal      = -1 // eref.mod of a local or dummy array
+	arrUnresolved = -2 // eref.mod of a reference with no declaration
+)
 
 // index is one compiled array index. Exactly one form is set: the
 // unboxed integer closure when the index is affine (affineIndex), the
@@ -455,24 +463,29 @@ type index struct {
 type vint func(m *vm, fr *vframe) int64
 
 func (c *compiler) elemRef(e *ft.IndexExpr) *eref {
+	n := len(e.Indices)
 	r := &eref{
-		idxs: make([]index, len(e.Indices)),
-		name: e.Arr.Name,
-		pos:  e.Pos,
-		ialu: c.cost(perfmodel.OpIntALU, 4),
+		mod:    arrUnresolved,
+		affine: n == 1 || n == 2,
+		idxs:   make([]index, n),
+		name:   e.Arr.Name,
+		pos:    e.Pos,
+		ialu:   c.cost(perfmodel.OpIntALU, 4),
 		errNil: &RunError{Pos: e.Pos, Kind: FailInternal,
 			Msg: fmt.Sprintf("%q is not an allocated array", e.Arr.Name)},
 	}
-	if e.Arr.Decl != nil {
-		r.get = c.arrGet(e.Arr.Decl)
-	} else {
-		r.get = func(m *vm, fr *vframe) *Array { return nil }
+	if d := e.Arr.Decl; d != nil {
+		r.slot, r.mod = int32(d.Slot), arrLocal
+		if d.Proc == nil {
+			r.mod = int32(d.InMod.Index)
+		}
 	}
 	for k, ix := range e.Indices {
 		if affineIndex(ix) {
 			r.idxs[k].i = c.intIndex(ix)
 		} else {
 			r.idxs[k].v = c.expr(ix)
+			r.affine = false
 		}
 	}
 	return r
@@ -543,11 +556,38 @@ func (c *compiler) intIndex(e ft.Expr) vint {
 }
 
 func (r *eref) resolve(m *vm, fr *vframe) (*Array, int, error) {
-	arr := r.get(m, fr)
+	var arr *Array
+	switch {
+	case r.mod >= 0:
+		arr = m.gl[r.mod].a[r.slot]
+	case r.mod == arrLocal:
+		arr = fr.a[r.slot]
+	}
 	if arr == nil {
 		return nil, 0, r.errNil
 	}
 	var buf [8]int
+	if r.affine {
+		// Rank 1 or 2 inline. An out-of-range index, or a header of
+		// another rank, takes flatIndex (and its error text).
+		buf[0] = int(r.idxs[0].i(m, fr))
+		m.charge(r.ialu)
+		if len(r.idxs) == 1 {
+			if off := buf[0] - arr.Lo[0]; len(arr.Ext) == 1 && off >= 0 && off < arr.Ext[0] {
+				return arr, off, nil
+			}
+			return r.flat(arr, buf[:1])
+		}
+		buf[1] = int(r.idxs[1].i(m, fr))
+		m.charge(r.ialu)
+		if len(arr.Ext) == 2 {
+			i, j := buf[0]-arr.Lo[0], buf[1]-arr.Lo[1]
+			if i >= 0 && i < arr.Ext[0] && j >= 0 && j < arr.Ext[1] {
+				return arr, i + j*arr.Ext[0], nil
+			}
+		}
+		return r.flat(arr, buf[:2])
+	}
 	var idx []int
 	if len(r.idxs) <= len(buf) {
 		idx = buf[:len(r.idxs)]
@@ -572,6 +612,11 @@ func (r *eref) resolve(m *vm, fr *vframe) (*Array, int, error) {
 			return arr, off, nil
 		}
 	}
+	return r.flat(arr, idx)
+}
+
+// flat resolves idx through flatIndex, the general bounds check.
+func (r *eref) flat(arr *Array, idx []int) (*Array, int, error) {
 	off, err := arr.flatIndex(idx)
 	if err != nil {
 		return nil, 0, &RunError{Pos: r.pos, Kind: FailBounds,
@@ -1932,7 +1977,7 @@ func (c *compiler) stmt(s ft.Stmt) vstmt {
 		return c.assign(s)
 	case *ft.IfStmt:
 		brCost := c.cost(perfmodel.OpBranch, 4)
-		cond := c.expr(s.Cond)
+		cond := c.cond(s.Cond)
 		then := c.stmts(s.Then)
 		els := c.stmts(s.Else)
 		return func(m *vm, fr *vframe) (control, error) {
@@ -1940,11 +1985,11 @@ func (c *compiler) stmt(s ft.Stmt) vstmt {
 				return ctlNone, err
 			}
 			m.charge(brCost)
-			cv, err := cond(m, fr)
+			b, err := cond(m, fr)
 			if err != nil {
 				return ctlNone, err
 			}
-			if cv.B {
+			if b {
 				return m.runStmts(fr, then)
 			}
 			return m.runStmts(fr, els)
@@ -2101,7 +2146,7 @@ func (c *compiler) doStmt(s *ft.DoStmt) vstmt {
 func (c *compiler) doWhile(s *ft.DoWhileStmt) vstmt {
 	pos := s.Pos
 	brCost := c.cost(perfmodel.OpBranch, 4)
-	cond := c.expr(s.Cond)
+	cond := c.cond(s.Cond)
 	body := c.stmts(s.Body)
 	return func(m *vm, fr *vframe) (control, error) {
 		// Statement-entry check first (Interp.execStmt does one before
@@ -2114,11 +2159,11 @@ func (c *compiler) doWhile(s *ft.DoWhileStmt) vstmt {
 				return ctlNone, err
 			}
 			m.charge(brCost)
-			cv, err := cond(m, fr)
+			b, err := cond(m, fr)
 			if err != nil {
 				return ctlNone, err
 			}
-			if !cv.B {
+			if !b {
 				return ctlNone, nil
 			}
 			ctl, err := m.runStmts(fr, body)

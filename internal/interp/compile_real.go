@@ -28,8 +28,9 @@ import (
 type vreals func(m *vm, fr *vframe) (float64, float64, error)
 
 // realExpr compiles e to the unboxed fast path, or returns nil when e
-// needs the general Value path (integer subexpressions, functions
-// without a real scalar result, most multi-argument intrinsics, ...).
+// needs the general Value path (integer subexpressions other than
+// affine operands, functions without a real scalar result, most
+// multi-argument intrinsics, ...).
 func (c *compiler) realExpr(e ft.Expr) vreals {
 	switch e := e.(type) {
 	case *ft.RealLit:
@@ -132,6 +133,24 @@ func (c *compiler) realExpr(e ft.Expr) vreals {
 	return nil
 }
 
+// realOperand compiles an operand of a real operation: an affine
+// integer (affineIndex) reads through intIndex and converts to float64
+// on both lanes, as asFloat and sh read an integer Value; anything else
+// goes to realExpr. Other integer operands return nil.
+func (c *compiler) realOperand(e ft.Expr) vreals {
+	if _, lit := e.(*ft.IntLit); lit || e.Type().Base != ft.TInteger {
+		return c.realExpr(e)
+	}
+	if !affineIndex(e) {
+		return nil
+	}
+	iv := c.intIndex(e)
+	return func(m *vm, fr *vframe) (float64, float64, error) {
+		f := float64(iv(m, fr))
+		return f, f, nil
+	}
+}
+
 // realCall compiles a call of a user function with a real scalar
 // result: the shared call core, then the result's lanes read straight
 // from the callee frame. A function without a result keeps the Value
@@ -167,8 +186,7 @@ func (c *compiler) realCall(e *ft.CallExpr) vreals {
 }
 
 // realBinary compiles real arithmetic (the tail of compiler.binary)
-// unboxed. Operands must be statically real (or an integer literal,
-// which the Value path also treats castless); a ** with a non-literal
+// unboxed. Operands must be realOperand forms; a ** with a non-literal
 // integer exponent falls back.
 func (c *compiler) realBinary(e *ft.BinExpr) vreals {
 	if e.Typ.Base != ft.TReal {
@@ -180,17 +198,16 @@ func (c *compiler) realBinary(e *ft.BinExpr) vreals {
 		return nil
 	}
 	xt, yt := e.X.Type(), e.Y.Type()
-	if xt.Base != ft.TReal {
-		if _, ok := e.X.(*ft.IntLit); !ok {
-			return nil
-		}
-	}
 	powIntLit, _ := e.Y.(*ft.IntLit)
-	if yt.Base != ft.TReal && powIntLit == nil {
+	if e.Op == ft.POW && yt.Base != ft.TReal && powIntLit == nil {
 		return nil
 	}
-	xv, yv := c.realExpr(e.X), c.realExpr(e.Y)
-	if xv == nil || yv == nil {
+	xv := c.realOperand(e.X)
+	if xv == nil {
+		return nil
+	}
+	yv := c.realOperand(e.Y)
+	if yv == nil {
 		return nil
 	}
 
@@ -443,8 +460,8 @@ func (c *compiler) realBinary(e *ft.BinExpr) vreals {
 }
 
 // realIntrinsic compiles the single-argument real intrinsics (the
-// unIntrinsic table), and sign, min and max over real arguments,
-// unboxed. Everything else falls back.
+// unIntrinsic table), real and dble, and sign, min and max over real
+// arguments, unboxed. Everything else falls back.
 func (c *compiler) realIntrinsic(e *ft.CallExpr) vreals {
 	if e.Typ.Base != ft.TReal {
 		return nil
@@ -454,6 +471,8 @@ func (c *compiler) realIntrinsic(e *ft.CallExpr) vreals {
 		return c.realSign(e)
 	case "min", "max":
 		return c.realMinMax(e)
+	case "real", "dble":
+		return c.realConv(e)
 	}
 	if len(e.Args) != 1 {
 		return nil
@@ -531,6 +550,51 @@ func (c *compiler) realIntrinsic(e *ft.CallExpr) vreals {
 		}
 		rs.intrinsic(m, name, x, f, r, sh)
 		return f, sh, nil
+	}
+}
+
+// realConv compiles real(x[, k]) and dble(x) over a realOperand,
+// mirroring intrinsic()'s conversion case: an integer argument charges
+// OpConv at kind 4 and a real one a cast when its kind differs, unless
+// the argument is a literal. The shadow lane is the argument's.
+func (c *compiler) realConv(e *ft.CallExpr) vreals {
+	a0 := c.realOperand(e.Args[0])
+	if a0 == nil {
+		return nil
+	}
+	kk := e.Typ.Kind
+	at := e.Args[0].Type()
+	var ch func(m *vm)
+	switch {
+	case isLiteral(e.Args[0]):
+	case at.Base == ft.TInteger:
+		conv := c.cost(perfmodel.OpConv, 4)
+		ch = func(m *vm) { m.charge(conv) }
+	case at.Kind != kk:
+		ch = func(m *vm) { m.cast(1) }
+	}
+	if c.rec == nil {
+		return func(m *vm, fr *vframe) (float64, float64, error) {
+			x, _, err := a0(m, fr)
+			if err != nil {
+				return 0, 0, err
+			}
+			if ch != nil {
+				ch(m)
+			}
+			f := convertReal(x, kk)
+			return f, f, nil
+		}
+	}
+	return func(m *vm, fr *vframe) (float64, float64, error) {
+		x, xs, err := a0(m, fr)
+		if err != nil {
+			return 0, 0, err
+		}
+		if ch != nil {
+			ch(m)
+		}
+		return convertReal(x, kk), xs, nil
 	}
 }
 

@@ -70,6 +70,12 @@ func runEngine(t *testing.T, prog *ft.Program, eng Engine, withNumerics, trap bo
 // accumulation order. It returns the run's error text ("" for none).
 func compareEngines(t *testing.T, prog *ft.Program, withNumerics, trap bool) string {
 	t.Helper()
+	return diffEngines(t, prog, withNumerics, trap).errStr
+}
+
+// diffEngines is compareEngines returning the tree-walker's run.
+func diffEngines(t *testing.T, prog *ft.Program, withNumerics, trap bool) *engineRun {
+	t.Helper()
 	ast := runEngine(t, prog, EngineAST, withNumerics, trap)
 	vm := runEngine(t, prog, EngineVM, withNumerics, trap)
 
@@ -108,7 +114,7 @@ func compareEngines(t *testing.T, prog *ft.Program, withNumerics, trap bool) str
 		t.Errorf("numerics profile diverged:\n  ast: %s\n  vm:  %s", ast.profile, vm.profile)
 	}
 	compareGlobals(t, prog, ast.in, vm.in, withNumerics)
-	return ast.errStr
+	return ast
 }
 
 func compareGlobals(t *testing.T, prog *ft.Program, ast, vm *Interp, withNumerics bool) {
@@ -768,6 +774,405 @@ func genCallProgram(seed uint64) (string, map[string]bool) {
 	b.WriteString("  n = 2\n  do i = 1, 4\n")
 	b.WriteString(body.String())
 	b.WriteString("  end do\n  s8 = s8 + x8 + y8\n  s4 = s4 + x4 + y4\n  si = si + n\nend program main\n")
+	return b.String(), forms
+}
+
+// TestEngineDifferentialConditions feeds seeded programs built around the
+// VM's unboxed conditions, integer operands and rank-2 addressing through
+// both engines: IF / ELSE IF / ELSE and DO WHILE over .and., .or. and
+// .not. of logical locals, module logicals and comparisons; integer
+// comparisons in affine and Value-path forms (mod, /, unary minus); real
+// comparisons at kinds 4 and 8, at mixed kinds and with integer operands,
+// whose operands use abs, sign, min and user function calls, or
+// epsilon, huge and tiny, which keep the Value path; real(i, k), dble(i)
+// and integer operands in real arithmetic; integer assignments; and
+// rank-2 references with lower
+// bounds 1, 3 and -4, some out of bounds in dimension 2. Results must
+// agree bit for bit with and without numerics and TrapNonFinite.
+func TestEngineDifferentialConditions(t *testing.T) {
+	tally, tallied, diverged := map[string]int{}, 0, 0
+	formTally := map[string]int{}
+	for seed := 1; seed <= 120; seed++ {
+		src, forms := genCondProgram(uint64(seed))
+		for f := range forms {
+			formTally[f]++
+		}
+		prog, err := ft.Parse(src)
+		if err != nil {
+			t.Fatalf("seed %d: parse: %v\n%s", seed, err, src)
+		}
+		if _, err := ft.Analyze(prog, ft.Options{}); err != nil {
+			t.Fatalf("seed %d: analyze: %v\n%s", seed, err, src)
+		}
+		for _, trap := range []bool{false, true} {
+			for _, num := range []bool{false, true} {
+				name := fmt.Sprintf("seed%d/trap=%v/numerics=%v", seed, trap, num)
+				ok := t.Run(name, func(t *testing.T) {
+					run := diffEngines(t, prog, num, trap)
+					if trap && !num {
+						tally[condOutcome(run.errStr)]++
+						tallied++
+					}
+					if num && !trap {
+						var p numerics.Profile
+						if err := json.Unmarshal(run.profile, &p); err != nil {
+							t.Fatalf("decode profile: %v", err)
+						}
+						if p.BranchDivergences > 0 {
+							diverged++
+						}
+					}
+				})
+				if !ok {
+					t.Logf("seed %d source:\n%s", seed, src)
+				}
+			}
+		}
+	}
+	t.Logf("programs containing each form: %v", formTally)
+	for _, form := range []string{"if-else", "else-if", "do-while", "and", "or", "not", "logical-local",
+		"logical-module", "int-affine", "int-value", "real-k4", "real-k8", "real-mixed", "int-real",
+		"abs", "sign", "min", "call", "real-conv", "int-arith", "inquiry", "rank2"} {
+		if formTally[form] < 10 {
+			t.Errorf("only %d of 120 programs contain form %q, want at least 10 (tally %v)", formTally[form], form, formTally)
+		}
+	}
+	// The generator must keep reaching every outcome it was built for
+	// (checked only when -run selected every program).
+	t.Logf("outcomes under TrapNonFinite: %v; %d programs record a branch divergence", tally, diverged)
+	if tallied < 120 {
+		return
+	}
+	for outcome, least := range map[string]int{"ok": 40, "bounds": 5, "stop": 5} {
+		if tally[outcome] < least {
+			t.Errorf("only %d of 120 programs ended %q, want at least %d (tally %v)", tally[outcome], outcome, least, tally)
+		}
+	}
+	if diverged < 5 {
+		t.Errorf("only %d of 120 programs record a branch divergence, want at least 5", diverged)
+	}
+}
+
+// condOutcome classifies a run's error text for the generator's tally.
+func condOutcome(msg string) string {
+	switch {
+	case msg == "":
+		return "ok"
+	case strings.Contains(msg, "out of bounds"):
+		return "bounds"
+	case strings.Contains(msg, "stop "):
+		return "stop"
+	}
+	return msg
+}
+
+// genCondProgram builds one program for TestEngineDifferentialConditions.
+// The main loop runs i = 1..4; every index stays inside its bounds over
+// that range, except one index in dimension 2 that overshoots by one in
+// about one program in four. Every DO WHILE is capped by a counter.
+func genCondProgram(seed uint64) (string, map[string]bool) {
+	forms := map[string]bool{}
+	rng := seed*0x9e3779b97f4a7c15 | 1
+	next := func(n int) int { // xorshift, deterministic across runs
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return int(rng % uint64(n))
+	}
+	pick := func(xs ...string) string { return xs[next(len(xs))] }
+	mk, jv := 2+next(3), 1+next(3)
+
+	// Two rank-2 arrays whose lower bounds cover 1, 3 and -4.
+	type array struct {
+		name    string
+		kind    int
+		lo, ext [2]int
+	}
+	los := []int{1, 3, -4}
+	r := next(3)
+	arrs := []array{
+		{"c", 4 + 4*next(2), [2]int{los[r], los[(r+1)%3]}, [2]int{8 + next(4), 6 + next(4)}},
+		{"e", 4 + 4*next(2), [2]int{los[(r+2)%3], los[next(3)]}, [2]int{8 + next(4), 6 + next(4)}},
+	}
+	oobLeft := 0
+	if next(4) == 0 {
+		oobLeft = 1
+	}
+	index := func(lo, ext int, oob bool) string {
+		for {
+			c := 1 + next(3)
+			var s string
+			var f func(i int) int
+			switch next(9) {
+			case 0:
+				s, f = "i", func(i int) int { return i }
+			case 1:
+				s, f = fmt.Sprintf("i + %d", c), func(i int) int { return i + c }
+			case 2:
+				s, f = "2 * i", func(i int) int { return 2 * i }
+			case 3:
+				s, f = "j", func(int) int { return jv }
+			case 4:
+				s, f = "mk", func(int) int { return mk }
+			case 5:
+				s, f = "(i + j) - mk", func(i int) int { return i + jv - mk }
+			case 6:
+				s, f = "mod(i, 3)", func(i int) int { return i % 3 }
+			case 7:
+				s, f = "i / 2", func(i int) int { return i / 2 }
+			default:
+				s, f = "-i", func(i int) int { return -i }
+			}
+			vmin, vmax := f(1), f(1)
+			for i := 2; i <= 4; i++ {
+				vmin, vmax = min(vmin, f(i)), max(vmax, f(i))
+			}
+			if vmax-vmin > ext-1 {
+				continue
+			}
+			shift := lo - vmin + next(ext-(vmax-vmin))
+			if oob {
+				shift = lo + ext - 1 - vmax + 1
+			}
+			switch {
+			case shift > 0:
+				return fmt.Sprintf("(%s) + %d", s, shift)
+			case shift < 0:
+				return fmt.Sprintf("(%s) - %d", s, -shift)
+			}
+			return s
+		}
+	}
+	elemOOB := func(oob bool) string {
+		forms["rank2"] = true
+		a := arrs[next(len(arrs))]
+		return fmt.Sprintf("%s(%s, %s)", a.name, index(a.lo[0], a.ext[0], false), index(a.lo[1], a.ext[1], oob))
+	}
+	elem := func() string {
+		oob := oobLeft > 0 && next(2) == 0
+		if oob {
+			oobLeft--
+		}
+		return elemOOB(oob)
+	}
+
+	// Real operands of each kind (elements take their array's kind).
+	op4 := func() string {
+		switch next(8) {
+		case 0:
+			forms["abs"] = true
+			return "abs(x4 - y4)"
+		case 1:
+			forms["sign"] = true
+			return "sign(y4, x4)"
+		case 2:
+			forms["min"] = true
+			return "min(x4, y4, 0.75)"
+		case 3:
+			forms["real-conv"] = true
+			return pick("real(i, 4)", "real(i + mk, 4)", "real(j)")
+		case 4:
+			forms["int-arith"] = true
+			return pick("x4 * i", "y4 - (i + j)", "s4 + 2 * i")
+		}
+		return pick("x4", "y4", "s4", "z4")
+	}
+	op8 := func() string {
+		switch next(10) {
+		case 0:
+			forms["abs"] = true
+			return "abs(x8 - y8)"
+		case 1:
+			forms["sign"] = true
+			return "sign(x8, y8 - 0.5d0)"
+		case 2:
+			forms["min"] = true
+			return "min(x8, y8, s8)"
+		case 3:
+			forms["call"] = true
+			return fmt.Sprintf("f(%s, %s)", pick("x8", "y8", "s8 * 0.5d0"), pick("x4", "y4", "s4"))
+		case 4:
+			forms["real-conv"] = true
+			return pick("real(i, 8)", "dble(j)", "dble(i - mk)")
+		case 5:
+			forms["int-arith"] = true
+			return pick("x8 * i", "y8 + (i - mk)", "mk / x8", "s8 - 3 * j")
+		case 6:
+			return elem()
+		case 7:
+			forms["inquiry"] = true
+			return pick("1.0d5 * epsilon(x8) * s8", "huge(y4) * 0.5", "tiny(x8) + y8")
+		}
+		return pick("x8", "y8", "s8")
+	}
+	cmpOp := func() string { return pick("<", "<=", ">", ">=", "==", "/=") }
+	leaf := func() string {
+		switch next(14) {
+		case 0, 1:
+			forms["int-affine"] = true
+			return fmt.Sprintf("%s %s %s", pick("i", "j", "mk", "cnt", "i + j", "2 * i", "np - i"), cmpOp(), pick("mk", "3", "j + 1", "np"))
+		case 2:
+			forms["int-value"] = true
+			return pick("mod(i, 2) == 0", "i / 2 > j", "-i < -2", "mod(i + j, 3) /= 1")
+		case 3, 4:
+			forms["real-k4"] = true
+			return fmt.Sprintf("%s %s %s", op4(), cmpOp(), pick(op4(), "0.5", "2.5_4"))
+		case 5, 6:
+			forms["real-k8"] = true
+			return fmt.Sprintf("%s %s %s", op8(), cmpOp(), pick(op8(), "0.5d0", "1.25d0"))
+		case 7:
+			forms["real-mixed"] = true
+			return fmt.Sprintf("%s %s %s", op4(), cmpOp(), op8())
+		case 8:
+			forms["int-real"] = true
+			return pick("x8 < i", "i >= 2.5_4", "x4 > mk", "j + 1 <= y8", elem()+" > i")
+		case 9:
+			// z4 holds 0.1d0 rounded to binary32 and w8 holds 0.1d0; the
+			// shadow lane of z4 is 0.1d0, so the lanes compare the other
+			// way at kind 8.
+			return pick("z4 > w8", "z4 <= w8", "w8 < z4")
+		case 10, 11:
+			forms["logical-local"] = true
+			return pick("lf", "lg", "lf == lg", "lg /= .true.")
+		case 12:
+			forms["logical-module"] = true
+			return pick("mflag", "mflag /= lf")
+		}
+		return pick("isnan(x8 - y8)", "isnan(y4)")
+	}
+	var cond func(depth int) string
+	cond = func(depth int) string {
+		if depth == 0 || next(3) == 0 {
+			return leaf()
+		}
+		switch next(3) {
+		case 0:
+			forms["not"] = true
+			return fmt.Sprintf(".not. (%s)", cond(depth-1))
+		case 1:
+			forms["and"] = true
+			return fmt.Sprintf("(%s) .and. (%s)", cond(depth-1), cond(depth-1))
+		}
+		forms["or"] = true
+		return fmt.Sprintf("(%s) .or. (%s)", cond(depth-1), cond(depth-1))
+	}
+	simple := func() string {
+		switch next(9) {
+		case 0:
+			return fmt.Sprintf("x8 = x8 * 0.5d0 + real(i + mk, %d)", 4+4*next(2))
+		case 1:
+			return "x4 = real(i, 4) * y4 - i"
+		case 2:
+			return "y8 = dble(j) / (i + 1) + x4"
+		case 3:
+			return "s8 = s8 * 0.25d0 + " + op8()
+		case 4:
+			return elem() + " = " + op8() + " * 0.5d0 + i"
+		case 5:
+			return "y4 = y4 * 0.75 + real(mk, 4) - " + op4()
+		case 6:
+			return pick("lf = ", "lg = ", "mflag = ") + cond(1)
+		case 7:
+			return pick("cnt = cnt + i", "cnt = mod(cnt + j, 5)", "cnt = cnt - 1")
+		}
+		return pick("call newton(mk)", "call newton(i)")
+	}
+	var block func(indent string, depth int) string
+	block = func(indent string, depth int) string {
+		var b strings.Builder
+		for s := 0; s < 1+next(3); s++ {
+			switch k := next(10); {
+			case k <= 1 && depth > 0:
+				fmt.Fprintf(&b, "%sif (%s) then\n%s", indent, cond(2), block(indent+"  ", depth-1))
+				if next(2) == 0 {
+					forms["else-if"] = true
+					fmt.Fprintf(&b, "%selse if (%s) then\n%s", indent, cond(2), block(indent+"  ", depth-1))
+				}
+				if next(2) == 0 {
+					forms["if-else"] = true
+					fmt.Fprintf(&b, "%selse\n%s", indent, block(indent+"  ", depth-1))
+				}
+				fmt.Fprintf(&b, "%send if\n", indent)
+			case k == 2 && depth > 0:
+				forms["do-while"] = true
+				// Each nesting depth counts with its own variable.
+				it := fmt.Sprintf("it%d", depth)
+				fmt.Fprintf(&b, "%s%s = 0\n%sdo while ((%s) .and. %s < %d)\n%s  %s = %s + 1\n%s%send do\n",
+					indent, it, indent, cond(2), it, 1+next(3), indent, it, it, block(indent+"  ", depth-1), indent)
+			case k == 3:
+				stmt := simple()
+				if next(3) == 0 {
+					stmt = fmt.Sprintf("stop %d", 3+next(5))
+				}
+				fmt.Fprintf(&b, "%sif (%s) %s\n", indent, cond(1), stmt)
+			default:
+				fmt.Fprintf(&b, "%s%s\n", indent, simple())
+			}
+		}
+		return b.String()
+	}
+	body := block("    ", 2) + block("    ", 2)
+	if oobLeft > 0 {
+		// The out-of-bounds index was not placed: read it unconditionally.
+		body += fmt.Sprintf("    s8 = s8 + %s\n", elemOOB(true))
+	}
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "module g\n  implicit none\n  integer, parameter :: np = %d\n", 3+next(3))
+	b.WriteString("  integer :: mk, cnt\n  logical :: mflag\n  real(kind=8) :: s8\n  real(kind=4) :: s4\n")
+	for _, a := range arrs {
+		fmt.Fprintf(&b, "  real(kind=%d) :: %s(%d:%d, %d:%d)\n", a.kind, a.name,
+			a.lo[0], a.lo[0]+a.ext[0]-1, a.lo[1], a.lo[1]+a.ext[1]-1)
+	}
+	b.WriteString(`contains
+  function f(a, b) result(r)
+    real(kind=8), intent(in) :: a
+    real(kind=4), intent(in) :: b
+    real(kind=8) :: r
+    if (a > b .or. cnt > 3) then
+      r = a - 0.5d0 * b
+    else
+      r = b * 0.25d0 + real(cnt, 8)
+    end if
+  end function f
+
+  ! newton runs to its cap, as MOM6's flux adjustment does in 32 bits.
+  subroutine newton(n)
+    integer, intent(in) :: n
+    real(kind=8) :: resid, scale, tol
+    integer :: k, iter
+    tol = 0.0d0
+    scale = abs(s8) + 1.0d-2
+    resid = 1.0d0
+    iter = 0
+    do while (abs(resid) > tol * scale .and. iter < n)
+      do k = 1, 2
+        resid = resid * 0.5d0 + s4 * real(k, 8) * 1.0d-3
+      end do
+      iter = iter + 1
+    end do
+    cnt = cnt + iter
+  end subroutine newton
+end module g
+
+program main
+  use g
+  implicit none
+  integer :: i, j, it1, it2, n
+  logical :: lf, lg
+  real(kind=8) :: x8, y8, w8
+  real(kind=4) :: x4, y4, z4
+`)
+	fmt.Fprintf(&b, "  mk = %d\n  j = %d\n  cnt = %d\n  mflag = %s\n  lf = %s\n  lg = .false.\n",
+		mk, jv, next(4), pick(".true.", ".false."), pick(".true.", ".false."))
+	b.WriteString("  x8 = 1.5d0\n  y8 = -0.75d0\n  x4 = 2.5\n  y4 = 0.375\n  z4 = 0.1d0\n  w8 = 0.1d0\n  s8 = 0.25d0\n  s4 = 4.0\n")
+	for _, a := range arrs {
+		fmt.Fprintf(&b, "  do n = %d, %d\n    do i = %d, %d\n      %s(i, n) = 0.125d0 * i - 0.0625d0 * n\n    end do\n  end do\n",
+			a.lo[1], a.lo[1]+a.ext[1]-1, a.lo[0], a.lo[0]+a.ext[0]-1, a.name)
+	}
+	b.WriteString("  do i = 1, 4\n")
+	b.WriteString(body)
+	b.WriteString("  end do\n  s8 = s8 + x8 + y8\n  s4 = s4 + x4 + y4\nend program main\n")
 	return b.String(), forms
 }
 

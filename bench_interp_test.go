@@ -21,11 +21,11 @@ import (
 	"repro/internal/search"
 )
 
-// benchInterpRun runs funarc end to end on the given engine, with or
-// without a shadow recorder attached. The recorder (when on) is rebuilt
+// benchInterpRun runs funarc end to end, with or without a shadow
+// recorder attached. The recorder (when on) is rebuilt
 // per iteration — that is how the tuner uses it, one recorder per
 // evaluation.
-func benchInterpRun(b *testing.B, shadow bool, eng interp.Engine) {
+func benchInterpRun(b *testing.B, shadow bool) {
 	m := models.Funarc()
 	prog, err := m.Parse()
 	if err != nil {
@@ -35,7 +35,7 @@ func benchInterpRun(b *testing.B, shadow bool, eng interp.Engine) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := interp.Config{Model: machine, TrapNonFinite: true, Engine: eng}
+		cfg := interp.Config{Model: machine, TrapNonFinite: true}
 		if shadow {
 			cfg.Numerics = numerics.NewRecorder(m.Name+".ft", numerics.Options{})
 		}
@@ -52,14 +52,10 @@ func benchInterpRun(b *testing.B, shadow bool, eng interp.Engine) {
 // BenchmarkInterpShadowOverhead measures the cost of the shadow lane.
 // The off case is the uninstrumented hot path (the nil-recorder test
 // TestShadowDisabledAllocFlat pins it allocation-flat); the on case is
-// what every evaluation pays under tune -numerics. The unsuffixed rows
-// run the default compiled engine; the engine=ast rows keep the
-// tree-walker's numbers visible for the VM-vs-AST comparison.
+// what every evaluation pays under tune -numerics.
 func BenchmarkInterpShadowOverhead(b *testing.B) {
-	b.Run("shadow=off", func(b *testing.B) { benchInterpRun(b, false, interp.EngineVM) })
-	b.Run("shadow=on", func(b *testing.B) { benchInterpRun(b, true, interp.EngineVM) })
-	b.Run("shadow=off/engine=ast", func(b *testing.B) { benchInterpRun(b, false, interp.EngineAST) })
-	b.Run("shadow=on/engine=ast", func(b *testing.B) { benchInterpRun(b, true, interp.EngineAST) })
+	b.Run("shadow=off", func(b *testing.B) { benchInterpRun(b, false) })
+	b.Run("shadow=on", func(b *testing.B) { benchInterpRun(b, true) })
 }
 
 // BenchmarkTuneFunarcBaseline is the end-to-end funarc search the
@@ -92,12 +88,10 @@ type interpBenchRow struct {
 // through ledger.CanonicalJSON so keys come out deterministically
 // sorted and regeneration diffs stay stable.
 type interpBenchFile struct {
-	Rows            []interpBenchRow `json:"rows"`
-	ShadowOnOffX    float64          `json:"shadow_on_off_ratio"`
-	ShadowOnOffAstX float64          `json:"shadow_on_off_ratio_ast"`
-	VMSpeedupX      float64          `json:"vm_over_ast_speedup"`
-	GoVersion       string           `json:"go_version,omitempty"`
-	BenchmarkNote   string           `json:"note"`
+	Rows          []interpBenchRow `json:"rows"`
+	ShadowOnOffX  float64          `json:"shadow_on_off_ratio"`
+	GoVersion     string           `json:"go_version,omitempty"`
+	BenchmarkNote string           `json:"note"`
 }
 
 // TestEmitInterpBench writes BENCH_interp.json when PROSE_EMIT_BENCH=1
@@ -120,10 +114,8 @@ func TestEmitInterpBench(t *testing.T) {
 			BytesPerOp:  r.AllocedBytesPerOp(),
 		}
 	}
-	off := row("InterpShadowOverhead/shadow=off", func(b *testing.B) { benchInterpRun(b, false, interp.EngineVM) })
-	on := row("InterpShadowOverhead/shadow=on", func(b *testing.B) { benchInterpRun(b, true, interp.EngineVM) })
-	astOff := row("InterpShadowOverhead/shadow=off/engine=ast", func(b *testing.B) { benchInterpRun(b, false, interp.EngineAST) })
-	astOn := row("InterpShadowOverhead/shadow=on/engine=ast", func(b *testing.B) { benchInterpRun(b, true, interp.EngineAST) })
+	off := row("InterpShadowOverhead/shadow=off", func(b *testing.B) { benchInterpRun(b, false) })
+	on := row("InterpShadowOverhead/shadow=on", func(b *testing.B) { benchInterpRun(b, true) })
 	tune := row("TuneFunarcBaseline", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -159,7 +151,7 @@ func TestEmitInterpBench(t *testing.T) {
 		}
 	})
 
-	rows := []interpBenchRow{off, on, astOff, astOn, tune, ledgerAppend}
+	rows := []interpBenchRow{off, on, tune, ledgerAppend}
 	owned := make(map[string]bool, len(rows))
 	for _, r := range rows {
 		owned[r.Name] = true
@@ -178,12 +170,9 @@ func TestEmitInterpBench(t *testing.T) {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
 
 	out := interpBenchFile{
-		Rows:            rows,
-		ShadowOnOffX:    on.NsPerOp / off.NsPerOp,
-		ShadowOnOffAstX: astOn.NsPerOp / astOff.NsPerOp,
-		VMSpeedupX:      astOff.NsPerOp / off.NsPerOp,
+		Rows:         rows,
+		ShadowOnOffX: on.NsPerOp / off.NsPerOp,
 		BenchmarkNote: "funarc end-to-end interpreter run, shadow recorder rebuilt per iteration; " +
-			"engine=ast rows are the reference tree-walker (the 'before' of the VM compile); " +
 			"tune baseline is the full seed-1 delta-debugging search; " +
 			"LedgerAppend is the per-event decision-telemetry cost (buffered write + digest, " +
 			"no syscall per event) — a few microseconds against multi-ms evaluations; " +

@@ -30,7 +30,6 @@ func main() {
 	machine := flag.String("machine", "avx2", "machine model: avx2 or avx512")
 	trap := flag.Bool("trap", true, "abort on non-finite assignments")
 	budget := flag.Float64("budget", 0, "cycle budget (0 = unlimited)")
-	engineName := flag.String("engine", "vm", "interpreter engine: vm (closure-compiled) or ast (tree-walker)")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -38,17 +37,13 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), *lower, *machine, *profile, *trap, *budget, *engineName); err != nil {
+	if err := run(flag.Arg(0), *lower, *machine, *profile, *trap, *budget); err != nil {
 		fmt.Fprintln(os.Stderr, "ftrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(path, lower, machine string, profile, trap bool, budget float64, engineName string) error {
-	engine, err := interp.ParseEngine(engineName)
-	if err != nil {
-		return err
-	}
+func run(path, lower, machine string, profile, trap bool, budget float64) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -87,7 +82,6 @@ func run(path, lower, machine string, profile, trap bool, budget float64, engine
 		Profile:       profile,
 		Stdout:        os.Stdout,
 		CycleBudget:   budget,
-		Engine:        engine,
 	})
 	if err != nil {
 		return err

@@ -91,7 +91,7 @@ func renderRun(led *ledger.Ledger, ref, format string) error {
 		return err
 	}
 	fmt.Printf("run %s\n", m.ID)
-	fmt.Printf("  model       %s (engine %s, seed %d, machine %s)\n", m.Model, m.Engine, m.Seed, m.Machine)
+	fmt.Printf("  model       %s (seed %d, machine %s)\n", m.Model, m.Seed, m.Machine)
 	fmt.Printf("  fingerprint %s\n", m.Fingerprint)
 	fmt.Printf("  started     %s  wall %dms\n", time.Unix(0, m.StartUnixNS).UTC().Format(time.RFC3339), m.WallMS)
 	fmt.Printf("  criteria    max rel error %.3e, min speedup %g\n", m.MaxRelError, m.MinSpeedup)

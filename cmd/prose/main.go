@@ -39,7 +39,6 @@ import (
 	"repro/internal/fleet"
 	ft "repro/internal/fortran"
 	"repro/internal/gptl"
-	"repro/internal/interp"
 	"repro/internal/journal"
 	"repro/internal/ledger"
 	"repro/internal/models"
@@ -279,7 +278,6 @@ func cmdTune(args []string) error {
 	numericsOn := fs.Bool("numerics", false, "shadow-execute every variant and attach numeric_* diagnostics to spans and metrics (diagnostic only: journal bytes unchanged)")
 	ledgerDir := fs.String("ledger", "", "archive this run's manifest into the run ledger at DIR (inspect with 'prose runs' / 'prose compare'); with -journal, also streams decision telemetry to <journal>.decisions")
 	decisionsPath := fs.String("decisions", "", "stream per-round search-decision telemetry to this file (byte-stable across -par and -resume; journal bytes unchanged)")
-	engineName := fs.String("engine", "vm", "interpreter engine: vm (closure-compiled, default) or ast (reference tree-walker); bit-identical results either way")
 	workers := fs.Int("workers", 0, "shard variant evaluation across N 'prose worker' processes (0 = in-process); worker crashes become supervised retries and the journal stays byte-identical")
 	leaseTTL := fs.Duration("lease-ttl", fleet.DefaultLeaseTTL, "fleet: wall-clock budget per leased evaluation; an expired lease is failed as a hang fault and reassigned")
 	workerHeartbeat := fs.Duration("worker-heartbeat", fleet.DefaultHeartbeat, "fleet: worker heartbeat interval (a silent worker is declared lost and replaced)")
@@ -300,10 +298,6 @@ func cmdTune(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	engine, err := interp.ParseEngine(*engineName)
-	if err != nil {
-		return fmt.Errorf("tune: %w", err)
-	}
 	if *resume && *journalPath == "" {
 		return fmt.Errorf("tune: -resume requires -journal")
 	}
@@ -318,14 +312,17 @@ func cmdTune(args []string) error {
 	if err != nil {
 		return err
 	}
+	breakerN := *breaker
+	if *failfast {
+		breakerN = 1
+	}
 	opts := core.Options{
 		Seed: *seed, WholeModel: *whole, MaxEvaluations: *budget,
 		Parallelism: *par, JournalPath: *journalPath, Resume: *resume,
-		Retries: *retries, Breaker: *breaker, FailFast: *failfast,
+		Retries: *retries, Breaker: breakerN,
 		MaxQuarantined: *maxQuarantined, RetryBackoff: *backoff,
 		RetriesByClass: byClass, Watchdog: *watchdog,
-		HalfOpen: *halfOpen, DrainGrace: *drainGrace,
-		Numerics: *numericsOn, Engine: engine,
+		HalfOpen: *halfOpen, DrainGrace: *drainGrace, Numerics: *numericsOn,
 		LedgerDir: *ledgerDir, DecisionPath: *decisionsPath,
 	}
 	if opts.LedgerDir != "" && opts.DecisionPath == "" && *journalPath != "" {
@@ -370,7 +367,7 @@ func cmdTune(args []string) error {
 
 	// -workers: build the worker fleet. The children are this very
 	// binary running `prose worker` with the flags that shape the
-	// evaluation stream (model, seed, whole-model, budget, engine); a
+	// evaluation stream (model, seed, whole-model, budget); a
 	// fingerprint handshake on every connection rejects any drift. Fleet
 	// knobs, like parallelism, are not fingerprinted — the journal is
 	// byte-identical at any pool size.
@@ -431,7 +428,6 @@ func cmdTune(args []string) error {
 				"-model", m.Name,
 				fmt.Sprintf("-seed=%d", *seed),
 				fmt.Sprintf("-budget=%d", *budget),
-				"-engine", *engineName,
 				fmt.Sprintf("-heartbeat=%s", *workerHeartbeat),
 			}
 			if *whole {

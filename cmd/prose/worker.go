@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/interp"
 )
 
 // cmdWorker serves evaluations to a `prose tune` coordinator over TCP,
@@ -19,7 +18,7 @@ import (
 // it is started by hand, on any host, and dials that address.
 //
 // The flags that shape the evaluation stream (model, seed, whole-model,
-// budget, engine) must match the coordinator's; the fingerprint
+// budget) must match the coordinator's; the fingerprint
 // handshake on every connection rejects any drift. The -fault-* flags
 // are fault injection for the fleet's own tests and smoke runs.
 func cmdWorker(args []string) error {
@@ -28,7 +27,6 @@ func cmdWorker(args []string) error {
 	whole := fs.Bool("whole-model", false, "guide the search by whole-model time (must match the coordinator)")
 	seed := fs.Int64("seed", 1, "seed for the Eq. (1) runtime-noise model (must match the coordinator)")
 	budget := fs.Int("budget", 0, "max distinct variant evaluations (must match the coordinator)")
-	engineName := fs.String("engine", "vm", "interpreter engine (must match the coordinator)")
 	heartbeat := fs.Duration("heartbeat", fleet.DefaultHeartbeat, "heartbeat interval while evaluating")
 	connect := fs.String("connect", "", "the coordinator's address, as printed by 'prose tune -listen' (required)")
 	session := fs.String("session", "", "stable session ID for lease resume across reconnects (default: random)")
@@ -47,10 +45,6 @@ func cmdWorker(args []string) error {
 	if *connect == "" {
 		return fmt.Errorf("worker: -connect is required")
 	}
-	engine, err := interp.ParseEngine(*engineName)
-	if err != nil {
-		return fmt.Errorf("worker: %w", err)
-	}
 	m, err := getModel(*name)
 	if err != nil {
 		return err
@@ -65,7 +59,7 @@ func cmdWorker(args []string) error {
 		signal.Ignore(os.Interrupt, syscall.SIGTERM)
 	}
 	t, err := core.New(m, core.Options{
-		Seed: *seed, WholeModel: *whole, MaxEvaluations: *budget, Engine: engine,
+		Seed: *seed, WholeModel: *whole, MaxEvaluations: *budget,
 	})
 	if err != nil {
 		return err

@@ -104,9 +104,10 @@ func timedResult(selfs map[string]float64) *interp.Result {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		tm.Start(n)
+		r := tm.Lookup(n)
+		tm.StartRegion(r)
 		now += selfs[n]
-		if err := tm.Stop(n); err != nil {
+		if err := tm.StopRegion(r); err != nil {
 			panic(err)
 		}
 	}

@@ -204,7 +204,7 @@ func (r *recordingWrap) count(key string) int {
 }
 
 // TestBreakerTripThenResume is the graceful-degradation acceptance test:
-// a FailFast tune trips on a poisoned assignment, returns the partial
+// a Breaker=1 tune trips on a poisoned assignment, returns the partial
 // result alongside the typed abort error, and persists the quarantine —
 // so a -resume run short-circuits the poison, never re-crashes, and
 // finishes with a journal byte-identical to a run that quarantined the
@@ -231,10 +231,10 @@ func TestBreakerTripThenResume(t *testing.T) {
 	}
 	oneBytes, _ := os.ReadFile(onePath)
 
-	// FailFast run: trips at the poisoned evaluation.
+	// Breaker=1 run: trips at the poisoned evaluation.
 	path := filepath.Join(dir, "trip.jsonl")
 	res, err, fault := runJournaled(t, Options{
-		Seed: 1, JournalPath: path, FailFast: true, RetryBackoff: 1,
+		Seed: 1, JournalPath: path, Breaker: 1, RetryBackoff: 1,
 		Parallelism:   2,
 		WrapEvaluator: crashInjector,
 	})
@@ -333,7 +333,7 @@ func TestSalvagedSiblingsSurviveTrip(t *testing.T) {
 
 	path := filepath.Join(dir, "salvage.jsonl")
 	res, err, fault := runJournaled(t, Options{
-		Seed: 1, JournalPath: path, FailFast: true, RetryBackoff: 1, Parallelism: 2,
+		Seed: 1, JournalPath: path, Breaker: 1, RetryBackoff: 1, Parallelism: 2,
 		WrapEvaluator: func(inner search.Evaluator) search.Evaluator {
 			return &gatedCrash{inner: inner, crash: poison, sibling: make(chan struct{})}
 		},
@@ -388,7 +388,7 @@ func TestSalvagedSiblingsSurviveTrip(t *testing.T) {
 // policies.
 func TestResilienceOptionsNotFingerprinted(t *testing.T) {
 	base := mustFingerprint(t, Options{Seed: 1})
-	if mustFingerprint(t, Options{Seed: 1, Retries: 5, Breaker: 3, FailFast: true, MaxQuarantined: 9, RetryBackoff: 12345}) != base {
+	if mustFingerprint(t, Options{Seed: 1, Retries: 5, Breaker: 3, MaxQuarantined: 9, RetryBackoff: 12345}) != base {
 		t.Error("resilience options changed the fingerprint; journals would be rejected across retry policies")
 	}
 }

@@ -94,12 +94,9 @@ type Options struct {
 	// not shape the evaluation stream, so a journal recorded under one
 	// retry policy resumes correctly under any other.
 	Retries int
-	// FailFast trips the circuit breaker on the first hard
-	// infrastructure failure (equivalent to Breaker=1).
-	FailFast bool
 	// Breaker trips the circuit breaker after this many consecutive
 	// hard infrastructure failures, failing fast with a partial report
-	// (0 disables unless FailFast is set). Setting it enables the
+	// (0 disables it; 1 fails on the first). Setting it enables the
 	// supervisor even with Retries=0.
 	Breaker int
 	// MaxQuarantined aborts the search once more than this many
@@ -148,15 +145,6 @@ type Options struct {
 	// (test-enforced by TestNumericsDoesNotPerturbJournal).
 	Numerics bool
 
-	// Engine selects the interpreter execution engine for every run the
-	// tuner makes (baseline, uniform-32 build, variants). The zero value
-	// (interp.EngineVM) is the compiled engine; interp.EngineAST keeps
-	// the reference tree-walker. Deliberately not fingerprinted: the two
-	// engines are bit-for-bit equivalent by contract, so a journal
-	// recorded under one engine resumes byte-identically under the other
-	// (test-enforced by TestEngineJournalByteIdentity).
-	Engine interp.Engine
-
 	// DecisionPath, if non-empty, streams the search's per-round decision
 	// telemetry (candidate lifecycle, funnel tallies, best-so-far,
 	// frontier) to an append-only JSONL sidecar at this path — see
@@ -169,7 +157,7 @@ type Options struct {
 	DecisionPath string
 	// LedgerDir, if non-empty, archives the run into the content-
 	// addressed run ledger at this directory when Run returns: a
-	// manifest carrying the fingerprint, machine, engine, result
+	// manifest carrying the fingerprint, machine, result
 	// summary, final metrics snapshot (with histogram quantiles), fleet
 	// stats, and the decision-log digest. See internal/ledger and
 	// `prose runs` / `prose compare`.
@@ -203,7 +191,7 @@ const DefaultFleetRetries = 3
 // supervising reports whether any resilience knob enables the
 // supervisor.
 func (o Options) supervising() bool {
-	return o.Retries > 0 || o.FailFast || o.Breaker > 0 || o.MaxQuarantined > 0 ||
+	return o.Retries > 0 || o.Breaker > 0 || o.MaxQuarantined > 0 ||
 		o.Watchdog > 0 || len(o.RetriesByClass) > 0 || o.Fleet != nil
 }
 
@@ -398,7 +386,6 @@ func (t *Tuner) runBaseline() error {
 		Model:         t.machine,
 		TrapNonFinite: true,
 		Profile:       true,
-		Engine:        t.opts.Engine,
 	})
 	if err != nil {
 		return err
@@ -456,7 +443,7 @@ func (t *Tuner) uniform32Error() (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("core: uniform-32 build: %w", err)
 	}
-	in, err := interp.New(v.Prog, interp.Config{Model: t.machine, TrapNonFinite: true, Engine: t.opts.Engine})
+	in, err := interp.New(v.Prog, interp.Config{Model: t.machine, TrapNonFinite: true})
 	if err != nil {
 		return 0, err
 	}
@@ -551,7 +538,6 @@ func (t *Tuner) EvaluateSpan(sp *obs.Span, a transform.Assignment) *search.Evalu
 		CycleBudget:   3 * t.baseline.TotalCycles, // §IV-A: 3x baseline timeout
 		Context:       t.runCtx,                   // hard cancellation after the drain grace
 		Numerics:      nrec,                       // nil unless Options.Numerics
-		Engine:        t.opts.Engine,
 	})
 	if err != nil {
 		ev.Status = search.StatusError
@@ -886,7 +872,7 @@ func (t *Tuner) openJournal(withEvents bool) (*journalState, error) {
 // A -resume run completes the search and produces a journal
 // byte-identical to an uninterrupted run's.
 //
-// With a resilience knob set (Retries/FailFast/Breaker/MaxQuarantined/
+// With a resilience knob set (Retries/Breaker/MaxQuarantined/
 // Watchdog/RetriesByClass) the evaluator runs under a
 // resilience.Supervised wrapper. If the supervisor aborts the search —
 // circuit breaker tripped or quarantine budget exhausted — Run returns
@@ -1044,16 +1030,12 @@ func (t *Tuner) Run(ctx context.Context) (*Result, error) {
 	}
 	var sup *resilience.Supervised
 	if supervising {
-		breaker := t.opts.Breaker
-		if t.opts.FailFast && (breaker == 0 || breaker > 1) {
-			breaker = 1
-		}
 		sup = &resilience.Supervised{
 			Inner:          evaluator,
 			MaxRetries:     t.opts.Retries,
 			RetriesByKind:  t.opts.RetriesByClass,
 			Watchdog:       t.opts.Watchdog,
-			Breaker:        breaker,
+			Breaker:        t.opts.Breaker,
 			HalfOpen:       t.opts.HalfOpen,
 			MaxQuarantined: t.opts.MaxQuarantined,
 			Backoff:        resilience.Backoff{Base: t.opts.RetryBackoff, Seed: t.opts.Seed},
@@ -1241,7 +1223,6 @@ func (t *Tuner) buildManifest(res *Result, start time.Time, abortErr *resilience
 		// The machine *name* is for humans; the full parameter signature
 		// is already folded into the fingerprint above.
 		Machine:     t.machine.Name,
-		Engine:      t.opts.Engine.String(),
 		Seed:        t.opts.Seed,
 		WholeModel:  t.opts.WholeModel,
 		Budget:      budget,

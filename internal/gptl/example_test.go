@@ -7,22 +7,22 @@ import (
 )
 
 // Timers run against an abstract clock; the tuner supplies the machine
-// model's simulated-cycle counter.
+// model's simulated-cycle counter. Lookup returns a region's handle once;
+// StartRegion and StopRegion time it.
 func Example() {
 	var now float64
 	clock := func() float64 { return now }
 
 	t := gptl.New(clock)
-	t.Start("atm_srk3")
+	outer, inner := t.Lookup("atm_srk3"), t.Lookup("flux4")
+	t.StartRegion(outer)
 	now += 40
-	t.Start("flux4")
+	t.StartRegion(inner)
 	now += 10
-	_ = t.Stop("flux4")
+	_ = t.StopRegion(inner)
 	now += 50
-	_ = t.Stop("atm_srk3")
+	_ = t.StopRegion(outer)
 
-	outer := t.Region("atm_srk3")
-	inner := t.Region("flux4")
 	fmt.Printf("atm_srk3: self=%.0f inclusive=%.0f\n", outer.Self, outer.Inclusive)
 	fmt.Printf("flux4:    self=%.0f calls=%d\n", inner.Self, inner.Calls)
 	// Output:

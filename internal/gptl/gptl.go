@@ -4,9 +4,12 @@
 // times either wall-clock seconds or the machine model's simulated
 // cycles; the precision tuner uses the latter.
 //
-// Like the real GPTL, instrumentation is not free: each Start/Stop pair
-// can be configured to consume clock time (Overhead), modeling the 1–7%
-// timing overhead reported in the paper.
+// Like the real GPTL, instrumentation is not free, and the caller
+// charges its cost: for each call it does not inline, the interpreter
+// advances its simulated clock by the machine model's TimerOverhead
+// before StartRegion and after StopRegion, modeling the 1–7% timing
+// overhead reported in the paper. Charged there, both events land
+// outside the region, in its caller.
 package gptl
 
 import (
@@ -18,12 +21,6 @@ import (
 // Clock returns the current time in arbitrary units. It must be
 // monotonically non-decreasing.
 type Clock func() float64
-
-// Advancer is implemented by clocks whose time can be consumed by the
-// instrumentation itself (simulated clocks). If the Timers' clock also
-// implements Advancer via SetOverheadFunc, Start/Stop charge Overhead
-// units per event.
-type Advancer func(units float64)
 
 // Region accumulates statistics for one named timer region. A *Region
 // from Lookup is also a handle: StartRegion and StopRegion time it
@@ -55,11 +52,9 @@ type stackEntry struct {
 // Timers is a set of nested region timers. The zero value is not usable;
 // call New.
 type Timers struct {
-	clock    Clock
-	advance  Advancer
-	overhead float64
-	regions  map[string]*Region
-	stack    []stackEntry
+	clock   Clock
+	regions map[string]*Region
+	stack   []stackEntry
 }
 
 // New returns a timer set reading the given clock.
@@ -68,26 +63,6 @@ func New(clock Clock) *Timers {
 		clock:   clock,
 		regions: make(map[string]*Region),
 	}
-}
-
-// SetOverhead configures the per-event instrumentation cost, charged to
-// the clock through advance (may be nil to disable charging).
-func (t *Timers) SetOverhead(unitsPerEvent float64, advance Advancer) {
-	t.overhead = unitsPerEvent
-	t.advance = advance
-}
-
-// Start opens the named region. Regions nest; the same name may recurse.
-func (t *Timers) Start(name string) { t.StartRegion(t.Lookup(name)) }
-
-// Stop closes the named region, which must be the innermost open region.
-func (t *Timers) Stop(name string) error {
-	r := t.regions[name]
-	if r == nil {
-		// Never started, so it is not innermost: StopRegion reports it.
-		r = &Region{Name: name}
-	}
-	return t.StopRegion(r)
 }
 
 // Lookup returns the region named name, creating it on first use: the
@@ -102,12 +77,9 @@ func (t *Timers) Lookup(name string) *Region {
 	return r
 }
 
-// StartRegion opens r, a handle from Lookup; it is Start without the
-// name lookup.
+// StartRegion opens r, a handle from Lookup. Regions nest; the same
+// region may recurse.
 func (t *Timers) StartRegion(r *Region) {
-	if t.advance != nil && t.overhead > 0 {
-		t.advance(t.overhead)
-	}
 	r.active++
 	if d := len(t.stack) + 1; d > r.MaxDepth {
 		r.MaxDepth = d
@@ -115,8 +87,7 @@ func (t *Timers) StartRegion(r *Region) {
 	t.stack = append(t.stack, stackEntry{region: r, start: t.clock()})
 }
 
-// StopRegion closes r, which must be the innermost open region; it is
-// Stop without the name lookup, with the same errors.
+// StopRegion closes r, which must be the innermost open region.
 func (t *Timers) StopRegion(r *Region) error {
 	if len(t.stack) == 0 {
 		return fmt.Errorf("gptl: Stop(%q) with no open region", r.Name)
@@ -126,16 +97,7 @@ func (t *Timers) StopRegion(r *Region) error {
 		return fmt.Errorf("gptl: Stop(%q) but innermost open region is %q", r.Name, top.region.Name)
 	}
 	t.stack = t.stack[:len(t.stack)-1]
-	// Read the clock *before* charging the stop-event overhead: the
-	// region's measured time must not include the cost of stopping its
-	// own timer, or every region's self time is inflated by one overhead
-	// unit per call beyond the modeled cost. (The start-event overhead is
-	// likewise charged before the start timestamp is read, so both event
-	// costs land outside the region, in its caller.)
 	total := t.clock() - top.start
-	if t.advance != nil && t.overhead > 0 {
-		t.advance(t.overhead)
-	}
 	r.Calls++
 	r.Self += total - top.child
 	r.active--
@@ -150,10 +112,7 @@ func (t *Timers) StopRegion(r *Region) error {
 	return nil
 }
 
-// Depth returns the current nesting depth.
-func (t *Timers) Depth() int { return len(t.stack) }
-
-// Region returns the statistics for name, or nil if never started.
+// Region returns the statistics for name, or nil if never looked up.
 func (t *Timers) Region(name string) *Region { return t.regions[name] }
 
 // Regions returns all regions sorted by descending self time.
@@ -184,13 +143,6 @@ func (t *Timers) TotalSelf(keep func(name string) bool) float64 {
 		}
 	}
 	return sum
-}
-
-// Reset clears all accumulated statistics and the region stack. It
-// invalidates every handle Lookup returned: call Lookup again after it.
-func (t *Timers) Reset() {
-	t.regions = make(map[string]*Region)
-	t.stack = t.stack[:0]
 }
 
 // Report renders a GPTL-style table of the regions.

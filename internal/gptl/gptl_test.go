@@ -12,18 +12,22 @@ type fakeClock struct{ now float64 }
 func (c *fakeClock) clock() float64    { return c.now }
 func (c *fakeClock) advance(u float64) { c.now += u }
 
+// start and stop open and close the named region through its handle.
+func start(tm *Timers, name string)      { tm.StartRegion(tm.Lookup(name)) }
+func stop(tm *Timers, name string) error { return tm.StopRegion(tm.Lookup(name)) }
+
 func TestSelfVsInclusive(t *testing.T) {
 	c := &fakeClock{}
 	tm := New(c.clock)
-	tm.Start("outer")
+	start(tm, "outer")
 	c.advance(10)
-	tm.Start("inner")
+	start(tm, "inner")
 	c.advance(5)
-	if err := tm.Stop("inner"); err != nil {
+	if err := stop(tm, "inner"); err != nil {
 		t.Fatal(err)
 	}
 	c.advance(2)
-	if err := tm.Stop("outer"); err != nil {
+	if err := stop(tm, "outer"); err != nil {
 		t.Fatal(err)
 	}
 	outer := tm.Region("outer")
@@ -39,15 +43,15 @@ func TestSelfVsInclusive(t *testing.T) {
 func TestRecursionInclusiveOnce(t *testing.T) {
 	c := &fakeClock{}
 	tm := New(c.clock)
-	tm.Start("f")
+	start(tm, "f")
 	c.advance(1)
-	tm.Start("f")
+	start(tm, "f")
 	c.advance(3)
-	if err := tm.Stop("f"); err != nil {
+	if err := stop(tm, "f"); err != nil {
 		t.Fatal(err)
 	}
 	c.advance(1)
-	if err := tm.Stop("f"); err != nil {
+	if err := stop(tm, "f"); err != nil {
 		t.Fatal(err)
 	}
 	f := tm.Region("f")
@@ -69,95 +73,15 @@ func TestRecursionInclusiveOnce(t *testing.T) {
 func TestMismatchedStop(t *testing.T) {
 	c := &fakeClock{}
 	tm := New(c.clock)
-	tm.Start("a")
-	if err := tm.Stop("b"); err == nil {
+	start(tm, "a")
+	if err := stop(tm, "b"); err == nil {
 		t.Error("Stop of wrong region did not error")
 	}
-	if err := tm.Stop("a"); err != nil {
+	if err := stop(tm, "a"); err != nil {
 		t.Errorf("correct Stop after failed Stop: %v", err)
 	}
-	if err := tm.Stop("a"); err == nil {
+	if err := stop(tm, "a"); err == nil {
 		t.Error("Stop with empty stack did not error")
-	}
-}
-
-func TestOverheadCharged(t *testing.T) {
-	c := &fakeClock{}
-	tm := New(c.clock)
-	tm.SetOverhead(2, c.advance)
-	tm.Start("r")
-	c.advance(100)
-	if err := tm.Stop("r"); err != nil {
-		t.Fatal(err)
-	}
-	r := tm.Region("r")
-	// Start charges 2 before reading the start timestamp and Stop
-	// charges 2 after reading the stop timestamp, so the region sees
-	// exactly its modeled 100 units while the clock advanced 104: both
-	// event costs land outside the region.
-	if r.Self != 100 {
-		t.Errorf("self = %g, want 100 (overhead outside region)", r.Self)
-	}
-	if c.now != 104 {
-		t.Errorf("clock = %g, want 104", c.now)
-	}
-}
-
-// TestOverheadOutsideNestedRegion pins the attribution of timer
-// overhead in nested regions: a child's events are charged to its
-// parent's self time, never to the child itself.
-func TestOverheadOutsideNestedRegion(t *testing.T) {
-	c := &fakeClock{}
-	tm := New(c.clock)
-	tm.SetOverhead(3, c.advance)
-	tm.Start("outer")
-	c.advance(10)
-	tm.Start("inner")
-	c.advance(50)
-	if err := tm.Stop("inner"); err != nil {
-		t.Fatal(err)
-	}
-	c.advance(10)
-	if err := tm.Stop("outer"); err != nil {
-		t.Fatal(err)
-	}
-	inner := tm.Region("inner")
-	outer := tm.Region("outer")
-	if inner.Self != 50 {
-		t.Errorf("inner self = %g, want exactly its modeled 50", inner.Self)
-	}
-	// Outer sees its own 20 modeled units plus the inner Start+Stop
-	// events (2 x 3); its own events fall outside it entirely.
-	if outer.Self != 26 {
-		t.Errorf("outer self = %g, want 26 (own work + child's timer events)", outer.Self)
-	}
-	if c.now != 82 {
-		t.Errorf("clock = %g, want 82 (70 modeled + 4 events x 3)", c.now)
-	}
-}
-
-func TestOverheadPercentRange(t *testing.T) {
-	// With a per-event overhead of 1 and regions of length ~50, the
-	// instrumentation's *wall-clock* cost should land in the paper's
-	// reported 1–7% band — while the regions' measured self time stays
-	// exactly the modeled work, uninflated by the timer events.
-	c := &fakeClock{}
-	tm := New(c.clock)
-	tm.SetOverhead(1, c.advance)
-	for i := 0; i < 1000; i++ {
-		tm.Start("k")
-		c.advance(50)
-		if err := tm.Stop("k"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pure := 50000.0
-	if measured := tm.Region("k").Self; measured != pure {
-		t.Errorf("self = %g, want exactly %g (timer events must not inflate self time)", measured, pure)
-	}
-	pct := (c.now - pure) / pure * 100
-	if pct < 1 || pct > 7 {
-		t.Errorf("wall-clock overhead = %.2f%%, want within 1-7%%", pct)
 	}
 }
 
@@ -165,9 +89,9 @@ func TestTotalSelfFilter(t *testing.T) {
 	c := &fakeClock{}
 	tm := New(c.clock)
 	for _, name := range []string{"hot.a", "hot.b", "cold.c"} {
-		tm.Start(name)
+		start(tm, name)
 		c.advance(10)
-		if err := tm.Stop(name); err != nil {
+		if err := stop(tm, name); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,9 +108,9 @@ func TestRegionsSorted(t *testing.T) {
 	c := &fakeClock{}
 	tm := New(c.clock)
 	for i, name := range []string{"small", "large", "mid"} {
-		tm.Start(name)
+		start(tm, name)
 		c.advance(float64((i*7)%20 + 1))
-		if err := tm.Stop(name); err != nil {
+		if err := stop(tm, name); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,9 +126,9 @@ func TestPerCall(t *testing.T) {
 	c := &fakeClock{}
 	tm := New(c.clock)
 	for i := 0; i < 4; i++ {
-		tm.Start("r")
+		start(tm, "r")
 		c.advance(3)
-		if err := tm.Stop("r"); err != nil {
+		if err := stop(tm, "r"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,26 +140,12 @@ func TestPerCall(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := &fakeClock{}
-	tm := New(c.clock)
-	tm.Start("r")
-	c.advance(1)
-	if err := tm.Stop("r"); err != nil {
-		t.Fatal(err)
-	}
-	tm.Reset()
-	if tm.Region("r") != nil || tm.Depth() != 0 {
-		t.Error("Reset did not clear state")
-	}
-}
-
 func TestReportContainsRegions(t *testing.T) {
 	c := &fakeClock{}
 	tm := New(c.clock)
-	tm.Start("kernel")
+	start(tm, "kernel")
 	c.advance(5)
-	if err := tm.Stop("kernel"); err != nil {
+	if err := stop(tm, "kernel"); err != nil {
 		t.Fatal(err)
 	}
 	rep := tm.Report()
@@ -261,21 +171,21 @@ func containsLine(s, sub string) bool {
 func TestRecursionSelfTimeThroughNestedRegion(t *testing.T) {
 	c := &fakeClock{}
 	tm := New(c.clock)
-	tm.Start("f")
+	start(tm, "f")
 	c.advance(2)
-	tm.Start("g")
+	start(tm, "g")
 	c.advance(3)
-	tm.Start("f") // recursive re-entry, two frames deep
+	start(tm, "f") // recursive re-entry, two frames deep
 	c.advance(4)
-	if err := tm.Stop("f"); err != nil {
+	if err := stop(tm, "f"); err != nil {
 		t.Fatal(err)
 	}
 	c.advance(1)
-	if err := tm.Stop("g"); err != nil {
+	if err := stop(tm, "g"); err != nil {
 		t.Fatal(err)
 	}
 	c.advance(2)
-	if err := tm.Stop("f"); err != nil {
+	if err := stop(tm, "f"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -307,14 +217,14 @@ func TestRecursionSelfTimeThroughNestedRegion(t *testing.T) {
 func TestFormatRegionsMatchesReport(t *testing.T) {
 	c := &fakeClock{}
 	tm := New(c.clock)
-	tm.Start("outer")
+	start(tm, "outer")
 	c.advance(7)
-	tm.Start("inner")
+	start(tm, "inner")
 	c.advance(3)
-	if err := tm.Stop("inner"); err != nil {
+	if err := stop(tm, "inner"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tm.Stop("outer"); err != nil {
+	if err := stop(tm, "outer"); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := FormatRegions(tm.Regions()), tm.Report(); got != want {
@@ -333,9 +243,9 @@ func TestTotalSelfDeterministic(t *testing.T) {
 	tm := New(c.clock)
 	for i, self := range []float64{0.1, 0.2, 0.3, 0.001, 7.7} {
 		name := fmt.Sprintf("r%d", i)
-		tm.Start(name)
+		start(tm, name)
 		c.advance(self)
-		if err := tm.Stop(name); err != nil {
+		if err := stop(tm, name); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,27 +276,32 @@ var handleEvents = []timerEvent{
 	{false, "f", 4}, {false, "f", 5}, {false, "f", 6}, {false, "main", 0},
 }
 
-// TestRegionHandlesMatchNames replays one event sequence through the
-// by-name API and through handles and requires identical statistics.
+// TestRegionHandlesMatchNames replays one event sequence twice, once
+// looking each region up by name at every event and once through
+// handles looked up in advance, and requires identical statistics.
 func TestRegionHandlesMatchNames(t *testing.T) {
-	replay := func(byHandle bool) *Timers {
+	replay := func(cached bool) *Timers {
 		c := &fakeClock{}
 		tm := New(c.clock)
-		tm.SetOverhead(0.125, c.advance)
+		handles := map[string]*Region{}
+		for _, ev := range handleEvents {
+			if cached && handles[ev.name] == nil {
+				handles[ev.name] = tm.Lookup(ev.name)
+			}
+		}
 		for k, ev := range handleEvents {
+			r := handles[ev.name]
+			if !cached {
+				r = tm.Lookup(ev.name)
+			}
 			var err error
-			switch {
-			case ev.start && byHandle:
-				tm.StartRegion(tm.Lookup(ev.name))
-			case ev.start:
-				tm.Start(ev.name)
-			case byHandle:
-				err = tm.StopRegion(tm.Lookup(ev.name))
-			default:
-				err = tm.Stop(ev.name)
+			if ev.start {
+				tm.StartRegion(r)
+			} else {
+				err = tm.StopRegion(r)
 			}
 			if err != nil {
-				t.Fatalf("event %d (handles=%v): %v", k, byHandle, err)
+				t.Fatalf("event %d (cached=%v): %v", k, cached, err)
 			}
 			c.advance(ev.dt)
 		}
@@ -407,7 +322,7 @@ func TestRegionHandlesMatchNames(t *testing.T) {
 	}
 }
 
-// TestStopRegionErrors: StopRegion fails with Stop's error texts.
+// TestStopRegionErrors pins StopRegion's error texts.
 func TestStopRegionErrors(t *testing.T) {
 	c := &fakeClock{}
 	tm := New(c.clock)
@@ -423,9 +338,8 @@ func TestStopRegionErrors(t *testing.T) {
 	}
 	tm.StartRegion(a)
 	tm.StartRegion(b)
-	want := errText(tm.Stop("a"))
-	if got := errText(tm.StopRegion(a)); got != want || got != `gptl: Stop("a") but innermost open region is "b"` {
-		t.Errorf("StopRegion of an outer region: %s, Stop gives %s", got, want)
+	if got, want := errText(tm.StopRegion(a)), `gptl: Stop("a") but innermost open region is "b"`; got != want {
+		t.Errorf("StopRegion of an outer region: %s, want %s", got, want)
 	}
 	if err := tm.StopRegion(b); err != nil {
 		t.Errorf("StopRegion of the innermost region: %v", err)

@@ -198,7 +198,7 @@ func runAllocs(t *testing.T, prog *ft.Program) uint64 {
 	t.Helper()
 	best := ^uint64(0)
 	for try := 0; try < 3; try++ {
-		in, err := New(prog, Config{Model: perfmodel.Default(), Engine: EngineVM})
+		in, err := New(prog, Config{Model: perfmodel.Default()})
 		if err != nil {
 			t.Fatal(err)
 		}

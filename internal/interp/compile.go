@@ -6,12 +6,14 @@ package interp
 // folded to a float constant, static type dispatch (operand kinds,
 // literal detection, intrinsic selection) is decided here, and recorder
 // callsites are bound to numerics.Site handles so instrumented runs pay
-// no per-event map lookups. The generated closures must reproduce the
-// tree-walker's observable behaviour exactly: evaluation order, charge
-// order and float association, recorder call sequences, error messages,
-// and partial effects before an error. Where the tree-walker makes a
-// dynamic decision (a runtime kind, a runtime Base check), the closure
-// makes the same dynamic decision rather than trusting static types.
+// no per-event map lookups. Every expression has a Value closure (the
+// boxed form), and the hot shapes also compile to unboxed closures
+// (compile_real.go, compile_bool.go, affine indices, integer argument
+// binding) that must match their Value closure exactly: evaluation
+// order, charge order and float association, recorder call sequences,
+// error messages, and partial effects before an error. The Value
+// closures make their kind and Base decisions at run time, from the
+// operand Values, rather than trusting static types.
 //
 // Recorder and cast attribution follow the *executing* procedure, which
 // is static for body statements (a statement of proc P always runs with
@@ -40,10 +42,15 @@ type compiler struct {
 	cp       *cprog
 	siteProc string // recorder attribution for the body being compiled
 	dyn      bool   // compiling decl inits: attribute to the dynamic caller
+	// boxed makes every unboxed form decline (realExpr, boolExpr, affine
+	// indices, integer argument binding and copy-out), so each expression
+	// runs the Value closure that is its fallback. Only tests compile
+	// boxed (newInterp), to check the unboxed forms against those closures.
+	boxed bool
 }
 
-func compileProgram(prog *ft.Program, model *perfmodel.Model, an *perfmodel.Analysis, rec *numerics.Recorder) *cprog {
-	c := &compiler{prog: prog, model: model, an: an, rec: rec}
+func compileProgram(prog *ft.Program, model *perfmodel.Model, an *perfmodel.Analysis, rec *numerics.Recorder, boxed bool) *cprog {
+	c := &compiler{prog: prog, model: model, an: an, rec: rec, boxed: boxed}
 	cp := &cprog{prog: prog, procs: make([]*cproc, len(prog.AllProcs))}
 	c.cp = cp
 	shadow := rec != nil
@@ -165,7 +172,8 @@ func (s rsite) discretize(m *vm, name string, primary, shadow int64) {
 
 // Slot access ---------------------------------------------------------------
 
-// readDecl compiles a slot read producing the tree-walker's Value view.
+// readDecl compiles a slot read producing the declaration's Value view.
+// Without a recorder a real's shadow reads as its primary.
 func (c *compiler) readDecl(d *ft.VarDecl) func(m *vm, fr *vframe) Value {
 	slot := d.Slot
 	kind := d.Kind
@@ -217,7 +225,7 @@ func (c *compiler) loadDecl(d *ft.VarDecl) vexpr {
 }
 
 // storeDecl compiles a scalar store. v must already be converted to the
-// declared type (convertScalar), matching Interp.storeScalar usage.
+// declared type (convertScalar).
 func (c *compiler) storeDecl(d *ft.VarDecl) func(m *vm, fr *vframe, v Value) {
 	slot := d.Slot
 	if d.Proc != nil {
@@ -281,15 +289,18 @@ func (c *compiler) storeIntDecl(d *ft.VarDecl) func(m *vm, fr *vframe, v int64) 
 }
 
 // errExpr compiles to a constant-error expression (the error fires at
-// evaluation time, like the tree-walker, not at compile time).
+// evaluation time, not at compile time).
 func errExpr(err error) vexpr {
 	return func(m *vm, fr *vframe) (Value, error) { return Value{}, err }
 }
 
 // Declarations --------------------------------------------------------------
 
-// declInit compiles one declaration's initialization (Interp.initDecl).
-// Initializer expressions attribute dynamically (see file comment).
+// declInit compiles one declaration's initialization: an array is
+// allocated from its bounds, evaluated in order (lower bound default 1,
+// a negative extent clamps to 0); a scalar takes its initializer
+// converted to the declared type, or zero. Initializer expressions
+// attribute dynamically (see file comment).
 func (c *compiler) declInit(d *ft.VarDecl) vinit {
 	savedDyn := c.dyn
 	c.dyn = true
@@ -433,9 +444,10 @@ func (c *compiler) expr(e ft.Expr) vexpr {
 	}
 }
 
-// eref is a compiled array element reference (Interp.elementRef). The
-// array is read straight from its declaration's slot: mod is the module
-// index of a module array, or arrLocal or arrUnresolved.
+// eref is a compiled array element reference. resolve evaluates the
+// indices in order, charging one OpIntALU after each, and checks bounds.
+// The array is read straight from its declaration's slot: mod is the
+// module index of a module array, or arrLocal or arrUnresolved.
 type eref struct {
 	slot, mod int32
 	affine    bool // rank 1 or 2 with every index affine: resolve's unboxed path
@@ -481,7 +493,7 @@ func (c *compiler) elemRef(e *ft.IndexExpr) *eref {
 		}
 	}
 	for k, ix := range e.Indices {
-		if affineIndex(ix) {
+		if affineIndex(ix) && !c.boxed {
 			r.idxs[k].i = c.intIndex(ix)
 		} else {
 			r.idxs[k].v = c.expr(ix)
@@ -688,8 +700,45 @@ func (c *compiler) unary(e *ft.UnExpr) vexpr {
 	}
 }
 
-// operandCast compiles Interp.chargeOperandCast to a charge closure
-// (nil when no charge applies).
+// isLiteral reports whether e is a compile-time constant whose kind
+// conversion is folded by the compiler (no runtime cast is charged).
+func isLiteral(e ft.Expr) bool {
+	switch e := e.(type) {
+	case *ft.IntLit, *ft.RealLit, *ft.LogicalLit:
+		return true
+	case *ft.UnExpr:
+		return isLiteral(e.X)
+	case *ft.VarRef:
+		return e.Decl != nil && e.Decl.IsParam
+	default:
+		return false
+	}
+}
+
+// assignAtom is the search-atom qualified name of an assignment target:
+// the declaration behind a real variable or array-element LHS ("" for
+// integer/logical targets, which are not atoms).
+func assignAtom(lhs ft.Expr, lt ft.Type) string {
+	if lt.Base != ft.TReal {
+		return ""
+	}
+	switch lhs := lhs.(type) {
+	case *ft.VarRef:
+		if lhs.Decl != nil {
+			return lhs.Decl.QName()
+		}
+	case *ft.IndexExpr:
+		if lhs.Arr != nil && lhs.Arr.Decl != nil {
+			return lhs.Arr.Decl.QName()
+		}
+	}
+	return ""
+}
+
+// operandCast compiles the charge that brings an operand of static type
+// at to the operation kind opKind: an integer converts (OpConv), a real
+// of another kind casts, a literal is folded and charges nothing. It
+// returns nil when no charge applies.
 func (c *compiler) operandCast(e ft.Expr, at ft.Type, opKind int) func(m *vm) {
 	if isLiteral(e) {
 		return nil
@@ -879,7 +928,7 @@ func (c *compiler) binary(e *ft.BinExpr) vexpr {
 		chargeOp = func(m *vm) { m.charge(cost) }
 	case ft.POW:
 		// x**n with a small constant integer exponent lowers to
-		// multiplies; anything else is a pow call (same as the walker).
+		// multiplies; anything else is a pow call.
 		if lit, ok := e.Y.(*ft.IntLit); ok && lit.Val >= 0 && lit.Val <= 4 {
 			costN := c.cost(perfmodel.OpMul, k) * float64(max64(lit.Val-1, 1))
 			chargeOp = func(m *vm) { m.charge(costN) }
@@ -958,8 +1007,8 @@ func (c *compiler) binary(e *ft.BinExpr) vexpr {
 
 // Intrinsics ----------------------------------------------------------------
 
-// argArrayGet compiles an intrinsic's array-argument resolution
-// (Interp.argArray).
+// argArrayGet compiles an intrinsic's array argument, which must be a
+// whole allocated array.
 func (c *compiler) argArrayGet(e ft.Expr) func(m *vm, fr *vframe) (*Array, error) {
 	ref, ok := e.(*ft.VarRef)
 	if !ok || ref.Decl == nil {
@@ -1398,8 +1447,8 @@ func (c *compiler) intrinsic(e *ft.CallExpr) vexpr {
 	}
 }
 
-// reduce is the VM's Interp.reduceArray: sum/minval/maxval priced as a
-// vectorized reduction over the array's kind.
+// reduce runs sum/minval/maxval, priced as a vectorized reduction over
+// the array's kind. A kind-4 sum accumulates in binary32.
 func (m *vm) reduce(name string, arr *Array, rs rsite) (Value, error) {
 	n := arr.Size()
 	vf := m.model.VecFactor(arr.Kind, false, true)
@@ -1477,8 +1526,8 @@ func (m *vm) reduce(name string, arr *Array, rs rsite) (Value, error) {
 	}
 }
 
-// dot is the VM's Interp.dotProduct: same-kind inputs run as a vector
-// reduction; mixed kinds run scalar with a cast per element.
+// dot runs dot_product: same-kind inputs run as a vector reduction;
+// mixed kinds run scalar with a cast per element.
 func (m *vm) dot(a, b *Array, kind int, pos ft.Pos, rs rsite) (Value, error) {
 	if a.Size() != b.Size() {
 		return Value{}, &RunError{Pos: pos, Kind: FailBounds,
@@ -1583,8 +1632,8 @@ type coRec struct {
 	off int
 }
 
-// argArrayBind compiles Interp.evalArgArray: bind an array actual to an
-// array dummy by reference, rebasing assumed-shape bounds to 1.
+// argArrayBind compiles the binding of an array actual to an array
+// dummy: by reference, with assumed-shape bounds rebased to 1.
 func (c *compiler) argArrayBind(argExpr ft.Expr, dummy *ft.VarDecl) func(m *vm, fr *vframe) (*Array, error) {
 	ref, ok := argExpr.(*ft.VarRef)
 	if !ok || ref.Decl == nil {
@@ -1643,8 +1692,10 @@ func (c *compiler) argArrayBind(argExpr ft.Expr, dummy *ft.VarDecl) func(m *vm, 
 	}
 }
 
-// ccall is one compiled user-procedure call: phases 1–4 of
-// Interp.invoke (bind, init, run, copy-out). The Value form (invoke)
+// ccall is one compiled user-procedure call, run in four phases: bind
+// the arguments, initialize the callee's locals, run its body, copy the
+// scalars out. A call not inlined first charges a branch and the call
+// overhead, each at the current vector factor. The Value form (invoke)
 // and the unboxed real form (realCall) share it and differ only in how
 // they read a function's result from the callee frame.
 type ccall struct {
@@ -1688,7 +1739,7 @@ func (c *compiler) callSite(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) *cca
 		p.lit = isLiteral(argExpr)
 		at := argExpr.Type()
 		switch {
-		case dummy.Base == ft.TInteger && affineIndex(argExpr):
+		case dummy.Base == ft.TInteger && affineIndex(argExpr) && !c.boxed:
 			p.ival = c.intIndex(argExpr)
 		case p.realDummy && at.Base == ft.TReal && at.Rank == 0:
 			// realExpr forms carry their static kind at run time, so the
@@ -1714,7 +1765,7 @@ func (c *compiler) callSite(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) *cca
 					p.outScalar = a.Decl
 					p.outType = a.Decl.Type()
 					p.outName = a.Decl.Name
-					p.intOut = p.outType.Base == ft.TInteger && dummy.Base == ft.TInteger
+					p.intOut = p.outType.Base == ft.TInteger && dummy.Base == ft.TInteger && !c.boxed
 					if p.outType.Base == ft.TReal || p.intOut {
 						p.outSlot, p.outMod = a.Decl.Slot, -1
 						if a.Decl.Proc == nil {
@@ -1830,7 +1881,8 @@ func (s *ccall) run(m *vm, fr, cf *vframe) error {
 
 	// Phase 3: execute, inside the callee's GPTL region. Its handle is
 	// looked up on the procedure's first call, so a procedure that never
-	// runs gets no region, exactly as with Timers.Start.
+	// runs gets no region. A call not inlined charges TimerOverhead
+	// before the region starts and again after it stops.
 	var region *gptl.Region
 	if m.timers != nil {
 		if !callee.inlined {
@@ -1849,9 +1901,9 @@ func (s *ccall) run(m *vm, fr, cf *vframe) error {
 	m.curProc = m.curProc[:len(m.curProc)-1]
 	m.depth--
 	if m.timers != nil {
-		// Stop reads the clock before the stop-event overhead is
-		// charged (mirroring gptl.Timers.Stop): the instrumentation cost
-		// lands in the caller, not inside the measured region.
+		// StopRegion reads the clock before the stop-event overhead is
+		// charged, so the instrumentation cost lands in the caller, not
+		// inside the measured region.
 		if terr := m.timers.StopRegion(region); terr != nil && err == nil {
 			err = &RunError{Pos: s.pos, Kind: FailInternal, Msg: terr.Error()}
 		}
@@ -1915,8 +1967,8 @@ func (s *ccall) run(m *vm, fr, cf *vframe) error {
 }
 
 // invoke compiles a user-procedure call to its Value form: arrays by
-// reference, scalars by copy-in/copy-out (Interp.invoke, phase for
-// phase), and a function's result read through readDecl.
+// reference, scalars by copy-in/copy-out (ccall), and a function's
+// result read through readDecl.
 func (c *compiler) invoke(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) vexpr {
 	s := c.callSite(proc, args, pos)
 	callee := s.callee
@@ -1950,7 +2002,8 @@ func (c *compiler) invoke(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) vexpr 
 // Statements ----------------------------------------------------------------
 
 // errStmt compiles to a statement that fails after the usual budget
-// check, preserving the tree-walker's step count and error timing.
+// check, so the failing statement still counts a step and a budget
+// timeout still takes precedence.
 func errStmt(pos ft.Pos, err error) vstmt {
 	return func(m *vm, fr *vframe) (control, error) {
 		if berr := m.checkBudget(pos); berr != nil {
@@ -1968,8 +2021,8 @@ func (c *compiler) stmts(list []ft.Stmt) []vstmt {
 	return out
 }
 
-// stmt compiles one statement. Every compiled statement begins with the
-// budget check Interp.execStmt performs before dispatch.
+// stmt compiles one statement. Every compiled statement begins with a
+// budget check (vm.checkBudget), which also counts the step.
 func (c *compiler) stmt(s ft.Stmt) vstmt {
 	pos := s.StmtPos()
 	switch s := s.(type) {
@@ -2149,8 +2202,8 @@ func (c *compiler) doWhile(s *ft.DoWhileStmt) vstmt {
 	cond := c.cond(s.Cond)
 	body := c.stmts(s.Body)
 	return func(m *vm, fr *vframe) (control, error) {
-		// Statement-entry check first (Interp.execStmt does one before
-		// dispatching to execDoWhile), then one per loop-top test.
+		// The statement-entry check first, as for every statement, then
+		// one per loop-top test.
 		if err := m.checkBudget(pos); err != nil {
 			return ctlNone, err
 		}
@@ -2219,8 +2272,12 @@ func (c *compiler) callStmt(s *ft.CallStmt) vstmt {
 	}
 }
 
-// assign compiles scalar and whole-array assignment (Interp.execAssign
-// and execArrayAssign).
+// assign compiles scalar and whole-array assignment. A scalar
+// assignment pushes its target atom for the recorder, evaluates the
+// right-hand side, charges the store's conversion (OpConv between
+// integer and real, a cast between real kinds unless the right-hand
+// side is a literal), then converts and stores, trapping non-finite
+// reals when TrapNonFinite is set.
 func (c *compiler) assign(s *ft.AssignStmt) vstmt {
 	lt := s.LHS.Type()
 	if lt.Rank > 0 {

@@ -35,6 +35,9 @@ func (c *compiler) cond(e ft.Expr) vbool {
 // (isnan, logical functions, integer operands with /, mod or unary
 // minus, real operands realExpr rejects) returns nil.
 func (c *compiler) boolExpr(e ft.Expr) vbool {
+	if c.boxed {
+		return nil
+	}
 	switch e := e.(type) {
 	case *ft.LogicalLit:
 		v := e.Val

@@ -32,6 +32,9 @@ type vreals func(m *vm, fr *vframe) (float64, float64, error)
 // affine operands, functions without a real scalar result, most
 // multi-argument intrinsics, ...).
 func (c *compiler) realExpr(e ft.Expr) vreals {
+	if c.boxed {
+		return nil
+	}
 	switch e := e.(type) {
 	case *ft.RealLit:
 		f, s := convertReal(e.Val, e.Kind), e.Val

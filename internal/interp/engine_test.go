@@ -1,20 +1,29 @@
 package interp
 
-// Differential tests pinning the bit-for-bit contract between the
-// closure-compiled VM (EngineVM) and the reference tree-walker
-// (EngineAST): identical results, cycle totals, step counts, cast
-// attribution, PRINT output, GPTL reports, and numerics profiles, on
-// every bundled model source and on randomized programs.
+// Differential tests of the VM. Every case runs twice, compiled unboxed
+// (the default) and boxed (every unboxed form declines, so each
+// expression runs the Value closure that is its fallback), and the two
+// runs must agree on everything observable: error text, cycle totals,
+// steps, casts and their per-procedure attribution, PRINT output, GPTL
+// reports, numerics profiles and every module global, bit for bit. Both
+// runs must also match the case's golden digest in testdata/runs.golden,
+// which the reference tree-walker wrote before it was deleted.
 
 import (
+	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	ft "repro/internal/fortran"
@@ -33,18 +42,34 @@ type engineRun struct {
 	profile []byte
 }
 
-func runEngine(t *testing.T, prog *ft.Program, eng Engine, withNumerics, trap bool) *engineRun {
+// runOpts configures one differential run.
+type runOpts struct {
+	numerics, trap bool
+	budget         float64
+}
+
+// compileName names a compile mode in failure messages.
+func compileName(boxed bool) string {
+	if boxed {
+		return "boxed"
+	}
+	return "unboxed"
+}
+
+// runVM runs prog compiled unboxed or boxed and captures what it shows.
+func runVM(t *testing.T, prog *ft.Program, boxed bool, o runOpts) *engineRun {
 	t.Helper()
 	var out bytes.Buffer
-	cfg := Config{Model: perfmodel.Default(), Profile: true, Stdout: &out, Engine: eng, TrapNonFinite: trap}
+	cfg := Config{Model: perfmodel.Default(), Profile: true, Stdout: &out,
+		TrapNonFinite: o.trap, CycleBudget: o.budget}
 	var rec *numerics.Recorder
-	if withNumerics {
+	if o.numerics {
 		rec = numerics.NewRecorder("prog.ft", numerics.Options{})
 		cfg.Numerics = rec
 	}
-	in, err := New(prog, cfg)
+	in, err := newInterp(prog, cfg, boxed)
 	if err != nil {
-		t.Fatalf("New(%v): %v", eng, err)
+		t.Fatalf("New(%s): %v", compileName(boxed), err)
 	}
 	res, rerr := in.Run()
 	r := &engineRun{in: in, res: res, stdout: out.Bytes()}
@@ -64,106 +89,293 @@ func runEngine(t *testing.T, prog *ft.Program, eng Engine, withNumerics, trap bo
 	return r
 }
 
-// compareEngines runs prog under both engines with identical configs
-// and fails on any observable divergence. Comparisons are exact (bit
-// patterns, not tolerances): the engines must agree down to float
-// accumulation order. It returns the run's error text ("" for none).
-func compareEngines(t *testing.T, prog *ft.Program, withNumerics, trap bool) string {
+// compareEngines is diffEngines returning only the run's error text
+// ("" for none).
+func compareEngines(t *testing.T, prog *ft.Program, src string, o runOpts) string {
 	t.Helper()
-	return diffEngines(t, prog, withNumerics, trap).errStr
+	return diffEngines(t, prog, src, o).errStr
 }
 
-// diffEngines is compareEngines returning the tree-walker's run.
-func diffEngines(t *testing.T, prog *ft.Program, withNumerics, trap bool) *engineRun {
+// diffEngines runs prog unboxed and boxed with identical configs, fails
+// on any observable divergence, and checks both runs against the golden
+// digest of the calling subtest (src is the program's source text). It
+// returns the unboxed run.
+func diffEngines(t *testing.T, prog *ft.Program, src string, o runOpts) *engineRun {
 	t.Helper()
-	ast := runEngine(t, prog, EngineAST, withNumerics, trap)
-	vm := runEngine(t, prog, EngineVM, withNumerics, trap)
+	unboxed := runVM(t, prog, false, o)
+	boxed := runVM(t, prog, true, o)
+	diffRuns(t, prog, o.numerics, unboxed, boxed)
+	checkGolden(t, src, prog, o.numerics, unboxed, boxed)
+	return unboxed
+}
 
-	if ast.errStr != vm.errStr {
-		t.Fatalf("run error diverged:\n  ast: %q\n  vm:  %q", ast.errStr, vm.errStr)
+// diffRuns fails on any observable divergence between the unboxed run
+// a and the boxed run b. Comparisons are exact (bit patterns, not
+// tolerances): the runs must agree down to float accumulation order.
+func diffRuns(t *testing.T, prog *ft.Program, withNumerics bool, a, b *engineRun) {
+	t.Helper()
+	if a.errStr != b.errStr {
+		t.Fatalf("run error diverged:\n  unboxed: %q\n  boxed:   %q", a.errStr, b.errStr)
 	}
-	if b1, b2 := math.Float64bits(ast.res.Cycles), math.Float64bits(vm.res.Cycles); b1 != b2 {
-		t.Errorf("cycles diverged: ast %.17g vm %.17g", ast.res.Cycles, vm.res.Cycles)
+	if b1, b2 := math.Float64bits(a.res.Cycles), math.Float64bits(b.res.Cycles); b1 != b2 {
+		t.Errorf("cycles diverged: unboxed %.17g boxed %.17g", a.res.Cycles, b.res.Cycles)
 	}
-	if ast.res.Casts != vm.res.Casts {
-		t.Errorf("casts diverged: ast %d vm %d", ast.res.Casts, vm.res.Casts)
+	if a.res.Casts != b.res.Casts {
+		t.Errorf("casts diverged: unboxed %d boxed %d", a.res.Casts, b.res.Casts)
 	}
-	if math.Float64bits(ast.res.CastCycles) != math.Float64bits(vm.res.CastCycles) {
-		t.Errorf("cast cycles diverged: ast %.17g vm %.17g", ast.res.CastCycles, vm.res.CastCycles)
+	if math.Float64bits(a.res.CastCycles) != math.Float64bits(b.res.CastCycles) {
+		t.Errorf("cast cycles diverged: unboxed %.17g boxed %.17g", a.res.CastCycles, b.res.CastCycles)
 	}
-	if ast.res.Steps != vm.res.Steps {
-		t.Errorf("steps diverged: ast %d vm %d", ast.res.Steps, vm.res.Steps)
+	if a.res.Steps != b.res.Steps {
+		t.Errorf("steps diverged: unboxed %d boxed %d", a.res.Steps, b.res.Steps)
 	}
-	if len(ast.res.ProcCastCycles) != len(vm.res.ProcCastCycles) {
-		t.Errorf("proc cast attribution diverged:\n  ast: %v\n  vm:  %v",
-			ast.res.ProcCastCycles, vm.res.ProcCastCycles)
+	if len(a.res.ProcCastCycles) != len(b.res.ProcCastCycles) {
+		t.Errorf("proc cast attribution diverged:\n  unboxed: %v\n  boxed:   %v",
+			a.res.ProcCastCycles, b.res.ProcCastCycles)
 	}
-	for q, c := range ast.res.ProcCastCycles {
-		vc, ok := vm.res.ProcCastCycles[q]
-		if !ok || math.Float64bits(c) != math.Float64bits(vc) {
-			t.Errorf("proc cast cycles for %s diverged: ast %.17g vm %.17g (present=%v)", q, c, vc, ok)
+	for q, c := range a.res.ProcCastCycles {
+		bc, ok := b.res.ProcCastCycles[q]
+		if !ok || math.Float64bits(c) != math.Float64bits(bc) {
+			t.Errorf("proc cast cycles for %s diverged: unboxed %.17g boxed %.17g (present=%v)", q, c, bc, ok)
 		}
 	}
-	if !bytes.Equal(ast.stdout, vm.stdout) {
-		t.Errorf("PRINT output diverged:\n  ast: %q\n  vm:  %q", ast.stdout, vm.stdout)
+	if !bytes.Equal(a.stdout, b.stdout) {
+		t.Errorf("PRINT output diverged:\n  unboxed: %q\n  boxed:   %q", a.stdout, b.stdout)
 	}
-	if ast.timers != vm.timers {
-		t.Errorf("GPTL report diverged:\n--- ast ---\n%s\n--- vm ---\n%s", ast.timers, vm.timers)
+	if a.timers != b.timers {
+		t.Errorf("GPTL report diverged:\n--- unboxed ---\n%s\n--- boxed ---\n%s", a.timers, b.timers)
 	}
-	if !bytes.Equal(ast.profile, vm.profile) {
-		t.Errorf("numerics profile diverged:\n  ast: %s\n  vm:  %s", ast.profile, vm.profile)
+	if !bytes.Equal(a.profile, b.profile) {
+		t.Errorf("numerics profile diverged:\n  unboxed: %s\n  boxed:   %s", a.profile, b.profile)
 	}
-	compareGlobals(t, prog, ast.in, vm.in, withNumerics)
-	return ast
+	compareGlobals(t, prog, a.in, b.in, withNumerics)
 }
 
-func compareGlobals(t *testing.T, prog *ft.Program, ast, vm *Interp, withNumerics bool) {
+func compareGlobals(t *testing.T, prog *ft.Program, a, b *Interp, withNumerics bool) {
 	t.Helper()
 	for _, mod := range prog.Modules {
 		for _, d := range mod.Decls {
 			q := d.QName()
-			av, _ := ast.Global(q)
-			vv, _ := vm.Global(q)
-			if (av.Arr == nil) != (vv.Arr == nil) {
-				t.Errorf("global %s: array allocation diverged (ast nil=%v vm nil=%v)",
-					q, av.Arr == nil, vv.Arr == nil)
+			av, _ := a.Global(q)
+			bv, _ := b.Global(q)
+			if (av.Arr == nil) != (bv.Arr == nil) {
+				t.Errorf("global %s: array allocation diverged (unboxed nil=%v boxed nil=%v)",
+					q, av.Arr == nil, bv.Arr == nil)
 				continue
 			}
 			if av.Arr != nil {
-				a, b := av.Arr, vv.Arr
-				if len(a.Data) != len(b.Data) {
-					t.Errorf("global %s: array size diverged (%d vs %d)", q, len(a.Data), len(b.Data))
+				x, y := av.Arr, bv.Arr
+				if len(x.Data) != len(y.Data) {
+					t.Errorf("global %s: array size diverged (%d vs %d)", q, len(x.Data), len(y.Data))
 					continue
 				}
-				for k := range a.Data {
-					if math.Float64bits(a.Data[k]) != math.Float64bits(b.Data[k]) {
-						t.Errorf("global %s[%d]: ast %.17g vm %.17g", q, k, a.Data[k], b.Data[k])
+				for k := range x.Data {
+					if math.Float64bits(x.Data[k]) != math.Float64bits(y.Data[k]) {
+						t.Errorf("global %s[%d]: unboxed %.17g boxed %.17g", q, k, x.Data[k], y.Data[k])
 						break
 					}
 				}
 				if withNumerics {
-					if (a.Shadow == nil) != (b.Shadow == nil) {
+					if (x.Shadow == nil) != (y.Shadow == nil) {
 						t.Errorf("global %s: shadow allocation diverged", q)
 						continue
 					}
-					for k := range a.Shadow {
-						if math.Float64bits(a.Shadow[k]) != math.Float64bits(b.Shadow[k]) {
-							t.Errorf("global %s shadow[%d]: ast %.17g vm %.17g", q, k, a.Shadow[k], b.Shadow[k])
+					for k := range x.Shadow {
+						if math.Float64bits(x.Shadow[k]) != math.Float64bits(y.Shadow[k]) {
+							t.Errorf("global %s shadow[%d]: unboxed %.17g boxed %.17g", q, k, x.Shadow[k], y.Shadow[k])
 							break
 						}
 					}
 				}
 				continue
 			}
-			if math.Float64bits(av.F) != math.Float64bits(vv.F) || av.I != vv.I || av.B != vv.B {
-				t.Errorf("global %s diverged: ast {F:%.17g I:%d B:%v} vm {F:%.17g I:%d B:%v}",
-					q, av.F, av.I, av.B, vv.F, vv.I, vv.B)
+			if math.Float64bits(av.F) != math.Float64bits(bv.F) || av.I != bv.I || av.B != bv.B {
+				t.Errorf("global %s diverged: unboxed {F:%.17g I:%d B:%v} boxed {F:%.17g I:%d B:%v}",
+					q, av.F, av.I, av.B, bv.F, bv.I, bv.B)
 			}
 			// The shadow lane is only defined under a recorder; without
-			// one the engines are free to report F there.
-			if withNumerics && math.Float64bits(av.Sh) != math.Float64bits(vv.Sh) {
-				t.Errorf("global %s shadow diverged: ast %.17g vm %.17g", q, av.Sh, vv.Sh)
+			// one a run is free to report F there.
+			if withNumerics && math.Float64bits(av.Sh) != math.Float64bits(bv.Sh) {
+				t.Errorf("global %s shadow diverged: unboxed %.17g boxed %.17g", q, av.Sh, bv.Sh)
 			}
+		}
+	}
+}
+
+// digest hashes everything diffRuns compares, in a fixed order with
+// every variable-length field length-prefixed. Shadow lanes are hashed
+// only with numerics on, where they are defined; a nil shadow array
+// hashes as its length 0 without the marker 1. The encoding is frozen:
+// testdata/runs.golden was written with it.
+func (r *engineRun) digest(prog *ft.Program, withNumerics bool) string {
+	h := sha256.New()
+	num := func(u uint64) { binary.Write(h, binary.LittleEndian, u) }
+	str := func(b []byte) { num(uint64(len(b))); h.Write(b) }
+	bits := func(f float64) { num(math.Float64bits(f)) }
+	str([]byte(r.errStr))
+	bits(r.res.Cycles)
+	bits(r.res.CastCycles)
+	num(uint64(r.res.Steps))
+	num(uint64(r.res.Casts))
+	procs := make([]string, 0, len(r.res.ProcCastCycles))
+	for q := range r.res.ProcCastCycles {
+		procs = append(procs, q)
+	}
+	sort.Strings(procs)
+	num(uint64(len(procs)))
+	for _, q := range procs {
+		str([]byte(q))
+		bits(r.res.ProcCastCycles[q])
+	}
+	str(r.stdout)
+	str([]byte(r.timers))
+	str(r.profile)
+	for _, mod := range prog.Modules {
+		for _, d := range mod.Decls {
+			q := d.QName()
+			v, _ := r.in.Global(q)
+			str([]byte(q))
+			if v.Arr == nil {
+				num(0)
+				bits(v.F)
+				num(uint64(v.I))
+				if v.B {
+					num(1)
+				} else {
+					num(0)
+				}
+				if withNumerics {
+					bits(v.Sh)
+				}
+				continue
+			}
+			num(1)
+			num(uint64(len(v.Arr.Data)))
+			for _, f := range v.Arr.Data {
+				bits(f)
+			}
+			if withNumerics {
+				num(uint64(len(v.Arr.Shadow)))
+				if v.Arr.Shadow != nil {
+					num(1)
+				}
+				for _, f := range v.Arr.Shadow {
+					bits(f)
+				}
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:16])
+}
+
+// sourceDigest identifies a case's program: a golden digest is only a
+// verdict on the program it was written for.
+func sourceDigest(src string) string {
+	sum := sha256.Sum256([]byte(src))
+	return hex.EncodeToString(sum[:16])
+}
+
+// goldenPath holds one line per differential case: the subtest name,
+// the digest of the program's source and the digest of its run.
+const goldenPath = "testdata/runs.golden"
+
+var (
+	goldenOnce sync.Once
+	goldens    map[string][2]string
+	goldenErr  error
+)
+
+// loadGoldens reads goldenPath once.
+func loadGoldens() (map[string][2]string, error) {
+	goldenOnce.Do(func() {
+		f, err := os.Open(goldenPath)
+		if err != nil {
+			goldenErr = err
+			return
+		}
+		defer f.Close()
+		goldens = map[string][2]string{}
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			line := sc.Text()
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			fields := strings.Fields(line)
+			if len(fields) != 3 {
+				goldenErr = fmt.Errorf("%s: malformed line %q", goldenPath, line)
+				return
+			}
+			goldens[fields[0]] = [2]string{fields[1], fields[2]}
+		}
+		goldenErr = sc.Err()
+	})
+	return goldens, goldenErr
+}
+
+// checkGolden checks the unboxed and boxed runs of the calling subtest
+// against its golden digest. A case the goldens do not hold (a seed
+// added after they were written) is checked by diffRuns alone.
+func checkGolden(t *testing.T, src string, prog *ft.Program, withNumerics bool, unboxed, boxed *engineRun) {
+	t.Helper()
+	gs, err := loadGoldens()
+	if err != nil {
+		t.Fatalf("load goldens: %v", err)
+	}
+	want, ok := gs[t.Name()]
+	tally(t, ok)
+	if !ok {
+		return
+	}
+	if got := sourceDigest(src); got != want[0] {
+		t.Fatalf("program source digest %s, golden %s: the program changed since its golden was written "+
+			"(add new generator forms under new seeds, never by editing an existing seed's program)", got, want[0])
+	}
+	for _, r := range []struct {
+		boxed bool
+		run   *engineRun
+	}{{false, unboxed}, {true, boxed}} {
+		if got := r.run.digest(prog, withNumerics); got != want[1] {
+			t.Errorf("%s run digest %s, golden %s", compileName(r.boxed), got, want[1])
+		}
+	}
+}
+
+// tallies counts, by suite, the differential cases run and the golden
+// digests checked. The suites run their subtests one at a time.
+var tallies = map[string]*[2]int{}
+
+// tally counts a differential case of the calling subtest's suite, and
+// whether its golden was checked.
+func tally(t *testing.T, checked bool) {
+	if c := tallies[strings.SplitN(t.Name(), "/", 2)[0]]; c != nil {
+		c[0]++
+		if checked {
+			c[1]++
+		}
+	}
+}
+
+// trackGoldens starts counting the cases of suite t. The returned func
+// fails, after a run that selected every case, unless every golden of t
+// was checked, so a renamed subtest cannot silently skip its golden.
+func trackGoldens(t *testing.T) func() {
+	c := &[2]int{}
+	tallies[t.Name()] = c
+	return func() {
+		t.Helper()
+		gs, err := loadGoldens()
+		if err != nil {
+			t.Fatalf("load goldens: %v", err)
+		}
+		want := 0
+		for k := range gs {
+			if strings.SplitN(k, "/", 2)[0] == t.Name() {
+				want++
+			}
+		}
+		if c[0] >= want && c[1] != want {
+			t.Errorf("%d cases checked a golden digest, testdata holds %d for %s", c[1], want, t.Name())
 		}
 	}
 }
@@ -184,32 +396,43 @@ func parseModelFile(t *testing.T, path string) *ft.Program {
 	return prog
 }
 
-// TestEngineDifferentialModels runs every bundled model source through
-// both engines, with and without shadow execution, along with two of
-// its lowerings: uniform 32-bit, the cast-heaviest variant the tuner
-// ever builds, and a partial one (every other atom at kind 4) whose
-// mismatched call sites go through generated wrappers, as most variants
-// a tune evaluates do.
+// TestEngineDifferentialModels runs every bundled model source, with
+// and without shadow execution, along with two of its lowerings:
+// uniform 32-bit, the cast-heaviest variant the tuner ever builds, and
+// a partial one (every other atom at kind 4) whose mismatched call
+// sites go through generated wrappers, as most variants a tune
+// evaluates do. A case's source digest hashes ft.Print of the program
+// that ran.
 func TestEngineDifferentialModels(t *testing.T) {
 	files, err := filepath.Glob("../models/src/*.ft")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no model sources found: %v", err)
 	}
 	wantWrappers := map[string]int{"adcirc.ft": 5, "funarc.ft": 0, "mom6.ft": 7, "mpas_a.ft": 11}
+	allGoldens := trackGoldens(t)
 	for _, f := range files {
 		f := f
 		t.Run(filepath.Base(f), func(t *testing.T) {
 			prog := parseModelFile(t, f)
-			compareEngines(t, prog, false, false)
-			compareEngines(t, prog, true, false)
+			// both runs the program with numerics off and on and returns
+			// the two outcomes.
+			both := func(variant string, prog *ft.Program) (string, string) {
+				var msg [2]string
+				for k, num := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%s/numerics=%v", variant, num), func(t *testing.T) {
+						msg[k] = compareEngines(t, prog, ft.Print(prog), runOpts{numerics: num})
+					})
+				}
+				return msg[0], msg[1]
+			}
+			both("source", prog)
 
 			atoms := transform.Atoms(prog)
 			v, err := transform.Apply(prog, transform.Uniform(atoms, 4))
 			if err != nil {
 				t.Fatalf("uniform-32 transform: %v", err)
 			}
-			compareEngines(t, v.Prog, false, false)
-			compareEngines(t, v.Prog, true, false)
+			both("uniform-32", v.Prog)
 
 			mixed := transform.Assignment{}
 			for k := 0; k < len(atoms); k += 2 {
@@ -222,59 +445,47 @@ func TestEngineDifferentialModels(t *testing.T) {
 			if want, ok := wantWrappers[filepath.Base(f)]; !ok || v.Wrappers != want {
 				t.Errorf("alternate-atom lowering generated %d wrappers, want %d (known model: %v)", v.Wrappers, want, ok)
 			}
-			msg := compareEngines(t, v.Prog, false, false)
-			if num := compareEngines(t, v.Prog, true, false); num != msg {
+			msg, num := both("alternate-atom", v.Prog)
+			if num != msg {
 				t.Errorf("alternate-atom lowering: numerics changed the outcome: %q, without %q", num, msg)
 			}
 			t.Logf("alternate-atom lowering: %d wrappers, outcome %q", v.Wrappers, msg)
 		})
 	}
+	allGoldens()
 }
 
-// TestEngineDifferentialBudget pins that both engines time out at the
-// same statement with the same error when a cycle budget truncates a
-// model run mid-flight.
+// TestEngineDifferentialBudget pins that a cycle budget truncating a
+// model run mid-flight stops it at the same statement with the same
+// error, unboxed and boxed. Profile is on, as in the baseline
+// measurement, so timer overhead is part of the cycle count.
 func TestEngineDifferentialBudget(t *testing.T) {
-	prog := parseModelFile(t, "../models/src/funarc.ft")
-	full := runEngine(t, prog, EngineAST, false, false)
+	path := "../models/src/funarc.ft"
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := parseModelFile(t, path)
+	full := runVM(t, prog, false, runOpts{})
 	if full.errStr != "" {
 		t.Fatalf("unbudgeted run failed: %s", full.errStr)
 	}
+	allGoldens := trackGoldens(t)
 	for _, frac := range []float64{0.1, 0.5, 0.9} {
-		budget := full.res.Cycles * frac
-		run := func(eng Engine) (*Result, string) {
-			// Profile on, matching the baseline measurement (timer
-			// overhead is part of the cycle count).
-			in, err := New(prog, Config{Model: perfmodel.Default(), Profile: true, CycleBudget: budget, Engine: eng})
-			if err != nil {
-				t.Fatal(err)
+		t.Run(fmt.Sprintf("frac=%v", frac), func(t *testing.T) {
+			budget := full.res.Cycles * frac
+			if compareEngines(t, prog, string(src), runOpts{budget: budget}) == "" {
+				t.Fatalf("budget %.0f did not trip", budget)
 			}
-			res, rerr := in.Run()
-			msg := ""
-			if rerr != nil {
-				msg = rerr.Error()
-			}
-			return res, msg
-		}
-		ares, aerr := run(EngineAST)
-		vres, verr := run(EngineVM)
-		if aerr == "" {
-			t.Fatalf("budget %.0f did not trip", budget)
-		}
-		if aerr != verr {
-			t.Errorf("budget error diverged:\n  ast: %q\n  vm:  %q", aerr, verr)
-		}
-		if math.Float64bits(ares.Cycles) != math.Float64bits(vres.Cycles) || ares.Steps != vres.Steps {
-			t.Errorf("budget %.0f: partial progress diverged: ast (%.17g cycles, %d steps) vm (%.17g cycles, %d steps)",
-				budget, ares.Cycles, ares.Steps, vres.Cycles, vres.Steps)
-		}
+		})
 	}
+	allGoldens()
 }
 
 // TestEngineDifferentialProperty feeds randomized scalar expression
-// programs through both engines and requires bit-identical results and
-// cycle totals. The grammar leans on the operations with the trickiest
-// rounding behaviour: kind-4 arithmetic, **, and transcendentals.
+// programs through the differential check. The grammar leans on the
+// operations with the trickiest rounding behaviour: kind-4 arithmetic,
+// **, and transcendentals.
 func TestEngineDifferentialProperty(t *testing.T) {
 	ops := []string{"+", "-", "*", "/"}
 	uns := []string{"sqrt(abs(%s))", "sin(%s)", "cos(%s)", "exp(min(%s, 4.0_8))", "abs(%s)", "-(%s)",
@@ -310,6 +521,7 @@ func TestEngineDifferentialProperty(t *testing.T) {
 			return fmt.Sprintf("(%s)", fmt.Sprintf(pows[next(len(pows))], gen(depth-1)))
 		}
 	}
+	allGoldens := trackGoldens(t)
 	for i := 0; i < 120; i++ {
 		kind := 4 + 4*next(2)
 		x := float64(next(4000)-2000) / 128
@@ -336,31 +548,15 @@ end program p
 		if _, err := ft.Analyze(prog, ft.Options{}); err != nil {
 			t.Fatalf("analyze: %v\n%s", err, src)
 		}
-		for _, withNumerics := range []bool{false, true} {
-			ast := runEngine(t, prog, EngineAST, withNumerics, false)
-			vm := runEngine(t, prog, EngineVM, withNumerics, false)
-			if ast.errStr != vm.errStr {
-				t.Fatalf("case %d (numerics=%v) error diverged:\n  ast: %q\n  vm: %q\nexpr: %s",
-					i, withNumerics, ast.errStr, vm.errStr, expr)
-			}
-			ar, _ := ast.in.GlobalFloat("e.r_out")
-			vr, _ := vm.in.GlobalFloat("e.r_out")
-			if math.Float64bits(ar) != math.Float64bits(vr) {
-				t.Errorf("case %d (numerics=%v) result diverged: ast %.17g vm %.17g\nexpr: %s",
-					i, withNumerics, ar, vr, expr)
-			}
-			if math.Float64bits(ast.res.Cycles) != math.Float64bits(vm.res.Cycles) ||
-				ast.res.Steps != vm.res.Steps || ast.res.Casts != vm.res.Casts {
-				t.Errorf("case %d (numerics=%v) accounting diverged: ast (%.17g, %d, %d) vm (%.17g, %d, %d)\nexpr: %s",
-					i, withNumerics, ast.res.Cycles, ast.res.Steps, ast.res.Casts,
-					vm.res.Cycles, vm.res.Steps, vm.res.Casts, expr)
-			}
-			if !bytes.Equal(ast.profile, vm.profile) {
-				t.Errorf("case %d numerics profile diverged\nexpr: %s\n  ast: %s\n  vm:  %s",
-					i, expr, ast.profile, vm.profile)
+		for _, num := range []bool{false, true} {
+			if !t.Run(fmt.Sprintf("case%d/numerics=%v", i, num), func(t *testing.T) {
+				compareEngines(t, prog, src, runOpts{numerics: num})
+			}) {
+				t.Logf("case %d expr: %s", i, expr)
 			}
 		}
 	}
+	allGoldens()
 }
 
 // TestEngineDifferentialCalls feeds seeded programs built around the
@@ -376,6 +572,7 @@ end program p
 func TestEngineDifferentialCalls(t *testing.T) {
 	tally, tallied := map[string]int{}, 0
 	formTally := map[string]int{}
+	allGoldens := trackGoldens(t)
 	for seed := 1; seed <= 120; seed++ {
 		src, forms := genCallProgram(uint64(seed))
 		for f := range forms {
@@ -392,7 +589,7 @@ func TestEngineDifferentialCalls(t *testing.T) {
 			for _, num := range []bool{false, true} {
 				name := fmt.Sprintf("seed%d/trap=%v/numerics=%v", seed, trap, num)
 				ok := t.Run(name, func(t *testing.T) {
-					msg := compareEngines(t, prog, num, trap)
+					msg := compareEngines(t, prog, src, runOpts{numerics: num, trap: trap})
 					if trap && !num {
 						tally[callOutcome(msg)]++
 						tallied++
@@ -404,6 +601,7 @@ func TestEngineDifferentialCalls(t *testing.T) {
 			}
 		}
 	}
+	allGoldens()
 	// Every function-call form the generator was built for must occur.
 	t.Logf("programs containing each call form: %v", formTally)
 	for form, least := range map[string]int{"scalar-rhs": 10, "element-rhs": 10, "abs-arg": 5, "sign-arg": 5, "nested": 5} {
@@ -792,6 +990,7 @@ func genCallProgram(seed uint64) (string, map[string]bool) {
 func TestEngineDifferentialConditions(t *testing.T) {
 	tally, tallied, diverged := map[string]int{}, 0, 0
 	formTally := map[string]int{}
+	allGoldens := trackGoldens(t)
 	for seed := 1; seed <= 120; seed++ {
 		src, forms := genCondProgram(uint64(seed))
 		for f := range forms {
@@ -808,7 +1007,7 @@ func TestEngineDifferentialConditions(t *testing.T) {
 			for _, num := range []bool{false, true} {
 				name := fmt.Sprintf("seed%d/trap=%v/numerics=%v", seed, trap, num)
 				ok := t.Run(name, func(t *testing.T) {
-					run := diffEngines(t, prog, num, trap)
+					run := diffEngines(t, prog, src, runOpts{numerics: num, trap: trap})
 					if trap && !num {
 						tally[condOutcome(run.errStr)]++
 						tallied++
@@ -829,6 +1028,7 @@ func TestEngineDifferentialConditions(t *testing.T) {
 			}
 		}
 	}
+	allGoldens()
 	t.Logf("programs containing each form: %v", formTally)
 	for _, form := range []string{"if-else", "else-if", "do-while", "and", "or", "not", "logical-local",
 		"logical-module", "int-affine", "int-value", "real-k4", "real-k8", "real-mixed", "int-real",
@@ -1177,7 +1377,7 @@ program main
 }
 
 // TestCycleBudgetBoundary pins the budget contract documented on
-// Config.CycleBudget for both engines: the boundary is inclusive, so a
+// Config.CycleBudget, unboxed and boxed: the boundary is inclusive, so a
 // statement beginning at exactly CycleBudget cycles does not execute,
 // while a budget one ulp higher admits it.
 func TestCycleBudgetBoundary(t *testing.T) {
@@ -1201,40 +1401,41 @@ end program p
 		ft.MustAnalyze(prog, ft.Options{})
 		return prog
 	}
-	run := func(eng Engine, src string, budget float64) (*Result, error) {
-		in, err := New(build(src), Config{Model: perfmodel.Default(), CycleBudget: budget, Engine: eng})
+	run := func(boxed bool, src string, budget float64) (*Result, error) {
+		in, err := newInterp(build(src), Config{Model: perfmodel.Default(), CycleBudget: budget}, boxed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return in.Run()
 	}
-	for _, eng := range []Engine{EngineAST, EngineVM} {
-		res1, err := run(eng, prefix, 0)
+	for _, boxed := range []bool{false, true} {
+		mode := compileName(boxed)
+		res1, err := run(boxed, prefix, 0)
 		if err != nil {
-			t.Fatalf("%v: prefix run: %v", eng, err)
+			t.Fatalf("%s: prefix run: %v", mode, err)
 		}
 		c1 := res1.Cycles
 
 		// Exactly at the boundary: the second statement must not run.
-		res2, err := run(eng, full, c1)
+		res2, err := run(boxed, full, c1)
 		if err == nil {
-			t.Fatalf("%v: budget %.17g did not stop the second statement", eng, c1)
+			t.Fatalf("%s: budget %.17g did not stop the second statement", mode, c1)
 		}
 		var re *RunError
 		if !errors.As(err, &re) || re.Kind != FailTimeout {
-			t.Fatalf("%v: want FailTimeout, got %v", eng, err)
+			t.Fatalf("%s: want FailTimeout, got %v", mode, err)
 		}
 		if res2.Steps != res1.Steps {
-			t.Errorf("%v: partial steps %d, want %d (timeout before the statement counts)",
-				eng, res2.Steps, res1.Steps)
+			t.Errorf("%s: partial steps %d, want %d (timeout before the statement counts)",
+				mode, res2.Steps, res1.Steps)
 		}
 		if math.Float64bits(res2.Cycles) != math.Float64bits(c1) {
-			t.Errorf("%v: partial cycles %.17g, want %.17g", eng, res2.Cycles, c1)
+			t.Errorf("%s: partial cycles %.17g, want %.17g", mode, res2.Cycles, c1)
 		}
 
 		// One ulp above the boundary: the run completes.
-		if _, err := run(eng, full, math.Nextafter(c1, math.Inf(1))); err != nil {
-			t.Errorf("%v: budget just above the boundary still tripped: %v", eng, err)
+		if _, err := run(boxed, full, math.Nextafter(c1, math.Inf(1))); err != nil {
+			t.Errorf("%s: budget just above the boundary still tripped: %v", mode, err)
 		}
 	}
 }

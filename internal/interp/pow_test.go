@@ -36,7 +36,7 @@ func findCubeWitness() (float64, bool) {
 	return 0, false
 }
 
-func evalScalarExprEngine(t *testing.T, eng Engine, declKind int, x, y float64, expr string) float64 {
+func evalScalarExprMode(t *testing.T, boxed bool, declKind int, x, y float64, expr string) float64 {
 	t.Helper()
 	src := fmt.Sprintf(`
 module e
@@ -54,7 +54,7 @@ end program p
 `, declKind, x, y, expr)
 	prog := ft.MustParse(src)
 	ft.MustAnalyze(prog, ft.Options{})
-	in, err := New(prog, Config{Model: perfmodel.Default(), Engine: eng})
+	in, err := newInterp(prog, Config{Model: perfmodel.Default()}, boxed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ end program p
 
 // TestKind4PowIntegerBinaryPowering pins the fix on an operand where
 // the two lowerings provably differ: the interpreter must produce the
-// float32 binary-powering result under both engines.
+// float32 binary-powering result, unboxed and boxed.
 func TestKind4PowIntegerBinaryPowering(t *testing.T) {
 	x, ok := findCubeWitness()
 	if !ok {
@@ -79,11 +79,11 @@ func TestKind4PowIntegerBinaryPowering(t *testing.T) {
 		t.Fatalf("witness degenerated: %v", x)
 	}
 	t.Logf("witness x=%.17g: powisf2 %.17g vs double-rounded %.17g", x, want, old)
-	for _, eng := range []Engine{EngineAST, EngineVM} {
-		got := evalScalarExprEngine(t, eng, 4, x, 1, "x ** 3")
+	for _, boxed := range []bool{false, true} {
+		got := evalScalarExprMode(t, boxed, 4, x, 1, "x ** 3")
 		if got != want {
-			t.Errorf("%v: kind-4 x**3 = %.17g, want float32 binary powering %.17g (old double-rounded path: %.17g)",
-				eng, got, want, old)
+			t.Errorf("%s: kind-4 x**3 = %.17g, want float32 binary powering %.17g (old double-rounded path: %.17g)",
+				compileName(boxed), got, want, old)
 		}
 	}
 }
@@ -98,9 +98,10 @@ func TestKind4PowSquareUnchanged(t *testing.T) {
 		if w2 := float64(powi32(float32(x), 2)); w2 != want {
 			t.Fatalf("premise broken: powi32(%g,2)=%.17g vs %.17g", x, w2, want)
 		}
-		got := evalScalarExprEngine(t, EngineVM, 4, x, 1, "x ** 2")
-		if got != want {
-			t.Errorf("kind-4 x**2 for x=%g: got %.17g want %.17g", x, got, want)
+		for _, boxed := range []bool{false, true} {
+			if got := evalScalarExprMode(t, boxed, 4, x, 1, "x ** 2"); got != want {
+				t.Errorf("%s: kind-4 x**2 for x=%g: got %.17g want %.17g", compileName(boxed), x, got, want)
+			}
 		}
 	}
 }
@@ -110,9 +111,10 @@ func TestKind4PowSquareUnchanged(t *testing.T) {
 func TestKind4PowNegativeExponent(t *testing.T) {
 	x := rnd32(1.7)
 	want := float64(1 / powi32(float32(x), 3))
-	got := evalScalarExprEngine(t, EngineVM, 4, x, 1, "x ** (-3)")
-	if got != want {
-		t.Errorf("kind-4 x**(-3): got %.17g want %.17g", got, want)
+	for _, boxed := range []bool{false, true} {
+		if got := evalScalarExprMode(t, boxed, 4, x, 1, "x ** (-3)"); got != want {
+			t.Errorf("%s: kind-4 x**(-3): got %.17g want %.17g", compileName(boxed), got, want)
+		}
 	}
 }
 
@@ -121,10 +123,10 @@ func TestKind4PowNegativeExponent(t *testing.T) {
 func TestKind4PowRealExponentSingleRounded(t *testing.T) {
 	x := rnd32(2.7)
 	want := rnd32(math.Pow(x, 0.5))
-	for _, eng := range []Engine{EngineAST, EngineVM} {
-		got := evalScalarExprEngine(t, eng, 4, x, 1, "x ** 0.5_4")
+	for _, boxed := range []bool{false, true} {
+		got := evalScalarExprMode(t, boxed, 4, x, 1, "x ** 0.5_4")
 		if got != want {
-			t.Errorf("%v: kind-4 x**0.5 = %.17g, want single-rounded %.17g", eng, got, want)
+			t.Errorf("%s: kind-4 x**0.5 = %.17g, want single-rounded %.17g", compileName(boxed), got, want)
 		}
 	}
 }
@@ -149,11 +151,11 @@ program p
   r_out = x ** 3
 end program p
 `, x)
-	for _, eng := range []Engine{EngineAST, EngineVM} {
+	for _, boxed := range []bool{false, true} {
 		prog := ft.MustParse(src)
 		ft.MustAnalyze(prog, ft.Options{})
 		rec := numerics.NewRecorder("test.ft", numerics.Options{})
-		in, err := New(prog, Config{Model: perfmodel.Default(), Numerics: rec, Engine: eng})
+		in, err := newInterp(prog, Config{Model: perfmodel.Default(), Numerics: rec}, boxed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,15 +167,15 @@ end program p
 			t.Fatal("r_out missing")
 		}
 		if v.F != float64(powi32(float32(x), 3)) {
-			t.Errorf("%v: primary lane %.17g, want float32 binary powering", eng, v.F)
+			t.Errorf("%s: primary lane %.17g, want float32 binary powering", compileName(boxed), v.F)
 		}
 		if v.Sh != math.Pow(x, 3) {
-			t.Errorf("%v: shadow lane %.17g, want float64 reference %.17g", eng, v.Sh, math.Pow(x, 3))
+			t.Errorf("%s: shadow lane %.17g, want float64 reference %.17g", compileName(boxed), v.Sh, math.Pow(x, 3))
 		}
 	}
 }
 
-// TestIntegerPow runs integer ** through both engines. Non-negative
+// TestIntegerPow runs integer **, unboxed and boxed. Non-negative
 // exponents wrap like y repeated int64 multiplications (checked against
 // math/big modulo 2^64) and finish in log2(y) steps even for huge y.
 // Negative exponents truncate 1/(x**-y) toward zero, so only bases 1 and
@@ -224,8 +226,8 @@ end program p
 `, tc.x, tc.y)
 		prog := ft.MustParse(src)
 		ft.MustAnalyze(prog, ft.Options{})
-		for _, eng := range []Engine{EngineAST, EngineVM} {
-			in, err := New(prog, Config{Model: perfmodel.Default(), Engine: eng})
+		for _, boxed := range []bool{false, true} {
+			in, err := newInterp(prog, Config{Model: perfmodel.Default()}, boxed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,15 +235,15 @@ end program p
 			if tc.wantErr != "" {
 				var re *RunError
 				if !errors.As(err, &re) || re.Kind != FailNonFinite || re.Msg != tc.wantErr {
-					t.Errorf("%v: %d ** %d: got error %v, want FailNonFinite %q", eng, tc.x, tc.y, err, tc.wantErr)
+					t.Errorf("%s: %d ** %d: got error %v, want FailNonFinite %q", compileName(boxed), tc.x, tc.y, err, tc.wantErr)
 				}
 				continue
 			}
 			if err != nil {
-				t.Fatalf("%v: %d ** %d: %v", eng, tc.x, tc.y, err)
+				t.Fatalf("%s: %d ** %d: %v", compileName(boxed), tc.x, tc.y, err)
 			}
 			if v, _ := in.Global("e.r_out"); v.I != tc.want {
-				t.Errorf("%v: %d ** %d = %d, want %d", eng, tc.x, tc.y, v.I, tc.want)
+				t.Errorf("%s: %d ** %d = %d, want %d", compileName(boxed), tc.x, tc.y, v.I, tc.want)
 			}
 		}
 	}

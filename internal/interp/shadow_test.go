@@ -3,11 +3,13 @@ package interp
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"testing"
 
 	ft "repro/internal/fortran"
 	"repro/internal/numerics"
 	"repro/internal/perfmodel"
+	"repro/internal/transform"
 )
 
 // runShadow executes src with a shadow recorder attached and returns
@@ -185,6 +187,65 @@ end program p
 	}
 	if p.Catastrophic != 0 {
 		t.Errorf("kind-8 catastrophic = %d, want 0 (cancellation of error-free operands is benign)", p.Catastrophic)
+	}
+
+	// The same holds for every bundled model lowered to uniform kind 8,
+	// compiled unboxed and boxed: every real module value's shadow must
+	// equal its primary bit for bit.
+	files, err := filepath.Glob("../models/src/*.ft")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no model sources found: %v", err)
+	}
+	for _, f := range files {
+		prog := parseModelFile(t, f)
+		v, err := transform.Apply(prog, transform.Uniform(transform.Atoms(prog), 8))
+		if err != nil {
+			t.Fatalf("%s: uniform-64 transform: %v", f, err)
+		}
+		for _, boxed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/boxed=%v", filepath.Base(f), boxed), func(t *testing.T) {
+				rec := numerics.NewRecorder(filepath.Base(f), numerics.Options{})
+				cfg := Config{Model: perfmodel.Default(), Numerics: rec}
+				in, err := newInterp(v.Prog, cfg, boxed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := in.Run(); err != nil {
+					t.Fatalf("run: %v", err)
+				}
+				if d := rec.Profile().MaxDivergence; d != 0 {
+					t.Errorf("max divergence = %v, want 0", d)
+				}
+				values := 0
+				for _, mod := range v.Prog.Modules {
+					for _, d := range mod.Decls {
+						if d.Base != ft.TReal {
+							continue
+						}
+						g, _ := in.Global(d.QName())
+						if g.Arr == nil {
+							values++
+							if math.Float64bits(g.F) != math.Float64bits(g.Sh) {
+								t.Errorf("%s: primary %.17g, shadow %.17g", d.QName(), g.F, g.Sh)
+							}
+							continue
+						}
+						if len(g.Arr.Shadow) != len(g.Arr.Data) {
+							t.Errorf("%s: %d shadow values for %d primaries", d.QName(), len(g.Arr.Shadow), len(g.Arr.Data))
+							continue
+						}
+						for k, x := range g.Arr.Data {
+							values++
+							if math.Float64bits(x) != math.Float64bits(g.Arr.Shadow[k]) {
+								t.Errorf("%s[%d]: primary %.17g, shadow %.17g", d.QName(), k, x, g.Arr.Shadow[k])
+								break
+							}
+						}
+					}
+				}
+				t.Logf("%d real module values, every shadow equal to its primary", values)
+			})
+		}
 	}
 }
 

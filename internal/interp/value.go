@@ -105,6 +105,25 @@ func convertReal(v float64, kind int) float64 {
 	return v
 }
 
+// convertScalar coerces a scalar value to the declared type (no cost
+// accounting; cost is charged at the operation that required it). The
+// shadow lane passes through unrounded: conversion narrows the primary
+// only (the field copy is free, so this is not recorder-gated).
+func convertScalar(v Value, t ft.Type) Value {
+	switch t.Base {
+	case ft.TReal:
+		nv := realValue(v.asFloat(), t.Kind)
+		nv.Sh = v.sh()
+		return nv
+	case ft.TInteger:
+		return intValue(v.asInt())
+	case ft.TLogical:
+		return logicalValue(v.B)
+	default:
+		return v
+	}
+}
+
 // intValue builds an integer Value.
 func intValue(i int64) Value { return Value{Base: ft.TInteger, I: i} }
 

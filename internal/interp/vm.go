@@ -1,15 +1,14 @@
 package interp
 
-// The closure-compiled engine (EngineVM, the default). compile.go
-// lowers the checked AST once per Interp into typed closures with
-// every name resolved to a frame slot and every operation cost folded
-// to a constant; this file holds the runtime those closures execute
-// against. The contract with the tree-walker (interp.go, eval.go,
-// call.go, intrinsics.go) is bit-for-bit equivalence: identical
-// results, cycle totals, step counts, cast attribution, recorder call
-// sequences, and journal bytes — enforced by the differential tests in
-// engine_test.go and property_test.go. Anything observable here must
-// mirror the tree-walker exactly, down to float accumulation order.
+// The closure-compiled interpreter. compile.go lowers the checked AST
+// once per Interp into typed closures with every name resolved to a
+// frame slot and every operation cost folded to a constant; this file
+// holds the runtime those closures execute against. Everything a run
+// shows is part of the contract: results, cycle totals (down to float
+// accumulation order), step counts, cast attribution, recorder call
+// sequences and so journal bytes. engine_test.go checks it by running
+// every differential case unboxed and boxed against golden digests
+// (docs/interpreter.md).
 //
 // Storage is structure-of-arrays: a vframe keeps one slice per value
 // lane (float64 primary, float64 shadow, int64, bool, *Array), all
@@ -98,9 +97,9 @@ type cprog struct {
 	modInits [][]vinit // by Module.Index, in declaration order
 }
 
-// vm is the mutable run state the compiled closures thread through.
-// Field-for-field it shadows the tree-walker's Interp accounting so
-// both engines accumulate cycles, casts, and steps identically.
+// vm is the mutable run state the compiled closures thread through:
+// the cycle, cast and step accounting, the call stack, and module
+// storage.
 type vm struct {
 	cp     *cprog
 	model  *perfmodel.Model
@@ -134,7 +133,8 @@ type vm struct {
 }
 
 // newVM compiles the program and prepares its run state.
-func newVM(prog *ft.Program, cfg *Config, model *perfmodel.Model, an *perfmodel.Analysis) *vm {
+func newVM(prog *ft.Program, cfg *Config, an *perfmodel.Analysis, boxed bool) *vm {
+	model := cfg.Model
 	m := &vm{
 		model:     model,
 		rec:       cfg.Numerics,
@@ -147,7 +147,7 @@ func newVM(prog *ft.Program, cfg *Config, model *perfmodel.Model, an *perfmodel.
 		memFloor:  model.MemVecFloor,
 		castCost:  model.OpCost(perfmodel.OpCast, 8),
 	}
-	m.cp = compileProgram(prog, model, an, cfg.Numerics)
+	m.cp = compileProgram(prog, model, an, cfg.Numerics, boxed)
 	m.castAcc = make([]float64, len(prog.AllProcs))
 	m.castSeen = make([]bool, len(prog.AllProcs))
 	m.gl = make([]*vframe, len(prog.Modules))
@@ -170,7 +170,8 @@ func newVM(prog *ft.Program, cfg *Config, model *perfmodel.Model, an *perfmodel.
 	return m
 }
 
-// run mirrors Interp.Run: module init, main locals, main body.
+// run initializes module storage in declaration order, then main's
+// locals, then runs main's body.
 func (m *vm) run() (*Result, error) {
 	for _, inits := range m.cp.modInits {
 		for _, init := range inits {
@@ -208,8 +209,9 @@ func (m *vm) result() *Result {
 	}
 }
 
-// globalValue synthesizes the tree-walker's Value view of a module
-// variable from lane storage (Interp.Global dispatches here).
+// globalValue synthesizes the Value view of a module variable from
+// lane storage (Interp.Global dispatches here). Without a recorder a
+// real's shadow reads as its primary.
 func (m *vm) globalValue(mod *ft.Module, d *ft.VarDecl) Value {
 	fr := m.gl[mod.Index]
 	slot := d.Slot
@@ -247,8 +249,10 @@ func (m *vm) runStmts(fr *vframe, list []vstmt) (control, error) {
 	return ctlNone, nil
 }
 
-// checkBudget is the VM copy of Interp.checkBudget: same inclusive
-// boundary, same step counting, same cancelPollInterval pacing.
+// checkBudget runs before every statement and loop iteration. It fails
+// with FailTimeout once cycles reach the budget (the boundary is
+// inclusive, see Config.CycleBudget), then counts one step, and polls
+// the Context every cancelPollInterval steps.
 func (m *vm) checkBudget(pos ft.Pos) error {
 	if m.budget > 0 && m.cycles >= m.budget {
 		return &RunError{Pos: pos, Kind: FailTimeout,
@@ -264,11 +268,11 @@ func (m *vm) checkBudget(pos ft.Pos) error {
 }
 
 // charge adds one precompiled scalar-op cost at the current factor
-// (the compiled form of Interp.op with OpCost folded to a constant).
+// (an OpCost folded to a constant at compile time).
 func (m *vm) charge(cost float64) { m.cycles += cost * m.vecFactor }
 
 // chargeMem is charge with the memory-bandwidth floor applied to the
-// vector discount, mirroring Interp.op for loads/stores.
+// vector discount: loads and stores are bandwidth-bound.
 func (m *vm) chargeMem(cost float64) {
 	f := m.vecFactor
 	if f < m.memFloor {
@@ -277,7 +281,8 @@ func (m *vm) chargeMem(cost float64) {
 	m.cycles += cost * f
 }
 
-// chargeN mirrors Interp.opN: cost*n*factor in that association order.
+// chargeN charges n operations at an explicit factor, as
+// cost*n*factor in that association order.
 func (m *vm) chargeN(cost, n, factor float64) { m.cycles += cost * n * factor }
 
 // chargeMemN is chargeN with the factor clamped to the memory floor.
@@ -289,9 +294,9 @@ func (m *vm) chargeMemN(cost, n, factor float64) {
 }
 
 // cast charges a kind conversion and attributes it to the procedure on
-// top of the call stack (main-level casts stay unattributed), exactly
-// as Interp.cast does. Attribution is dynamic because declaration-init
-// expressions execute under their *caller's* attribution context.
+// top of the call stack (main-level casts stay unattributed).
+// Attribution is dynamic because declaration-init expressions execute
+// under their *caller's* attribution context.
 func (m *vm) cast(n int64) {
 	cost := m.castCost * float64(n) * m.vecFactor
 	m.cycles += cost
@@ -305,7 +310,7 @@ func (m *vm) cast(n int64) {
 }
 
 // procName is the dynamic procedure name for recorder attribution
-// ("main" outside any call), matching Interp.procName.
+// ("main" outside any call).
 func (m *vm) procName() string {
 	if k := len(m.curProc); k > 0 {
 		return m.curProc[k-1].qname

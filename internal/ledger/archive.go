@@ -21,7 +21,7 @@ const ManifestKind = "prose-run-manifest"
 const ManifestVersion = 1
 
 // Manifest is the durable record of one tuning run: identity (what was
-// tuned, under which options, on which machine), shape (engine, fleet,
+// tuned, under which options, on which machine), shape (fleet,
 // parallelism), outcome (result summary, status tallies), and telemetry
 // (final metrics snapshot with quantiles, decision-log digest). It is
 // content-addressed: ID is the SHA-256 of the canonical JSON encoding
@@ -37,7 +37,6 @@ type Manifest struct {
 	Model       string  `json:"model"`
 	Fingerprint string  `json:"fingerprint"`
 	Machine     string  `json:"machine"`
-	Engine      string  `json:"engine"`
 	Seed        int64   `json:"seed"`
 	WholeModel  bool    `json:"whole_model,omitempty"`
 	Budget      int     `json:"budget,omitempty"`

@@ -18,7 +18,7 @@
 //     kill/-resume cycles, and it never touches the byte-deterministic
 //     evaluation journal.
 //   - Ledger archives one content-addressed Manifest per run (program +
-//     options fingerprint, machine, engine, fleet shape, final metrics
+//     options fingerprint, machine, fleet shape, final metrics
 //     snapshot with quantiles, decision-log digest, result summary)
 //     under an indexed directory that accumulates across runs.
 //   - Compare and Funnel analyze archived runs: speedup/error/evals/

@@ -150,7 +150,7 @@ func TestCanonicalJSON(t *testing.T) {
 func sampleManifest(speedup float64, evals int) *Manifest {
 	return &Manifest{
 		Kind: ManifestKind, V: ManifestVersion,
-		Model: "funarc", Fingerprint: "fp-1", Machine: "m", Engine: "vm",
+		Model: "funarc", Fingerprint: "fp-1", Machine: "m",
 		StartUnixNS: int64(evals) * 1e9, WallMS: 100,
 		Outcome: "completed", Converged: true,
 		Evaluations: evals, TotalAtoms: 8, MinimalAtoms: 1,

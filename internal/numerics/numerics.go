@@ -407,8 +407,8 @@ func (r *Recorder) bornNonFinite(st *stmtStats, proc string, line int, op string
 	}
 }
 
-// Site is a per-callsite handle onto the recorder: a compiled engine
-// that knows its (proc, line) — and, for assignments, the target atom —
+// Site is a per-callsite handle onto the recorder: a compiled
+// interpreter that knows its (proc, line) — and, for assignments, the target atom —
 // at compile time resolves the accumulators once instead of paying two
 // map lookups per recorded event. Aggregation is byte-identical to the
 // keyed Recorder methods (both run the same cores); the statement and
@@ -449,8 +449,9 @@ func (s *Site) stats() *stmtStats {
 }
 
 // Op is Recorder.Op at this site. The body mirrors opAt statement for
-// statement (keep them in lockstep — the engine differential tests
-// compare profiles across the two paths); it is open-coded here because
+// statement (keep them in lockstep — the interpreter's golden run
+// digests pin profiles recorded through the keyed path); it is
+// open-coded here because
 // this is the per-operation hot path of every instrumented run and the
 // extra call frame with its eleven arguments is measurable.
 func (s *Site) Op(op byte, x, y, xs, ys, res, exact, shadow float64) {

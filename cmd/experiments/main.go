@@ -35,33 +35,20 @@ func main() {
 	only := flag.String("only", "", "run only one experiment: table1, table2, fig2, fig5, fig6, fig7, ablation, noise, predictor, machine")
 	journalDir := flag.String("journal-dir", "", "directory for per-search crash-safe journals + events sidecars (optional)")
 	resume := flag.Bool("resume", false, "resume the journals in -journal-dir")
-	retries := flag.Int("retries", 0, "retry transient evaluation-infrastructure faults up to N times per evaluation")
-	retriesByClass := flag.String("retries-by-class", "", "per-class retry budgets as kind=N,kind=N (default with -retries N: scheduler-kill=2N, oom=max(1,N/2), hang=N)")
-	watchdog := flag.Duration("watchdog", 0, "abandon a hung evaluation attempt after this wall-clock time (0 = no watchdog)")
-	breaker := flag.Int("breaker", 0, "fail a search fast after N consecutive hard infrastructure failures")
-	halfOpen := flag.Bool("breaker-halfopen", false, "probe one evaluation after the breaker trips instead of aborting")
+	policy := resilience.Flags(flag.CommandLine)
 	wallBudget := flag.Duration("wall-budget", 0, "stop the whole sweep in an orderly fashion after this wall-clock time (exit code 5; 0 = unlimited)")
-	drainGrace := flag.Duration("drain-grace", 0, "let in-flight evaluations keep running this long after a stop before hard-cancelling them (0 = drain to completion)")
 	flag.Parse()
 
-	byClass, err := resilience.ParseRetryBudgets(*retriesByClass)
+	pol, err := policy()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
-	}
-	if byClass == nil {
-		byClass = resilience.DefaultRetryBudgets(*retries)
 	}
 	if *resume && *journalDir == "" {
 		fmt.Fprintln(os.Stderr, "experiments: -resume requires -journal-dir")
 		os.Exit(2)
 	}
-	sopts := experiments.Options{
-		JournalDir: *journalDir, Resume: *resume,
-		Retries: *retries, RetriesByClass: byClass,
-		Watchdog: *watchdog, Breaker: *breaker, HalfOpen: *halfOpen,
-		DrainGrace: *drainGrace,
-	}
+	sopts := experiments.Options{JournalDir: *journalDir, Resume: *resume, Resilience: pol}
 
 	// The same deadline layers as prose tune: SIGINT/SIGTERM and
 	// -wall-budget cancel the context; searches stop in an orderly

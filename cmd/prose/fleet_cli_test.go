@@ -39,7 +39,7 @@ func TestTuneWorkersJournalMatchesInProcess(t *testing.T) {
 	}
 	fleetPath := filepath.Join(dir, "fleet.jsonl")
 	if err := cmdTune([]string{"-model", "funarc", "-journal", fleetPath,
-		"-workers", "2", "-fleet-kill-rate", "0.15", "-fleet-fault-seed", "7"}); err != nil {
+		"-workers", "2", "-fleet-faults", "kill=0.15,seed=7"}); err != nil {
 		t.Fatalf("fleet tune: %v", err)
 	}
 	a, err := os.ReadFile(ref)
@@ -59,27 +59,21 @@ func TestTuneWorkersJournalMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestTuneRejectsFleetFlagsTheModeIgnores: chaos acts only on -listen
-// connections and the kill/wedge injection only on spawned children, so
-// setting either in the other mode is a usage error, not a silent
-// no-op.
-func TestTuneRejectsFleetFlagsTheModeIgnores(t *testing.T) {
+// TestTuneFleetFaultsUsageErrors: a -fleet-faults spec with an unknown
+// key or an unparsable value, or one given without -workers, is a usage
+// error before any tune starts.
+func TestTuneFleetFaultsUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
-		flag string
 		args []string
+		want string
 	}{
-		{"-fleet-chaos-drop", []string{"-workers", "2", "-fleet-chaos-drop", "0.5", "-fleet-chaos-partition", "0.5"}},
-		{"-fleet-kill-rate", []string{"-workers", "2", "-listen", pickPort(t), "-fleet-kill-rate", "0.5"}},
+		{[]string{"-workers", "2", "-fleet-faults", "kill=0.1,crash=k"}, "crash"},
+		{[]string{"-workers", "2", "-fleet-faults", "drop=often"}, "drop"},
+		{[]string{"-fleet-faults", "kill=0.1"}, "-workers"},
 	} {
-		done := make(chan error, 1)
-		go func() { done <- cmdTune(append([]string{"-model", "funarc"}, tc.args...)) }()
-		select {
-		case err := <-done:
-			if err == nil || !strings.Contains(err.Error(), tc.flag) {
-				t.Errorf("tune %v: err = %v, want a usage error naming %s", tc.args, err, tc.flag)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("tune %v is still running; want %s rejected", tc.args, tc.flag)
+		err := cmdTune(append([]string{"-model", "funarc"}, tc.args...))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("tune %v: err = %v, want a usage error naming %s", tc.args, err, tc.want)
 		}
 	}
 }
@@ -99,7 +93,7 @@ func pickPort(t *testing.T) string {
 }
 
 // TestTuneListenJournalMatchesInProcess runs the full network CLI path:
-// `tune -listen` with chaos injection, plus two `worker -connect`
+// `tune -listen` with network faults, plus two `worker -connect`
 // subprocesses (this test binary re-execed, exactly as a remote host
 // would run them), must write the same journal bytes as the plain
 // in-process tune.
@@ -117,15 +111,14 @@ func TestTuneListenJournalMatchesInProcess(t *testing.T) {
 		tuneDone <- cmdTune([]string{"-model", "funarc", "-journal", netPath,
 			"-workers", "2", "-listen", addr,
 			"-lease-ttl", "2s", "-worker-heartbeat", "50ms",
-			"-fleet-chaos-drop", "0.02", "-fleet-chaos-dup", "0.05",
-			"-fleet-chaos-reorder", "0.02", "-fleet-chaos-seed", "7"})
+			"-fleet-faults", "drop=0.02,dup=0.05,reorder=0.02,seed=7"})
 	}()
 
 	var workers []*exec.Cmd
 	for i := 1; i <= 2; i++ {
 		cmd := exec.Command(os.Args[0], "worker",
 			"-connect", addr, "-model", "funarc", "-seed", "1",
-			"-session", fmt.Sprintf("w%d", i), "-heartbeat", "50ms",
+			"-session", fmt.Sprintf("w%d", i),
 			"-reconnect-backoff", "20ms", "-max-dials", "50")
 		cmd.Stderr = os.Stderr
 		cmd.Env = append(os.Environ(), "PROSE_FLEET_WORKER=1")

@@ -163,29 +163,6 @@ run 'prose <command> -h' for flags.
 `)
 }
 
-// checkFleetFlagMode rejects a fault-injection flag set in a fleet mode
-// that would ignore it: -fleet-chaos-* act only on -listen connections,
-// and the worker kill/wedge flags only on children that -workers spawns.
-func checkFleetFlagMode(fs *flag.FlagSet, workers int, listen string) error {
-	var err error
-	fs.Visit(func(f *flag.Flag) {
-		if err != nil {
-			return
-		}
-		switch f.Name {
-		case "fleet-kill-rate", "fleet-fault-seed", "fleet-wedge-key":
-			if workers == 0 || listen != "" {
-				err = fmt.Errorf("tune: -%s needs -workers N without -listen (it configures spawned workers)", f.Name)
-			}
-		default:
-			if strings.HasPrefix(f.Name, "fleet-chaos-") && listen == "" {
-				err = fmt.Errorf("tune: -%s needs -listen (chaos is injected on dial-in connections)", f.Name)
-			}
-		}
-	})
-	return err
-}
-
 func modelFlag(fs *flag.FlagSet) *string {
 	return fs.String("model", "funarc", "tuning target: funarc, mpas-a, adcirc, mom6")
 }
@@ -262,16 +239,8 @@ func cmdTune(args []string) error {
 	par := fs.Int("par", 1, "concurrent variant evaluations (results are identical at any level)")
 	journalPath := fs.String("journal", "", "crash-safe evaluation journal (append-only JSONL; checkpoint at <path>.ckpt, resilience events at <path>.events)")
 	resume := fs.Bool("resume", false, "replay an existing -journal to where it stopped, then continue")
-	retries := fs.Int("retries", 0, "retry transient evaluation-infrastructure faults up to N times (variant outcomes are never retried)")
-	breaker := fs.Int("breaker", 0, "fail fast after N consecutive hard infrastructure failures (0 = never; exit code 3)")
-	failfast := fs.Bool("failfast", false, "fail fast on the first hard infrastructure failure (same as -breaker 1)")
-	maxQuarantined := fs.Int("max-quarantined", 0, "abort once more than N distinct assignments are quarantined (0 = unlimited; exit code 4)")
-	backoff := fs.Duration("retry-backoff", 0, "base retry backoff (capped exponential with seeded jitter; 0 = default 100ms)")
-	retriesByClass := fs.String("retries-by-class", "", "per-class retry budgets as kind=N,kind=N (kinds: generic, scheduler-kill, oom, hang; default with -retries N: scheduler-kill=2N, oom=max(1,N/2), hang=N)")
-	watchdog := fs.Duration("watchdog", 0, "abandon an evaluation attempt that produces no result within this wall-clock time and treat it as a transient infrastructure fault (0 = no watchdog)")
-	halfOpen := fs.Bool("breaker-halfopen", false, "after the breaker trips, probe one evaluation (instead of aborting) and resume the search if it succeeds")
+	policy := resilience.Flags(fs)
 	wallBudget := fs.Duration("wall-budget", 0, "stop the whole run in an orderly fashion after this wall-clock time (exit code 5, journal stays resumable; 0 = unlimited)")
-	drainGrace := fs.Duration("drain-grace", 0, "after a stop (signal or -wall-budget), let in-flight evaluations keep running this long before hard-cancelling them (0 = drain to completion)")
 	tracePath := fs.String("trace", "", "write a span trace to this file (Chrome trace_event JSON; analyze with 'prose trace' or chrome://tracing)")
 	debugAddr := fs.String("debug-addr", "", "serve /debug/vars, /debug/metrics and /debug/pprof on this address for the duration of the run (e.g. localhost:6060)")
 	progressEvery := fs.Duration("progress", 0, "print a live progress heartbeat to stderr at this interval (0 = off)")
@@ -280,49 +249,37 @@ func cmdTune(args []string) error {
 	decisionsPath := fs.String("decisions", "", "stream per-round search-decision telemetry to this file (byte-stable across -par and -resume; journal bytes unchanged)")
 	workers := fs.Int("workers", 0, "shard variant evaluation across N 'prose worker' processes (0 = in-process); worker crashes become supervised retries and the journal stays byte-identical")
 	leaseTTL := fs.Duration("lease-ttl", fleet.DefaultLeaseTTL, "fleet: wall-clock budget per leased evaluation; an expired lease is failed as a hang fault and reassigned")
-	workerHeartbeat := fs.Duration("worker-heartbeat", fleet.DefaultHeartbeat, "fleet: worker heartbeat interval (a silent worker is declared lost and replaced)")
+	workerHeartbeat := fs.Duration("worker-heartbeat", fleet.DefaultHeartbeat, "fleet: worker heartbeat interval (at least 1ms), sent to every worker with its lease (a silent worker is declared lost and replaced)")
 	workerRestarts := fs.Int("worker-restarts", fleet.DefaultMaxRestarts, "fleet: respawns per worker slot before it is retired")
 	minWorkers := fs.Int("min-workers", 1, "fleet: live-worker floor; below it the coordinator degrades to in-process evaluation (surfaced in the events sidecar, never silent)")
-	fleetKillRate := fs.Float64("fleet-kill-rate", 0, "fault injection: each worker SIGKILLs itself before evaluating with this probability per (key, attempt), deterministic in -fleet-fault-seed")
-	fleetFaultSeed := fs.Int64("fleet-fault-seed", 1, "fault injection: seed for -fleet-kill-rate decisions")
-	fleetWedgeKey := fs.String("fleet-wedge-key", "", "fault injection: the worker leased this assignment key wedges (stops heartbeating) on its first attempt")
 	listen := fs.String("listen", "", "fleet: accept -workers N off-host workers over TCP on this address instead of spawning them; workers dial in with 'prose worker -connect'")
-	chaosDrop := fs.Float64("fleet-chaos-drop", 0, "network chaos (with -listen): drop each frame with this probability, deterministic in -fleet-chaos-seed")
-	chaosDup := fs.Float64("fleet-chaos-dup", 0, "network chaos: deliver each frame twice with this probability")
-	chaosReorder := fs.Float64("fleet-chaos-reorder", 0, "network chaos: hold each frame past its successor with this probability")
-	chaosDelay := fs.Duration("fleet-chaos-delay", 0, "network chaos: add this latency to every frame")
-	chaosPartition := fs.Float64("fleet-chaos-partition", 0, "network chaos: start a hard partition window at each frame with this probability (severs connections, eats dials)")
-	chaosPartitionFor := fs.Duration("fleet-chaos-partition-for", 150*time.Millisecond, "network chaos: duration of each -fleet-chaos-partition window")
-	chaosSeed := fs.Int64("fleet-chaos-seed", 1, "network chaos: seed for all chaos decisions")
-	verbose := fs.Bool("v", false, "print each variant as it is evaluated")
+	fleetFaults := fs.String("fleet-faults", "", "fleet fault injection for tests and smoke runs (needs -workers), as key=value,...: seed=N (default 1) drives every decision; kill=P SIGKILLs a worker before it evaluates, per key and attempt; wedge=KEY freezes the worker leased KEY on its first attempt; drop=P, dup=P, reorder=P and partition=P act per frame, delay=D on every frame; a partition severs the connection and hangs up on dials for partition-for=D (default 150ms)")
+	verbose := fs.Bool("v", false, "print each variant as it joins the evaluation log, in journal order (the same lines at any -par or -workers)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *resume && *journalPath == "" {
 		return fmt.Errorf("tune: -resume requires -journal")
 	}
-	byClass, err := resilience.ParseRetryBudgets(*retriesByClass)
+	pol, err := policy()
 	if err != nil {
-		return fmt.Errorf("tune: -retries-by-class: %w", err)
+		return fmt.Errorf("tune: %w", err)
 	}
-	if byClass == nil {
-		byClass = resilience.DefaultRetryBudgets(*retries)
+	faults, err := fleet.ParseFaults(*fleetFaults)
+	if err != nil {
+		return fmt.Errorf("tune: -fleet-faults: %w", err)
+	}
+	if faults != nil && *workers == 0 {
+		return fmt.Errorf("tune: -fleet-faults needs -workers N")
 	}
 	m, err := getModel(*name)
 	if err != nil {
 		return err
 	}
-	breakerN := *breaker
-	if *failfast {
-		breakerN = 1
-	}
 	opts := core.Options{
 		Seed: *seed, WholeModel: *whole, MaxEvaluations: *budget,
 		Parallelism: *par, JournalPath: *journalPath, Resume: *resume,
-		Retries: *retries, Breaker: breakerN,
-		MaxQuarantined: *maxQuarantined, RetryBackoff: *backoff,
-		RetriesByClass: byClass, Watchdog: *watchdog,
-		HalfOpen: *halfOpen, DrainGrace: *drainGrace, Numerics: *numericsOn,
+		Resilience: pol, Numerics: *numericsOn,
 		LedgerDir: *ledgerDir, DecisionPath: *decisionsPath,
 	}
 	if opts.LedgerDir != "" && opts.DecisionPath == "" && *journalPath != "" {
@@ -375,9 +332,6 @@ func cmdTune(args []string) error {
 	if *listen != "" && *workers == 0 {
 		return fmt.Errorf("tune: -listen needs -workers N (the expected pool size)")
 	}
-	if err := checkFleetFlagMode(fs, *workers, *listen); err != nil {
-		return err
-	}
 	if *workers > 0 {
 		if opts.Parallelism < *workers {
 			// Fewer search slots than workers would leave workers idle.
@@ -389,6 +343,7 @@ func cmdTune(args []string) error {
 			Heartbeat:   *workerHeartbeat,
 			MaxRestarts: *workerRestarts,
 			MinWorkers:  *minWorkers,
+			Faults:      faults,
 			OnEvent: func(e fleet.Event) {
 				if e.Type == fleet.EventDegraded {
 					fmt.Fprintf(os.Stderr, "prose: fleet degraded to in-process evaluation: %s\n", e.Detail)
@@ -398,25 +353,12 @@ func cmdTune(args []string) error {
 		if *listen != "" {
 			// -listen: off-host workers dial in over TCP instead of
 			// being spawned. The fingerprint handshake still rejects
-			// drift; the -fleet-chaos-* knobs inject deterministic
-			// network faults for smoke runs and tests.
+			// drift.
 			ln, lerr := net.Listen("tcp", *listen)
 			if lerr != nil {
 				return fmt.Errorf("tune: -listen: %w", lerr)
 			}
-			ncfg := &fleet.NetConfig{Listener: ln}
-			if *chaosDrop > 0 || *chaosDup > 0 || *chaosReorder > 0 || *chaosDelay > 0 || *chaosPartition > 0 {
-				ncfg.Chaos = &fleet.ChaosConfig{
-					Seed:         *chaosSeed,
-					Drop:         *chaosDrop,
-					Dup:          *chaosDup,
-					Reorder:      *chaosReorder,
-					Delay:        *chaosDelay,
-					Partition:    *chaosPartition,
-					PartitionFor: *chaosPartitionFor,
-				}
-			}
-			fcfg.Net = ncfg
+			fcfg.Listener = ln
 			fmt.Fprintf(os.Stderr, "prose: fleet listening on %s for %d worker(s); connect with: prose worker -connect %s -model %s -seed %d\n",
 				ln.Addr(), *workers, ln.Addr(), m.Name, *seed)
 		} else {
@@ -428,18 +370,9 @@ func cmdTune(args []string) error {
 				"-model", m.Name,
 				fmt.Sprintf("-seed=%d", *seed),
 				fmt.Sprintf("-budget=%d", *budget),
-				fmt.Sprintf("-heartbeat=%s", *workerHeartbeat),
 			}
 			if *whole {
 				wargs = append(wargs, "-whole-model")
-			}
-			if *fleetKillRate > 0 {
-				wargs = append(wargs,
-					fmt.Sprintf("-fault-kill-rate=%g", *fleetKillRate),
-					fmt.Sprintf("-fault-seed=%d", *fleetFaultSeed))
-			}
-			if *fleetWedgeKey != "" {
-				wargs = append(wargs, "-fault-wedge-key", *fleetWedgeKey)
 			}
 			fcfg.Spawn = fleet.Command(exe, wargs...)
 		}
@@ -748,7 +681,7 @@ func cmdJournal(args []string) error {
 	byKind := map[string]int{}
 	var totalBackoff time.Duration
 	for _, e := range evs {
-		byType[e.Type]++
+		byType[eventType(e)]++
 		if e.Kind != "" {
 			byKind[e.Kind]++
 		}
@@ -772,15 +705,14 @@ func cmdJournal(args []string) error {
 		fmt.Printf("  cancelled: %d orderly shutdown(s) recorded\n", n)
 	}
 	if n := byType[fleet.EventLeaseGrant]; n > 0 {
-		fmt.Printf("  fleet: %d lease(s) granted, %d expired, %d late result(s) dropped\n",
-			n, byType[fleet.EventLeaseExpired], byType[fleet.EventLateResult])
+		fmt.Printf("  fleet: %d lease(s) granted, %d expired\n", n, byType[fleet.EventLeaseExpired])
 		deaths := byType[fleet.EventWorkerExit] + byType[fleet.EventWorkerLost]
 		if deaths+byType[fleet.EventWorkerRestart]+byType[fleet.EventWorkerDead] > 0 {
 			fmt.Printf("  fleet workers: %d death(s), %d restart(s), %d retired\n",
 				deaths, byType[fleet.EventWorkerRestart], byType[fleet.EventWorkerDead])
 		}
 		if n := byType[fleet.EventWorkerReconnect] + byType[fleet.EventPartitionExpired] + byType[fleet.EventDupRefused]; n > 0 {
-			fmt.Printf("  fleet network: %d reconnect(s), %d partition-expired lease(s), %d duplicate frame(s) refused\n",
+			fmt.Printf("  fleet network: %d reconnect(s), %d partition-expired lease(s), %d duplicate or stale reply(ies) refused\n",
 				byType[fleet.EventWorkerReconnect], byType[fleet.EventPartitionExpired], byType[fleet.EventDupRefused])
 		}
 		if n := byType[fleet.EventDegraded]; n > 0 {
@@ -788,6 +720,20 @@ func cmdJournal(args []string) error {
 		}
 	}
 	return nil
+}
+
+// lateResultEvent is the event type older sidecars gave a reply that
+// outlived its lease. The dedup refusing it is now one event,
+// fleet.EventDupRefused, and older sidecars are counted that way.
+const lateResultEvent = "late_result"
+
+// eventType is a sidecar event's type, with lateResultEvent read as
+// fleet.EventDupRefused.
+func eventType(e journal.EventRecord) string {
+	if e.Type == lateResultEvent {
+		return fleet.EventDupRefused
+	}
+	return e.Type
 }
 
 // journalDump is the machine-readable shape of 'prose journal -format
@@ -836,8 +782,9 @@ func journalJSON(path string, records bool) error {
 	if _, evs, err := journal.InspectEvents(journal.EventsPath(path)); err == nil {
 		dump.Events = evs
 		for _, e := range evs {
-			dump.Metrics[obs.MetricEventsPrefix+e.Type]++
-			switch e.Type {
+			typ := eventType(e)
+			dump.Metrics[obs.MetricEventsPrefix+typ]++
+			switch typ {
 			case journal.EventRetry:
 				dump.Metrics[obs.MetricRetries]++
 				if e.Kind != "" {
@@ -851,8 +798,6 @@ func journalJSON(path string, records bool) error {
 				dump.Metrics[obs.MetricFleetLeases]++
 			case fleet.EventLeaseExpired:
 				dump.Metrics[obs.MetricFleetLeaseExpired]++
-			case fleet.EventLateResult:
-				dump.Metrics[obs.MetricFleetLateResults]++
 			case fleet.EventWorkerExit, fleet.EventWorkerLost:
 				dump.Metrics[obs.MetricFleetWorkerExits]++
 			case fleet.EventWorkerRestart:
@@ -1040,8 +985,8 @@ func fetchFleetStatus(url string) (*fleet.FleetStatus, error) {
 func renderFleetStatus(addr string, st *fleet.FleetStatus, leasesPerSec float64) {
 	s := st.Stats
 	fmt.Printf("fleet @ %s\n", addr)
-	fmt.Printf("  workers: %d/%d alive   leases: %d granted, %d expired, %d late dropped\n",
-		s.Alive, s.Workers, s.Leases, s.Expired, s.Late)
+	fmt.Printf("  workers: %d/%d alive   leases: %d granted, %d expired\n",
+		s.Alive, s.Workers, s.Leases, s.Expired)
 	if s.Exits+s.Restarts+s.Reconnects+s.PartitionExpired+s.DupRefused+s.FrameErrors > 0 {
 		fmt.Printf("  faults: %d death(s), %d restart(s), %d reconnect(s), %d partition-expired, %d dup refused, %d frame error(s)\n",
 			s.Exits, s.Restarts, s.Reconnects, s.PartitionExpired, s.DupRefused, s.FrameErrors)

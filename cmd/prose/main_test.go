@@ -182,7 +182,7 @@ func TestTuneResilienceFlagsCLI(t *testing.T) {
 	if err := cmdTune([]string{"-model", "funarc", "-journal", path, "-resume"}); err != nil {
 		t.Errorf("unsupervised resume of supervised journal: %v", err)
 	}
-	if err := cmdTune([]string{"-model", "funarc", "-journal", path, "-resume", "-failfast"}); err != nil {
-		t.Errorf("failfast resume: %v", err)
+	if err := cmdTune([]string{"-model", "funarc", "-journal", path, "-resume", "-breaker", "1"}); err != nil {
+		t.Errorf("-breaker 1 resume: %v", err)
 	}
 }

@@ -7,8 +7,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/fleet"
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/search"
@@ -150,6 +152,48 @@ func TestJournalJSONCLI(t *testing.T) {
 	// The default text path still works with the flag present.
 	if err := cmdJournal([]string{"-format", "text", path}); err != nil {
 		t.Errorf("journal -format text: %v", err)
+	}
+}
+
+// TestJournalReadsLateResultAsDupRefused: older sidecars record a
+// reply that outlived its lease as late_result. prose journal counts it
+// with the dup_refused events, in text and in JSON.
+func TestJournalReadsLateResultAsDupRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "funarc.jsonl")
+	if err := cmdTune([]string{"-model", "funarc", "-budget", "3", "-journal", path}); err != nil {
+		t.Fatalf("tune: %v", err)
+	}
+	h, _, err := journal.Inspect(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := journal.CreateEvents(journal.EventsPath(path), h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, typ := range []string{fleet.EventLeaseGrant, "late_result", fleet.EventDupRefused} {
+		if err := ev.Append(journal.EventRecord{Type: typ}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ev.Close()
+
+	var jerr error
+	text := captureStdout(t, func() { jerr = cmdJournal([]string{path}) })
+	if jerr != nil || !strings.Contains(text, "2 duplicate or stale reply(ies) refused") {
+		t.Errorf("journal text (err %v) does not count late_result as refused:\n%s", jerr, text)
+	}
+	out := captureStdout(t, func() { jerr = cmdJournal([]string{"-format", "json", path}) })
+	var dump struct {
+		Metrics map[string]int64 `json:"metrics"`
+	}
+	if err := json.Unmarshal([]byte(out), &dump); jerr != nil || err != nil {
+		t.Fatalf("journal -format json: %v, %v", jerr, err)
+	}
+	for _, name := range []string{obs.MetricFleetNetDupRefused, obs.MetricEventsPrefix + fleet.EventDupRefused} {
+		if dump.Metrics[name] != 2 {
+			t.Errorf("metrics[%s] = %d, want 2", name, dump.Metrics[name])
+		}
 	}
 }
 

@@ -19,26 +19,20 @@ import (
 //
 // The flags that shape the evaluation stream (model, seed, whole-model,
 // budget) must match the coordinator's; the fingerprint
-// handshake on every connection rejects any drift. The -fault-* flags
-// are fault injection for the fleet's own tests and smoke runs.
+// handshake on every connection rejects any drift. The coordinator
+// sends everything else a lease needs: its heartbeat interval, and
+// under `prose tune -fleet-faults` the fault to inject.
 func cmdWorker(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	name := modelFlag(fs)
 	whole := fs.Bool("whole-model", false, "guide the search by whole-model time (must match the coordinator)")
 	seed := fs.Int64("seed", 1, "seed for the Eq. (1) runtime-noise model (must match the coordinator)")
 	budget := fs.Int("budget", 0, "max distinct variant evaluations (must match the coordinator)")
-	heartbeat := fs.Duration("heartbeat", fleet.DefaultHeartbeat, "heartbeat interval while evaluating")
 	connect := fs.String("connect", "", "the coordinator's address, as printed by 'prose tune -listen' (required)")
 	session := fs.String("session", "", "stable session ID for lease resume across reconnects (default: random)")
 	missLimit := fs.Int("heartbeat-miss-limit", fleet.DefaultHeartbeatMissLimit, "consecutive failed heartbeat sends before the worker reconnects")
 	reconnectBackoff := fs.Duration("reconnect-backoff", fleet.DefaultReconnectBackoff, "base backoff between dial attempts (doubles, capped)")
 	maxDials := fs.Int("max-dials", fleet.DefaultMaxDials, "dial attempts per reconnect before giving up")
-	killRate := fs.Float64("fault-kill-rate", 0, "fault injection: SIGKILL self before evaluating with this probability per (key, attempt)")
-	faultSeed := fs.Int64("fault-seed", 1, "fault injection: seed for -fault-kill-rate decisions")
-	crashKey := fs.String("fault-crash-key", "", "fault injection: SIGKILL self when leased this assignment key")
-	wedgeKey := fs.String("fault-wedge-key", "", "fault injection: wedge (stop heartbeating) on this key's first attempt")
-	slowKey := fs.String("fault-slow-key", "", "fault injection: delay the result for this key's first attempt by -fault-slow")
-	slow := fs.Duration("fault-slow", 0, "fault injection: delay applied with -fault-slow-key")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -69,17 +63,8 @@ func cmdWorker(args []string) error {
 		Eval:               t,
 		Fingerprint:        t.Fingerprint(),
 		Session:            *session,
-		Heartbeat:          *heartbeat,
 		HeartbeatMissLimit: *missLimit,
 		ReconnectBackoff:   *reconnectBackoff,
 		MaxDials:           *maxDials,
-		Fault: fleet.WorkerFaults{
-			KillRate: *killRate,
-			Seed:     *faultSeed,
-			CrashKey: *crashKey,
-			WedgeKey: *wedgeKey,
-			SlowKey:  *slowKey,
-			Slow:     *slow,
-		},
 	})
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/models"
+	"repro/internal/resilience"
 	"repro/internal/search"
 	"repro/internal/transform"
 )
@@ -148,7 +149,7 @@ func TestPreCancelledContext(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tn, err := New(models.Funarc(), Options{Seed: 1, JournalPath: path, DrainGrace: time.Second})
+	tn, err := New(models.Funarc(), Options{Seed: 1, JournalPath: path, Resilience: resilience.Policy{DrainGrace: time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestWatchdogUnblocksBatch(t *testing.T) {
 	// would quarantine it and divert the search.
 	res, err, fault := runJournaled(t, Options{
 		Seed: 1, Parallelism: 8, JournalPath: path,
-		Retries: 2, Watchdog: 2 * time.Second, RetryBackoff: time.Nanosecond,
+		Resilience: resilience.Policy{Retries: 2, Watchdog: 2 * time.Second, Backoff: resilience.Backoff{Base: time.Nanosecond}},
 		WrapEvaluator: func(inner search.Evaluator) search.Evaluator {
 			return &hangFirst{inner: inner, release: release}
 		},
@@ -301,7 +302,7 @@ func TestHalfOpenBreakerJournalEquivalent(t *testing.T) {
 	refPath := filepath.Join(dir, "nobreaker.jsonl")
 	refRes, err, fault := runJournaled(t, Options{
 		Seed: 1, Parallelism: 1, JournalPath: refPath,
-		Retries: 0, MaxQuarantined: 10, RetryBackoff: time.Nanosecond,
+		Resilience:    resilience.Policy{MaxQuarantined: 10, Backoff: resilience.Backoff{Base: time.Nanosecond}},
 		WrapEvaluator: wrap,
 	})
 	if err != nil || fault != nil {
@@ -318,7 +319,7 @@ func TestHalfOpenBreakerJournalEquivalent(t *testing.T) {
 	path := filepath.Join(dir, "halfopen.jsonl")
 	res, err, fault := runJournaled(t, Options{
 		Seed: 1, Parallelism: 1, JournalPath: path,
-		Retries: 0, Breaker: 1, HalfOpen: true, RetryBackoff: time.Nanosecond,
+		Resilience:    resilience.Policy{Breaker: 1, HalfOpen: true, Backoff: resilience.Backoff{Base: time.Nanosecond}},
 		WrapEvaluator: wrap,
 	})
 	if err != nil || fault != nil {

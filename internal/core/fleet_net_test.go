@@ -15,6 +15,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/models"
 	"repro/internal/obs"
+	"repro/internal/resilience"
 )
 
 // TestFleetNetChaosJournalByteIdentity is PR 8's headline invariant,
@@ -68,17 +69,15 @@ func TestFleetNetChaosJournalByteIdentity(t *testing.T) {
 				// give the chaos run the same headroom as the kill test.
 				MaxRestarts:    100,
 				RestartBackoff: 20 * time.Millisecond,
-				Net: &fleet.NetConfig{
-					Listener: ln,
-					Chaos: &fleet.ChaosConfig{
-						Seed:         7,
-						Drop:         0.05,
-						Dup:          0.05,
-						Reorder:      0.03,
-						Partition:    0.04,
-						PartitionFor: 150 * time.Millisecond,
-						Delay:        time.Millisecond,
-					},
+				Listener:       ln,
+				Faults: &fleet.Faults{
+					Seed:         7,
+					Drop:         0.05,
+					Dup:          0.05,
+					Reorder:      0.03,
+					Partition:    0.04,
+					PartitionFor: 150 * time.Millisecond,
+					Delay:        time.Millisecond,
 				},
 			})
 			if err != nil {
@@ -102,7 +101,6 @@ func TestFleetNetChaosJournalByteIdentity(t *testing.T) {
 						Eval:               tuner,
 						Fingerprint:        tuner.Fingerprint(),
 						Session:            fmt.Sprintf("w%d", i),
-						Heartbeat:          50 * time.Millisecond,
 						HeartbeatMissLimit: 3,
 						SendTimeout:        2 * time.Second,
 						DialTimeout:        2 * time.Second,
@@ -118,8 +116,8 @@ func TestFleetNetChaosJournalByteIdentity(t *testing.T) {
 			res, err, fault := runJournaled(t, Options{
 				Seed: 1, JournalPath: path,
 				Parallelism: workers, Fleet: coord,
-				Retries: 10,
-				Trace:   tracer, Metrics: reg,
+				Resilience: resilience.Policy{Retries: 10},
+				Trace:      tracer, Metrics: reg,
 			})
 			if err != nil || fault != nil {
 				t.Fatalf("network fleet run: err=%v fault=%v", err, fault)
@@ -199,5 +197,47 @@ func TestFleetNetChaosJournalByteIdentity(t *testing.T) {
 					obs.MetricFleetWorkersPrefix, obs.HistEvalRunNS)
 			}
 		})
+	}
+}
+
+// TestFleetSpawnedPartitionJournalByteIdentity pins what network faults
+// do to spawned children, whose connections pass through the same
+// fault layer as dial-in workers'. A partition (or a dropped lease or
+// reply) costs a child its connection, which the coordinator treats as
+// a crash: it fails the lease for reassignment, kills and reaps the
+// child, and respawns the slot against its restart budget. The journal
+// stays byte-identical, and the faults show as restarts.
+func TestFleetSpawnedPartitionJournalByteIdentity(t *testing.T) {
+	dir := t.TempDir()
+	refPath := filepath.Join(dir, "ref.jsonl")
+	if _, err, fault := runJournaled(t, Options{Seed: 1, JournalPath: refPath}); err != nil || fault != nil {
+		t.Fatalf("reference run: err=%v fault=%v", err, fault)
+	}
+	refBytes, err := os.ReadFile(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "spawned.jsonl")
+	coord := newFleet(t, 2, &fleet.Faults{Seed: 7, Drop: 0.02, Dup: 0.05, Reorder: 0.02,
+		Partition: 0.03, PartitionFor: 150 * time.Millisecond})
+	res, err, fault := runJournaled(t, Options{
+		Seed: 1, JournalPath: path, Parallelism: 2, Fleet: coord,
+		Resilience: resilience.Policy{Retries: 10},
+	})
+	if err != nil || fault != nil {
+		t.Fatalf("fleet run: err=%v fault=%v", err, fault)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, refBytes) {
+		t.Error("journal of spawned children under network faults differs from the fault-free journal")
+	}
+	if n := res.Outcome.Log.InfraCount(); n != 0 {
+		t.Errorf("%d quarantined assignment(s); want 0", n)
+	}
+	if st := res.Fleet; st.Restarts == 0 || st.Degraded {
+		t.Errorf("fleet stats %+v; want restarts > 0 and no degrade", st)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +15,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/models"
 	"repro/internal/obs"
+	"repro/internal/search"
 )
 
 // TestMain doubles as the fleet worker executable: the fleet tests
@@ -47,41 +48,30 @@ func runTunerWorker() error {
 	if err != nil {
 		return err
 	}
-	faults := fleet.WorkerFaults{WedgeKey: os.Getenv("FLEET_TUNER_WEDGE_KEY")}
-	if v := os.Getenv("FLEET_TUNER_KILL_RATE"); v != "" {
-		faults.KillRate, _ = strconv.ParseFloat(v, 64)
-	}
-	if v := os.Getenv("FLEET_TUNER_SEED"); v != "" {
-		faults.Seed, _ = strconv.ParseInt(v, 10, 64)
-	}
 	return fleet.ServeNet(fleet.NetServeConfig{
 		Addr:        *addr,
 		Session:     *session,
 		MaxDials:    *maxDials,
 		Eval:        t,
 		Fingerprint: t.Fingerprint(),
-		Heartbeat:   50 * time.Millisecond,
-		Fault:       faults,
 	})
 }
 
 // tunerSpawn spawns the test binary as a real-tuner worker through
-// fleet.Command, with the environment overrides ("K=V" strings) set for
-// the test.
-func tunerSpawn(t *testing.T, extra ...string) fleet.SpawnFunc {
+// fleet.Command.
+func tunerSpawn(t *testing.T) fleet.SpawnFunc {
 	t.Setenv("FLEET_TUNER_WORKER", "1")
-	for _, kv := range extra {
-		k, v, _ := strings.Cut(kv, "=")
-		t.Setenv(k, v)
-	}
 	return fleet.Command(os.Args[0])
 }
 
-func newFleet(t *testing.T, workers int, env ...string) *fleet.Coordinator {
+// newFleet builds a spawning fleet of real-tuner workers that injects
+// faults (nil = none).
+func newFleet(t *testing.T, workers int, faults *fleet.Faults) *fleet.Coordinator {
 	t.Helper()
 	coord, err := fleet.New(fleet.Config{
 		Workers:   workers,
-		Spawn:     tunerSpawn(t, env...),
+		Spawn:     tunerSpawn(t),
+		Faults:    faults,
 		Heartbeat: 50 * time.Millisecond,
 		// With one worker, every injected death lands on the same slot;
 		// give it headroom so routine kills never retire the pool.
@@ -122,13 +112,13 @@ func TestFleetJournalByteIdentity(t *testing.T) {
 	// Kill-rate/seed chosen to produce several worker deaths on funarc's
 	// evaluation stream without exhausting any per-key retry budget
 	// (verified by the zero-quarantine assertion below).
-	faultEnv := []string{"FLEET_TUNER_KILL_RATE=0.15", "FLEET_TUNER_SEED=7"}
+	faults := &fleet.Faults{KillRate: 0.15, Seed: 7}
 
 	for _, workers := range []int{1, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			path := filepath.Join(dir, fmt.Sprintf("fleet%d.jsonl", workers))
-			coord := newFleet(t, workers, faultEnv...)
+			coord := newFleet(t, workers, faults)
 			tracer := obs.NewTracer("fleet-byte-identity")
 			reg := obs.NewRegistry()
 			res, err, fault := runJournaled(t, Options{
@@ -306,7 +296,7 @@ func TestFleetWedgedWorkerJournalIdentity(t *testing.T) {
 	wedgeKey := recs[2].Assignment.Key()
 
 	path := filepath.Join(dir, "wedge.jsonl")
-	coord := newFleet(t, 2, "FLEET_TUNER_WEDGE_KEY="+wedgeKey)
+	coord := newFleet(t, 2, &fleet.Faults{WedgeKey: wedgeKey})
 	res, err, fault := runJournaled(t, Options{
 		Seed: 1, JournalPath: path, Parallelism: 2, Fleet: coord,
 	})
@@ -322,5 +312,40 @@ func TestFleetWedgedWorkerJournalIdentity(t *testing.T) {
 	}
 	if res.Fleet.Exits == 0 {
 		t.Error("wedged worker was never declared lost")
+	}
+}
+
+// TestProgressFollowsJournalOrder: Options.Progress reports every
+// journaled variant once, in the journal's record order, whoever
+// evaluated it: in-process at par 1 and 8, or on a spawned fleet.
+func TestProgressFollowsJournalOrder(t *testing.T) {
+	dir := t.TempDir()
+	run := func(name string, opts Options) []string {
+		t.Helper()
+		var keys []string
+		opts.Seed, opts.JournalPath = 1, filepath.Join(dir, name+".jsonl")
+		opts.Progress = func(ev *search.Evaluation) { keys = append(keys, ev.Assignment.Key()) }
+		if _, err, fault := runJournaled(t, opts); err != nil || fault != nil {
+			t.Fatalf("%s: err=%v fault=%v", name, err, fault)
+		}
+		return keys
+	}
+	par1 := run("par1", Options{Parallelism: 1})
+	_, recs, err := journal.Inspect(filepath.Join(dir, "par1.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, len(recs))
+	for i, r := range recs {
+		want[i] = r.AKey
+	}
+	if !reflect.DeepEqual(par1, want) {
+		t.Errorf("par 1 Progress keys differ from the journal's record order:\n  got  %q\n  want %q", par1, want)
+	}
+	if got := run("par8", Options{Parallelism: 8}); !reflect.DeepEqual(got, want) {
+		t.Errorf("par 8 Progress keys differ from the journal's:\n  got  %q\n  want %q", got, want)
+	}
+	if got := run("fleet", Options{Parallelism: 2, Fleet: newFleet(t, 2, nil)}); !reflect.DeepEqual(got, want) {
+		t.Errorf("fleet Progress keys differ from the journal's:\n  got  %q\n  want %q", got, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/resilience"
 	"repro/internal/search"
 )
 
@@ -93,7 +94,7 @@ func TestTraceRetrySpansMatchSidecar(t *testing.T) {
 	reg := obs.NewRegistry()
 	res, err, fault := runJournaled(t, Options{
 		Seed: 1, JournalPath: path, Trace: tracer, Metrics: reg,
-		Retries: 8, RetryBackoff: 1,
+		Resilience: resilience.Policy{Retries: 8, Backoff: resilience.Backoff{Base: 1}},
 		WrapEvaluator: func(inner search.Evaluator) search.Evaluator {
 			return &search.FaultInjector{Inner: inner, Mode: search.FaultFlaky, Rate: 0.3, Seed: 7}
 		},

@@ -100,10 +100,10 @@ func (r *Result) Render() string {
 		fmt.Fprintf(&sb, "  salvaged: %d evaluation(s) recovered from the aborted prior run's sidecar\n", r.Salvaged)
 	}
 	if st := r.Fleet; st != nil {
-		fmt.Fprintf(&sb, "  fleet: %d worker(s) (%d alive at end), %d lease(s), %d expired, %d late result(s) dropped, %d worker death(s), %d restart(s)\n",
-			st.Workers, st.Alive, st.Leases, st.Expired, st.Late, st.Exits, st.Restarts)
+		fmt.Fprintf(&sb, "  fleet: %d worker(s) (%d alive at end), %d lease(s), %d expired, %d worker death(s), %d restart(s)\n",
+			st.Workers, st.Alive, st.Leases, st.Expired, st.Exits, st.Restarts)
 		if st.Reconnects > 0 || st.PartitionExpired > 0 || st.DupRefused > 0 || st.FrameErrors > 0 {
-			fmt.Fprintf(&sb, "  fleet network: %d reconnect(s), %d partition-expired lease(s), %d duplicate frame(s) refused, %d frame error(s)\n",
+			fmt.Fprintf(&sb, "  fleet network: %d reconnect(s), %d partition-expired lease(s), %d duplicate or stale reply(ies) refused, %d frame error(s)\n",
 				st.Reconnects, st.PartitionExpired, st.DupRefused, st.FrameErrors)
 		}
 		if st.Degraded {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -36,7 +37,7 @@ func TestFlakyRetryJournalByteIdentical(t *testing.T) {
 	flakyPath := filepath.Join(dir, "flaky.jsonl")
 	res, err, fault := runJournaled(t, Options{
 		Seed: 1, JournalPath: flakyPath,
-		Retries: 8, RetryBackoff: 1, // ~ns-scale sleeps
+		Resilience: resilience.Policy{Retries: 8, Backoff: resilience.Backoff{Base: 1}}, // ~ns-scale sleeps
 		WrapEvaluator: func(inner search.Evaluator) search.Evaluator {
 			return &search.FaultInjector{Inner: inner, Mode: search.FaultFlaky, Rate: 0.3, Seed: 7}
 		},
@@ -86,7 +87,7 @@ func TestSupervisedNoFaultRunIsFaithful(t *testing.T) {
 	refBytes, _ := os.ReadFile(refPath)
 
 	supPath := filepath.Join(dir, "sup.jsonl")
-	res, err, fault := runJournaled(t, Options{Seed: 1, JournalPath: supPath, Retries: 3, RetryBackoff: 1})
+	res, err, fault := runJournaled(t, Options{Seed: 1, JournalPath: supPath, Resilience: resilience.Policy{Retries: 3, Backoff: resilience.Backoff{Base: 1}}})
 	if err != nil || fault != nil {
 		t.Fatalf("supervised run: err=%v fault=%v", err, fault)
 	}
@@ -132,7 +133,7 @@ func TestQuarantineCompletesSearch(t *testing.T) {
 
 	path := filepath.Join(dir, "q.jsonl")
 	res, err, fault := runJournaled(t, Options{
-		Seed: 1, JournalPath: path, Retries: 2, RetryBackoff: 1,
+		Seed: 1, JournalPath: path, Resilience: resilience.Policy{Retries: 2, Backoff: resilience.Backoff{Base: 1}},
 		WrapEvaluator: func(inner search.Evaluator) search.Evaluator {
 			return &search.FaultInjector{Inner: inner, Mode: search.FaultCrashKey, CrashKey: poison}
 		},
@@ -224,7 +225,7 @@ func TestBreakerTripThenResume(t *testing.T) {
 	// inline (no breaker), search runs to completion.
 	onePath := filepath.Join(dir, "oneshot.jsonl")
 	if _, err, fault := runJournaled(t, Options{
-		Seed: 1, JournalPath: onePath, Retries: 1, RetryBackoff: 1,
+		Seed: 1, JournalPath: onePath, Resilience: resilience.Policy{Retries: 1, Backoff: resilience.Backoff{Base: 1}},
 		WrapEvaluator: crashInjector,
 	}); err != nil || fault != nil {
 		t.Fatalf("one-shot run: err=%v fault=%v", err, fault)
@@ -234,7 +235,7 @@ func TestBreakerTripThenResume(t *testing.T) {
 	// Breaker=1 run: trips at the poisoned evaluation.
 	path := filepath.Join(dir, "trip.jsonl")
 	res, err, fault := runJournaled(t, Options{
-		Seed: 1, JournalPath: path, Breaker: 1, RetryBackoff: 1,
+		Seed: 1, JournalPath: path, Resilience: resilience.Policy{Breaker: 1, Backoff: resilience.Backoff{Base: 1}},
 		Parallelism:   2,
 		WrapEvaluator: crashInjector,
 	})
@@ -264,12 +265,12 @@ func TestBreakerTripThenResume(t *testing.T) {
 		t.Error("aborted run wrote a Done checkpoint")
 	}
 
-	// Resume with retries instead of failfast: the persisted quarantine
+	// Resume with retries instead of the breaker: the persisted quarantine
 	// short-circuits the poison — the injector (and tuner) must never
 	// see that key again — and the search completes.
 	var rec *recordingWrap
 	res2, err, fault := runJournaled(t, Options{
-		Seed: 1, JournalPath: path, Resume: true, Retries: 1, RetryBackoff: 1,
+		Seed: 1, JournalPath: path, Resume: true, Resilience: resilience.Policy{Retries: 1, Backoff: resilience.Backoff{Base: 1}},
 		WrapEvaluator: func(inner search.Evaluator) search.Evaluator {
 			rec = &recordingWrap{inner: crashInjector(inner)}
 			return rec
@@ -333,7 +334,7 @@ func TestSalvagedSiblingsSurviveTrip(t *testing.T) {
 
 	path := filepath.Join(dir, "salvage.jsonl")
 	res, err, fault := runJournaled(t, Options{
-		Seed: 1, JournalPath: path, Breaker: 1, RetryBackoff: 1, Parallelism: 2,
+		Seed: 1, JournalPath: path, Resilience: resilience.Policy{Breaker: 1, Backoff: resilience.Backoff{Base: 1}}, Parallelism: 2,
 		WrapEvaluator: func(inner search.Evaluator) search.Evaluator {
 			return &gatedCrash{inner: inner, crash: poison, sibling: make(chan struct{})}
 		},
@@ -360,7 +361,7 @@ func TestSalvagedSiblingsSurviveTrip(t *testing.T) {
 
 	var rec *recordingWrap
 	res2, err, fault := runJournaled(t, Options{
-		Seed: 1, JournalPath: path, Resume: true, Retries: 1, RetryBackoff: 1,
+		Seed: 1, JournalPath: path, Resume: true, Resilience: resilience.Policy{Retries: 1, Backoff: resilience.Backoff{Base: 1}},
 		WrapEvaluator: func(inner search.Evaluator) search.Evaluator {
 			rec = &recordingWrap{inner: crashInjector(inner)}
 			return rec
@@ -383,12 +384,45 @@ func TestSalvagedSiblingsSurviveTrip(t *testing.T) {
 	}
 }
 
-// TestResilienceOptionsNotFingerprinted: like parallelism, retry policy
-// does not shape the evaluation stream, so journals interoperate across
-// policies.
+// TestResilienceOptionsNotFingerprinted: like parallelism, the
+// resilience policy does not shape the evaluation stream, so journals
+// interoperate across policies. Every Policy field is set, by
+// reflection, so a field added later is covered too.
 func TestResilienceOptionsNotFingerprinted(t *testing.T) {
 	base := mustFingerprint(t, Options{Seed: 1})
-	if mustFingerprint(t, Options{Seed: 1, Retries: 5, Breaker: 3, MaxQuarantined: 9, RetryBackoff: 12345}) != base {
-		t.Error("resilience options changed the fingerprint; journals would be rejected across retry policies")
+	var pol resilience.Policy
+	setNonZero(t, "Policy", reflect.ValueOf(&pol).Elem())
+	if mustFingerprint(t, Options{Seed: 1, Resilience: pol}) != base {
+		t.Errorf("resilience policy %+v changed the fingerprint; journals would be rejected across retry policies", pol)
+	}
+}
+
+// setNonZero sets v — each field of a struct, one entry of a map — to a
+// non-zero value.
+func setNonZero(t *testing.T, name string, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64: // time.Duration too
+		v.SetInt(7)
+	case reflect.String:
+		v.SetString("hang")
+	case reflect.Map:
+		k := reflect.New(v.Type().Key()).Elem()
+		e := reflect.New(v.Type().Elem()).Elem()
+		setNonZero(t, name, k)
+		setNonZero(t, name, e)
+		v.Set(reflect.MakeMap(v.Type()))
+		v.SetMapIndex(k, e)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			setNonZero(t, name+"."+v.Type().Field(i).Name, v.Field(i))
+		}
+	default:
+		t.Fatalf("%s has kind %s; teach setNonZero to set it", name, v.Kind())
+	}
+	if v.IsZero() {
+		t.Fatalf("%s is still zero", name)
 	}
 }

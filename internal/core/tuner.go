@@ -56,9 +56,12 @@ type Options struct {
 	Parallelism int
 	// Machine overrides the default machine model.
 	Machine *perfmodel.Model
-	// Progress, if non-nil, receives one call per distinct variant.
-	// Evaluations replayed from a resumed journal are not re-run and do
-	// not reach Progress.
+	// Progress, if non-nil, receives one call per distinct variant, in
+	// the evaluation log's deterministic order: the same tune makes the
+	// same calls in the same order at any Parallelism and on a Fleet.
+	// Evaluations replayed from a resumed journal do not reach Progress;
+	// ones salvaged from an aborted run's events sidecar do, since they
+	// are appended to the journal afresh.
 	Progress func(ev *search.Evaluation)
 
 	// JournalPath, if non-empty, makes the search crash-safe: every
@@ -85,45 +88,12 @@ type Options struct {
 	// screening layers.
 	WrapEvaluator func(search.Evaluator) search.Evaluator
 
-	// Retries enables the resilience supervisor and bounds retries of
-	// transient infrastructure faults (worker panics) per evaluation.
-	// Variant outcomes — fail/timeout/error evaluations *returned* by
-	// the evaluator — are deterministic properties of the assignment and
-	// are never retried, so Table II statistics are unaffected. Like
-	// Parallelism, the resilience knobs are not fingerprinted: they do
-	// not shape the evaluation stream, so a journal recorded under one
-	// retry policy resumes correctly under any other.
-	Retries int
-	// Breaker trips the circuit breaker after this many consecutive
-	// hard infrastructure failures, failing fast with a partial report
-	// (0 disables it; 1 fails on the first). Setting it enables the
-	// supervisor even with Retries=0.
-	Breaker int
-	// MaxQuarantined aborts the search once more than this many
-	// distinct assignments are quarantined (0 = unlimited).
-	MaxQuarantined int
-	// RetryBackoff is the base retry delay (0 = the supervisor default;
-	// tests set ~1ns to avoid real sleeps). Jitter is seeded per
-	// assignment, so retried runs stay deterministic.
-	RetryBackoff time.Duration
-	// RetriesByClass overrides Retries per fault kind (see
-	// resilience.FaultKindOf and resilience.DefaultRetryBudgets): a
-	// scheduler kill usually deserves more retries than an OOM.
-	RetriesByClass map[string]int
-	// Watchdog bounds each evaluation attempt's wall-clock time; a hung
-	// worker is abandoned and treated as a transient infrastructure
-	// fault. Setting it enables the supervisor.
-	Watchdog time.Duration
-	// HalfOpen makes a tripped circuit breaker probe one evaluation
-	// (after a cooldown) instead of aborting outright; the search
-	// resumes if the probe succeeds.
-	HalfOpen bool
-	// DrainGrace is how long in-flight evaluations may keep running
-	// after the run's context is cancelled before they are hard-stopped
-	// mid-flight (interpreter unwinds with a cancellation fault). 0
-	// lets in-flight evaluations drain to completion; the soft stop —
-	// no *new* evaluation starts — always applies immediately.
-	DrainGrace time.Duration
+	// Resilience is the supervisor and drain policy. Any retry budget,
+	// breaker, quarantine budget or watchdog in it (Policy.Supervises)
+	// runs the evaluator under a resilience.Supervised wrapper; its
+	// DrainGrace bounds the drain after the run's context is cancelled.
+	// Like Parallelism it is not fingerprinted.
+	Resilience resilience.Policy
 
 	// Trace, if non-nil, collects a hierarchical span trace of the run
 	// (tune → search.round → batch → eval → interp.run, plus retry and
@@ -170,10 +140,10 @@ type Options struct {
 	// fingerprint for the worker handshake) and closes it before Run
 	// returns. Worker deaths, missed heartbeats, and expired leases
 	// surface as transient infrastructure faults to the resilience
-	// supervisor — a fleet run always supervises, and when no retry knob
-	// is set it gets DefaultFleetRetries with the per-kind defaults — so
-	// a lease reassignment is just a supervised retry. Like Parallelism,
-	// the fleet is not fingerprinted: workers reproduce the
+	// supervisor — a fleet run always supervises, and when Resilience
+	// sets no retry budget it gets DefaultFleetRetries with the per-kind
+	// defaults — so a lease reassignment is just a supervised retry.
+	// Like Parallelism, the fleet is not fingerprinted: workers reproduce the
 	// coordinator's evaluations bit for bit, so the journal is
 	// byte-identical at any pool size, worker crashes included
 	// (test-enforced by TestFleetJournalByteIdentity). ProcVariants
@@ -188,11 +158,10 @@ type Options struct {
 // assignment is poisoned.
 const DefaultFleetRetries = 3
 
-// supervising reports whether any resilience knob enables the
-// supervisor.
+// supervising reports whether the run needs the resilience supervisor:
+// its policy asks for one, or it runs on a fleet.
 func (o Options) supervising() bool {
-	return o.Retries > 0 || o.Breaker > 0 || o.MaxQuarantined > 0 ||
-		o.Watchdog > 0 || len(o.RetriesByClass) > 0 || o.Fleet != nil
+	return o.Resilience.Supervises() || o.Fleet != nil
 }
 
 // Baseline summarizes the instrumented baseline run (Table I data).
@@ -276,7 +245,7 @@ type Tuner struct {
 	baseTimeEq1   float64 // Eq. (1) numerator (median of n noisy samples)
 
 	log        *search.Log
-	mu         sync.Mutex // guards procPoints, evalSeq, Progress calls
+	mu         sync.Mutex // guards procPoints and evalSeq
 	evalSeq    int
 	procPoints map[string]map[string]*ProcPoint
 	procAtoms  map[string][]string // proc -> its atom qnames
@@ -523,7 +492,6 @@ func (t *Tuner) EvaluateSpan(sp *obs.Span, a transform.Assignment) *search.Evalu
 		// outcome.
 		ev.Status = search.StatusError
 		ev.Detail = "transform: " + err.Error()
-		t.notify(ev)
 		return ev
 	}
 
@@ -542,7 +510,6 @@ func (t *Tuner) EvaluateSpan(sp *obs.Span, a transform.Assignment) *search.Evalu
 	if err != nil {
 		ev.Status = search.StatusError
 		ev.Detail = err.Error()
-		t.notify(ev)
 		return ev
 	}
 	isp := sp.Child(obs.SpanInterpRun)
@@ -596,7 +563,6 @@ func (t *Tuner) EvaluateSpan(sp *obs.Span, a transform.Assignment) *search.Evalu
 		}
 		ev.Detail = runErr.Error()
 		t.recordProcPoints(ev, res, v.WrapperOf)
-		t.notify(ev)
 		return ev
 	}
 
@@ -608,7 +574,6 @@ func (t *Tuner) EvaluateSpan(sp *obs.Span, a transform.Assignment) *search.Evalu
 		ev.Status = search.StatusError
 		ev.Detail = err.Error()
 		t.recordProcPoints(ev, res, v.WrapperOf)
-		t.notify(ev)
 		return ev
 	}
 
@@ -621,16 +586,7 @@ func (t *Tuner) EvaluateSpan(sp *obs.Span, a transform.Assignment) *search.Evalu
 	}
 	ev.Detail = fmt.Sprintf("wrappers=%d casts=%d", v.Wrappers, res.Casts)
 	t.recordProcPoints(ev, res, v.WrapperOf)
-	t.notify(ev)
 	return ev
-}
-
-func (t *Tuner) notify(ev *search.Evaluation) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.opts.Progress != nil {
-		t.opts.Progress(ev)
-	}
 }
 
 // recordProcPoints collects Fig. 6 data: for each hotspot procedure,
@@ -862,7 +818,7 @@ func (t *Tuner) openJournal(withEvents bool) (*journalState, error) {
 //
 // ctx bounds the run's lifetime (nil never cancels). Cancellation is
 // two-phase: the moment ctx is done no *new* evaluation starts (the
-// soft stop), and after Options.DrainGrace in-flight evaluations are
+// soft stop), and after Resilience.DrainGrace in-flight evaluations are
 // hard-stopped mid-interpretation (with DrainGrace 0 they drain to
 // completion). Either way the search unwinds in an orderly fashion: the
 // journal keeps the completed deterministic prefix, completed siblings
@@ -872,9 +828,8 @@ func (t *Tuner) openJournal(withEvents bool) (*journalState, error) {
 // A -resume run completes the search and produces a journal
 // byte-identical to an uninterrupted run's.
 //
-// With a resilience knob set (Retries/Breaker/MaxQuarantined/
-// Watchdog/RetriesByClass) the evaluator runs under a
-// resilience.Supervised wrapper. If the supervisor aborts the search —
+// When Resilience.Supervises (or on a fleet) the evaluator runs under
+// a resilience.Supervised wrapper. If the supervisor aborts the search —
 // circuit breaker tripped or quarantine budget exhausted — Run returns
 // the partial Result *and* the *resilience.AbortError: the completed
 // work (log, journal, best variant so far) is preserved for graceful
@@ -895,7 +850,7 @@ func (t *Tuner) Run(ctx context.Context) (*Result, error) {
 	// interpreter and fires DrainGrace later, cutting in-flight
 	// evaluations short. With DrainGrace 0 there is no hard stop.
 	t.runCtx = nil
-	if ctx != nil && t.opts.DrainGrace > 0 {
+	if grace := t.opts.Resilience.DrainGrace; ctx != nil && grace > 0 {
 		hard, cancelHard := context.WithCancelCause(context.Background())
 		stop := make(chan struct{})
 		defer close(stop)
@@ -903,7 +858,7 @@ func (t *Tuner) Run(ctx context.Context) (*Result, error) {
 		go func() {
 			select {
 			case <-ctx.Done():
-				timer := time.NewTimer(t.opts.DrainGrace)
+				timer := time.NewTimer(grace)
 				defer timer.Stop()
 				select {
 				case <-timer.C:
@@ -992,6 +947,20 @@ func (t *Tuner) Run(ctx context.Context) (*Result, error) {
 		}
 	}
 
+	if progress := t.opts.Progress; progress != nil {
+		// Progress follows the log, not the evaluators: adds arrive one
+		// at a time in deterministic order, whoever evaluated them.
+		journalAdd := sopts.OnAdd
+		sopts.OnAdd = func(ev *search.Evaluation, replayed bool) {
+			if journalAdd != nil {
+				journalAdd(ev, replayed)
+			}
+			if !replayed {
+				progress(ev)
+			}
+		}
+	}
+
 	evaluator := search.Evaluator(t)
 	if t.opts.WrapEvaluator != nil {
 		evaluator = t.opts.WrapEvaluator(evaluator)
@@ -1030,24 +999,16 @@ func (t *Tuner) Run(ctx context.Context) (*Result, error) {
 	}
 	var sup *resilience.Supervised
 	if supervising {
-		sup = &resilience.Supervised{
-			Inner:          evaluator,
-			MaxRetries:     t.opts.Retries,
-			RetriesByKind:  t.opts.RetriesByClass,
-			Watchdog:       t.opts.Watchdog,
-			Breaker:        t.opts.Breaker,
-			HalfOpen:       t.opts.HalfOpen,
-			MaxQuarantined: t.opts.MaxQuarantined,
-			Backoff:        resilience.Backoff{Base: t.opts.RetryBackoff, Seed: t.opts.Seed},
-			Metrics:        t.opts.Metrics,
-		}
-		if t.opts.Fleet != nil && t.opts.Retries == 0 && len(t.opts.RetriesByClass) == 0 {
+		pol := t.opts.Resilience
+		pol.Backoff.Seed = t.opts.Seed
+		if t.opts.Fleet != nil && pol.Retries == 0 && len(pol.RetriesByKind) == 0 {
 			// A fleet with no retry budget would quarantine an assignment
 			// on its first worker death; give it the standard per-kind
 			// budgets so routine kills become lease reassignments.
-			sup.MaxRetries = DefaultFleetRetries
-			sup.RetriesByKind = resilience.DefaultRetryBudgets(DefaultFleetRetries)
+			pol.Retries = DefaultFleetRetries
+			pol.RetriesByKind = resilience.DefaultRetryBudgets(DefaultFleetRetries)
 		}
+		sup = &resilience.Supervised{Inner: evaluator, Policy: pol, Metrics: t.opts.Metrics}
 		if events != nil {
 			ev := events
 			sup.OnEvent = func(e resilience.Event) {

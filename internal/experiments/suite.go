@@ -11,10 +11,10 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/models"
+	"repro/internal/resilience"
 	"repro/internal/search"
 )
 
@@ -38,15 +38,9 @@ type Options struct {
 	JournalDir string
 	// Resume replays the existing journals in JournalDir.
 	Resume bool
-	// Supervisor knobs, forwarded to every search (see core.Options).
-	Retries        int
-	RetriesByClass map[string]int
-	Watchdog       time.Duration
-	Breaker        int
-	HalfOpen       bool
-	MaxQuarantined int
-	// DrainGrace bounds in-flight evaluation drain after ctx cancels.
-	DrainGrace time.Duration
+	// Resilience is the supervisor and drain policy of every search (see
+	// core.Options.Resilience).
+	Resilience resilience.Policy
 }
 
 // RunSuite executes the four searches of the case study (the artifact's
@@ -60,13 +54,7 @@ func RunSuite(ctx context.Context, seed int64) (*Suite, error) {
 func RunSuiteOpts(ctx context.Context, seed int64, sopts Options) (*Suite, error) {
 	par := suiteParallelism()
 	build := func(whole bool, journalName string) core.Options {
-		o := core.Options{
-			Seed: seed, Parallelism: par, WholeModel: whole,
-			Retries: sopts.Retries, RetriesByClass: sopts.RetriesByClass,
-			Watchdog: sopts.Watchdog, Breaker: sopts.Breaker,
-			HalfOpen: sopts.HalfOpen, MaxQuarantined: sopts.MaxQuarantined,
-			DrainGrace: sopts.DrainGrace,
-		}
+		o := core.Options{Seed: seed, Parallelism: par, WholeModel: whole, Resilience: sopts.Resilience}
 		if sopts.JournalDir != "" {
 			o.JournalPath = filepath.Join(sopts.JournalDir, journalName)
 			o.Resume = sopts.Resume

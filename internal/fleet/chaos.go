@@ -13,52 +13,24 @@ import (
 // same moment, so both sides observe the partition like a real one.
 var errChaosPartition = errors.New("fleet: chaos partition")
 
-// ChaosConfig configures deterministic network-fault injection on the
-// coordinator's accepted connections (the `-fleet-chaos-*` flags) or a
-// worker's dialed connection. Every decision is a pure function of
-// (Seed, op tag, frame sequence) via search.FaultFrac — the same
-// stream that drives process-level kills — so a chaos run is
-// reproducible bit for bit.
-type ChaosConfig struct {
-	// Seed drives every chaos roll.
-	Seed int64
-	// Drop is the per-frame probability the frame silently vanishes.
-	Drop float64
-	// Dup is the per-frame probability the frame is delivered twice.
-	Dup float64
-	// Reorder is the per-frame probability the frame is held back and
-	// delivered after its successor.
-	Reorder float64
-	// Delay is a fixed latency added to every frame.
-	Delay time.Duration
-	// Partition is the per-frame probability a hard partition window
-	// opens: the connection is severed and redials are refused until
-	// PartitionFor elapses.
-	Partition float64
-	// PartitionFor is the length of an injected partition window.
-	PartitionFor time.Duration
-}
-
-func (c *ChaosConfig) enabled() bool {
-	return c != nil && (c.Drop > 0 || c.Dup > 0 || c.Reorder > 0 || c.Delay > 0 || c.Partition > 0)
-}
-
 // chaos is the shared mutable state behind every chaos-wrapped
 // connection of one endpoint: one frame-sequence counter (so rolls are
 // deterministic across reconnects) and the current partition window.
 type chaos struct {
-	cfg ChaosConfig
+	cfg Faults
 	mu  sync.Mutex
 	seq int64
 	// partUntil is the end of the open partition window, zero when none.
 	partUntil time.Time
 }
 
-func newChaos(cfg *ChaosConfig) *chaos {
-	if !cfg.enabled() {
+// newChaos returns the network-fault state for f, nil when f injects
+// no network fault.
+func newChaos(f *Faults) *chaos {
+	if !f.network() {
 		return nil
 	}
-	return &chaos{cfg: *cfg}
+	return &chaos{cfg: *f}
 }
 
 // roll draws the next deterministic uniform value for one kind of

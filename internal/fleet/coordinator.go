@@ -42,10 +42,6 @@ const (
 	// EventLeaseExpired: a lease passed its deadline and was failed for
 	// reassignment (the supervisor's retry resubmits it).
 	EventLeaseExpired = "lease_expired"
-	// EventLateResult: a completion arrived for a lease that had already
-	// expired and been reassigned; it was dropped, keeping journal
-	// appends exactly-once.
-	EventLateResult = "late_result"
 	// EventWorkerExit: a worker process died (EOF on its connection) —
 	// a SIGKILL, OOM kill, or crash.
 	EventWorkerExit = "worker_exit"
@@ -73,8 +69,9 @@ const (
 	// for supervised reassignment.
 	EventPartitionExpired = "partition_expired"
 	// EventDupRefused: a duplicate or stale frame — a network
-	// duplication or a reply outliving its lease — was refused by the
-	// exactly-once dedup.
+	// duplication, or a reply that outlived its lease (expired and
+	// reassigned, or superseded across a reconnect) — was refused by the
+	// exactly-once dedup, keeping journal appends exactly-once.
 	EventDupRefused = "dup_refused"
 )
 
@@ -151,19 +148,27 @@ func (p *procHandle) Pid() int {
 type Config struct {
 	// Workers is the pool size (required, >= 1).
 	Workers int
-	// Spawn launches one worker. Exactly one of Spawn and Net must be
-	// set: Spawn for child processes that dial the coordinator's own
-	// loopback listener, Net for off-host workers that dial in.
+	// Spawn launches one worker. Exactly one of Spawn and Listener must
+	// be set: Spawn for child processes that dial the coordinator's own
+	// loopback listener, Listener for off-host workers that dial in
+	// (`prose worker -connect`). Both kinds run the same accept,
+	// handshake and lease loops; a dial-in worker's session may also
+	// reconnect and re-adopt its in-flight lease.
 	Spawn SpawnFunc
-	// Net accepts dialing network workers instead of spawning
-	// subprocesses (see NetConfig). Exactly one of Spawn and Net.
-	Net *NetConfig
+	// Listener accepts dial-in workers. The coordinator owns it: it is
+	// closed when the fleet shuts down.
+	Listener net.Listener
+	// Faults injects deterministic process and network faults into
+	// every worker, spawned or dial-in (nil = none; see Faults).
+	Faults *Faults
 	// LeaseTTL bounds one evaluation's wall-clock time on a worker; an
 	// expired lease is failed as a hang fault and reassigned by the
 	// supervisor's retry.
 	LeaseTTL time.Duration
-	// Heartbeat is the interval workers are told to beat at (the
-	// coordinator checks for silence at HeartbeatMisses times this).
+	// Heartbeat is the interval every lease tells its worker to beat at
+	// (the coordinator checks for silence at HeartbeatMisses times
+	// this). Leases carry it in whole milliseconds, so it must be at
+	// least 1ms.
 	Heartbeat time.Duration
 	// HeartbeatMisses is how many consecutive silent intervals mark a
 	// worker lost.
@@ -182,7 +187,7 @@ type Config struct {
 	// measure a baseline before dialing).
 	ReadyTimeout time.Duration
 	// LetExpiredFinish keeps a worker alive after its lease expires so
-	// its late result can arrive (and be dropped by the exactly-once
+	// its late result can arrive (and be refused by the exactly-once
 	// dedup). The default kills it: an expired lease usually means a
 	// wedged evaluation, and a fresh process is the cure.
 	LetExpiredFinish bool
@@ -304,9 +309,6 @@ type Stats struct {
 	Leases int64
 	// Expired is the number of leases that passed their deadline.
 	Expired int64
-	// Late is the number of stale completions dropped by the
-	// exactly-once dedup.
-	Late int64
 	// Exits is the number of worker process deaths (exit + lost).
 	Exits int64
 	// Restarts is the number of worker respawns.
@@ -324,8 +326,9 @@ type Stats struct {
 	// PartitionExpired is the number of leases parked across a network
 	// partition that expired before their worker reconnected.
 	PartitionExpired int64
-	// DupRefused is the number of duplicate or stale network frames
-	// refused by the exactly-once dedup.
+	// DupRefused is the number of duplicate or stale replies refused by
+	// the exactly-once dedup: network duplicates, and replies that
+	// outlived their lease.
 	DupRefused int64
 	// FrameErrors is the number of malformed or oversized frames that
 	// retired a connection.
@@ -402,16 +405,13 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("fleet: Workers must be >= 1 (got %d)", cfg.Workers)
 	}
-	if cfg.Spawn == nil && cfg.Net == nil {
-		return nil, fmt.Errorf("fleet: Spawn is required")
-	}
-	if cfg.Spawn != nil && cfg.Net != nil {
-		return nil, fmt.Errorf("fleet: Spawn and Net are mutually exclusive")
-	}
-	if cfg.Net != nil && cfg.Net.Listener == nil {
-		return nil, fmt.Errorf("fleet: Net.Listener is required")
+	if (cfg.Spawn == nil) == (cfg.Listener == nil) {
+		return nil, fmt.Errorf("fleet: exactly one of Spawn and Listener is required")
 	}
 	cfg.withDefaults()
+	if cfg.Heartbeat < time.Millisecond {
+		return nil, fmt.Errorf("fleet: Heartbeat must be at least 1ms (got %v)", cfg.Heartbeat)
+	}
 	if cfg.MinWorkers > cfg.Workers {
 		return nil, fmt.Errorf("fleet: MinWorkers (%d) exceeds Workers (%d)", cfg.MinWorkers, cfg.Workers)
 	}
@@ -447,9 +447,9 @@ func (c *Coordinator) Start(ctx context.Context, rt Runtime) error {
 			c.mu.Unlock()
 			return fmt.Errorf("fleet: loopback listener: %w", err)
 		}
-		c.cfg.Net = &NetConfig{Listener: ln}
+		c.cfg.Listener = ln
 	}
-	c.nchaos = newChaos(c.cfg.Net.Chaos)
+	c.nchaos = newChaos(c.cfg.Faults)
 	c.started = true
 	c.rt = rt
 	c.st.Workers = c.cfg.Workers
@@ -470,7 +470,7 @@ func (c *Coordinator) Start(ctx context.Context, rt Runtime) error {
 	go func() {
 		defer c.wg.Done()
 		<-c.ctx.Done()
-		c.cfg.Net.Listener.Close()
+		c.cfg.Listener.Close()
 	}()
 	go c.acceptLoop()
 	for _, s := range slots {
@@ -770,7 +770,7 @@ func (c *Coordinator) spawn(s *slot) (*child, error) {
 	c.mu.Lock()
 	c.bindLocked(s, session)
 	c.mu.Unlock()
-	proc, err := c.cfg.Spawn(s.id, c.cfg.Net.Listener.Addr().String(), session)
+	proc, err := c.cfg.Spawn(s.id, c.cfg.Listener.Addr().String(), session)
 	if err != nil {
 		c.mu.Lock()
 		c.unbindLocked(s)
@@ -848,7 +848,9 @@ func (c *Coordinator) serveWorker(s *slot, nc *netConn) (exitReason, string) {
 			return exitShutdown, ""
 		}
 		lm := Msg{Type: MsgLease, Lease: l.id, Key: l.job.key, Attempt: l.job.attempt,
-			Assignment: l.job.a, DeadlineMS: c.cfg.LeaseTTL.Milliseconds()}
+			Assignment: l.job.a, DeadlineMS: c.cfg.LeaseTTL.Milliseconds(),
+			HeartbeatMS: c.cfg.Heartbeat.Milliseconds(),
+			Inject:      c.cfg.Faults.inject(l.job.key, l.job.attempt)}
 		if c.rt.Trace != nil || c.rt.Metrics != nil {
 			oc := &ObsCtx{Metrics: c.rt.Metrics != nil}
 			if c.rt.Trace != nil && l.job.span != 0 {
@@ -891,15 +893,6 @@ func (c *Coordinator) workerDied(s *slot, key string, attempt int, detail string
 		Kind: resilience.KindSchedulerKill, Detail: detail})
 }
 
-// lateResult records a stale completion dropped by the exactly-once
-// dedup.
-func (c *Coordinator) lateResult(s *slot, key string, attempt int) {
-	c.counter(obs.MetricFleetLateResults).Add(1)
-	c.statAdd(func(st *Stats) { st.Late++ })
-	c.event(Event{Type: EventLateResult, Worker: s.id, Key: key, Attempt: attempt,
-		Detail: "completion for an expired, reassigned lease dropped"})
-}
-
 // driveLease runs one granted lease to its end: a result/fault frame, a
 // deadline expiry, heartbeat silence, connection loss, process death,
 // or shutdown. It returns next=true when the worker survives to take
@@ -910,7 +903,7 @@ func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerRead
 	key, attempt := l.job.key, l.job.attempt
 	// draining: the lease has already been failed (expired) but the
 	// worker lives on (LetExpiredFinish) — we wait for its stale frame,
-	// count it as late, and only then reuse the worker.
+	// refuse it, and only then reuse the worker.
 	draining := false
 	tick := time.NewTicker(c.cfg.Heartbeat / 2)
 	defer tick.Stop()
@@ -1001,7 +994,7 @@ func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerRead
 					return exitCrash, det, false
 				}
 				if draining || !c.q.complete(l.id, ev) {
-					c.lateResult(s, key, attempt)
+					c.dupRefused(s, key, attempt)
 					if draining {
 						return 0, "", true
 					}
@@ -1017,7 +1010,7 @@ func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerRead
 				}
 				f := &WorkerFault{Key: key, Msg: m.Fault, Persistent: m.Persistent}
 				if draining || !c.q.fail(l.id, f) {
-					c.lateResult(s, key, attempt)
+					c.dupRefused(s, key, attempt)
 					if draining {
 						return 0, "", true
 					}
@@ -1230,9 +1223,9 @@ func (c *Coordinator) WorkerMetrics() obs.Snapshot {
 	return out
 }
 
-// dupRefused records a duplicate or stale frame refused by the
-// exactly-once dedup (network duplication, or a reply that outlived
-// its lease across a reconnect).
+// dupRefused records a duplicate or stale reply refused by the
+// exactly-once dedup (a network duplicate, or a reply that outlived its
+// lease: expired and reassigned, or superseded across a reconnect).
 func (c *Coordinator) dupRefused(s *slot, key string, attempt int) {
 	c.counter(obs.MetricFleetNetDupRefused).Add(1)
 	c.statAdd(func(st *Stats) { st.DupRefused++ })

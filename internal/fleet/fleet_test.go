@@ -8,7 +8,6 @@ import (
 	"net"
 	"os"
 	"reflect"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -45,29 +44,9 @@ func runStubWorker() error {
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		return err
 	}
-	faults := WorkerFaults{
-		CrashKey: os.Getenv("FLEET_STUB_CRASH_KEY"),
-		WedgeKey: os.Getenv("FLEET_STUB_WEDGE_KEY"),
-		SlowKey:  os.Getenv("FLEET_STUB_SLOW_KEY"),
-	}
-	if v := os.Getenv("FLEET_STUB_KILL_RATE"); v != "" {
-		faults.KillRate, _ = strconv.ParseFloat(v, 64)
-	}
-	if v := os.Getenv("FLEET_STUB_SEED"); v != "" {
-		faults.Seed, _ = strconv.ParseInt(v, 10, 64)
-	}
-	if v := os.Getenv("FLEET_STUB_SLOW_MS"); v != "" {
-		ms, _ := strconv.Atoi(v)
-		faults.Slow = time.Duration(ms) * time.Millisecond
-	}
 	fp := os.Getenv("FLEET_STUB_FP")
 	if fp == "" {
 		fp = stubFingerprint
-	}
-	hb := DefaultHeartbeat
-	if v := os.Getenv("FLEET_STUB_HB_MS"); v != "" {
-		ms, _ := strconv.Atoi(v)
-		hb = time.Duration(ms) * time.Millisecond
 	}
 	return ServeNet(NetServeConfig{
 		Addr:        *addr,
@@ -75,8 +54,6 @@ func runStubWorker() error {
 		MaxDials:    *maxDials,
 		Eval:        stubEval{panicKey: os.Getenv("FLEET_STUB_PANIC_KEY")},
 		Fingerprint: fp,
-		Heartbeat:   hb,
-		Fault:       faults,
 	})
 }
 
@@ -156,12 +133,11 @@ func startFleet(t *testing.T, cfg Config, rt Runtime) *Coordinator {
 // supervise wraps the coordinator the way core does, so worker faults
 // become retries (lease reassignments) instead of test panics.
 func supervise(c *Coordinator) *resilience.Supervised {
-	return &resilience.Supervised{
-		Inner:         c,
-		MaxRetries:    3,
+	return &resilience.Supervised{Inner: c, Policy: resilience.Policy{
+		Retries:       3,
 		RetriesByKind: resilience.DefaultRetryBudgets(3),
 		Backoff:       resilience.Backoff{Base: time.Millisecond, Seed: 1},
-	}
+	}}
 }
 
 func asn(n int) transform.Assignment {
@@ -231,10 +207,9 @@ func TestWorkerCrashIsRetriedToSuccess(t *testing.T) {
 
 	sink := &eventSink{}
 	c := startFleet(t, Config{
-		Workers: 1,
-		Spawn: stubSpawn(t,
-			fmt.Sprintf("FLEET_STUB_KILL_RATE=%g", rate),
-			fmt.Sprintf("FLEET_STUB_SEED=%d", seed)),
+		Workers:        1,
+		Spawn:          stubSpawn(t),
+		Faults:         &Faults{KillRate: rate, Seed: seed},
 		RestartBackoff: 10 * time.Millisecond,
 		OnEvent:        sink.record,
 	}, Runtime{})
@@ -257,7 +232,8 @@ func TestWedgedWorkerIsDetectedByHeartbeatLoss(t *testing.T) {
 	sink := &eventSink{}
 	c := startFleet(t, Config{
 		Workers:         1,
-		Spawn:           stubSpawn(t, "FLEET_STUB_WEDGE_KEY="+key, "FLEET_STUB_HB_MS=20"),
+		Spawn:           stubSpawn(t),
+		Faults:          &Faults{WedgeKey: key},
 		Heartbeat:       20 * time.Millisecond,
 		HeartbeatMisses: 4,
 		RestartBackoff:  10 * time.Millisecond,
@@ -282,11 +258,9 @@ func TestLateResultAfterExpiryIsDeduped(t *testing.T) {
 	key := asn(4).Key()
 	sink := &eventSink{}
 	c := startFleet(t, Config{
-		Workers: 1,
-		Spawn: stubSpawn(t,
-			"FLEET_STUB_SLOW_KEY="+key,
-			"FLEET_STUB_SLOW_MS=600",
-			"FLEET_STUB_HB_MS=20"),
+		Workers:          1,
+		Spawn:            stubSpawn(t),
+		Faults:           &Faults{SlowKey: key, Slow: 600 * time.Millisecond},
 		LeaseTTL:         150 * time.Millisecond,
 		Heartbeat:        20 * time.Millisecond,
 		HeartbeatMisses:  50, // heartbeats flow during the slow sleep; silence is not the trigger
@@ -296,7 +270,7 @@ func TestLateResultAfterExpiryIsDeduped(t *testing.T) {
 
 	// Attempt 1 finishes 600ms after a 150ms lease: the lease expires,
 	// the supervisor reassigns, and the worker's late completion must be
-	// dropped by the exactly-once dedup — not delivered twice.
+	// refused by the exactly-once dedup — not delivered twice.
 	ev := supervise(c).Evaluate(asn(4))
 	if ev.Status != search.StatusPass {
 		t.Fatalf("status = %v, want pass", ev.Status)
@@ -306,16 +280,16 @@ func TestLateResultAfterExpiryIsDeduped(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := c.Stats()
-		if st.Expired >= 1 && st.Late >= 1 {
+		if st.Expired >= 1 && st.DupRefused >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("Expired = %d, Late = %d; want >= 1 each", st.Expired, st.Late)
+			t.Fatalf("Expired = %d, DupRefused = %d; want >= 1 each", st.Expired, st.DupRefused)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if sink.count(EventLeaseExpired) < 1 || sink.count(EventLateResult) < 1 {
-		t.Errorf("missing lease_expired/late_result events: %+v", sink.events)
+	if sink.count(EventLeaseExpired) < 1 || sink.count(EventDupRefused) < 1 {
+		t.Errorf("missing lease_expired/dup_refused events: %+v", sink.events)
 	}
 	if st := c.Stats(); st.Exits != 0 {
 		t.Errorf("Exits = %d, want 0 (LetExpiredFinish keeps the worker)", st.Exits)
@@ -540,10 +514,16 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("Workers=0 accepted")
 	}
 	if _, err := New(Config{Workers: 1}); err == nil {
-		t.Error("nil Spawn accepted")
+		t.Error("neither Spawn nor Listener accepted")
 	}
 	if _, err := New(Config{Workers: 2, Spawn: stubSpawn(t), MinWorkers: 3}); err == nil {
 		t.Error("MinWorkers > Workers accepted")
+	}
+	// Leases carry the heartbeat in whole milliseconds: 500µs would go
+	// out as no interval, and the worker would beat at DefaultHeartbeat
+	// while the coordinator expects a beat every 500µs.
+	if _, err := New(Config{Workers: 1, Spawn: stubSpawn(t), Heartbeat: 500 * time.Microsecond}); err == nil {
+		t.Error("sub-millisecond Heartbeat accepted")
 	}
 	c, err := New(Config{Workers: 1, Spawn: stubSpawn(t)})
 	if err != nil {

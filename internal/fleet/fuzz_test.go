@@ -6,21 +6,24 @@ import (
 	"io"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/journal"
 	"repro/internal/obs"
 )
 
 // fuzzSeedMsgs is one frame of each message type, with the payloads a
-// real session carries: a result with its journal.Record, and a
-// heartbeat with shipped spans and a metrics snapshot.
+// real session carries: a lease with its heartbeat interval and fault
+// mark, a result with its journal.Record, and a heartbeat with shipped
+// spans and a metrics snapshot.
 func fuzzSeedMsgs() []Msg {
 	const fp = "fp-fuzz"
 	akey := "funarc.fun.d1=4;funarc.fun.s1=4"
 	return []Msg{
 		{Type: MsgReady, Fingerprint: fp, Session: "s-1", LastLease: 3},
-		{Type: MsgLease, Lease: 4, Key: akey, Attempt: 2, DeadlineMS: 30000,
+		{Type: MsgLease, Lease: 4, Key: akey, Attempt: 2, DeadlineMS: 30000, HeartbeatMS: 250,
 			Assignment: map[string]int{"funarc.fun.d1": 4, "funarc.fun.s1": 4},
+			Inject:     &Inject{Kind: InjectSlow, Delay: 600 * time.Millisecond},
 			Obs:        &ObsCtx{SpanID: "00000000000000a1", Fingerprint: fp, Metrics: true}},
 		{Type: MsgHeartbeat, Lease: 4, TraceNow: 123456, ObsSeq: 7,
 			Spans: []obs.SpanRecord{{ID: 0xa2, Parent: 0xa1, Name: "worker.eval", Worker: 1, PID: 2,

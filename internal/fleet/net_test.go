@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,16 +19,15 @@ import (
 	"repro/internal/transform"
 )
 
-// startNetFleet starts a coordinator in network mode on a loopback
+// startNetFleet starts a coordinator for dial-in workers on a loopback
 // listener and returns it with its dial address.
-func startNetFleet(t *testing.T, cfg Config, nc NetConfig, rt Runtime) (*Coordinator, string) {
+func startNetFleet(t *testing.T, cfg Config, rt Runtime) (*Coordinator, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	nc.Listener = ln
-	cfg.Net = &nc
+	cfg.Listener = ln
 	c := startFleet(t, cfg, rt)
 	return c, ln.Addr().String()
 }
@@ -42,7 +42,6 @@ func startNetWorker(t *testing.T, addr, session string, mut ...func(*NetServeCon
 		Eval:             stubEval{},
 		Fingerprint:      stubFingerprint,
 		Session:          session,
-		Heartbeat:        20 * time.Millisecond,
 		ReconnectBackoff: 10 * time.Millisecond,
 		MaxDials:         5,
 		DialTimeout:      2 * time.Second,
@@ -117,7 +116,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestNetFleetEvaluatesOnDialingWorkers(t *testing.T) {
 	sink := &eventSink{}
-	c, addr := startNetFleet(t, Config{Workers: 2, OnEvent: sink.record}, NetConfig{}, Runtime{})
+	c, addr := startNetFleet(t, Config{Workers: 2, OnEvent: sink.record}, Runtime{})
 	w1 := startNetWorker(t, addr, "w1")
 	w2 := startNetWorker(t, addr, "w2")
 
@@ -157,7 +156,7 @@ func TestNetWorkerReconnectResumesInFlightLease(t *testing.T) {
 		Heartbeat:       20 * time.Millisecond,
 		HeartbeatMisses: 8,
 		OnEvent:         sink.record,
-	}, NetConfig{}, Runtime{})
+	}, Runtime{})
 
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
@@ -222,7 +221,7 @@ func TestPartitionExpiryReassignsParkedLease(t *testing.T) {
 		Heartbeat:       20 * time.Millisecond,
 		HeartbeatMisses: 50,
 		OnEvent:         sink.record,
-	}, NetConfig{}, Runtime{})
+	}, Runtime{})
 
 	resCh := make(chan *search.Evaluation, 1)
 	go func() { resCh <- supervise(c).Evaluate(asn(2)) }()
@@ -255,7 +254,7 @@ func TestPartitionExpiryReassignsParkedLease(t *testing.T) {
 func TestReplacementWorkerObsStartsFresh(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, addr := startNetFleet(t, Config{Workers: 1, LeaseTTL: 200 * time.Millisecond},
-		NetConfig{}, Runtime{Metrics: reg})
+		Runtime{Metrics: reg})
 	answer := func(rc *rawClient, seq, evals int64) {
 		t.Helper()
 		reply := rc.result(rc.recvLease())
@@ -300,7 +299,7 @@ func TestReplacementWorkerObsStartsFresh(t *testing.T) {
 
 func TestDuplicateReplyIsRefusedOnce(t *testing.T) {
 	sink := &eventSink{}
-	c, addr := startNetFleet(t, Config{Workers: 1, OnEvent: sink.record}, NetConfig{}, Runtime{})
+	c, addr := startNetFleet(t, Config{Workers: 1, OnEvent: sink.record}, Runtime{})
 
 	resCh := make(chan *search.Evaluation, 2)
 	for i := 1; i <= 2; i++ {
@@ -333,9 +332,6 @@ func TestDuplicateReplyIsRefusedOnce(t *testing.T) {
 	if st.DupRefused != 1 {
 		t.Errorf("DupRefused = %d, want 1", st.DupRefused)
 	}
-	if st.Late != 0 {
-		t.Errorf("Late = %d, want 0 (a network dup is not a late result)", st.Late)
-	}
 	if sink.count(EventDupRefused) != 1 {
 		t.Errorf("dup_refused events = %d, want 1", sink.count(EventDupRefused))
 	}
@@ -348,7 +344,7 @@ func TestMalformedFrameFailsLeaseAndRetiresConnection(t *testing.T) {
 		Workers:     1,
 		MaxRestarts: 5,
 		OnEvent:     sink.record,
-	}, NetConfig{}, Runtime{})
+	}, Runtime{})
 
 	resCh := make(chan *search.Evaluation, 1)
 	go func() { resCh <- supervise(c).Evaluate(asn(2)) }()
@@ -444,7 +440,6 @@ func TestHeartbeatMissLimitTriggersReconnect(t *testing.T) {
 	cfg := &NetServeConfig{
 		Fingerprint:        stubFingerprint,
 		Session:            "hb",
-		Heartbeat:          5 * time.Millisecond,
 		HeartbeatMissLimit: 3,
 		ReconnectBackoff:   time.Millisecond,
 		MaxDials:           100,
@@ -461,7 +456,7 @@ func TestHeartbeatMissLimitTriggersReconnect(t *testing.T) {
 	if _, err := lk.redial(0); err != nil {
 		t.Fatalf("initial dial: %v", err)
 	}
-	stop := lk.heartbeats(1, nil)
+	stop := lk.heartbeats(1, 5*time.Millisecond, nil)
 	waitFor(t, "heartbeat-triggered redial", func() bool { return dials.Load() >= 2 })
 	stop()
 	trMu.Lock()
@@ -481,8 +476,7 @@ func TestNetChaosSoakAllEvaluationsSurvive(t *testing.T) {
 		HeartbeatMisses: 8,
 		MaxRestarts:     100,
 		OnEvent:         sink.record,
-	}, NetConfig{
-		Chaos: &ChaosConfig{
+		Faults: &Faults{
 			Seed:         7,
 			Drop:         0.05,
 			Dup:          0.05,
@@ -495,12 +489,11 @@ func TestNetChaosSoakAllEvaluationsSurvive(t *testing.T) {
 		startNetWorker(t, addr, "chaos-a", func(cfg *NetServeConfig) { cfg.MaxDials = 50; cfg.HeartbeatMissLimit = 3 }),
 		startNetWorker(t, addr, "chaos-b", func(cfg *NetServeConfig) { cfg.MaxDials = 50; cfg.HeartbeatMissLimit = 3 }),
 	}
-	sup := &resilience.Supervised{
-		Inner:         c,
-		MaxRetries:    10,
+	sup := &resilience.Supervised{Inner: c, Policy: resilience.Policy{
+		Retries:       10,
 		RetriesByKind: resilience.DefaultRetryBudgets(10),
 		Backoff:       resilience.Backoff{Base: time.Millisecond, Seed: 1},
-	}
+	}}
 	var wg sync.WaitGroup
 	results := make([]*search.Evaluation, 20)
 	for i := range results {
@@ -532,14 +525,11 @@ func TestNetConfigValidation(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	if _, err := New(Config{Workers: 1, Spawn: stubSpawn(t), Net: &NetConfig{Listener: ln}}); err == nil {
-		t.Error("Spawn+Net accepted; they are mutually exclusive")
+	if _, err := New(Config{Workers: 1, Spawn: stubSpawn(t), Listener: ln}); err == nil {
+		t.Error("Spawn+Listener accepted; they are mutually exclusive")
 	}
-	if _, err := New(Config{Workers: 1, Net: &NetConfig{}}); err == nil {
-		t.Error("Net without Listener accepted")
-	}
-	if _, err := New(Config{Workers: 1, Net: &NetConfig{Listener: ln}}); err != nil {
-		t.Errorf("valid net config rejected: %v", err)
+	if _, err := New(Config{Workers: 1, Listener: ln}); err != nil {
+		t.Errorf("valid dial-in config rejected: %v", err)
 	}
 	if err := ServeNet(NetServeConfig{Eval: stubEval{}}); err == nil {
 		t.Error("ServeNet without Addr/Dial accepted")
@@ -597,7 +587,7 @@ func TestChaosTransportIsDeterministic(t *testing.T) {
 	// Two chaos instances with the same seed must make identical
 	// decisions over the same frame sequence.
 	run := func() []string {
-		ch := newChaos(&ChaosConfig{Seed: 42, Drop: 0.2, Dup: 0.2, Reorder: 0.1})
+		ch := newChaos(&Faults{Seed: 42, Drop: 0.2, Dup: 0.2, Reorder: 0.1})
 		a, b := net.Pipe()
 		defer a.Close()
 		defer b.Close()
@@ -632,11 +622,85 @@ func TestChaosTransportIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestParseFaults: a -fleet-faults spec sets exactly the Faults fields
+// its keys name, with seed 1 and a 150ms partition window by default;
+// an unknown key or an unparsable value is an error.
+func TestParseFaults(t *testing.T) {
+	f, err := ParseFaults("kill=0.15, seed=7,wedge=m.p.v0;m.p.v1;,drop=0.02,dup=0.05,reorder=0.02,delay=1ms,partition=0.03")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Faults{Seed: 7, KillRate: 0.15, WedgeKey: "m.p.v0;m.p.v1;", Drop: 0.02, Dup: 0.05,
+		Reorder: 0.02, Delay: time.Millisecond, Partition: 0.03, PartitionFor: 150 * time.Millisecond}
+	if !reflect.DeepEqual(f, want) {
+		t.Errorf("parsed %+v, want %+v", f, want)
+	}
+	if f, err := ParseFaults(" "); f != nil || err != nil {
+		t.Errorf("empty spec = %+v, %v; want nil, nil", f, err)
+	}
+	if f, err := ParseFaults("drop=0.1"); err != nil || f.Seed != 1 {
+		t.Errorf("drop=0.1 = %+v, %v; want seed 1", f, err)
+	}
+	for _, bad := range []string{"crash=k", "kill", "kill=lots", "delay=5", "partition-for=soon",
+		"-,kill=0.5", "--,kill=0.5", "-kill=0.5", "wedge,drop=0.1", "=0.5"} {
+		if _, err := ParseFaults(bad); err == nil {
+			t.Errorf("ParseFaults(%q) accepted", bad)
+		}
+	}
+}
+
+// TestLeaseWithoutHeartbeatBeatsAtDefault: a lease frame that carries
+// no heartbeat interval makes the worker beat at DefaultHeartbeat
+// instead of panicking on a zero ticker interval.
+func TestLeaseWithoutHeartbeatBeatsAtDefault(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	release := make(chan struct{})
+	w := startNetWorker(t, ln.Addr().String(), "no-beat", func(cfg *NetServeConfig) {
+		cfg.Eval = evalFunc(func(a transform.Assignment) *search.Evaluation {
+			<-release
+			return stubEval{}.Evaluate(a)
+		})
+	})
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	tr := NewNetTransport(conn, 2*time.Second)
+	if m, err := tr.Recv(); err != nil || m.Type != MsgReady {
+		t.Fatalf("handshake = %+v, %v", m, err)
+	}
+	sent := time.Now()
+	if err := tr.Send(Msg{Type: MsgLease, Lease: 1, Key: asn(1).Key(), Attempt: 1, Assignment: asn(1)}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := tr.Recv()
+	if err != nil || m.Type != MsgHeartbeat {
+		t.Fatalf("first frame = %+v, %v; want a heartbeat", m, err)
+	}
+	if gap := time.Since(sent); gap < DefaultHeartbeat {
+		t.Errorf("first heartbeat %v after the lease, want at least DefaultHeartbeat (%v)", gap, DefaultHeartbeat)
+	}
+	close(release)
+	for m.Type != MsgResult {
+		if m, err = tr.Recv(); err != nil {
+			t.Fatalf("awaiting the result: %v", err)
+		}
+	}
+	tr.Send(Msg{Type: MsgShutdown})
+	w.Wait()
+}
+
 func TestNetFleetCleanShutdownUnblocksEverything(t *testing.T) {
 	// One slot never sees a connection: Close must still return — the
 	// idle slot's loop unblocks on context cancellation, the served
 	// worker gets a shutdown frame.
-	c, addr := startNetFleet(t, Config{Workers: 2}, NetConfig{}, Runtime{})
+	c, addr := startNetFleet(t, Config{Workers: 2}, Runtime{})
 	w := startNetWorker(t, addr, "only")
 	if ev := c.Evaluate(asn(1)); ev.Status != search.StatusPass {
 		t.Fatalf("status = %v, want pass", ev.Status)

@@ -9,25 +9,6 @@ import (
 	"repro/internal/resilience"
 )
 
-// NetConfig makes the coordinator accept workers that dial in from
-// anywhere (`prose worker -connect`) instead of spawning children. They
-// run the same accept, handshake and lease loops as spawned children,
-// on the same heartbeat/TTL machinery — a partitioned worker degrades
-// exactly like a SIGKILLed one, except that its session may reconnect
-// and re-adopt its in-flight lease.
-type NetConfig struct {
-	// Listener accepts worker connections (required). The coordinator
-	// owns it: it is closed when the fleet shuts down.
-	Listener net.Listener
-	// SendTimeout bounds one frame's write per connection (default
-	// DefaultSendTimeout).
-	SendTimeout time.Duration
-	// Chaos injects deterministic network faults on every accepted
-	// connection (nil = none); see ChaosConfig and the
-	// `-fleet-chaos-*` flags.
-	Chaos *ChaosConfig
-}
-
 // netConn is one admitted worker connection, handed from the accept
 // loop to a slot.
 type netConn struct {
@@ -48,7 +29,7 @@ type netConn struct {
 func (c *Coordinator) acceptLoop() {
 	defer c.wg.Done()
 	for {
-		conn, err := c.cfg.Net.Listener.Accept()
+		conn, err := c.cfg.Listener.Accept()
 		if err != nil {
 			if c.ctx.Err() != nil {
 				return
@@ -90,7 +71,7 @@ func (c *Coordinator) admit(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	raw := NewNetTransport(conn, c.cfg.Net.SendTimeout)
+	raw := NewNetTransport(conn, 0)
 	conn.SetReadDeadline(time.Now().Add(c.cfg.ReadyTimeout))
 	m, err := raw.Recv()
 	if err != nil || m.Type != MsgReady || m.Session == "" {

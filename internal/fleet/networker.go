@@ -43,9 +43,6 @@ type NetServeConfig struct {
 	// random hex ID). The coordinator routes a reconnecting session
 	// back to its slot so a parked lease can be re-adopted.
 	Session string
-	// Heartbeat is the liveness interval while evaluating (default
-	// DefaultHeartbeat; must match the coordinator's).
-	Heartbeat time.Duration
 	// HeartbeatMissLimit is how many consecutive failed heartbeat
 	// sends trigger a reconnect (default DefaultHeartbeatMissLimit).
 	HeartbeatMissLimit int
@@ -59,8 +56,6 @@ type NetServeConfig struct {
 	ReconnectBackoff time.Duration
 	// MaxDials bounds one reconnect's attempts (default DefaultMaxDials).
 	MaxDials int
-	// Fault is the fault-injection configuration (zero = none).
-	Fault WorkerFaults
 	// Dial overrides the TCP dial (tests inject failing or recording
 	// transports here). The returned transport carries no handshake;
 	// the link layer sends ready itself.
@@ -68,9 +63,6 @@ type NetServeConfig struct {
 }
 
 func (cfg *NetServeConfig) withDefaults() {
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = DefaultHeartbeat
-	}
 	if cfg.HeartbeatMissLimit <= 0 {
 		cfg.HeartbeatMissLimit = DefaultHeartbeatMissLimit
 	}
@@ -216,19 +208,20 @@ func (lk *netLink) sendReply(m Msg) error {
 	return nil
 }
 
-// heartbeats beats on the link until stopped; the returned stop waits
-// for the beater to exit so a heartbeat can never trail the lease's
-// result frame. Flaky sends are tolerated: only HeartbeatMissLimit
-// consecutive failures declare the link dead and trigger a reconnect.
+// heartbeats beats on the link every interval until stopped; the
+// returned stop waits for the beater to exit so a heartbeat can never
+// trail the lease's result frame. Flaky sends are tolerated: only
+// HeartbeatMissLimit consecutive failures declare the link dead and
+// trigger a reconnect.
 // Each beat piggybacks the worker's pending observability payload when
 // shipping is on.
-func (lk *netLink) heartbeats(lease int64, wo *workerObs) (stop func()) {
+func (lk *netLink) heartbeats(lease int64, interval time.Duration, wo *workerObs) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		t := time.NewTicker(lk.cfg.Heartbeat)
+		t := time.NewTicker(interval)
 		defer t.Stop()
 		misses := 0
 		for {
@@ -266,8 +259,9 @@ func (lk *netLink) heartbeats(lease int64, wo *workerObs) (stop func()) {
 // resume — in-flight work is never abandoned, and its reply is
 // delivered exactly once (the coordinator's monotonic-lease dedup
 // refuses duplicates). Evaluation panics are caught and answered as
-// fault frames — the process survives them; only injected faults and
-// real crashes kill it. It returns nil on an orderly shutdown frame and
+// fault frames — the process survives them; only real crashes and the
+// kill or wedge marks of a fault-injecting coordinator (see Faults)
+// kill or freeze it. Each lease sets its heartbeat interval. It returns nil on an orderly shutdown frame and
 // an error when the coordinator stays unreachable past the dial budget.
 func ServeNet(cfg NetServeConfig) error {
 	if cfg.Eval == nil {
@@ -330,11 +324,17 @@ func ServeNet(cfg NetServeConfig) error {
 			}
 			lk.setLease(m.Lease)
 			wo.enable(m.Obs, cfg.Eval)
-			cfg.Fault.preEval(m.Key, m.Attempt)
-			stop := lk.heartbeats(m.Lease, wo)
+			m.Inject.preEval()
+			// The coordinator sets the beat; a lease without one (an
+			// older or foreign coordinator) gets the default.
+			interval := time.Duration(m.HeartbeatMS) * time.Millisecond
+			if interval <= 0 {
+				interval = DefaultHeartbeat
+			}
+			stop := lk.heartbeats(m.Lease, interval, wo)
 			sp := wo.leaseSpan(m)
 			ev, fault, faulted, persistent := runEval(cfg.Eval, m.Assignment, sp, wo.registry())
-			cfg.Fault.preReply(m.Key, m.Attempt)
+			m.Inject.preReply()
 			stop()
 			var reply Msg
 			if faulted {

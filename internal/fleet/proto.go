@@ -43,9 +43,8 @@ const (
 	// model, or seed would silently corrupt the journal).
 	MsgReady = "ready"
 	// MsgLease grants one evaluation: assignment, per-key attempt
-	// number, and deadline. The attempt number makes worker-side fault
-	// injection deterministic across reassignments: a restarted worker
-	// has no memory, so the coordinator carries the attempt count.
+	// number, deadline and heartbeat interval, plus the process fault the
+	// worker must inject when the coordinator injects faults.
 	MsgLease = "lease"
 	// MsgHeartbeat is the worker's liveness signal while evaluating.
 	MsgHeartbeat = "heartbeat"
@@ -77,6 +76,13 @@ type Msg struct {
 	// DeadlineMS is the lease TTL in milliseconds (lease; advisory — the
 	// coordinator enforces expiry, the worker may use it to self-limit).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
+	// HeartbeatMS is the interval in milliseconds at which the worker
+	// beats while it evaluates this lease (lease). The coordinator
+	// expects this beat; a lease without it beats at DefaultHeartbeat.
+	HeartbeatMS int64 `json:"heartbeat_ms,omitempty"`
+	// Inject is the process fault the worker must fire for this lease
+	// (lease; nil = none). The coordinator decides it from Faults.
+	Inject *Inject `json:"inject,omitempty"`
 	// Fingerprint is the evaluation fingerprint (ready).
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Result is the completed evaluation (result).

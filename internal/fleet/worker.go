@@ -2,42 +2,14 @@ package fleet
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"sync"
-	"syscall"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/transform"
 )
-
-// WorkerFaults configures process-level fault injection in a worker —
-// the subprocess extension of search.FaultInjector's flaky/crash modes.
-// Every decision is a pure function of (Seed, key, attempt) via
-// search.FaultFrac, so injected deaths are deterministic and
-// independent of which worker draws the lease: the byte-identical-
-// journal invariant can be tested under real SIGKILLs.
-type WorkerFaults struct {
-	// KillRate SIGKILLs the worker process before evaluating a lease
-	// with this probability per (key, attempt).
-	KillRate float64
-	// Seed drives the KillRate hash.
-	Seed int64
-	// CrashKey SIGKILLs the worker on every lease for this key — a
-	// variant that reliably kills its host (e.g. an OOM), which the
-	// supervisor must quarantine after the retry budget.
-	CrashKey string
-	// WedgeKey wedges the worker — heartbeats and all — on the first
-	// attempt of this key, exercising the heartbeat-loss detector.
-	WedgeKey string
-	// SlowKey delays the result of this key's first attempt by Slow,
-	// exercising lease expiry and the late-result dedup.
-	SlowKey string
-	// Slow is the SlowKey delay.
-	Slow time.Duration
-}
 
 // MetricsAttacher is optionally implemented by evaluators that can
 // adopt a metrics registry after construction. A fleet worker's
@@ -169,39 +141,6 @@ func (wo *workerObs) shipOverflow(send func(Msg) error, lease int64) error {
 			return err
 		}
 	}
-}
-
-// preEval fires pre-evaluation injected faults: self-SIGKILL (the
-// coordinator sees EOF, exactly like a scheduler or OOM kill) or a full
-// wedge (heartbeats never start; the coordinator's silence detector
-// must kill us).
-func (f *WorkerFaults) preEval(key string, attempt int) {
-	if f.CrashKey != "" && key == f.CrashKey {
-		killSelf()
-	}
-	if f.KillRate > 0 && search.FaultFrac(f.Seed, key, int64(attempt)) < f.KillRate {
-		killSelf()
-	}
-	if f.WedgeKey != "" && key == f.WedgeKey && attempt == 1 {
-		select {} // wedge forever; the coordinator kills us
-	}
-}
-
-// preReply fires the slow-result injection: the evaluation is done and
-// heartbeats still flow, but the result is held past the lease
-// deadline, so the coordinator reassigns the lease and must dedup our
-// late completion.
-func (f *WorkerFaults) preReply(key string, attempt int) {
-	if f.SlowKey != "" && key == f.SlowKey && attempt == 1 && f.Slow > 0 {
-		time.Sleep(f.Slow)
-	}
-}
-
-// killSelf delivers an uncatchable SIGKILL to this process, simulating
-// the batch scheduler's kill without any goodbye on the connection.
-func killSelf() {
-	syscall.Kill(os.Getpid(), syscall.SIGKILL)
-	select {} // unreachable; SIGKILL cannot be handled
 }
 
 // runEval evaluates one lease, converting a panic into a fault reply.

@@ -60,19 +60,19 @@ const (
 	// -workers).
 	MetricFleetLeases             = "fleet_leases"          // leases granted to workers
 	MetricFleetLeaseExpired       = "fleet_lease_expired"   // leases past their deadline, reassigned
-	MetricFleetLateResults        = "fleet_late_results"    // stale completions dropped (exactly-once dedup)
 	MetricFleetWorkerExits        = "fleet_worker_exits"    // worker process deaths (exit or heartbeat loss)
 	MetricFleetRestarts           = "fleet_worker_restarts" // worker processes respawned
 	MetricFleetHeartbeats         = "fleet_heartbeats"      // worker heartbeats received
 	MetricFleetLocalEvals         = "fleet_local_evals"     // evaluations run in-process after a degrade
 	MetricFleetWorkerLeasesPrefix = "fleet_worker_leases_"  // fleet_worker_leases_<id>: leases completed per worker
 
-	// Network-fleet counters, populated only in network mode (prose
-	// tune -listen / prose worker -connect).
+	// Fleet connection counters. Every worker, spawned or dial-in,
+	// connects over TCP; reconnects and partition expiries happen only
+	// to dial-in workers (prose tune -listen / prose worker -connect).
 	MetricFleetNetSessions         = "fleet_net_sessions"          // worker connections admitted (first contact + reconnects)
 	MetricFleetNetReconnects       = "fleet_net_reconnects"        // sessions resumed after a connection loss
 	MetricFleetNetPartitionExpired = "fleet_net_partition_expired" // parked leases expired before their worker returned
-	MetricFleetNetDupRefused       = "fleet_net_dup_refused"       // duplicate/stale frames refused by the exactly-once dedup
+	MetricFleetNetDupRefused       = "fleet_net_dup_refused"       // duplicate or stale replies refused by the exactly-once dedup
 	MetricFleetNetFrameErrors      = "fleet_net_frame_errors"      // malformed/oversized frames that retired a connection
 
 	// Distributed-observability counters, populated only when worker

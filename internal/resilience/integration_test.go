@@ -80,7 +80,7 @@ func TestSupervisedSearchLogIdenticalUnderFlakyFaults(t *testing.T) {
 		atoms2, fe2, opts2 := simTarget()
 		opts2.Parallelism = par
 		inj := &search.FaultInjector{Inner: fe2, Mode: search.FaultFlaky, Rate: 0.3, Seed: 7}
-		s := &Supervised{Inner: inj, MaxRetries: 8, Sleep: func(time.Duration) {}}
+		s := &Supervised{Inner: inj, Policy: Policy{Retries: 8}, Sleep: func(time.Duration) {}}
 		out := search.Precimonious(nil, s, atoms2, opts2)
 
 		st := s.Stats()
@@ -120,7 +120,7 @@ func TestSupervisedSearchQuarantinesPoisonedAssignment(t *testing.T) {
 	all32 := transform.Uniform(atoms, 4)
 	atoms2, fe2, opts2 := simTarget()
 	inj := &search.FaultInjector{Inner: fe2, Mode: search.FaultCrashKey, CrashKey: all32.Key()}
-	s := &Supervised{Inner: inj, MaxRetries: 2, Sleep: func(time.Duration) {}}
+	s := &Supervised{Inner: inj, Policy: Policy{Retries: 2}, Sleep: func(time.Duration) {}}
 	out := search.Precimonious(nil, s, atoms2, opts2)
 
 	if got := out.Log.InfraCount(); got != 1 {
@@ -186,7 +186,7 @@ func TestBreakerTripSalvagesSiblingsAndResumes(t *testing.T) {
 		salvaged = append(salvaged, &cp)
 	}
 	crash := &gatedCrash{inner: fe2, crash: all32.Key(), sibling: make(chan struct{})}
-	s := &Supervised{Inner: crash, Breaker: 1, Sleep: func(time.Duration) {}}
+	s := &Supervised{Inner: crash, Policy: Policy{Breaker: 1}, Sleep: func(time.Duration) {}}
 
 	abort := func() (ae *AbortError) {
 		defer func() {
@@ -226,7 +226,7 @@ func TestBreakerTripSalvagesSiblingsAndResumes(t *testing.T) {
 	opts3.Salvaged = salv
 	var replayedFresh []bool
 	opts3.OnAdd = func(ev *search.Evaluation, replayed bool) { replayedFresh = append(replayedFresh, replayed) }
-	s3 := &Supervised{Inner: fe3, MaxRetries: 2, Sleep: func(time.Duration) {}}
+	s3 := &Supervised{Inner: fe3, Policy: Policy{Retries: 2}, Sleep: func(time.Duration) {}}
 	s3.Quarantine(all32.Key(), "search: injected crash on "+fmt.Sprintf("%q", all32.Key()))
 	out := search.Precimonious(nil, s3, atoms3, opts3)
 

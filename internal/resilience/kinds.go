@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -113,19 +112,4 @@ func ParseRetryBudgets(s string) (map[string]int, error) {
 		out[strings.TrimSpace(kv[0])] = n
 	}
 	return out, nil
-}
-
-// FormatRetryBudgets renders a budget map in ParseRetryBudgets syntax,
-// kinds sorted, for help text and reports.
-func FormatRetryBudgets(m map[string]int) string {
-	kinds := make([]string, 0, len(m))
-	for k := range m {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	parts := make([]string, len(kinds))
-	for i, k := range kinds {
-		parts[i] = fmt.Sprintf("%s=%d", k, m[k])
-	}
-	return strings.Join(parts, ",")
 }

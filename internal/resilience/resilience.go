@@ -193,36 +193,16 @@ func (e *AbortError) Error() string {
 func (e *AbortError) SearchAbort() string { return e.Error() }
 
 // Supervised wraps a search.Evaluator with panic recovery, retry,
-// quarantine, and a circuit breaker. It is safe for concurrent use (the
-// batched search evaluates through it from many goroutines). The zero
-// value of every knob is usable: no retries, default classifier and
-// backoff, breaker disabled.
+// quarantine, and a circuit breaker, as its Policy directs. It is safe
+// for concurrent use (the batched search evaluates through it from many
+// goroutines). The zero value of every knob is usable: no retries,
+// default classifier and backoff, breaker disabled.
 type Supervised struct {
 	// Inner is the wrapped evaluator (required).
 	Inner search.Evaluator
-	// MaxRetries bounds retries of transient faults per evaluation (the
-	// first attempt is not a retry; MaxRetries=3 allows 4 attempts).
-	MaxRetries int
-	// RetriesByKind overrides MaxRetries for specific fault kinds
-	// (FaultKindOf labels; see DefaultRetryBudgets for sane values).
-	// Kinds absent from the map use MaxRetries.
-	RetriesByKind map[string]int
-	// Watchdog bounds each attempt's wall-clock time; 0 disables it. An
-	// attempt that exceeds the limit is abandoned — its goroutine leaks
-	// until the inner evaluation eventually returns, so real evaluators
-	// should also honor a context deadline — and treated as a transient
-	// *HangFault, retried within the hang retry budget and quarantined
-	// past it like any other infrastructure fault.
-	Watchdog time.Duration
-	// Breaker trips the circuit breaker after this many consecutive
-	// quarantines (hard infrastructure failures with no intervening
-	// success). 0 disables the breaker.
-	Breaker int
-	// HalfOpen makes a tripped breaker open instead of aborting: new
-	// evaluations block while one probe evaluation (after a
-	// ProbeCooldown sleep) tests the infrastructure. A successful probe
-	// closes the breaker; MaxProbes consecutive failed probes abort.
-	HalfOpen bool
+	// Policy holds the retry, watchdog, breaker and quarantine knobs
+	// (DrainGrace is the tuner's; the supervisor ignores it).
+	Policy
 	// MaxProbes bounds consecutive failed half-open probes before the
 	// breaker gives up and aborts (default 3).
 	MaxProbes int
@@ -230,13 +210,8 @@ type Supervised struct {
 	// infrastructure, giving it time to recover (default 10×
 	// DefaultBackoffBase).
 	ProbeCooldown time.Duration
-	// MaxQuarantined aborts the search once more than this many distinct
-	// assignments are quarantined. 0 = unlimited.
-	MaxQuarantined int
 	// Classify overrides DefaultClassify.
 	Classify Classifier
-	// Backoff shapes the retry delay (zero value = defaults).
-	Backoff Backoff
 	// Sleep overrides time.Sleep between retries (tests inject a no-op).
 	Sleep func(time.Duration)
 	// OnEvent observes retry/quarantine/breaker decisions; the tuner
@@ -348,7 +323,7 @@ func (s *Supervised) retryBudget(kind string) int {
 	if n, ok := s.RetriesByKind[kind]; ok {
 		return n
 	}
-	return s.MaxRetries
+	return s.Retries
 }
 
 func (s *Supervised) maxProbes() int {

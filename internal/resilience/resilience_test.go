@@ -78,7 +78,7 @@ func TestVariantOutcomesNeverRetried(t *testing.T) {
 			return &cp
 		}}
 		s := sup(se)
-		s.MaxRetries = 5
+		s.Retries = 5
 		got := s.Evaluate(asn("m.p.v01"))
 		if got.Status != want.Status || got.RelError != want.RelError || got.Detail != want.Detail {
 			t.Errorf("status %v: evaluation altered by supervisor: got %+v", want.Status, got)
@@ -96,7 +96,7 @@ func TestTransientFaultRetriedAndRecovered(t *testing.T) {
 	key := asn("m.p.v01").Key()
 	se := &scriptedEval{failures: map[string]int{key: 2}}
 	s := sup(se)
-	s.MaxRetries = 3
+	s.Retries = 3
 	var events []Event
 	s.OnEvent = func(e Event) { events = append(events, e) }
 
@@ -125,7 +125,7 @@ func TestRetriesExhaustedQuarantines(t *testing.T) {
 	key := asn("m.p.v01").Key()
 	se := &scriptedEval{failures: map[string]int{key: 1 << 20}}
 	s := sup(se)
-	s.MaxRetries = 2
+	s.Retries = 2
 	var events []Event
 	s.OnEvent = func(e Event) { events = append(events, e) }
 
@@ -137,7 +137,7 @@ func TestRetriesExhaustedQuarantines(t *testing.T) {
 		t.Errorf("detail = %q, want quarantined prefix", ev.Detail)
 	}
 	if got := se.calls.Load(); got != 3 {
-		t.Errorf("inner called %d times, want 3 (MaxRetries=2 allows 3 attempts)", got)
+		t.Errorf("inner called %d times, want 3 (Retries=2 allows 3 attempts)", got)
 	}
 	if len(events) != 3 || events[2].Type != EventQuarantine {
 		t.Fatalf("events = %+v, want retry, retry, quarantine", events)
@@ -167,7 +167,7 @@ func TestPersistentFaultSkipsRetries(t *testing.T) {
 		},
 	}
 	s := sup(se)
-	s.MaxRetries = 5
+	s.Retries = 5
 	ev := s.Evaluate(a)
 	if ev.Status != search.StatusInfra {
 		t.Fatalf("status = %v, want infra", ev.Status)
@@ -364,7 +364,7 @@ func TestSupervisedConcurrency(t *testing.T) {
 	poison := asn("m.p.v00").Key()
 	se := &scriptedEval{failures: map[string]int{poison: 1 << 20}}
 	s := sup(se)
-	s.MaxRetries = 1
+	s.Retries = 1
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -72,6 +72,53 @@ end program p
 	return prog
 }
 
+// stencilProgram makes n calls in the shape of MPAS-A's advection loop,
+// flux4(uu(i-1), uu(i), uu(i+1), uu(i+2), ub): inside a subroutine, a
+// loop over an assumed-shape dummy passes four of its elements, indexed
+// i, i - 1 and i + c, to no-intent dummies that are all copied back.
+func stencilProgram(n int) *ft.Program {
+	src := fmt.Sprintf(`
+module stencil
+  implicit none
+  integer, parameter :: ncall = %d
+  real(kind=8) :: u(ncall + 4), acc
+contains
+  function flux4(q_im2, q_im1, q_i, q_ip1, ua) result(f)
+    real(kind=8) :: q_im2
+    real(kind=8) :: q_im1
+    real(kind=8) :: q_i
+    real(kind=8) :: q_ip1
+    real(kind=8) :: ua
+    real(kind=8) :: f
+    f = ua * (7.0d0 * (q_i + q_im1) - (q_ip1 + q_im2)) / 12.0d0
+  end function flux4
+
+  subroutine tend(uu)
+    real(kind=8), intent(inout) :: uu(:)
+    real(kind=8) :: ub
+    integer :: i
+    do i = 2, size(uu) - 2
+      ub = 0.5d0 * (uu(i) + uu(i+1))
+      acc = acc + flux4(uu(i-1), uu(i), uu(i+1), uu(i+2), ub)
+    end do
+  end subroutine tend
+end module stencil
+
+program p
+  use stencil
+  implicit none
+  integer :: i
+  do i = 1, ncall + 4
+    u(i) = 0.125d0 * i
+  end do
+  call tend(u)
+end program p
+`, n)
+	prog := ft.MustParse(src)
+	ft.MustAnalyze(prog, ft.Options{})
+	return prog
+}
+
 // chainProgram makes n calls in the shape of MOM6's Newton step,
 // fk = zonal_flux_layer(h_r(i, k), h_l(i, k), uvel_face(i, k) + du): a
 // real function using sign whose third actual adds to the result of a
@@ -222,7 +269,7 @@ func runAllocs(t *testing.T, prog *ft.Program) uint64 {
 // integer conversions, over 10 and 1000 iterations.
 func TestVMCallsAllocationFree(t *testing.T) {
 	for name, build := range map[string]func(int) *ft.Program{
-		"copy-out": callProgram, "chain": chainProgram, "newton": newtonProgram,
+		"copy-out": callProgram, "stencil": stencilProgram, "chain": chainProgram, "newton": newtonProgram,
 	} {
 		small := runAllocs(t, build(10))
 		large := runAllocs(t, build(1000))

@@ -463,13 +463,27 @@ const (
 	arrUnresolved = -2 // eref.mod of a reference with no declaration
 )
 
-// index is one compiled array index. Exactly one form is set: the
-// unboxed integer closure when the index is affine (affineIndex), the
-// Value path otherwise.
+// index is one compiled array index, in exactly one form: an inline
+// shape (ixSlot, ixSlotOff, ixLit) that at reads without a call, the
+// unboxed integer closure i of any other affine index (affineIndex), or
+// the Value closure v.
 type index struct {
-	i vint
-	v vexpr
+	shape ishape
+	slot  int   // ixSlot, ixSlotOff: the local integer's frame slot
+	c     int64 // ixSlotOff: the signed offset; ixLit: the value
+	i     vint
+	v     vexpr
 }
+
+// ishape is the inline form of an index.
+type ishape uint8
+
+const (
+	ixClosure ishape = iota // i or v is set
+	ixSlot                  // a local integer scalar
+	ixSlotOff               // a local integer scalar ± an integer literal
+	ixLit                   // an integer literal
+)
 
 // vint evaluates an integer expression unboxed, charging its cost.
 type vint func(m *vm, fr *vframe) int64
@@ -493,14 +507,87 @@ func (c *compiler) elemRef(e *ft.IndexExpr) *eref {
 		}
 	}
 	for k, ix := range e.Indices {
-		if affineIndex(ix) && !c.boxed {
-			r.idxs[k].i = c.intIndex(ix)
-		} else {
+		switch {
+		case c.boxed || !affineIndex(ix):
 			r.idxs[k].v = c.expr(ix)
 			r.affine = false
+		default:
+			if r.idxs[k] = shapeIndex(ix); r.idxs[k].shape == ixClosure {
+				r.idxs[k].i = c.intIndex(ix)
+			}
 		}
 	}
 	return r
+}
+
+// shapeIndex returns the inline shape of an affine index: a local
+// integer scalar i, i + c or i - c with c an integer literal (the
+// offset stored signed: x - c and x + (-c) wrap alike), or a literal.
+// Any other index gets shape ixClosure.
+func shapeIndex(e ft.Expr) index {
+	localInt := func(e ft.Expr) (int, bool) {
+		v, ok := e.(*ft.VarRef)
+		if !ok || v.Decl == nil || v.Decl.Proc == nil {
+			return 0, false
+		}
+		return v.Decl.Slot, true
+	}
+	switch e := e.(type) {
+	case *ft.IntLit:
+		return index{shape: ixLit, c: e.Val}
+	case *ft.VarRef:
+		if slot, ok := localInt(e); ok {
+			return index{shape: ixSlot, slot: slot}
+		}
+	case *ft.BinExpr:
+		lit, isLit := e.Y.(*ft.IntLit)
+		slot, ok := localInt(e.X)
+		switch {
+		case !isLit || !ok:
+		case e.Op == ft.PLUS:
+			return index{shape: ixSlotOff, slot: slot, c: lit.Val}
+		case e.Op == ft.MINUS:
+			return index{shape: ixSlotOff, slot: slot, c: -lit.Val}
+		}
+	}
+	return index{}
+}
+
+// at evaluates an index of an inline shape, charging what intIndex
+// would: one OpIntALU (ialu) for the ± of ixSlotOff, nothing otherwise.
+// It makes no call, so it inlines; callers call an ixClosure index's
+// closure themselves.
+func (ix *index) at(m *vm, fr *vframe, ialu float64) int {
+	switch ix.shape {
+	case ixSlot:
+		return int(fr.i[ix.slot])
+	case ixSlotOff:
+		v := fr.i[ix.slot] + ix.c
+		m.charge(ialu)
+		return int(v)
+	}
+	return int(ix.c)
+}
+
+// shaped reports whether every index of e compiles to an inline shape.
+func shaped(e *ft.IndexExpr) bool {
+	for _, ix := range e.Indices {
+		if !affineIndex(ix) || shapeIndex(ix).shape == ixClosure {
+			return false
+		}
+	}
+	return true
+}
+
+// recharge charges what resolving r once more would: for each index of
+// an inline shape, its ± (if any), then the index's OpIntALU.
+func (r *eref) recharge(m *vm) {
+	for k := range r.idxs {
+		if r.idxs[k].shape == ixSlotOff {
+			m.charge(r.ialu)
+		}
+		m.charge(r.ialu)
+	}
 }
 
 // affineIndex reports whether e compiles to an unboxed index: an integer
@@ -578,28 +665,39 @@ func (r *eref) resolve(m *vm, fr *vframe) (*Array, int, error) {
 	if arr == nil {
 		return nil, 0, r.errNil
 	}
-	var buf [8]int
 	if r.affine {
 		// Rank 1 or 2 inline. An out-of-range index, or a header of
 		// another rank, takes flatIndex (and its error text).
-		buf[0] = int(r.idxs[0].i(m, fr))
+		var i, j int
+		if ix := &r.idxs[0]; ix.shape != ixClosure {
+			i = ix.at(m, fr, r.ialu)
+		} else {
+			i = int(ix.i(m, fr))
+		}
 		m.charge(r.ialu)
 		if len(r.idxs) == 1 {
-			if off := buf[0] - arr.Lo[0]; len(arr.Ext) == 1 && off >= 0 && off < arr.Ext[0] {
+			if off := i - arr.Lo[0]; len(arr.Ext) == 1 && off >= 0 && off < arr.Ext[0] {
 				return arr, off, nil
 			}
-			return r.flat(arr, buf[:1])
+			idx := [1]int{i}
+			return r.flat(arr, idx[:])
 		}
-		buf[1] = int(r.idxs[1].i(m, fr))
+		if ix := &r.idxs[1]; ix.shape != ixClosure {
+			j = ix.at(m, fr, r.ialu)
+		} else {
+			j = int(ix.i(m, fr))
+		}
 		m.charge(r.ialu)
 		if len(arr.Ext) == 2 {
-			i, j := buf[0]-arr.Lo[0], buf[1]-arr.Lo[1]
-			if i >= 0 && i < arr.Ext[0] && j >= 0 && j < arr.Ext[1] {
-				return arr, i + j*arr.Ext[0], nil
+			i0, j0 := i-arr.Lo[0], j-arr.Lo[1]
+			if i0 >= 0 && i0 < arr.Ext[0] && j0 >= 0 && j0 < arr.Ext[1] {
+				return arr, i0 + j0*arr.Ext[0], nil
 			}
 		}
-		return r.flat(arr, buf[:2])
+		idx := [2]int{i, j}
+		return r.flat(arr, idx[:])
 	}
+	var buf [8]int
 	var idx []int
 	if len(r.idxs) <= len(buf) {
 		idx = buf[:len(r.idxs)]
@@ -607,9 +705,12 @@ func (r *eref) resolve(m *vm, fr *vframe) (*Array, int, error) {
 		idx = make([]int, len(r.idxs))
 	}
 	for k := range r.idxs {
-		if ix := &r.idxs[k]; ix.i != nil {
+		switch ix := &r.idxs[k]; {
+		case ix.shape != ixClosure:
+			idx[k] = ix.at(m, fr, r.ialu)
+		case ix.i != nil:
 			idx[k] = int(ix.i(m, fr))
-		} else {
+		default:
 			v, err := ix.v(m, fr)
 			if err != nil {
 				return nil, 0, err
@@ -1584,12 +1685,16 @@ type argPlan struct {
 	isArr   bool
 	arrBind func(m *vm, fr *vframe) (*Array, error)
 
-	// Scalar dummies copy in (and maybe out). Exactly one of val, rval
-	// and ival is set: rval is the unboxed form of a real actual bound to
-	// a real dummy, with its cast charge decided statically (rcast), and
+	// Scalar dummies copy in (and maybe out). Exactly one of val, rval,
+	// elem and ival is set: rval is the unboxed form of a real actual
+	// bound to a real dummy, with its cast charge decided statically
+	// (rcast); elem that of an element actual whose indices all have an
+	// inline shape, bound to a real dummy it is copied back into; and
 	// ival that of an affine integer actual bound to an integer dummy.
 	val       vexpr
 	rval      vreals
+	elem      *eref
+	load      [2]float64 // elem's OpLoad cost by kindIdx
 	ival      vint
 	rcast     bool
 	realDummy bool
@@ -1744,10 +1849,15 @@ func (c *compiler) callSite(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) *cca
 		case p.realDummy && at.Base == ft.TReal && at.Rank == 0:
 			// realExpr forms carry their static kind at run time, so the
 			// Value path's dynamic cast test folds to a constant.
-			p.rval = c.realExpr(argExpr)
 			p.rcast = at.Kind != p.dummyKind && !p.lit
+			if a, ok := argExpr.(*ft.IndexExpr); ok && dummy.Intent != ft.IntentIn && !c.boxed && shaped(a) {
+				p.elem = c.elemRef(a)
+				p.load = [2]float64{c.cost(perfmodel.OpLoad, 4), c.cost(perfmodel.OpLoad, 8)}
+			} else {
+				p.rval = c.realExpr(argExpr)
+			}
 		}
-		if p.rval == nil && p.ival == nil {
+		if p.rval == nil && p.ival == nil && p.elem == nil {
 			p.val = c.expr(argExpr)
 			p.dummyType = dummy.Type()
 			p.store = c.storeDecl(dummy)
@@ -1776,7 +1886,9 @@ func (c *compiler) callSite(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) *cca
 					}
 				}
 			case *ft.IndexExpr:
-				p.outElem = c.elemRef(a)
+				if p.elem == nil {
+					p.outElem = c.elemRef(a)
+				}
 			}
 			if p.outStore != nil || !p.realDummy && !p.intOut && (p.outScalar != nil || p.outElem != nil) {
 				p.readBack = c.readDecl(dummy)
@@ -1831,6 +1943,30 @@ func (s *ccall) run(m *vm, fr, cf *vframe) error {
 		switch {
 		case p.ival != nil:
 			cf.i[p.slot] = p.ival(m, fr)
+		case p.elem != nil:
+			// Read the element and queue its copy-out from one resolve.
+			// Nothing runs between the read and the copy-out's resolve that
+			// could move the element, so the second resolve would find the
+			// same array and offset; recharge charges what it would have.
+			arr, off, err := p.elem.resolve(m, fr)
+			if err != nil {
+				return err
+			}
+			m.chargeMem(p.load[kindIdx(arr.Kind)])
+			f, sh := arr.Data[off], arr.Data[off]
+			if arr.Shadow != nil {
+				sh = arr.Shadow[off]
+			}
+			if p.rcast {
+				m.cast(1)
+			}
+			cf.f[p.slot] = convertReal(f, p.dummyKind)
+			if cf.sh != nil {
+				cf.sh[p.slot] = sh
+			}
+			p.elem.recharge(m)
+			copyOuts = append(copyOuts, coRec{p: p, arr: arr, off: off})
+			continue
 		case p.rval != nil:
 			f, sh, err := p.rval(m, fr)
 			if err != nil {
@@ -2164,13 +2300,19 @@ func (c *compiler) doStmt(s *ft.DoStmt) vstmt {
 				return ctlNone, &RunError{Pos: pos, Kind: FailInternal, Msg: "DO step is zero"}
 			}
 		}
+		lo := fromV.asInt()
+		last, ok := lastTrip(lo, toV.asInt(), step)
+		if !ok {
+			return ctlNone, nil
+		}
 		// Vectorization: enter the discounted pricing regime for the body.
 		saved := m.vecFactor
 		if vec {
 			m.vecFactor = factor
 		}
-		lo, hi := fromV.asInt(), toV.asInt()
-		for v := lo; (step > 0 && v <= hi) || (step < 0 && v >= hi); v += step {
+		// The variable keeps the value of the last trip: v advances only
+		// between trips, so it never steps past the bounds.
+		for v, k := lo, uint64(0); ; v, k = v+step, k+1 {
 			storeVar(m, fr, v)
 			m.charge(iterCost)
 			if err := m.checkBudget(pos); err != nil {
@@ -2190,10 +2332,29 @@ func (c *compiler) doStmt(s *ft.DoStmt) vstmt {
 				m.vecFactor = saved
 				return ctlReturn, nil
 			}
+			if k == last {
+				break
+			}
 		}
 		m.vecFactor = saved
 		return ctlNone, nil
 	}
+}
+
+// lastTrip counts the trips of do v = lo, hi, step once, as Fortran
+// does: max((hi - lo + step) / step, 0). It returns the index of the
+// last trip (trips - 1), or false for none. The count is taken in
+// unsigned arithmetic, so it cannot overflow: lo = MinInt64, hi =
+// MaxInt64, step 1 is 2^64 trips, whose last has index MaxUint64.
+func lastTrip(lo, hi, step int64) (uint64, bool) {
+	switch {
+	case step > 0 && lo <= hi:
+		return (uint64(hi) - uint64(lo)) / uint64(step), true
+	case step < 0 && lo >= hi:
+		// -step wraps for MinInt64, and uint64 reads it as 2^63.
+		return (uint64(lo) - uint64(hi)) / uint64(-step), true
+	}
+	return 0, false
 }
 
 func (c *compiler) doWhile(s *ft.DoWhileStmt) vstmt {

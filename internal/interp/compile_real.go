@@ -190,7 +190,8 @@ func (c *compiler) realCall(e *ft.CallExpr) vreals {
 
 // realBinary compiles real arithmetic (the tail of compiler.binary)
 // unboxed. Operands must be realOperand forms; a ** with a non-literal
-// integer exponent falls back.
+// integer exponent falls back. Without a recorder, + - * / compile
+// through realArith.
 func (c *compiler) realBinary(e *ft.BinExpr) vreals {
 	if e.Typ.Base != ft.TReal {
 		return nil
@@ -204,6 +205,10 @@ func (c *compiler) realBinary(e *ft.BinExpr) vreals {
 	powIntLit, _ := e.Y.(*ft.IntLit)
 	if e.Op == ft.POW && yt.Base != ft.TReal && powIntLit == nil {
 		return nil
+	}
+	isPow := e.Op == ft.POW
+	if c.rec == nil && !isPow {
+		return c.realArith(e)
 	}
 	xv := c.realOperand(e.X)
 	if xv == nil {
@@ -243,7 +248,6 @@ func (c *compiler) realBinary(e *ft.BinExpr) vreals {
 	// the op kind (identical to binary()'s prim table).
 	kk := k
 	var prim func(xf, yf float64) float64
-	isPow := e.Op == ft.POW
 	powInt := isPow && yt.Base == ft.TInteger
 	var yi int64
 	if powInt {
@@ -278,31 +282,8 @@ func (c *compiler) realBinary(e *ft.BinExpr) vreals {
 	}
 
 	if c.rec == nil {
-		// Uninstrumented: skip the operand convertReal for non-pow ops —
-		// float32(x) == float32(rnd32(x)) and kind-8 conversion is the
-		// identity, so the primary bits are unchanged. Pow consumes its
-		// operands in float64, so it still pre-rounds.
-		if isPow {
-			return func(m *vm, fr *vframe) (float64, float64, error) {
-				xf, _, err := xv(m, fr)
-				if err != nil {
-					return 0, 0, err
-				}
-				yf, _, err := yv(m, fr)
-				if err != nil {
-					return 0, 0, err
-				}
-				if chX != nil {
-					chX(m)
-				}
-				if chY != nil {
-					chY(m)
-				}
-				m.charge(cost)
-				f := prim(convertReal(xf, kk), convertReal(yf, kk))
-				return f, f, nil
-			}
-		}
+		// Uninstrumented pow consumes its operands in float64, so it
+		// pre-rounds them to the op kind.
 		return func(m *vm, fr *vframe) (float64, float64, error) {
 			xf, _, err := xv(m, fr)
 			if err != nil {
@@ -319,7 +300,7 @@ func (c *compiler) realBinary(e *ft.BinExpr) vreals {
 				chY(m)
 			}
 			m.charge(cost)
-			f := prim(xf, yf)
+			f := prim(convertReal(xf, kk), convertReal(yf, kk))
 			return f, f, nil
 		}
 	}
@@ -459,6 +440,159 @@ func (c *compiler) realBinary(e *ft.BinExpr) vreals {
 		}
 		rs.op(m, ob, xf, yp, xs, ys, f, exact, sh)
 		return f, sh, nil
+	}
+}
+
+// rop is one operand of an uninstrumented real + - * /. A local real
+// scalar (slot >= 0), an element whose indices all have an inline shape
+// (elem) and a literal realExpr folds (lit, when neither elem nor gen is
+// set) are read inline; anything else calls its vreals closure gen.
+type rop struct {
+	slot int
+	lit  float64
+	elem *eref
+	gen  vreals
+}
+
+// arithOperand compiles an operand for realArith, or reports false when
+// realOperand rejects it. An inline operand compiles no closure.
+func (c *compiler) arithOperand(e ft.Expr) (rop, bool) {
+	switch e := e.(type) {
+	case *ft.RealLit:
+		return rop{slot: -1, lit: convertReal(e.Val, e.Kind)}, true
+	case *ft.IntLit:
+		return rop{slot: -1, lit: float64(e.Val)}, true
+	case *ft.VarRef:
+		if d := e.Decl; d != nil && d.Proc != nil && !d.IsArray() && d.Base == ft.TReal {
+			return rop{slot: d.Slot}, true
+		}
+	case *ft.IndexExpr:
+		if shaped(e) {
+			return rop{slot: -1, elem: c.elemRef(e)}, true
+		}
+	}
+	gen := c.realOperand(e)
+	return rop{slot: -1, gen: gen}, gen != nil
+}
+
+// rarith is an uninstrumented real + - * /: its operands, their cast
+// charges (nil when none applies), the operation and its cost, and the
+// OpLoad cost of an element operand by kindIdx.
+type rarith struct {
+	x, y     rop
+	chX, chY func(m *vm)
+	op       uint8 // arAdd ... arDiv, plus arKind4 at kind 4
+	cost     float64
+	load     [2]float64
+}
+
+// The operations of rarith.op.
+const (
+	arAdd = iota
+	arSub
+	arMul
+	arDiv
+	arKind4 // added to the operation at kind 4
+)
+
+// realArith compiles an uninstrumented real + - * / to one closure that
+// reads inline operands without a call and does its arithmetic inline,
+// switching on the (op, kind) pair; the switch costs no more than one
+// closure per pair did. It skips the operands' convertReal: float32(x)
+// == float32(rnd32(x)), and kind-8 conversion is the identity, so the
+// primary bits are unchanged.
+func (c *compiler) realArith(e *ft.BinExpr) vreals {
+	x, ok := c.arithOperand(e.X)
+	if !ok {
+		return nil
+	}
+	y, ok := c.arithOperand(e.Y)
+	if !ok {
+		return nil
+	}
+	k := e.Typ.Kind
+	b := rarith{x: x, y: y, chX: c.operandCast(e.X, e.X.Type(), k), chY: c.operandCast(e.Y, e.Y.Type(), k),
+		load: [2]float64{c.cost(perfmodel.OpLoad, 4), c.cost(perfmodel.OpLoad, 8)}}
+	switch e.Op {
+	case ft.PLUS:
+		b.op, b.cost = arAdd, c.cost(perfmodel.OpAddSub, k)
+	case ft.MINUS:
+		b.op, b.cost = arSub, c.cost(perfmodel.OpAddSub, k)
+	case ft.STAR:
+		b.op, b.cost = arMul, c.cost(perfmodel.OpMul, k)
+	default:
+		b.op, b.cost = arDiv, c.cost(perfmodel.OpDiv, k)
+	}
+	if k == 4 {
+		b.op += arKind4
+	}
+	// x and y are read by two copies of one switch: a loop over the pair
+	// measured 10% slower.
+	return func(m *vm, fr *vframe) (float64, float64, error) {
+		var xf, yf float64
+		switch {
+		case b.x.slot >= 0:
+			xf = fr.f[b.x.slot]
+		case b.x.elem != nil:
+			arr, off, err := b.x.elem.resolve(m, fr)
+			if err != nil {
+				return 0, 0, err
+			}
+			m.chargeMem(b.load[kindIdx(arr.Kind)])
+			xf = arr.Data[off]
+		case b.x.gen == nil:
+			xf = b.x.lit
+		default:
+			var err error
+			if xf, _, err = b.x.gen(m, fr); err != nil {
+				return 0, 0, err
+			}
+		}
+		switch {
+		case b.y.slot >= 0:
+			yf = fr.f[b.y.slot]
+		case b.y.elem != nil:
+			arr, off, err := b.y.elem.resolve(m, fr)
+			if err != nil {
+				return 0, 0, err
+			}
+			m.chargeMem(b.load[kindIdx(arr.Kind)])
+			yf = arr.Data[off]
+		case b.y.gen == nil:
+			yf = b.y.lit
+		default:
+			var err error
+			if yf, _, err = b.y.gen(m, fr); err != nil {
+				return 0, 0, err
+			}
+		}
+		if b.chX != nil {
+			b.chX(m)
+		}
+		if b.chY != nil {
+			b.chY(m)
+		}
+		m.charge(b.cost)
+		var f float64
+		switch b.op {
+		case arAdd:
+			f = xf + yf
+		case arSub:
+			f = xf - yf
+		case arMul:
+			f = xf * yf
+		case arDiv:
+			f = xf / yf
+		case arKind4 + arAdd:
+			f = float64(float32(xf) + float32(yf))
+		case arKind4 + arSub:
+			f = float64(float32(xf) - float32(yf))
+		case arKind4 + arMul:
+			f = float64(float32(xf) * float32(yf))
+		default:
+			f = float64(float32(xf) / float32(yf))
+		}
+		return f, f, nil
 	}
 }
 

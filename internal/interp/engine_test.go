@@ -1376,6 +1376,324 @@ program main
 	return b.String(), forms
 }
 
+// TestEngineDifferentialShapes feeds seeded programs built around the
+// VM's inline shapes through both engines: element reads and stores
+// whose indices are a local integer i, i + c, i - c or a literal (beside
+// closure and Value-path indices), on rank-1 and rank-2 module, local and
+// dummy arrays with lower bounds 1, 3 and -4, some out of bounds; real
+// + - * / at kinds 4 and 8, mixed kinds included, over local scalar,
+// literal, element and general operands; and element actuals bound to
+// no-intent and intent(inout) dummies, the same element passed twice,
+// and callees that write the actual's module array before they return.
+// Results must agree bit for bit with and without numerics and
+// TrapNonFinite.
+func TestEngineDifferentialShapes(t *testing.T) {
+	tally, tallied := map[string]int{}, 0
+	formTally := map[string]int{}
+	for seed := 1; seed <= 120; seed++ {
+		src, forms := genShapeProgram(uint64(seed))
+		for f := range forms {
+			formTally[f]++
+		}
+		prog, err := ft.Parse(src)
+		if err != nil {
+			t.Fatalf("seed %d: parse: %v\n%s", seed, err, src)
+		}
+		if _, err := ft.Analyze(prog, ft.Options{AllowKindMismatch: true}); err != nil {
+			t.Fatalf("seed %d: analyze: %v\n%s", seed, err, src)
+		}
+		for _, trap := range []bool{false, true} {
+			for _, num := range []bool{false, true} {
+				name := fmt.Sprintf("seed%d/trap=%v/numerics=%v", seed, trap, num)
+				ok := t.Run(name, func(t *testing.T) {
+					msg := compareEngines(t, prog, src, runOpts{numerics: num, trap: trap})
+					if trap && !num {
+						tally[callOutcome(msg)]++
+						tallied++
+					}
+				})
+				if !ok {
+					t.Logf("seed %d source:\n%s", seed, src)
+				}
+			}
+		}
+	}
+	t.Logf("programs containing each form: %v", formTally)
+	for _, form := range []string{"idx-slot", "idx-plus", "idx-minus", "idx-lit", "idx-other", "rank1", "rank2",
+		"lo1", "lo3", "lo-4", "proc-local", "dummy-array", "op-slot", "op-lit", "op-elem", "op-gen",
+		"k4", "k8", "mixed", "actual-nointent", "actual-inout", "same-twice", "callee-writes"} {
+		if formTally[form] < 10 {
+			t.Errorf("only %d of 120 programs contain form %q, want at least 10 (tally %v)", formTally[form], form, formTally)
+		}
+	}
+	// The generator must keep reaching every outcome it was built for
+	// (checked only when -run selected every program).
+	t.Logf("outcomes under TrapNonFinite: %v", tally)
+	if tallied < 120 {
+		return
+	}
+	for outcome, least := range map[string]int{"ok": 40, "bounds": 5, "copy-out": 3, "assign": 3} {
+		if tally[outcome] < least {
+			t.Errorf("only %d of 120 programs ended %q, want at least %d (tally %v)", tally[outcome], outcome, least, tally)
+		}
+	}
+}
+
+// genShapeProgram builds one program for TestEngineDifferentialShapes.
+// The main loop runs i = 1..4 and procedures loop k over their arrays;
+// every index stays inside its bounds over that range, except one
+// deliberately out-of-bounds index in about one program in five. Seeds
+// are mixed with a constant of this generator's own, so its programs
+// differ from the other generators' at the same seed.
+func genShapeProgram(seed uint64) (string, map[string]bool) {
+	forms := map[string]bool{}
+	rng := (seed^0x5ad1e57a9e5)*0x9e3779b97f4a7c15 | 1
+	next := func(n int) int { // xorshift, deterministic across runs
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return int(rng % uint64(n))
+	}
+	pick := func(xs ...string) string { return xs[next(len(xs))] }
+	mk, jv := 1+next(3), 1+next(3)
+
+	type array struct {
+		name    string
+		kind    int
+		lo, ext []int
+	}
+	los := []int{1, 3, -4}
+	perm := [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}[next(6)]
+	arrs := []array{
+		{"a", 4 + 4*next(2), []int{los[perm[0]]}, []int{8 + next(5)}},
+		{"b", 4 + 4*next(2), []int{los[perm[1]]}, []int{8 + next(5)}},
+		{"c", 4 + 4*next(2), []int{los[perm[2]], los[next(3)]}, []int{8 + next(3), 6 + next(3)}},
+	}
+	for _, a := range arrs {
+		for _, lo := range a.lo {
+			forms[fmt.Sprintf("lo%d", lo)] = true
+		}
+	}
+	oobLeft := 0
+	if next(5) == 0 {
+		oobLeft = 1
+	}
+	// index returns an index into [lo, lo+ext-1] for v running over
+	// vlo..vhi, or one past the top for the deliberate out-of-bounds one.
+	index := func(v string, vlo, vhi, lo, ext int) string {
+		hi := lo + ext - 1
+		oob := oobLeft > 0 && next(6) == 0
+		if oob {
+			oobLeft--
+		}
+		switch k := next(10); {
+		case k <= 1:
+			forms["idx-lit"] = true
+			if oob {
+				return fmt.Sprint(hi + 1)
+			}
+			return fmt.Sprint(lo + next(ext))
+		case k <= 7:
+			// v + off stays inside for every v when lo-vlo <= off <= hi-vhi.
+			off := lo - vlo + next(hi-vhi-(lo-vlo)+1)
+			if oob {
+				off = hi - vhi + 1
+			}
+			switch {
+			case off > 0:
+				forms["idx-plus"] = true
+				return fmt.Sprintf("%s + %d", v, off)
+			case off < 0:
+				forms["idx-minus"] = true
+				return fmt.Sprintf("%s - %d", v, -off)
+			}
+			forms["idx-slot"] = true
+			return v
+		}
+		// Forms that keep a closure or the Value path: a literal first,
+		// a module integer, a product, a mod.
+		forms["idx-other"] = true
+		off := lo - vlo + next(hi-vhi-(lo-vlo)+1)
+		if oob {
+			off = hi - vhi + 1
+		}
+		switch next(3) {
+		case 0:
+			return fmt.Sprintf("(%d + %s)", off, v)
+		case 1:
+			return fmt.Sprintf("(%s + mk) - %d", v, mk-off)
+		}
+		return fmt.Sprintf("(%s * 1 + mod(%s, 1)) + %d", v, v, off)
+	}
+	// elemAt references an element of a with v running over vlo..vhi in
+	// dimension 1; dimension 2 of c uses j or a literal.
+	elemAt := func(a array, v string, vlo, vhi int) string {
+		if len(a.lo) == 1 {
+			forms["rank1"] = true
+			return fmt.Sprintf("%s(%s)", a.name, index(v, vlo, vhi, a.lo[0], a.ext[0]))
+		}
+		forms["rank2"] = true
+		return fmt.Sprintf("%s(%s, %s)", a.name, index(v, vlo, vhi, a.lo[0], a.ext[0]), index("j", jv, jv, a.lo[1], a.ext[1]))
+	}
+	elem := func() string { return elemAt(arrs[next(len(arrs))], "i", 1, 4) }
+
+	// Real operands: local scalars, folded literals, elements and
+	// general forms (module scalars, intrinsics, nested operations).
+	operand := func() string {
+		switch next(4) {
+		case 0:
+			forms["op-slot"] = true
+			return pick("x8", "y8", "x4", "y4")
+		case 1:
+			forms["op-lit"] = true
+			return pick("0.5d0", "1.25", "3", "2.5_4", "-0.75d0")
+		case 2:
+			forms["op-elem"] = true
+			return elem()
+		}
+		forms["op-gen"] = true
+		return pick("s8", "s4", "sqrt(abs(x8))", "(x4 * y8)", "real(i, 4)", "-y4")
+	}
+	binop := func() string {
+		x, y := operand(), operand()
+		e := fmt.Sprintf("%s %s %s", x, pick("+", "-", "*", "/"), y)
+		if next(4) == 0 {
+			e = fmt.Sprintf("(%s) %s %s", e, pick("+", "-", "*", "/"), operand())
+		}
+		if next(15) == 0 {
+			// Overflows kind 4 at once and kind 8 when squared again.
+			e = fmt.Sprintf("(%s) * 1.0d300 * 1.0d300", e)
+		}
+		return e
+	}
+
+	// Procedures. sw takes two no-intent reals of one kind, io one
+	// intent(inout) real, wa writes the whole of module array a and then
+	// its dummy, f is a function of two no-intent reals, smooth loops k
+	// over module arrays and sa over a dummy array.
+	kw, kio, kf := 4+4*next(2), 4+4*next(2), 4+4*next(2)
+	var mod strings.Builder
+	fmt.Fprintf(&mod, "  subroutine sw(p, q)\n    real(kind=%d) :: p\n    real(kind=%d) :: q\n", kw, kw)
+	fmt.Fprintf(&mod, "    p = p * 0.5d0 + q %s 0.25d0\n    q = q - p * %s\n  end subroutine sw\n", pick("+", "*"), pick("2", "1.5d0", "0.5"))
+	// A huge kind-8 result stays finite in the dummy and overflows when
+	// copied out into a kind-4 element.
+	big := ""
+	if next(3) == 0 {
+		kio, big = 8, " * 1.0d300"
+	}
+	fmt.Fprintf(&mod, "  subroutine io(p)\n    real(kind=%d), intent(inout) :: p\n", kio)
+	fmt.Fprintf(&mod, "    p = (p + 1.0d0)%s\n  end subroutine io\n", big)
+	a0 := arrs[0]
+	fmt.Fprintf(&mod, "  subroutine wa(p)\n    real(kind=8) :: p\n    integer :: k\n    do k = %d, %d\n      a(k) = a(k) * 0.5d0 + p\n    end do\n    p = p * 2.0d0 + a(%d)\n  end subroutine wa\n",
+		a0.lo[0], a0.lo[0]+a0.ext[0]-1, a0.lo[0])
+	fmt.Fprintf(&mod, "  function f(p, q) result(r)\n    real(kind=%d) :: p\n    real(kind=%d) :: q\n    real(kind=%d) :: r\n", kf, kf, kf)
+	fmt.Fprintf(&mod, "    r = p * q - 0.5d0\n    p = r + q\n    q = p / 4\n  end function f\n")
+	var smooth strings.Builder
+	for s := 0; s < 1+next(2); s++ {
+		forms["proc-local"] = true
+		ar := arrs[next(len(arrs))]
+		lo, hi := ar.lo[0]+2, ar.lo[0]+ar.ext[0]-3
+		fmt.Fprintf(&smooth, "    do k = %d, %d\n      %s = %s %s %s\n    end do\n", lo, hi,
+			elemAt(ar, "k", lo, hi), elemAt(ar, "k", lo, hi), pick("+", "-", "*"), pick("0.5d0 * "+elemAt(ar, "k", lo, hi), elemAt(ar, "k", lo, hi), "w"))
+	}
+	fmt.Fprintf(&mod, "  subroutine smooth(w)\n    real(kind=8), intent(in) :: w\n    integer :: k, j\n    j = %d\n%s  end subroutine smooth\n", jv, smooth.String())
+	fmt.Fprintf(&mod, "  subroutine sa(v)\n    real(kind=%d), intent(inout) :: v(:)\n    integer :: k\n    do k = 3, size(v) - 2\n", arrs[1].kind)
+	fmt.Fprintf(&mod, "      v(k) = v(k - 1) %s v(k + %d) * 0.5d0\n    end do\n", pick("+", "-"), 1+next(2))
+	// A loop the model vectorizes (no dependence, one real kind): its
+	// non-dyadic factor makes the order of the integer operand's OpConv
+	// and the division's charge show in the cycle total (OpConv costs
+	// what + - * do, so only / tells the two orders apart).
+	fmt.Fprintf(&mod, "    do k = 1, size(v)\n      v(k) = v(k) * 0.5d0 + k / 8.0d0\n    end do\n  end subroutine sa\n")
+
+	// sameKind returns an element of an array of kind k (or of any kind
+	// when none has it, which charges casts on the way in and out).
+	sameKind := func(k int) string {
+		var cands []array
+		for _, a := range arrs {
+			if a.kind == k || next(4) == 0 {
+				cands = append(cands, a)
+			}
+		}
+		if len(cands) == 0 {
+			cands = arrs
+		}
+		return elemAt(cands[next(len(cands))], "i", 1, 4)
+	}
+	var body strings.Builder
+	for s := 0; s < 4+next(4); s++ {
+		switch k := next(12); {
+		case k <= 2:
+			fmt.Fprintf(&body, "    %s = %s\n", elem(), binop())
+		case k <= 4:
+			fmt.Fprintf(&body, "    %s = %s\n", pick("x8", "y8", "x4", "y4", "s8"), binop())
+		case k == 5:
+			forms["actual-nointent"] = true
+			e := sameKind(kw)
+			if next(3) == 0 {
+				forms["same-twice"] = true
+				fmt.Fprintf(&body, "    call sw(%s, %s)\n", e, e)
+			} else {
+				fmt.Fprintf(&body, "    call sw(%s, %s)\n", e, pick(sameKind(kw), "x8", "x4"))
+			}
+		case k == 6:
+			forms["actual-inout"] = true
+			fmt.Fprintf(&body, "    call io(%s)\n", pick(sameKind(kio), elem()))
+		case k == 7:
+			forms["callee-writes"] = true
+			fmt.Fprintf(&body, "    call wa(%s)\n", elemAt(a0, "i", 1, 4))
+		case k == 8:
+			forms["actual-nointent"] = true
+			fmt.Fprintf(&body, "    %s = %s + f(%s, %s)\n", pick("x8", "s8", "y4"), pick("x8", "s8", "y4"), sameKind(kf), sameKind(kf))
+		case k == 9:
+			fmt.Fprintf(&body, "    call smooth(%s)\n", pick("x8", "0.125d0", "s8"))
+		case k == 10:
+			forms["dummy-array"] = true
+			fmt.Fprintf(&body, "    call sa(b)\n")
+		default:
+			fmt.Fprintf(&body, "    %s = %s * 0.5d0 + %s\n", elem(), elem(), pick("x8", "y4", elem()))
+		}
+	}
+	src := body.String() + mod.String()
+	for _, k := range []string{"4", "8"} {
+		if strings.Contains(src, "kind="+k) {
+			forms["k"+k] = true
+		}
+	}
+	for _, a := range arrs {
+		if a.kind == 4 && strings.Contains(body.String(), a.name+"(") {
+			forms["mixed"] = true
+		}
+	}
+
+	var b strings.Builder
+	b.WriteString("module g\n  implicit none\n  integer :: mk\n  real(kind=8) :: s8\n  real(kind=4) :: s4\n")
+	for _, a := range arrs {
+		dims := make([]string, len(a.lo))
+		for d := range dims {
+			dims[d] = fmt.Sprintf("%d:%d", a.lo[d], a.lo[d]+a.ext[d]-1)
+		}
+		fmt.Fprintf(&b, "  real(kind=%d) :: %s(%s)\n", a.kind, a.name, strings.Join(dims, ", "))
+	}
+	b.WriteString("contains\n")
+	b.WriteString(mod.String())
+	b.WriteString("end module g\n\nprogram main\n  use g\n  implicit none\n")
+	b.WriteString("  integer :: i, j, n\n  real(kind=8) :: x8, y8\n  real(kind=4) :: x4, y4\n")
+	fmt.Fprintf(&b, "  mk = %d\n  j = %d\n  s8 = 0.25d0\n  s4 = 4.0\n", mk, jv)
+	b.WriteString("  x8 = 1.5d0\n  y8 = -0.75d0\n  x4 = 2.5\n  y4 = 0.375\n")
+	for _, a := range arrs {
+		if len(a.lo) == 1 {
+			fmt.Fprintf(&b, "  do i = %d, %d\n    %s(i) = 0.25d0 * i + 0.5d0\n  end do\n", a.lo[0], a.lo[0]+a.ext[0]-1, a.name)
+			continue
+		}
+		fmt.Fprintf(&b, "  do n = %d, %d\n    do i = %d, %d\n      %s(i, n) = 0.125d0 * i - 0.0625d0 * n + 1.0d0\n    end do\n  end do\n",
+			a.lo[1], a.lo[1]+a.ext[1]-1, a.lo[0], a.lo[0]+a.ext[0]-1, a.name)
+	}
+	b.WriteString("  do i = 1, 4\n")
+	b.WriteString(body.String())
+	b.WriteString("  end do\n  s8 = s8 + x8 + y8\n  s4 = s4 + x4 + y4\nend program main\n")
+	return b.String(), forms
+}
+
 // TestCycleBudgetBoundary pins the budget contract documented on
 // Config.CycleBudget, unboxed and boxed: the boundary is inclusive, so a
 // statement beginning at exactly CycleBudget cycles does not execute,

@@ -3,6 +3,7 @@ package interp
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -705,6 +706,87 @@ end program p
 	in, _ := mustRun(t, src)
 	if got := globalF(t, in, "out.n"); got != 0 {
 		t.Errorf("zero-trip loop executed %g times", got)
+	}
+}
+
+// TestDoLoopAtInt64Limits pins that a DO loop counts its trips once, so
+// a loop ending at either int64 limit stops there instead of wrapping
+// around, and that the variable holds its last trip's value afterwards.
+func TestDoLoopAtInt64Limits(t *testing.T) {
+	const maxS, minS = "9223372036854775807", "(-9223372036854775807 - 1)"
+	for _, c := range []struct {
+		lo, hi, step string
+		trips        int64
+		first, last  int64
+	}{
+		{maxS + " - 1", maxS, "1", 2, math.MaxInt64 - 1, math.MaxInt64},
+		{maxS + " - 3", maxS, "2", 2, math.MaxInt64 - 3, math.MaxInt64 - 1},
+		{maxS + " - 1", maxS, "2", 1, math.MaxInt64 - 1, math.MaxInt64 - 1},
+		{minS + " + 1", minS, "-1", 2, math.MinInt64 + 1, math.MinInt64},
+		{minS + " + 3", minS, "-2", 2, math.MinInt64 + 3, math.MinInt64 + 1},
+		{minS + " + 1", minS, "-2", 1, math.MinInt64 + 1, math.MinInt64 + 1},
+		{minS, maxS, "9223372036854775807", 3, math.MinInt64, math.MaxInt64 - 1},
+		{maxS, minS, minS, 2, math.MaxInt64, -1},
+		{maxS, maxS + " - 1", "1", 0, 7, 7},
+		{minS, minS + " + 1", "-1", 0, 7, 7},
+	} {
+		src := fmt.Sprintf(`
+module lim
+  implicit none
+  integer :: n, first, last
+end module lim
+
+program p
+  use lim
+  implicit none
+  integer :: i
+  n = 0
+  first = 7
+  i = 7
+  do i = %s, %s, %s
+    if (n == 0) first = i
+    n = n + 1
+  end do
+  last = i
+end program p
+`, c.lo, c.hi, c.step)
+		in, _ := mustRun(t, src)
+		got := [3]int64{}
+		for k, q := range []string{"lim.n", "lim.first", "lim.last"} {
+			v, ok := in.Global(q)
+			if !ok {
+				t.Fatalf("global %s not found", q)
+			}
+			got[k] = v.I
+		}
+		if want := [3]int64{c.trips, c.first, c.last}; got != want {
+			t.Errorf("do i = %s, %s, %s: (trips, first, last) = %v, want %v", c.lo, c.hi, c.step, got, want)
+		}
+	}
+}
+
+// TestLastTrip pins the trip count at the extremes, where it needs every
+// bit of a uint64: 2^64 trips have last index MaxUint64.
+func TestLastTrip(t *testing.T) {
+	for _, c := range []struct {
+		lo, hi, step int64
+		last         uint64
+		ok           bool
+	}{
+		{math.MinInt64, math.MaxInt64, 1, math.MaxUint64, true},
+		{math.MaxInt64, math.MinInt64, -1, math.MaxUint64, true},
+		{math.MaxInt64, math.MinInt64, math.MinInt64, 1, true},
+		{math.MinInt64, math.MaxInt64, 2, math.MaxUint64 / 2, true},
+		{1, 10, 3, 3, true},
+		{10, 1, -4, 2, true},
+		{5, 5, -1, 0, true},
+		{5, 4, 1, 0, false},
+		{4, 5, -1, 0, false},
+	} {
+		last, ok := lastTrip(c.lo, c.hi, c.step)
+		if last != c.last || ok != c.ok {
+			t.Errorf("lastTrip(%d, %d, %d) = %d, %v; want %d, %v", c.lo, c.hi, c.step, last, ok, c.last, c.ok)
+		}
 	}
 }
 

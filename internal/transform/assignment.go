@@ -16,6 +16,7 @@ package transform
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	ft "repro/internal/fortran"
 )
@@ -80,20 +81,25 @@ func (a Assignment) Clone() Assignment {
 	return out
 }
 
-// Key renders the assignment canonically, for caching identical variants.
+// Key renders the assignment canonically, for caching identical variants:
+// the names of the atoms at kind 4, sorted, each followed by ";".
 func (a Assignment) Key() string {
 	names := make([]string, 0, len(a))
+	size := 0
 	for n, k := range a {
 		if k == 4 {
 			names = append(names, n)
+			size += len(n) + 1
 		}
 	}
 	sort.Strings(names)
-	out := ""
+	var b strings.Builder
+	b.Grow(size)
 	for _, n := range names {
-		out += n + ";"
+		b.WriteString(n)
+		b.WriteByte(';')
 	}
-	return out
+	return b.String()
 }
 
 // Result is a generated variant.

@@ -115,6 +115,21 @@ func TestUniformAssignment(t *testing.T) {
 	}
 }
 
+// TestAssignmentKeyText pins Key's exact text: the kind-4 atoms' names,
+// sorted, each followed by ";", with kind-8 atoms left out. Journals
+// record it as akey, so a change of text changes journal bytes.
+func TestAssignmentKeyText(t *testing.T) {
+	a := Assignment{"m.p.z": 4, "m.b": 8, "m.a": 4, "m.p.c": 8, "m.p.a2": 4}
+	if got, want := a.Key(), "m.a;m.p.a2;m.p.z;"; got != want {
+		t.Errorf("Key = %q, want %q", got, want)
+	}
+	for _, a := range []Assignment{nil, {}, {"m.a": 8, "m.b": 8}} {
+		if got := a.Key(); got != "" {
+			t.Errorf("Key of %v = %q, want \"\"", a, got)
+		}
+	}
+}
+
 func TestApplyPreservesBaseline(t *testing.T) {
 	prog := analyzed(t, funarcSrc)
 	before := ft.Print(prog)

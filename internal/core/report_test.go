@@ -153,7 +153,6 @@ func TestRecordProcPointsExactWrapperMatch(t *testing.T) {
 		hotspotProcs:  map[string]bool{"hot.flux": true},
 		baseProcCalls: map[string]int64{"hot.flux": 1},
 		baseProcPC:    map[string]float64{"hot.flux": 216},
-		procPoints:    make(map[string]map[string]*ProcPoint),
 		procAtoms:     map[string][]string{"hot.flux": {"hot.flux.x"}},
 	}
 	res := timedResult(map[string]float64{
@@ -164,19 +163,18 @@ func TestRecordProcPointsExactWrapperMatch(t *testing.T) {
 	ev := &search.Evaluation{
 		Assignment: transform.Assignment{"hot.flux.x": 4},
 		Status:     search.StatusPass,
+		Index:      1,
 	}
-	tn.recordProcPoints(ev, res, map[string]string{"hot.flux_wrapper_44x": "hot.flux"})
-	pts := tn.procPoints["hot.flux"]
+	ev.Procs = tn.procSamples(res, map[string]string{"hot.flux_wrapper_44x": "hot.flux"})
+	pts := tn.procVariants([]*search.Evaluation{ev})["hot.flux"]
 	if len(pts) != 1 {
 		t.Fatalf("recorded %d points, want 1", len(pts))
 	}
-	for _, pt := range pts {
-		if pt.PerCall != 108 {
-			t.Errorf("per-call = %g, want 108 (self 100 + generated wrapper 8)", pt.PerCall)
-		}
-		if pt.Speedup != 2 {
-			t.Errorf("speedup = %g, want 2 (baseline 216 / 108)", pt.Speedup)
-		}
+	if pt := pts[0]; pt.PerCall != 108 {
+		t.Errorf("per-call = %g, want 108 (self 100 + generated wrapper 8)", pt.PerCall)
+	}
+	if pt := pts[0]; pt.Speedup != 2 {
+		t.Errorf("speedup = %g, want 2 (baseline 216 / 108)", pt.Speedup)
 	}
 }
 

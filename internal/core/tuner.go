@@ -17,9 +17,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/fleet"
@@ -147,8 +145,8 @@ type Options struct {
 	// coordinator's evaluations bit for bit, so the journal is
 	// byte-identical at any pool size, worker crashes included
 	// (test-enforced by TestFleetJournalByteIdentity). ProcVariants
-	// (Fig. 6) stays empty in fleet mode: per-procedure points are
-	// accumulated inside each worker's tuner and are not shipped back.
+	// (Fig. 6) stays empty in fleet mode: the result frame does not
+	// carry an evaluation's per-procedure samples.
 	Fleet *fleet.Coordinator
 }
 
@@ -182,7 +180,7 @@ type ProcPoint struct {
 	Lowered    int     // this procedure's atoms at 32-bit
 	PerCall    float64 // cycles per call (self + its wrappers)
 	Speedup    float64 // baseline per-call / variant per-call
-	FromIndex  int     // evaluation that first produced this point
+	FromIndex  int     // log index of the evaluation that first produced this point
 	CallsSeen  int64
 	FailStatus search.Status // status of the producing variant
 }
@@ -194,8 +192,10 @@ type Result struct {
 	Baseline *Baseline
 	Outcome  *search.Outcome
 	// ProcVariants maps hotspot procedure qualified names to their
-	// unique per-procedure variants (Fig. 6 series), each slice sorted
-	// by FromIndex so results are independent of evaluation order.
+	// unique per-procedure variants (Fig. 6 series), built from the
+	// evaluation log in log order, so it is the same at every
+	// parallelism. Evaluations replayed from a journal or run on fleet
+	// workers carry no per-procedure samples and add no points.
 	ProcVariants map[string][]ProcPoint
 	// Criteria used by the search.
 	Criteria search.Criteria
@@ -244,11 +244,8 @@ type Tuner struct {
 	baseProcCalls map[string]int64
 	baseTimeEq1   float64 // Eq. (1) numerator (median of n noisy samples)
 
-	log        *search.Log
-	mu         sync.Mutex // guards procPoints and evalSeq
-	evalSeq    int
-	procPoints map[string]map[string]*ProcPoint
-	procAtoms  map[string][]string // proc -> its atom qnames
+	log       *search.Log
+	procAtoms map[string][]string // proc -> its atom qnames
 
 	// runCtx is the hard-cancellation context of the current Run: once
 	// it is done, in-flight interpreter runs unwind with FailCancelled.
@@ -267,10 +264,9 @@ func New(m *models.Model, opts Options) (*Tuner, error) {
 		opts.MinSpeedup = 1.0
 	}
 	t := &Tuner{
-		model:      m,
-		machine:    opts.Machine,
-		opts:       opts,
-		procPoints: make(map[string]map[string]*ProcPoint),
+		model:   m,
+		machine: opts.Machine,
+		opts:    opts,
 	}
 	prog, err := m.Parse()
 	if err != nil {
@@ -562,7 +558,7 @@ func (t *Tuner) EvaluateSpan(sp *obs.Span, a transform.Assignment) *search.Evalu
 			ev.Status = search.StatusError
 		}
 		ev.Detail = runErr.Error()
-		t.recordProcPoints(ev, res, v.WrapperOf)
+		ev.Procs = t.procSamples(res, v.WrapperOf)
 		return ev
 	}
 
@@ -573,7 +569,7 @@ func (t *Tuner) EvaluateSpan(sp *obs.Span, a transform.Assignment) *search.Evalu
 	if err != nil {
 		ev.Status = search.StatusError
 		ev.Detail = err.Error()
-		t.recordProcPoints(ev, res, v.WrapperOf)
+		ev.Procs = t.procSamples(res, v.WrapperOf)
 		return ev
 	}
 
@@ -585,66 +581,77 @@ func (t *Tuner) EvaluateSpan(sp *obs.Span, a transform.Assignment) *search.Evalu
 		ev.Status = search.StatusFail
 	}
 	ev.Detail = fmt.Sprintf("wrappers=%d casts=%d", v.Wrappers, res.Casts)
-	t.recordProcPoints(ev, res, v.WrapperOf)
+	ev.Procs = t.procSamples(res, v.WrapperOf)
 	return ev
 }
 
-// recordProcPoints collects Fig. 6 data: for each hotspot procedure,
-// the per-call CPU time under this variant's sub-assignment of that
-// procedure's own variables (first observation of each unique
-// sub-assignment is kept, matching the paper's "unique procedure
-// variants"). wrapperOf is the variant's generated-wrapper map; only
-// actual generated wrappers contribute to a procedure's wrapper time.
-func (t *Tuner) recordProcPoints(ev *search.Evaluation, res *interp.Result, wrapperOf map[string]string) {
+// procSamples measures each hotspot procedure that ran: its cycles
+// per call (self time plus its generated wrappers') and its calls.
+// wrapperOf is the variant's generated-wrapper map; only actual
+// generated wrappers count toward a procedure's time.
+func (t *Tuner) procSamples(res *interp.Result, wrapperOf map[string]string) []search.ProcSample {
 	if res == nil || res.Timers == nil {
-		return
+		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.evalSeq++
-	// Per-proc wrapper self time.
+	regions := res.Timers.Regions()
 	wrapSelf := make(map[string]float64)
-	for _, r := range res.Timers.Regions() {
+	for _, r := range regions {
 		if callee, ok := wrapperOf[r.Name]; ok {
 			wrapSelf[callee] += r.Self
 		}
 	}
-	for q := range t.hotspotProcs {
-		r := res.Timers.Region(q)
-		if r == nil || r.Calls == 0 {
-			continue
+	out := make([]search.ProcSample, 0, len(t.hotspotProcs))
+	for _, r := range regions {
+		if t.hotspotProcs[r.Name] && r.Calls > 0 {
+			perCall := (r.Self + wrapSelf[r.Name]) / float64(r.Calls)
+			out = append(out, search.ProcSample{Proc: r.Name, PerCall: perCall, Calls: r.Calls})
 		}
-		// Partial runs (errors, timeouts) bias per-call averages when a
-		// procedure was cut off mid-schedule; only keep measurements
-		// from procedures that ran (most of) their baseline schedule.
-		if ev.Status == search.StatusError || ev.Status == search.StatusTimeout {
-			if base := t.baseProcCalls[q]; base > 0 && r.Calls*5 < base*4 {
+	}
+	return out
+}
+
+// procVariants collects the Fig. 6 data from the evaluation log: for
+// each hotspot procedure, the per-call time under each unique
+// sub-assignment of that procedure's own variables, taken from the
+// first evaluation in log order that measured it (the paper's "unique
+// procedure variants"). The log's order is the same at every
+// parallelism, so the points are too.
+func (t *Tuner) procVariants(evals []*search.Evaluation) map[string][]ProcPoint {
+	out := make(map[string][]ProcPoint)
+	seen := make(map[string]map[string]bool) // proc -> sub-assignment keys
+	for _, ev := range evals {
+		for _, s := range ev.Procs {
+			// Partial runs (errors, timeouts) bias per-call averages when
+			// a procedure was cut off mid-schedule; only keep measurements
+			// from procedures that ran (most of) their baseline schedule.
+			if ev.Status == search.StatusError || ev.Status == search.StatusTimeout {
+				if base := t.baseProcCalls[s.Proc]; base > 0 && s.Calls*5 < base*4 {
+					continue
+				}
+			}
+			key, lowered := t.subKey(s.Proc, ev.Assignment)
+			if seen[s.Proc] == nil {
+				seen[s.Proc] = make(map[string]bool)
+			}
+			if seen[s.Proc][key] {
 				continue
 			}
+			seen[s.Proc][key] = true
+			pt := ProcPoint{
+				Key:        key,
+				Lowered:    lowered,
+				PerCall:    s.PerCall,
+				FromIndex:  ev.Index,
+				CallsSeen:  s.Calls,
+				FailStatus: ev.Status,
+			}
+			if base := t.baseProcPC[s.Proc]; base > 0 && s.PerCall > 0 {
+				pt.Speedup = base / s.PerCall
+			}
+			out[s.Proc] = append(out[s.Proc], pt)
 		}
-		key, lowered := t.subKey(q, ev.Assignment)
-		pts := t.procPoints[q]
-		if pts == nil {
-			pts = make(map[string]*ProcPoint)
-			t.procPoints[q] = pts
-		}
-		if _, seen := pts[key]; seen {
-			continue
-		}
-		perCall := (r.Self + wrapSelf[q]) / float64(r.Calls)
-		pt := &ProcPoint{
-			Key:        key,
-			Lowered:    lowered,
-			PerCall:    perCall,
-			FromIndex:  t.evalSeq,
-			CallsSeen:  r.Calls,
-			FailStatus: ev.Status,
-		}
-		if base := t.baseProcPC[q]; base > 0 && perCall > 0 {
-			pt.Speedup = base / perCall
-		}
-		pts[key] = pt
 	}
+	return out
 }
 
 // subKey canonicalizes the assignment restricted to one procedure's
@@ -1120,7 +1127,7 @@ func (t *Tuner) Run(ctx context.Context) (*Result, error) {
 		Baseline:     t.baseline,
 		Outcome:      outcome,
 		Criteria:     criteria,
-		ProcVariants: make(map[string][]ProcPoint),
+		ProcVariants: t.procVariants(outcome.Log.Evals),
 		Resumed:      resumed,
 		Salvaged:     salvaged,
 		Aborted:      abortErr,
@@ -1135,20 +1142,6 @@ func (t *Tuner) Run(ctx context.Context) (*Result, error) {
 		snap := t.opts.Metrics.Snapshot()
 		result.Metrics = &snap
 	}
-	for q, pts := range t.procPoints {
-		list := make([]ProcPoint, 0, len(pts))
-		for _, p := range pts {
-			list = append(list, *p)
-		}
-		// procPoints is a map; iteration order varies run to run. Sort
-		// by discovery index to honor the documented guarantee that
-		// results are independent of evaluation order. FromIndex is
-		// unique within a procedure: each evaluation contributes at most
-		// one new sub-assignment point per procedure.
-		sort.Slice(list, func(i, j int) bool { return list[i].FromIndex < list[j].FromIndex })
-		result.ProcVariants[q] = list
-	}
-
 	// Archive the run manifest. Aborted and cancelled runs archive too —
 	// a ledger that only remembers successes can't explain a regression —
 	// but like the decision sidecar, an archive failure only fails an

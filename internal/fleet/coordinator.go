@@ -186,11 +186,6 @@ type Config struct {
 	// connection's wait for its ready frame (workers load the model and
 	// measure a baseline before dialing).
 	ReadyTimeout time.Duration
-	// LetExpiredFinish keeps a worker alive after its lease expires so
-	// its late result can arrive (and be refused by the exactly-once
-	// dedup). The default kills it: an expired lease usually means a
-	// wedged evaluation, and a fresh process is the cure.
-	LetExpiredFinish bool
 	// OnEvent observes fleet events, in addition to Runtime.OnEvent.
 	OnEvent func(Event)
 }
@@ -250,10 +245,9 @@ const (
 	StateHandshake
 	StateIdle
 	StateBusy
-	StateDraining // lease expired with LetExpiredFinish; awaiting the stale frame
-	StateBackoff  // between death and respawn
-	StateStopped  // orderly shutdown
-	StateDead     // retired permanently
+	StateBackoff // between death and respawn
+	StateStopped // orderly shutdown
+	StateDead    // retired permanently
 )
 
 func (s WorkerState) String() string {
@@ -266,8 +260,6 @@ func (s WorkerState) String() string {
 		return "idle"
 	case StateBusy:
 		return "busy"
-	case StateDraining:
-		return "draining"
 	case StateBackoff:
 		return "backoff"
 	case StateStopped:
@@ -540,7 +532,7 @@ func (c *Coordinator) Health() []WorkerHealth {
 			MetricsSeq: s.obsSeq,
 		}
 		h.HeartbeatAgeMS = -1
-		if (s.state == StateBusy || s.state == StateDraining) && !s.lastBeat.IsZero() {
+		if s.state == StateBusy && !s.lastBeat.IsZero() {
 			h.HeartbeatAgeMS = now.Sub(s.lastBeat).Milliseconds()
 		}
 		out = append(out, h)
@@ -593,7 +585,7 @@ func (c *Coordinator) counter(name string) *obs.Counter { return c.rt.Metrics.Co
 func (c *Coordinator) setState(s *slot, st WorkerState) {
 	c.mu.Lock()
 	s.state = st
-	if st != StateBusy && st != StateDraining {
+	if st != StateBusy {
 		s.currentKey = ""
 	}
 	c.mu.Unlock()
@@ -898,13 +890,10 @@ func (c *Coordinator) workerDied(s *slot, key string, attempt int, detail string
 // or shutdown. It returns next=true when the worker survives to take
 // another lease. A child that loses its connection or goes silent is
 // killed and its lease failed at once; a dial-in worker's lease is
-// parked for the session's reconnect instead.
+// parked for the session's reconnect instead. An expired lease ends the
+// session too, and a reply the worker still sends for it is refused.
 func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerReader) (reason exitReason, detail string, next bool) {
 	key, attempt := l.job.key, l.job.attempt
-	// draining: the lease has already been failed (expired) but the
-	// worker lives on (LetExpiredFinish) — we wait for its stale frame,
-	// refuse it, and only then reuse the worker.
-	draining := false
 	tick := time.NewTicker(c.cfg.Heartbeat / 2)
 	defer tick.Stop()
 	lastBeat := time.Now()
@@ -930,10 +919,8 @@ func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerRead
 					det := fe.Error()
 					c.counter(obs.MetricFleetNetFrameErrors).Add(1)
 					c.statAdd(func(st *Stats) { st.FrameErrors++ })
-					if !draining {
-						c.q.fail(l.id, &WorkerFault{Key: key, Kind: resilience.KindSchedulerKill,
-							Msg: fmt.Sprintf("fleet: worker evaluating %q sent a malformed frame; retiring the connection", key)})
-					}
+					c.q.fail(l.id, &WorkerFault{Key: key, Kind: resilience.KindSchedulerKill,
+						Msg: fmt.Sprintf("fleet: worker evaluating %q sent a malformed frame; retiring the connection", key)})
 					c.workerDied(s, key, attempt, det)
 					return exitCrash, det, false
 				}
@@ -943,17 +930,13 @@ func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerRead
 					// it at the original deadline if the worker never
 					// returns.
 					det := fmt.Sprintf("connection lost during evaluation of %q (attempt %d)", key, attempt)
-					if !draining {
-						c.parkOrphan(s, l)
-					}
+					c.parkOrphan(s, l)
 					c.workerDied(s, key, attempt, det)
 					return exitPartition, det, false
 				}
 				det := fmt.Sprintf("worker exited during evaluation of %q (attempt %d)", key, attempt)
-				if !draining {
-					c.q.fail(l.id, &WorkerFault{Key: key, Kind: resilience.KindSchedulerKill,
-						Msg: fmt.Sprintf("fleet: worker evaluating %q was killed before returning a result", key)})
-				}
+				c.q.fail(l.id, &WorkerFault{Key: key, Kind: resilience.KindSchedulerKill,
+					Msg: fmt.Sprintf("fleet: worker evaluating %q was killed before returning a result", key)})
 				c.workerDied(s, key, attempt, det)
 				return exitCrash, det, false
 			}
@@ -978,26 +961,19 @@ func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerRead
 					// A corrupt result is a protocol breach: fail the lease
 					// and replace the process.
 					det := err.Error()
-					if !draining {
-						c.q.fail(l.id, &WorkerFault{Key: key, Msg: det})
-					}
+					c.q.fail(l.id, &WorkerFault{Key: key, Msg: det})
 					c.workerDied(s, key, attempt, det)
 					return exitCrash, det, false
 				}
 				ev, err := rec.Evaluation()
 				if err != nil {
 					det := err.Error()
-					if !draining {
-						c.q.fail(l.id, &WorkerFault{Key: key, Msg: det})
-					}
+					c.q.fail(l.id, &WorkerFault{Key: key, Msg: det})
 					c.workerDied(s, key, attempt, det)
 					return exitCrash, det, false
 				}
-				if draining || !c.q.complete(l.id, ev) {
+				if !c.q.complete(l.id, ev) {
 					c.dupRefused(s, key, attempt)
-					if draining {
-						return 0, "", true
-					}
 					continue
 				}
 				leaseDone()
@@ -1009,11 +985,8 @@ func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerRead
 					continue
 				}
 				f := &WorkerFault{Key: key, Msg: m.Fault, Persistent: m.Persistent}
-				if draining || !c.q.fail(l.id, f) {
+				if !c.q.fail(l.id, f) {
 					c.dupRefused(s, key, attempt)
-					if draining {
-						return 0, "", true
-					}
 					continue
 				}
 				leaseDone()
@@ -1024,21 +997,13 @@ func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerRead
 			}
 		case <-tick.C:
 			now := time.Now()
-			if !draining && now.After(l.deadline) {
+			if now.After(l.deadline) {
 				c.q.fail(l.id, &WorkerFault{Key: key, Kind: resilience.KindHang,
 					Msg: fmt.Sprintf("fleet: lease on %q expired after %v; reassigning", key, c.cfg.LeaseTTL)})
 				c.counter(obs.MetricFleetLeaseExpired).Add(1)
 				c.statAdd(func(st *Stats) { st.Expired++ })
 				c.event(Event{Type: EventLeaseExpired, Worker: s.id, Key: key, Attempt: attempt,
 					Kind: resilience.KindHang, Detail: fmt.Sprintf("deadline %v passed", c.cfg.LeaseTTL)})
-				if c.cfg.LetExpiredFinish {
-					draining = true
-					c.setState(s, StateDraining)
-					c.mu.Lock()
-					s.currentKey = key
-					c.mu.Unlock()
-					continue
-				}
 				return exitExpired, fmt.Sprintf("lease on %q expired", key), false
 			}
 			if now.Sub(lastBeat) > time.Duration(c.cfg.HeartbeatMisses)*c.cfg.Heartbeat {
@@ -1050,19 +1015,15 @@ func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerRead
 					// if the worker is alive behind a partition it will
 					// redial and resume; if it is truly wedged the orphan
 					// timer expires the lease at its original deadline.
-					if !draining {
-						c.parkOrphan(s, l)
-					}
+					c.parkOrphan(s, l)
 					c.counter(obs.MetricFleetWorkerExits).Add(1)
 					c.statAdd(func(st *Stats) { st.Exits++ })
 					c.event(Event{Type: EventWorkerLost, Worker: s.id, Key: key, Attempt: attempt,
 						Kind: resilience.KindHang, Detail: det})
 					return exitPartition, det, false
 				}
-				if !draining {
-					c.q.fail(l.id, &WorkerFault{Key: key, Kind: resilience.KindHang,
-						Msg: fmt.Sprintf("fleet: worker evaluating %q went silent; killed", key)})
-				}
+				c.q.fail(l.id, &WorkerFault{Key: key, Kind: resilience.KindHang,
+					Msg: fmt.Sprintf("fleet: worker evaluating %q went silent; killed", key)})
 				c.counter(obs.MetricFleetWorkerExits).Add(1)
 				c.statAdd(func(st *Stats) { st.Exits++ })
 				c.event(Event{Type: EventWorkerLost, Worker: s.id, Key: key, Attempt: attempt,
@@ -1070,10 +1031,8 @@ func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerRead
 				return exitLost, det, false
 			}
 		case <-c.ctx.Done():
-			if !draining {
-				c.q.fail(l.id, &WorkerFault{Key: key,
-					Msg: fmt.Sprintf("fleet: shutdown during evaluation of %q", key)})
-			}
+			c.q.fail(l.id, &WorkerFault{Key: key,
+				Msg: fmt.Sprintf("fleet: shutdown during evaluation of %q", key)})
 			return exitShutdown, "", false
 		}
 	}

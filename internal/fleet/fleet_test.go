@@ -254,48 +254,6 @@ func TestWedgedWorkerIsDetectedByHeartbeatLoss(t *testing.T) {
 	}
 }
 
-func TestLateResultAfterExpiryIsDeduped(t *testing.T) {
-	key := asn(4).Key()
-	sink := &eventSink{}
-	c := startFleet(t, Config{
-		Workers:          1,
-		Spawn:            stubSpawn(t),
-		Faults:           &Faults{SlowKey: key, Slow: 600 * time.Millisecond},
-		LeaseTTL:         150 * time.Millisecond,
-		Heartbeat:        20 * time.Millisecond,
-		HeartbeatMisses:  50, // heartbeats flow during the slow sleep; silence is not the trigger
-		LetExpiredFinish: true,
-		OnEvent:          sink.record,
-	}, Runtime{})
-
-	// Attempt 1 finishes 600ms after a 150ms lease: the lease expires,
-	// the supervisor reassigns, and the worker's late completion must be
-	// refused by the exactly-once dedup — not delivered twice.
-	ev := supervise(c).Evaluate(asn(4))
-	if ev.Status != search.StatusPass {
-		t.Fatalf("status = %v, want pass", ev.Status)
-	}
-	// The drained worker reports its stale frame after the retry begins;
-	// poll briefly for the counters to land.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := c.Stats()
-		if st.Expired >= 1 && st.DupRefused >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("Expired = %d, DupRefused = %d; want >= 1 each", st.Expired, st.DupRefused)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if sink.count(EventLeaseExpired) < 1 || sink.count(EventDupRefused) < 1 {
-		t.Errorf("missing lease_expired/dup_refused events: %+v", sink.events)
-	}
-	if st := c.Stats(); st.Exits != 0 {
-		t.Errorf("Exits = %d, want 0 (LetExpiredFinish keeps the worker)", st.Exits)
-	}
-}
-
 func TestWorkerEvaluationPanicBecomesFaultFrame(t *testing.T) {
 	key := asn(1).Key()
 	c := startFleet(t, Config{

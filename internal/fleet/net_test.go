@@ -338,6 +338,58 @@ func TestDuplicateReplyIsRefusedOnce(t *testing.T) {
 	rc.conn.Close()
 }
 
+// TestLateResultAfterExpiryIsDeduped: a reply that outlives its expired
+// lease is refused once (dup_refused), and the supervised retry passes.
+// The expiry ends the worker's session, so the worker redials and
+// re-offers its stale reply before it answers the retry's lease.
+func TestLateResultAfterExpiryIsDeduped(t *testing.T) {
+	sink := &eventSink{}
+	c, addr := startNetFleet(t, Config{
+		Workers:         1,
+		LeaseTTL:        150 * time.Millisecond,
+		Heartbeat:       20 * time.Millisecond,
+		HeartbeatMisses: 50, // the raw worker never beats: the expiry, not silence, must end the lease
+		OnEvent:         sink.record,
+	}, Runtime{})
+
+	resCh := make(chan *search.Evaluation, 1)
+	go func() { resCh <- supervise(c).Evaluate(asn(4)) }()
+
+	rc := dialRaw(t, addr, "late", 0)
+	l1 := rc.recvLease()
+	// Hold the lease past its deadline: the coordinator hangs up.
+	rc.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for {
+		if _, err := rc.tr.Recv(); err != nil {
+			break
+		}
+	}
+	rc.conn.Close()
+
+	rc2 := dialRaw(t, addr, "late", l1.Lease)
+	defer rc2.conn.Close()
+	if err := rc2.tr.Send(rc2.result(l1)); err != nil {
+		t.Fatalf("re-offer stale reply: %v", err)
+	}
+	l2 := rc2.recvLease()
+	if l2.Lease == l1.Lease {
+		t.Fatalf("the retry reused expired lease %d", l1.Lease)
+	}
+	if err := rc2.tr.Send(rc2.result(l2)); err != nil {
+		t.Fatalf("send result: %v", err)
+	}
+	if ev := <-resCh; ev.Status != search.StatusPass {
+		t.Fatalf("status = %v, want pass", ev.Status)
+	}
+	waitFor(t, "dup refusal", func() bool { return c.Stats().DupRefused >= 1 })
+	if st := c.Stats(); st.Expired != 1 || st.DupRefused != 1 {
+		t.Errorf("Expired = %d, DupRefused = %d; want 1 each", st.Expired, st.DupRefused)
+	}
+	if sink.count(EventLeaseExpired) != 1 || sink.count(EventDupRefused) != 1 {
+		t.Errorf("want one lease_expired and one dup_refused event: %+v", sink.events)
+	}
+}
+
 func TestMalformedFrameFailsLeaseAndRetiresConnection(t *testing.T) {
 	sink := &eventSink{}
 	c, addr := startNetFleet(t, Config{

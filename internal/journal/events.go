@@ -1,14 +1,5 @@
 package journal
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"os"
-	"strings"
-	"sync"
-)
-
 // EventsKind identifies the resilience-events sidecar file format.
 const EventsKind = "prose-resilience-events"
 
@@ -91,58 +82,19 @@ func (r *EventRecord) SetWorker(id int) {
 // event carries none.
 func (r *EventRecord) WorkerID() int { return r.Worker - 1 }
 
-// SyncMode selects the sidecar's append durability — an explicit,
-// test-pinned contract rather than an accident of implementation.
-type SyncMode int
+// eventsFormat checks each salvage payload's content key. Indices are
+// not checked: events interleave nondeterministically under parallel
+// evaluation.
+var eventsFormat = &format[EventRecord]{kind: EventsKind, payload: func(e *EventRecord) *Record { return e.Rec }}
 
-const (
-	// SyncEveryAppend fsyncs after every record: the main journal's
-	// durability, and the default. Resume-critical records (quarantine,
-	// salvage) and the fleet coordinator's lease/restart/degrade trail
-	// need it — a quarantine acknowledged in memory but lost to a crash
-	// would let the next run re-crash on the same poisoned assignment.
-	SyncEveryAppend SyncMode = iota
-	// SyncOnClose writes each record to the OS immediately (so it
-	// survives a *process* crash) but fsyncs only on Close/Sync: records
-	// since the last sync can be lost to a machine crash or power cut.
-	// Acceptable only for bulk telemetry nobody resumes from.
-	SyncOnClose
-)
-
-// EventLog is an open events sidecar. Append is safe for concurrent
-// use: the supervisor emits events from evaluation workers.
-type EventLog struct {
-	path    string
-	header  Header
-	mu      sync.Mutex
-	f       *os.File
-	mode    SyncMode
-	records []EventRecord
-}
-
-// SetSyncMode selects the append durability (default SyncEveryAppend).
-func (e *EventLog) SetSyncMode(m SyncMode) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.mode = m
-}
-
-// Sync forces buffered appends to stable storage (meaningful under
-// SyncOnClose; a no-op after every append under SyncEveryAppend).
-func (e *EventLog) Sync() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.f == nil {
-		return nil
-	}
-	return e.f.Sync()
-}
-
-// Path returns the event log's file path.
-func (e *EventLog) Path() string { return e.path }
-
-// Records returns the records replayed when the log was opened.
-func (e *EventLog) Records() []EventRecord { return e.records }
+// EventLog is an open events sidecar, the same kind of file as Journal.
+// Append is safe for concurrent use: the supervisor emits events from
+// evaluation workers. Every append is fsync'd before it returns: a
+// quarantine acknowledged in memory but lost to a crash would let the
+// next run re-crash on the same poisoned assignment, and a fleet
+// lease/restart/degrade trail must survive the coordinator dying
+// mid-tune.
+type EventLog struct{ *file[EventRecord] }
 
 // QuarantinedKeys folds the replayed records into the quarantine map:
 // assignment key -> rendered fault (last quarantine wins).
@@ -172,27 +124,16 @@ func (e *EventLog) SalvagedRecords() []Record {
 	return out
 }
 
-func fillEventsHeader(h *Header) {
-	h.Kind = EventsKind
-	h.Version = Version
-}
-
 // CreateEvents starts a fresh events sidecar at path, truncating any
 // prior file: unlike the evaluation journal, events are derived
 // observability/resume state, and a fresh run must not inherit a stale
 // quarantine from an earlier experiment.
 func CreateEvents(path string, h Header) (*EventLog, error) {
-	fillEventsHeader(&h)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := eventsFormat.create(path, h)
 	if err != nil {
 		return nil, err
 	}
-	e := &EventLog{path: path, header: h, f: f}
-	if err := e.writeLine(h); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return e, nil
+	return &EventLog{f}, nil
 }
 
 // OpenEvents opens the events sidecar at path for resumption,
@@ -201,122 +142,14 @@ func CreateEvents(path string, h Header) (*EventLog, error) {
 // truncated final line — a crash mid-append — is dropped and the file
 // truncated back to the last complete record.
 func OpenEvents(path string, want Header) (*EventLog, error) {
-	fillEventsHeader(&want)
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return CreateEvents(path, want)
-	}
+	f, err := eventsFormat.open(path, want)
 	if err != nil {
 		return nil, err
 	}
-	h, recs, err := parseEvents(raw)
-	if err != nil {
-		return nil, fmt.Errorf("journal: events %s: %w", path, err)
-	}
-	if h.Kind != want.Kind || h.Version != want.Version {
-		return nil, fmt.Errorf("journal: %s is not a %s v%d file (found %q v%d)",
-			path, want.Kind, want.Version, h.Kind, h.Version)
-	}
-	if h.Fingerprint != want.Fingerprint {
-		return nil, fmt.Errorf("journal: events %s were recorded for a different configuration (fingerprint %.12s..., want %.12s...) — remove the sidecar or restore the original configuration",
-			path, h.Fingerprint, want.Fingerprint)
-	}
-	goodLen := completeLen(raw)
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Truncate(int64(goodLen)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(int64(goodLen), 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &EventLog{path: path, header: h, f: f, records: recs}, nil
+	return &EventLog{f}, nil
 }
 
-// parseEvents splits raw sidecar bytes into header and complete
-// records, ignoring a truncated trailing line. Salvaged payloads are
-// integrity-checked like journal records (content key over fingerprint
-// and assignment key); indices are not checked — events interleave
-// nondeterministically under parallel evaluation.
-func parseEvents(raw []byte) (Header, []EventRecord, error) {
-	sc := bufio.NewScanner(strings.NewReader(string(raw[:completeLen(raw)])))
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-	if !sc.Scan() {
-		return Header{}, nil, fmt.Errorf("empty events file")
-	}
-	var h Header
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
-		return Header{}, nil, fmt.Errorf("bad header: %w", err)
-	}
-	var recs []EventRecord
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var r EventRecord
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			return Header{}, nil, fmt.Errorf("bad event %d: %w", len(recs)+1, err)
-		}
-		if r.Rec != nil && r.Rec.Key != RecordKey(h.Fingerprint, r.Rec.AKey) {
-			return Header{}, nil, fmt.Errorf("event %d salvage payload fails its content-key check (corrupt or copied from another journal)", len(recs)+1)
-		}
-		recs = append(recs, r)
-	}
-	return h, recs, nil
-}
-
-// Append serializes one event record and appends it as a line. Under
-// the default SyncEveryAppend mode it fsyncs before returning: a
-// quarantine acknowledged here must survive the very crash it protects
-// the next run from, and a fleet lease/restart/degrade trail must
-// survive the coordinator dying mid-tune.
-func (e *EventLog) Append(r EventRecord) error {
-	if r.Rec != nil && r.Rec.Key == "" {
-		r.Rec.Key = RecordKey(e.header.Fingerprint, r.Rec.AKey)
-	}
-	return e.writeLine(r)
-}
-
-func (e *EventLog) writeLine(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.f == nil {
-		return fmt.Errorf("journal: events %s is closed", e.path)
-	}
-	if _, err := e.f.Write(b); err != nil {
-		return fmt.Errorf("journal: append to %s: %w", e.path, err)
-	}
-	if e.mode == SyncEveryAppend {
-		if err := e.f.Sync(); err != nil {
-			return fmt.Errorf("journal: fsync %s: %w", e.path, err)
-		}
-	}
-	return nil
-}
-
-// Close fsyncs any buffered appends and releases the sidecar file
-// handle.
-func (e *EventLog) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.f == nil {
-		return nil
-	}
-	syncErr := e.f.Sync()
-	err := e.f.Close()
-	e.f = nil
-	if err == nil {
-		err = syncErr
-	}
-	return err
-}
+// InspectEvents reads an events sidecar the same way Inspect reads a
+// journal: read-only, torn tail dropped, salvage payloads checked
+// against the sidecar's own fingerprint, no caller-side validation.
+func InspectEvents(path string) (Header, []EventRecord, error) { return eventsFormat.inspect(path) }

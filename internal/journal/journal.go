@@ -28,17 +28,16 @@
 //
 // A crash can leave a truncated final line; Open drops it and truncates
 // the file back to the last complete record, so appends continue cleanly.
+// The events sidecar (EventLog) is the same kind of file with another
+// record type, and both share one implementation of create, open,
+// parse, append, close and inspect.
 package journal
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
-	"sync"
 
 	"repro/internal/search"
 )
@@ -136,48 +135,33 @@ func (r Record) Evaluation() (*search.Evaluation, error) {
 	}, nil
 }
 
-// Journal is an open journal file. Append is safe for concurrent use.
-type Journal struct {
-	path    string
-	header  Header
-	mu      sync.Mutex
-	f       *os.File
-	records []Record
-}
+// journalFormat checks each record's content key and its index.
+var journalFormat = &format[Record]{kind: Kind, indexed: true, payload: func(r *Record) *Record { return r }}
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// Header returns the journal's header.
-func (j *Journal) Header() Header { return j.header }
-
-// Records returns the records replayed when the journal was opened.
-// Records appended later are not included.
-func (j *Journal) Records() []Record { return j.records }
+// Journal is an open journal file. Its Append, Records, Header, Path
+// and Close come from the file type it shares with EventLog.
+type Journal struct{ *file[Record] }
 
 // Create starts a fresh journal at path, writing and fsyncing the
 // header. It refuses to overwrite an existing journal that already
 // holds evaluation records — resuming (Open) or removing the file is an
-// explicit decision the caller must make.
+// explicit decision the caller must make — and any file it cannot
+// parse.
 func Create(path string, h Header) (*Journal, error) {
-	fillHeader(&h)
-	if existing, err := os.ReadFile(path); err == nil {
-		if strings.TrimSpace(string(existing)) != "" {
-			if _, recs, err := parse(existing); err == nil && len(recs) > 0 {
-				return nil, fmt.Errorf("journal: %s already holds %d evaluation(s); resume it or remove it", path, len(recs))
-			}
+	if raw, err := os.ReadFile(path); err == nil && !empty(raw) {
+		_, recs, err := journalFormat.parse(raw)
+		if err != nil {
+			return nil, fmt.Errorf("journal: %s exists and cannot be read (%v); remove it", path, err)
+		}
+		if len(recs) > 0 {
+			return nil, fmt.Errorf("journal: %s already holds %d evaluation(s); resume it or remove it", path, len(recs))
 		}
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := journalFormat.create(path, h)
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{path: path, header: h, f: f}
-	if err := j.writeLine(h); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
+	return &Journal{f}, nil
 }
 
 // Open opens the journal at path for resumption, validating its header
@@ -188,133 +172,18 @@ func Create(path string, h Header) (*Journal, error) {
 // a crash mid-append — is dropped and the file truncated back to the
 // last complete record.
 func Open(path string, want Header) (*Journal, error) {
-	fillHeader(&want)
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return Create(path, want)
-	}
+	f, err := journalFormat.open(path, want)
 	if err != nil {
 		return nil, err
 	}
-	h, recs, err := parse(raw)
-	if err != nil {
-		return nil, fmt.Errorf("journal: %s: %w", path, err)
-	}
-	if h.Kind != want.Kind || h.Version != want.Version {
-		return nil, fmt.Errorf("journal: %s is not a %s v%d file (found %q v%d)",
-			path, want.Kind, want.Version, h.Kind, h.Version)
-	}
-	if h.Fingerprint != want.Fingerprint {
-		return nil, fmt.Errorf("journal: %s was recorded for a different configuration (model %q, fingerprint %.12s..., want %.12s...): the program source, machine model, seed, or search options changed — remove the journal or restore the original configuration",
-			path, h.Model, h.Fingerprint, want.Fingerprint)
-	}
-	// Reopen for appending, truncated to the last complete record.
-	goodLen := completeLen(raw)
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Truncate(int64(goodLen)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(int64(goodLen), 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &Journal{path: path, header: h, f: f, records: recs}, nil
+	return &Journal{f}, nil
 }
 
-// fillHeader applies the format constants.
-func fillHeader(h *Header) {
-	h.Kind = Kind
-	h.Version = Version
-}
-
-// parse splits raw journal bytes into header and complete records,
-// ignoring a truncated trailing line. Records are integrity-checked:
-// their content keys must match the header fingerprint and their
-// indices must be contiguous from 1.
-func parse(raw []byte) (Header, []Record, error) {
-	sc := bufio.NewScanner(strings.NewReader(string(raw[:completeLen(raw)])))
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-	if !sc.Scan() {
-		return Header{}, nil, fmt.Errorf("empty journal")
-	}
-	var h Header
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
-		return Header{}, nil, fmt.Errorf("bad header: %w", err)
-	}
-	var recs []Record
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var r Record
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			return Header{}, nil, fmt.Errorf("bad record %d: %w", len(recs)+1, err)
-		}
-		if r.Key != RecordKey(h.Fingerprint, r.AKey) {
-			return Header{}, nil, fmt.Errorf("record %d fails its content-key check (corrupt or copied from another journal)", len(recs)+1)
-		}
-		if r.Index != len(recs)+1 {
-			return Header{}, nil, fmt.Errorf("record %d has index %d (journal reordered or spliced)", len(recs)+1, r.Index)
-		}
-		recs = append(recs, r)
-	}
-	return h, recs, nil
-}
-
-// completeLen returns the length of raw up to and including its last
-// newline: everything after it is a torn partial write.
-func completeLen(raw []byte) int {
-	for i := len(raw) - 1; i >= 0; i-- {
-		if raw[i] == '\n' {
-			return i + 1
-		}
-	}
-	return 0
-}
-
-// Append serializes one record, appends it as a line, and fsyncs before
-// returning, so a record acknowledged here survives any later crash.
-func (j *Journal) Append(r Record) error {
-	if r.Key == "" {
-		r.Key = RecordKey(j.header.Fingerprint, r.AKey)
-	}
-	return j.writeLine(r)
-}
-
-func (j *Journal) writeLine(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("journal: %s is closed", j.path)
-	}
-	if _, err := j.f.Write(b); err != nil {
-		return fmt.Errorf("journal: append to %s: %w", j.path, err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: fsync %s: %w", j.path, err)
-	}
-	return nil
-}
-
-// Close releases the journal file. Appended records are already
-// durable; Close only invalidates the handle.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
-}
+// Inspect reads a journal file without opening it for appending and
+// without knowing the expected fingerprint: records are still
+// integrity-checked against the header's own fingerprint (content keys,
+// contiguous indices) and a torn trailing line is ignored, but nothing
+// is validated against a caller-supplied configuration. This is the
+// entry point for offline tooling (prose journal) that examines a
+// journal it did not create.
+func Inspect(path string) (Header, []Record, error) { return journalFormat.inspect(path) }

@@ -74,6 +74,18 @@ type Evaluation struct {
 	TotalAtoms int
 	Detail     string // failure detail, wrapper counts, etc.
 	Index      int    // evaluation order (1-based), set by the searches
+	// Procs holds the run's per-procedure measurements (the data behind
+	// the paper's Fig. 6). The journal does not record them, so an
+	// evaluation replayed from a journal or returned by a fleet worker
+	// carries none.
+	Procs []ProcSample
+}
+
+// ProcSample is one procedure's measurement within one evaluation.
+type ProcSample struct {
+	Proc    string  // qualified procedure name
+	PerCall float64 // cycles per call: self time plus its generated wrappers'
+	Calls   int64
 }
 
 // Pct32 is the percentage of atoms at 32-bit (the x-axis of Fig. 5).

@@ -44,9 +44,13 @@ func cmdRuns(args []string) error {
 		return renderRun(led, fs.Arg(0), *format)
 	}
 
-	entries, err := led.List()
+	entries, unreadable, err := led.List()
 	if err != nil {
 		return err
+	}
+	if unreadable > 0 {
+		// On stderr, so that -format json stays one JSON document.
+		fmt.Fprintf(os.Stderr, "runs: %d unreadable manifest(s) in %s not listed\n", unreadable, *dir)
 	}
 	if *model != "" {
 		kept := entries[:0]

@@ -40,18 +40,30 @@ func TestLedgerCLI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := store.List()
-	if err != nil || len(entries) != 2 {
-		t.Fatalf("List: %d entries, err=%v", len(entries), err)
+	entries, unreadable, err := store.List()
+	if err != nil || len(entries) != 2 || unreadable != 0 {
+		t.Fatalf("List: %d entries, %d unreadable, err=%v", len(entries), unreadable, err)
 	}
 	idA, idB := entries[0].ID, entries[1].ID
+
+	// A manifest that cannot be loaded does not hide the others.
+	if err := os.WriteFile(filepath.Join(led, "runs", "bad.json"), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out = captureStdout(t, func() { rerr = cmdRuns([]string{"-ledger", led}) })
+	if rerr != nil || !strings.Contains(out, "2 run(s)") {
+		t.Errorf("runs beside an unreadable manifest: err=%v\n%s", rerr, out)
+	}
+	if _, unreadable, _ := store.List(); unreadable != 1 {
+		t.Errorf("List counts %d unreadable manifests, want 1", unreadable)
+	}
 
 	// JSON listing parses and is filterable by model.
 	out = captureStdout(t, func() { rerr = cmdRuns([]string{"-ledger", led, "-format", "json", "-model", "funarc"}) })
 	if rerr != nil {
 		t.Fatalf("runs -format json: %v", rerr)
 	}
-	var listed []ledger.IndexEntry
+	var listed []ledger.Entry
 	if err := json.Unmarshal([]byte(out), &listed); err != nil || len(listed) != 2 {
 		t.Fatalf("json listing: %d entries, err=%v\n%s", len(listed), err, out)
 	}

@@ -132,7 +132,7 @@ func TestLedgerManifestArchived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := led.List()
+	entries, _, err := led.List()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestLedgerManifestArchived(t *testing.T) {
 	if _, err := tn2.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	entries, err = led.List()
+	entries, _, err = led.List()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -632,6 +634,41 @@ func TestFrameReaderCapsAndTypedErrors(t *testing.T) {
 	_, err = marshalFrame(Msg{Type: MsgFault, Fault: strings.Repeat("y", MaxFrame)})
 	if !errors.As(err, &fe) || !fe.Oversized {
 		t.Fatalf("marshalFrame oversize = %v, want oversized *FrameError", err)
+	}
+}
+
+// endless is a peer that sends bytes and never a newline.
+type endless struct{}
+
+func (endless) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	return len(p), nil
+}
+
+// TestOversizedFrameAllocationBound: refusing a frame that never ends
+// allocates at most 2×MaxFrame beside the read buffer. Growing the line
+// by append cost 6×MaxFrame in 41 allocations. Other goroutines can only
+// add to a reading, so the least of three is the reader's own.
+func TestOversizedFrameAllocationBound(t *testing.T) {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		fr := newFrameReader(endless{})
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := fr.next()
+		runtime.ReadMemStats(&after)
+		var fe *FrameError
+		if !errors.As(err, &fe) || !fe.Oversized {
+			t.Fatalf("endless frame error = %v, want oversized *FrameError", err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	const bound = 2*MaxFrame + 64<<10
+	if least > bound {
+		t.Errorf("refusing an oversized frame allocated %d bytes, want at most %d", least, bound)
 	}
 }
 

@@ -207,27 +207,35 @@ func marshalFrame(m Msg) ([]byte, error) {
 // buffering it whole.
 type frameReader struct {
 	br *bufio.Reader
+	// line is the buffer of the last frame read, reused for the next:
+	// Msg holds no json.RawMessage, so nothing aliases it once decoded.
+	line []byte
 }
 
 func newFrameReader(r io.Reader) *frameReader {
 	return &frameReader{br: bufio.NewReaderSize(r, 64<<10)}
 }
 
-// readLine returns the next line (newline stripped). A clean EOF at a
-// frame boundary is io.EOF; bytes followed by EOF mid-line are a
-// truncated frame, reported as a *FrameError.
+// readLine returns the next line (newline stripped), valid until the
+// next call. A clean EOF at a frame boundary is io.EOF; bytes followed
+// by EOF mid-line are a truncated frame, reported as a *FrameError.
 func (fr *frameReader) readLine() ([]byte, error) {
-	var line []byte
+	line := fr.line[:0]
 	for {
 		chunk, err := fr.br.ReadSlice('\n')
+		n := len(line) + len(chunk)
+		if n > MaxFrame {
+			return nil, &FrameError{Oversized: true, Len: n}
+		}
+		if n > cap(line) { // double, so refusing a frame allocates < 2×MaxFrame
+			line = append(make([]byte, 0, min(max(2*cap(line), n), MaxFrame)), line...)
+		}
 		// ReadSlice's chunk aliases the bufio buffer; copy before the
 		// next read invalidates it.
 		line = append(line, chunk...)
-		if len(line) > MaxFrame {
-			return nil, &FrameError{Oversized: true, Len: len(line)}
-		}
 		switch err {
 		case nil:
+			fr.line = line
 			return line[:len(line)-1], nil
 		case bufio.ErrBufferFull:
 			continue

@@ -35,12 +35,6 @@ type Type struct {
 	Rank int
 }
 
-// Scalar reports whether t has rank 0.
-func (t Type) Scalar() bool { return t.Rank == 0 }
-
-// IsReal reports whether t is a real type.
-func (t Type) IsReal() bool { return t.Base == TReal }
-
 func (t Type) String() string {
 	s := t.Base.String()
 	if t.Base == TReal {

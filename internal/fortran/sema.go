@@ -852,15 +852,3 @@ func (c *checker) intrinsicType(e *CallExpr) Type {
 	}
 	return t
 }
-
-// IsIntrinsicFunc reports whether name is a supported intrinsic function.
-func IsIntrinsicFunc(name string) bool {
-	_, ok := intrinsicFuncs[name]
-	return ok
-}
-
-// IsIntrinsicSub reports whether name is a supported intrinsic subroutine.
-func IsIntrinsicSub(name string) bool {
-	_, ok := intrinsicSubs[name]
-	return ok
-}

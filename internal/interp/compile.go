@@ -355,14 +355,15 @@ func (c *compiler) declInit(d *ft.VarDecl) vinit {
 					return err
 				}
 				lo[k] = loV
-				ext[k] = int(hv.asInt()) - loV + 1
-				if ext[k] < 0 {
-					ext[k] = 0
-				}
+				ext[k] = arrayExtent(loV, int(hv.asInt()))
 			}
 			if notReal {
 				return &RunError{Pos: pos, Kind: FailInternal,
 					Msg: fmt.Sprintf("array %q: only real arrays are supported", name)}
+			}
+			if !arrayFits(ext) {
+				return &RunError{Pos: pos, Kind: FailInternal,
+					Msg: fmt.Sprintf("array %q has over %d elements", name, maxArrayElems)}
 			}
 			arr := NewArray(kind, lo, ext)
 			if m.rec != nil {
@@ -399,6 +400,38 @@ func (c *compiler) declInit(d *ft.VarDecl) vinit {
 		store(m, fr, convertScalar(v, dt))
 		return nil
 	}
+}
+
+// maxArrayElems caps one array's element count: 1 GiB of float64, and
+// 8,192 times the largest array of a bundled model (ADCIRC's wave
+// tables).
+const maxArrayElems = 1 << 27
+
+// arrayExtent returns the extent of the dimension lo:hi: 0 when hi <
+// lo, and -1 when hi − lo + 1 does not fit in an int.
+func arrayExtent(lo, hi int) int {
+	if hi < lo {
+		return 0
+	}
+	if d := uint(hi) - uint(lo); d < math.MaxInt { // exact: hi ≥ lo
+		return int(d) + 1
+	}
+	return -1
+}
+
+// arrayFits reports whether extents from arrayExtent all fit in an int
+// and hold at most maxArrayElems elements. Clamping each factor and
+// each running product to maxArrayElems+1 keeps every product from
+// wrapping.
+func arrayFits(ext []int) bool {
+	n := 1
+	for _, e := range ext {
+		if e < 0 {
+			return false
+		}
+		n = min(n*min(e, maxArrayElems+1), maxArrayElems+1)
+	}
+	return n <= maxArrayElems
 }
 
 // Expressions ---------------------------------------------------------------

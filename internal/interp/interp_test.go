@@ -1050,3 +1050,91 @@ end program p
 		t.Errorf("assumed-shape rebase: got %g, want 12", got)
 	}
 }
+
+// TestHugeArrayIsRunError: a declaration whose extent or element count
+// wraps int, or exceeds maxArrayElems, is a *RunError, checked before
+// anything is allocated. Each case fails without allocating on an interpreter that
+// lacks the check: the first and third made makeslice panic, and the
+// second wrapped its extent to -1 and ran with an empty array.
+func TestHugeArrayIsRunError(t *testing.T) {
+	for _, dims := range []string{
+		"3037000500, 3037000500",                      // the product wraps int64
+		"-9223372036854775807:9223372036854775807",    // hi - lo + 1 wraps int64
+		"8388608, 8388608",                            // 2^46 elements: over the cap
+		"9223372036854775807, 9223372036854775807, 2", // every product wraps
+	} {
+		src := fmt.Sprintf(`
+module m
+  implicit none
+contains
+  subroutine s()
+    real(kind=8) :: a(%s)
+    a = 1.0d0
+  end subroutine s
+end module m
+program p
+  use m
+  implicit none
+  call s()
+end program p
+`, dims)
+		_, _, err := run(t, src, Config{})
+		var re *RunError
+		if !errors.As(err, &re) || re.Kind != FailInternal || !strings.Contains(re.Msg, `array "a" has over`) {
+			t.Errorf("a(%s): err = %v, want a FailInternal *RunError naming the array", dims, err)
+		}
+	}
+
+	// An empty dimension makes an empty array, however large the others,
+	// and keeps their extents.
+	src := outMod + `
+program p
+  use out
+  implicit none
+  real(kind=8) :: a(9223372036854775807, 0)
+  r8 = size(a, 1)
+end program p
+`
+	in, _ := mustRun(t, src)
+	if got := globalF(t, in, "out.r8"); got != math.MaxInt64 {
+		t.Errorf("size(a, 1) of a(9223372036854775807, 0) = %g, want 2^63 - 1", got)
+	}
+}
+
+// TestArrayCap pins maxArrayElems at its boundary without a program, so
+// nothing near the cap is allocated.
+func TestArrayCap(t *testing.T) {
+	for _, c := range []struct {
+		lo, hi, ext int
+	}{
+		{1, 10, 10},
+		{5, 4, 0},
+		{math.MaxInt64, math.MinInt64, 0},
+		{1, maxArrayElems, maxArrayElems},
+		{0, maxArrayElems, maxArrayElems + 1},
+		{1, math.MaxInt64, math.MaxInt64},
+		{0, math.MaxInt64, -1},
+		{math.MinInt64, math.MaxInt64, -1},
+	} {
+		if got := arrayExtent(c.lo, c.hi); got != c.ext {
+			t.Errorf("arrayExtent(%d, %d) = %d, want %d", c.lo, c.hi, got, c.ext)
+		}
+	}
+	for _, c := range []struct {
+		ext  []int
+		fits bool
+	}{
+		{nil, true},
+		{[]int{maxArrayElems}, true},
+		{[]int{1 << 14, 1 << 13}, true},
+		{[]int{maxArrayElems + 1}, false},
+		{[]int{maxArrayElems, 2}, false},
+		{[]int{1 << 14, 1 << 13, 2}, false},
+		{[]int{math.MaxInt64, math.MaxInt64, 0}, true},
+		{[]int{-1, 0}, false},
+	} {
+		if got := arrayFits(c.ext); got != c.fits {
+			t.Errorf("arrayFits(%v) = %v, want %v", c.ext, got, c.fits)
+		}
+	}
+}

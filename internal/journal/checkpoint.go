@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 )
 
 // Checkpoint is an atomic snapshot of search progress, written alongside
@@ -29,42 +28,15 @@ type Checkpoint struct {
 // CheckpointPath returns the conventional checkpoint path for a journal.
 func CheckpointPath(journalPath string) string { return journalPath + ".ckpt" }
 
-// SaveCheckpoint atomically replaces the checkpoint at path: the new
-// state is written to a temporary file in the same directory, fsync'd,
-// and renamed over the old one, so a crash leaves either the previous
-// checkpoint or the new one — never a torn file.
+// SaveCheckpoint atomically replaces the checkpoint at path (see
+// WriteFileAtomic), so a crash leaves either the previous checkpoint or
+// the new one — never a torn file.
 func SaveCheckpoint(path string, c Checkpoint) error {
 	b, err := json.Marshal(c)
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	// Make the rename itself durable.
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return WriteFileAtomic(path, append(b, '\n'))
 }
 
 // LoadCheckpoint reads the checkpoint at path. A missing file returns

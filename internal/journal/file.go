@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -119,49 +120,111 @@ func (s *format[R]) inspect(path string) (Header, []R, error) {
 }
 
 // parse splits raw file bytes into the header and the complete
-// records, ignoring a torn final line and blank lines. The header must
-// be of this format's kind and version, and every record must pass its
-// content-key (and, for an indexed format, index) check. A line it
-// cannot read is an error naming that line.
+// records (see ReadLines). The header must be of this format's kind and
+// version, and every record must pass its content-key (and, for an
+// indexed format, index) check. A line it cannot read is an error
+// naming that line.
 func (s *format[R]) parse(raw []byte) (Header, []R, error) {
-	rest := raw[:completeLen(raw)]
-	if len(rest) == 0 {
-		return Header{}, nil, errors.New("no complete header line")
-	}
-	var line []byte
-	line, rest, _ = bytes.Cut(rest, []byte{'\n'})
 	var h Header
-	if err := json.Unmarshal(line, &h); err != nil {
-		return Header{}, nil, fmt.Errorf("bad header: %w", err)
-	}
-	if h.Kind != s.kind || h.Version != Version {
-		return Header{}, nil, fmt.Errorf("not a %s v%d file (found %q v%d)", s.kind, Version, h.Kind, h.Version)
-	}
 	var recs []R
+	err := ReadLines(raw, func(n int, line []byte) error {
+		if n == 0 {
+			if err := json.Unmarshal(line, &h); err != nil {
+				return fmt.Errorf("bad header: %w", err)
+			}
+			if h.Kind != s.kind || h.Version != Version {
+				return fmt.Errorf("not a %s v%d file (found %q v%d)", s.kind, Version, h.Kind, h.Version)
+			}
+			return nil
+		}
+		var r R
+		if err := json.Unmarshal(line, &r); err != nil {
+			return fmt.Errorf("bad record %d: %w", n, err)
+		}
+		if p := s.payload(&r); p != nil {
+			if p.Key != RecordKey(h.Fingerprint, p.AKey) {
+				return fmt.Errorf("record %d fails its content-key check (corrupt or copied from another journal)", n)
+			}
+			if s.indexed && p.Index != n {
+				return fmt.Errorf("record %d has index %d (journal reordered or spliced)", n, p.Index)
+			}
+		}
+		recs = append(recs, r)
+		return nil
+	})
+	if err != nil {
+		return Header{}, nil, err
+	}
+	return h, recs, nil
+}
+
+// ReadLines reads a line file, the layout of every append-only file
+// the tuner writes (the journal, its events sidecar and the decision
+// log): a header line, then one record per line. It passes the header
+// to fn as record 0 and the lines after it as records 1, 2, 3, …,
+// stopping at the first error fn returns. It reads complete lines
+// only, since the bytes after the last newline are a torn write, and
+// skips blank lines. A file with no complete line is an error, and so
+// is a line over 16 MiB, which is never passed to fn.
+func ReadLines(raw []byte, fn func(n int, line []byte) error) error {
+	rest := raw[:completeLen(raw)]
+	n := 0
 	for len(rest) > 0 {
+		var line []byte
 		line, rest, _ = bytes.Cut(rest, []byte{'\n'})
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		n := len(recs) + 1
 		if len(line) > maxLine {
-			return Header{}, nil, fmt.Errorf("record %d is %d bytes, over the %d-byte line limit", n, len(line), maxLine)
+			return fmt.Errorf("record %d is %d bytes, over the %d-byte line limit", n, len(line), maxLine)
 		}
-		var r R
-		if err := json.Unmarshal(line, &r); err != nil {
-			return Header{}, nil, fmt.Errorf("bad record %d: %w", n, err)
+		if err := fn(n, line); err != nil {
+			return err
 		}
-		if p := s.payload(&r); p != nil {
-			if p.Key != RecordKey(h.Fingerprint, p.AKey) {
-				return Header{}, nil, fmt.Errorf("record %d fails its content-key check (corrupt or copied from another journal)", n)
-			}
-			if s.indexed && p.Index != n {
-				return Header{}, nil, fmt.Errorf("record %d has index %d (journal reordered or spliced)", n, p.Index)
-			}
-		}
-		recs = append(recs, r)
+		n++
 	}
-	return h, recs, nil
+	if n == 0 {
+		return errors.New("no complete header line")
+	}
+	return nil
+}
+
+// WriteFileAtomic replaces the file at path with b, as the tuner
+// replaces each whole-file document (the checkpoint, a run manifest):
+// b goes to a temporary file in the same directory, which is fsync'd
+// and renamed over path, and then the directory is fsync'd to make the
+// rename durable. A crash leaves the old file or the new, never a torn
+// one. The file is readable by all, as a journal is.
+func WriteFileAtomic(path string, b []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	_, err = tmp.Write(b)
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		return err
+	}
+	// Best effort: the rename has happened, and some file systems
+	// cannot sync a directory.
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
+	return nil
 }
 
 // completeLen returns the length of raw up to and including its last

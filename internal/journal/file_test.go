@@ -251,91 +251,3 @@ func TestOverlongRecordIsAnError(t *testing.T) {
 		}
 	})
 }
-
-// FuzzJournal fuzzes the parser the journal and the events sidecar
-// share. On arbitrary bytes, Inspect, InspectEvents, Open and
-// OpenEvents return records or an error, and never panic. A valid
-// journal cut at any byte reopens with exactly the records whose lines
-// the cut left whole, and appending the rest reproduces the original
-// bytes.
-func FuzzJournal(f *testing.F) {
-	dir := f.TempDir()
-	h := mkHeader(Fingerprint("fuzz"))
-	jpath, epath := filepath.Join(dir, "j.jsonl"), filepath.Join(dir, "j.jsonl.events")
-	j, err := Create(jpath, h)
-	if err != nil {
-		f.Fatal(err)
-	}
-	e, err := CreateEvents(epath, h)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for n := 1; n <= 5; n++ {
-		r := mkRecord(h.Fingerprint, n)
-		r.Detail = fmt.Sprintf("wrappers=%d casts=%d \"quoted\" ünï", n, 7*n)
-		if err := j.Append(r); err != nil {
-			f.Fatal(err)
-		}
-		if err := e.Append(mkEvent(h.Fingerprint, n)); err != nil {
-			f.Fatal(err)
-		}
-	}
-	j.Close()
-	e.Close()
-	valid, err := os.ReadFile(jpath)
-	if err != nil {
-		f.Fatal(err)
-	}
-	_, all, err := Inspect(jpath)
-	if err != nil {
-		f.Fatal(err)
-	}
-	events, err := os.ReadFile(epath)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid, uint16(len(valid)))
-	f.Add(events, uint16(len(valid)/2))
-	f.Add(valid[:len(valid)-7], uint16(7))
-	f.Add([]byte{}, uint16(0))
-
-	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
-		path := filepath.Join(t.TempDir(), "f.jsonl")
-		write := func(b []byte) {
-			if err := os.WriteFile(path, b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		write(data)
-		_, _, _ = Inspect(path)
-		_, _, _ = InspectEvents(path)
-		if j, err := Open(path, h); err == nil {
-			j.Close()
-		}
-		write(data)
-		if e, err := OpenEvents(path, h); err == nil {
-			e.Close()
-		}
-
-		k := int(cut) % (len(valid) + 1)
-		write(valid[:k])
-		j, err := Open(path, h)
-		if err != nil {
-			t.Fatalf("journal cut at byte %d: %v", k, err)
-		}
-		whole := max(bytes.Count(valid[:k], []byte{'\n'})-1, 0)
-		if got := j.Records(); len(got) != whole || (whole > 0 && !reflect.DeepEqual(got, all[:whole])) {
-			t.Fatalf("journal cut at byte %d reopened with %d records, want the %d whole ones", k, len(got), whole)
-		}
-		for _, r := range all[whole:] {
-			if err := j.Append(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		j.Close()
-		if got, _ := os.ReadFile(path); !bytes.Equal(got, valid) {
-			t.Fatalf("journal cut at byte %d and completed differs from the original:\n%s\nwant:\n%s", k, got, valid)
-		}
-	})
-}

@@ -31,6 +31,12 @@
 // The events sidecar (EventLog) is the same kind of file with another
 // record type, and both share one implementation of create, open,
 // parse, append, close and inspect.
+//
+// The package also owns the two mechanisms every on-disk format of the
+// tuner uses: ReadLines, the one reader of a line file (the journal,
+// the sidecar and internal/ledger's decision log), and
+// WriteFileAtomic, the one writer of a whole-file document (the
+// checkpoint and internal/ledger's run manifests).
 package journal
 
 import (

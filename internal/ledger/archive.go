@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/fleet"
+	"repro/internal/journal"
 	"repro/internal/obs"
 )
 
@@ -90,9 +91,9 @@ func (m *Manifest) ComputeID() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// IndexEntry is one run's line in the ledger index — the facts `prose
-// runs` lists without loading every manifest.
-type IndexEntry struct {
+// Entry is one run as `prose runs` lists it: the facts List reads
+// from the run's manifest.
+type Entry struct {
 	ID          string  `json:"id"`
 	Model       string  `json:"model"`
 	Fingerprint string  `json:"fingerprint"`
@@ -104,8 +105,8 @@ type IndexEntry struct {
 	Converged   bool    `json:"converged"`
 }
 
-func (m *Manifest) indexEntry() IndexEntry {
-	return IndexEntry{
+func (m *Manifest) entry() Entry {
+	return Entry{
 		ID: m.ID, Model: m.Model, Fingerprint: m.Fingerprint,
 		StartUnixNS: m.StartUnixNS, WallMS: m.WallMS,
 		Evaluations: m.Evaluations, BestSpeedup: m.BestSpeedup,
@@ -113,16 +114,15 @@ func (m *Manifest) indexEntry() IndexEntry {
 	}
 }
 
-const (
-	indexFile = "index.jsonl"
-	runsDir   = "runs"
-)
+const runsDir = "runs"
 
 // Ledger is an on-disk archive of run manifests: one JSON document per
-// run under <dir>/runs/<id>.json plus an append-only <dir>/index.jsonl
-// for cheap listing. It accumulates across runs and processes — Put
-// appends with O_APPEND semantics, so concurrent tunes into one ledger
-// interleave whole lines, never corrupt each other.
+// run at <dir>/runs/<id>.json, and nothing else. The manifests are the
+// only record of the runs, so a listing cannot disagree with them. It
+// accumulates across runs and processes: each Put atomically replaces
+// one file named by its content address, so concurrent tunes into one
+// ledger never corrupt each other, and re-archiving identical facts
+// rewrites the same file.
 type Ledger struct{ dir string }
 
 // Open opens (creating if needed) the ledger rooted at dir.
@@ -133,12 +133,9 @@ func Open(dir string) (*Ledger, error) {
 	return &Ledger{dir: dir}, nil
 }
 
-// Dir returns the ledger's root directory.
-func (l *Ledger) Dir() string { return l.dir }
-
-// Put archives a manifest: computes its content address, writes
-// runs/<id>.json atomically, and appends the index line. Returns the
-// ID. The manifest's ID field is set on success.
+// Put archives a manifest: computes its content address and writes
+// runs/<id>.json with journal.WriteFileAtomic. Returns the ID. The
+// manifest's ID field is set on success.
 func (l *Ledger) Put(m *Manifest) (string, error) {
 	id, err := m.ComputeID()
 	if err != nil {
@@ -149,93 +146,78 @@ func (l *Ledger) Put(m *Manifest) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	final := filepath.Join(l.dir, runsDir, id+".json")
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	if err := journal.WriteFileAtomic(l.path(id), b); err != nil {
 		return "", fmt.Errorf("ledger: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return "", fmt.Errorf("ledger: %w", err)
-	}
-	line, err := json.Marshal(m.indexEntry())
-	if err != nil {
-		return "", err
-	}
-	idx, err := os.OpenFile(filepath.Join(l.dir, indexFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return "", fmt.Errorf("ledger: %w", err)
-	}
-	_, werr := idx.Write(append(line, '\n'))
-	if cerr := idx.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return "", fmt.Errorf("ledger: appending index: %w", werr)
 	}
 	return id, nil
 }
 
-// List returns the archived runs in index order (oldest first).
-// Malformed index lines — a torn tail from a killed process — are
-// skipped, and a missing index falls back to scanning runs/ so a
-// ledger with a lost index still lists.
-func (l *Ledger) List() ([]IndexEntry, error) {
-	data, err := os.ReadFile(filepath.Join(l.dir, indexFile))
-	if os.IsNotExist(err) {
-		return l.listFromRuns()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("ledger: %w", err)
-	}
-	var out []IndexEntry
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.TrimSpace(line) == "" {
-			continue
+func (l *Ledger) path(id string) string { return filepath.Join(l.dir, runsDir, id+".json") }
+
+// ids returns the names of the files under runs/ that end in .json,
+// without it, in name order.
+func (l *Ledger) ids() ([]string, error) {
+	des, err := os.ReadDir(filepath.Join(l.dir, runsDir))
+	var ids []string
+	for _, de := range des {
+		if id, ok := strings.CutSuffix(de.Name(), ".json"); ok && !de.IsDir() {
+			ids = append(ids, id)
 		}
-		var e IndexEntry
-		if jerr := json.Unmarshal([]byte(line), &e); jerr != nil || e.ID == "" {
-			continue // torn or foreign line: skip, don't fail the listing
-		}
-		out = append(out, e)
 	}
-	return out, nil
+	return ids, err
 }
 
-// listFromRuns rebuilds a listing from the manifests themselves.
-func (l *Ledger) listFromRuns() ([]IndexEntry, error) {
-	dir := filepath.Join(l.dir, runsDir)
-	names, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
+// List loads every manifest under runs/ and returns the runs oldest
+// first, ordered by (StartUnixNS, ID), with the number of manifests it
+// could not load. A run archived twice with identical facts is one
+// file, so it lists once.
+func (l *Ledger) List() ([]Entry, int, error) {
+	ids, err := l.ids()
 	if err != nil {
-		return nil, fmt.Errorf("ledger: %w", err)
+		return nil, 0, fmt.Errorf("ledger: %w", err)
 	}
-	var out []IndexEntry
-	for _, de := range names {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".json") {
+	var out []Entry
+	unreadable := 0
+	for _, id := range ids {
+		m, err := LoadManifest(l.path(id))
+		if err != nil {
+			unreadable++
 			continue
 		}
-		m, merr := LoadManifest(filepath.Join(dir, de.Name()))
-		if merr != nil {
-			continue
-		}
-		out = append(out, m.indexEntry())
+		out = append(out, m.entry())
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].StartUnixNS < out[j].StartUnixNS })
-	return out, nil
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].StartUnixNS != out[j].StartUnixNS {
+			return out[i].StartUnixNS < out[j].StartUnixNS
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out, unreadable, nil
 }
 
 // Get resolves a run reference — a full ID, a unique ID prefix, or a
 // manifest file path — to its manifest.
 func (l *Ledger) Get(ref string) (*Manifest, error) {
-	if l != nil {
-		if m, err := l.getByPrefix(ref); err == nil {
-			return m, nil
-		} else if !os.IsNotExist(asPathError(err)) && !isNoMatch(err) {
-			return nil, err
+	var matches []string
+	if l != nil && ref != "" {
+		ids, err := l.ids()
+		if err != nil && !os.IsNotExist(err) {
+			return nil, fmt.Errorf("ledger: %w", err)
 		}
+		for _, id := range ids {
+			if strings.HasPrefix(id, ref) {
+				matches = append(matches, id)
+			}
+		}
+	}
+	switch {
+	case len(matches) == 1:
+		return LoadManifest(l.path(matches[0]))
+	case len(matches) > 1:
+		for i, id := range matches {
+			matches[i] = id[:min(12, len(id))]
+		}
+		return nil, fmt.Errorf("ledger: %q is ambiguous: matches %s", ref, strings.Join(matches, ", "))
 	}
 	// Fall back to treating the reference as a manifest path.
 	if _, serr := os.Stat(ref); serr == nil {
@@ -245,45 +227,6 @@ func (l *Ledger) Get(ref string) (*Manifest, error) {
 		return nil, fmt.Errorf("ledger: %q is not a manifest path (no ledger directory given)", ref)
 	}
 	return nil, fmt.Errorf("ledger: no run matching %q in %s", ref, l.dir)
-}
-
-type noMatchError struct{ ref string }
-
-func (e *noMatchError) Error() string { return fmt.Sprintf("ledger: no run matching %q", e.ref) }
-
-func isNoMatch(err error) bool { _, ok := err.(*noMatchError); return ok }
-
-func asPathError(err error) error { return err }
-
-func (l *Ledger) getByPrefix(ref string) (*Manifest, error) {
-	if ref == "" {
-		return nil, &noMatchError{ref: ref}
-	}
-	dir := filepath.Join(l.dir, runsDir)
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var matches []string
-	for _, de := range names {
-		name := strings.TrimSuffix(de.Name(), ".json")
-		if strings.HasPrefix(name, ref) && strings.HasSuffix(de.Name(), ".json") {
-			matches = append(matches, de.Name())
-		}
-	}
-	switch len(matches) {
-	case 0:
-		return nil, &noMatchError{ref: ref}
-	case 1:
-		return LoadManifest(filepath.Join(dir, matches[0]))
-	default:
-		sort.Strings(matches)
-		short := make([]string, len(matches))
-		for i, m := range matches {
-			short[i] = strings.TrimSuffix(m, ".json")[:12]
-		}
-		return nil, fmt.Errorf("ledger: %q is ambiguous: matches %s", ref, strings.Join(short, ", "))
-	}
 }
 
 // LoadManifest reads and validates one manifest document. Empty,

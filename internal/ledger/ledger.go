@@ -20,10 +20,16 @@
 //   - Ledger archives one content-addressed Manifest per run (program +
 //     options fingerprint, machine, fleet shape, final metrics
 //     snapshot with quantiles, decision-log digest, result summary)
-//     under an indexed directory that accumulates across runs.
+//     in a directory that accumulates across runs. There is no index:
+//     listing loads the manifests and counts any it cannot read.
 //   - Compare and Funnel analyze archived runs: speedup/error/evals/
 //     metrics deltas with configurable regression thresholds, and the
 //     per-round search-funnel table.
+//
+// Both files reuse the journal's two file mechanisms: the decision log
+// is read through journal.ReadLines, so a damaged line before the last
+// newline is an error naming it, and a manifest is written with
+// journal.WriteFileAtomic, as the checkpoint is.
 package ledger
 
 import (
@@ -31,12 +37,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
-	"io"
 	"os"
-	"strings"
 
+	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/search"
 )
@@ -217,52 +223,36 @@ func (dl *DecisionLog) Close() error {
 	return dl.err
 }
 
-// ReadDecisionLog reads a decision log back. A torn tail — a partial
-// last line from a killed run — is tolerated and simply ends the
-// stream; an empty or headerless file is an error, never a panic.
+// ReadDecisionLog reads a decision log back through the journal's line
+// reader (journal.ReadLines). A torn tail — a partial last line from a
+// killed run — is dropped; a line before it that does not decode is an
+// error naming its record, as is an empty or headerless file.
 func ReadDecisionLog(path string) (DecisionHeader, []DecisionEvent, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return DecisionHeader{}, nil, err
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	hdrLine, err := readLine(r)
-	if err != nil || strings.TrimSpace(hdrLine) == "" {
-		return DecisionHeader{}, nil, fmt.Errorf("ledger: %s: empty decision log", path)
-	}
 	var hdr DecisionHeader
-	if err := json.Unmarshal([]byte(hdrLine), &hdr); err != nil || hdr.Kind != DecisionLogKind {
-		return DecisionHeader{}, nil, fmt.Errorf("ledger: %s: not a decision log (bad header)", path)
-	}
-	if hdr.V != DecisionLogVersion {
-		return DecisionHeader{}, nil, fmt.Errorf("ledger: %s: decision-log version %d, want %d", path, hdr.V, DecisionLogVersion)
-	}
 	var evs []DecisionEvent
-	for {
-		line, err := readLine(r)
-		if line != "" {
-			var ev DecisionEvent
-			if jerr := json.Unmarshal([]byte(line), &ev); jerr != nil {
-				break // torn tail: keep the complete prefix
+	err = journal.ReadLines(raw, func(n int, line []byte) error {
+		if n == 0 {
+			if err := json.Unmarshal(line, &hdr); err != nil || hdr.Kind != DecisionLogKind {
+				return errors.New("not a decision log (bad header)")
 			}
-			evs = append(evs, ev)
+			if hdr.V != DecisionLogVersion {
+				return fmt.Errorf("decision-log version %d, want %d", hdr.V, DecisionLogVersion)
+			}
+			return nil
 		}
-		if err != nil {
-			break
+		var ev DecisionEvent
+		if err := json.Unmarshal(line, &ev); err != nil {
+			return fmt.Errorf("bad record %d: %w", n, err)
 		}
+		evs = append(evs, ev)
+		return nil
+	})
+	if err != nil {
+		return DecisionHeader{}, nil, fmt.Errorf("ledger: %s: %w", path, err)
 	}
 	return hdr, evs, nil
-}
-
-// readLine reads one newline-terminated line; on io.EOF the partial
-// remainder is returned with the error.
-func readLine(r *bufio.Reader) (string, error) {
-	line, err := r.ReadString('\n')
-	if err == io.EOF && strings.TrimRight(line, "\n") != "" {
-		// A line without its newline is a torn write: report it so the
-		// caller can drop it, alongside the EOF.
-		return "", err
-	}
-	return strings.TrimRight(line, "\n"), err
 }

@@ -121,6 +121,31 @@ func TestReadDecisionLogGraceful(t *testing.T) {
 	}
 }
 
+// TestReadDecisionLogCorruptLineIsAnError: a line that does not decode
+// before the last newline is damage, not a torn tail. Dropping it and
+// everything after would silently shorten the funnel `prose runs`
+// shows.
+func TestReadDecisionLogCorruptLineIsAnError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "d.jsonl")
+	writeSampleLog(t, path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	if len(lines) != 7 || lines[6] != "" {
+		t.Fatalf("sample log has %d lines, want a header and 5 events", len(lines)-1)
+	}
+	lines[2] = `{"ev":"candidate","round":1,"seq":1,` + "\n" // line 3 holds record 2
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, evs, err := ReadDecisionLog(path)
+	if err == nil || !strings.Contains(err.Error(), "record 2") {
+		t.Errorf("corrupt record 2 read as %d events, err %v; want an error naming record 2", len(evs), err)
+	}
+}
+
 func TestCanonicalJSON(t *testing.T) {
 	type S struct {
 		Zeta  int     `json:"zeta"`
@@ -176,12 +201,12 @@ func TestLedgerPutListGet(t *testing.T) {
 		t.Fatal("different manifests share a content address")
 	}
 
-	entries, err := led.List()
+	entries, unreadable, err := led.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 || entries[0].ID != id1 || entries[1].ID != id2 {
-		t.Fatalf("List = %+v", entries)
+	if len(entries) != 2 || unreadable != 0 || entries[0].ID != id1 || entries[1].ID != id2 {
+		t.Fatalf("List = %+v, %d unreadable", entries, unreadable)
 	}
 
 	m, err := led.Get(id1)
@@ -198,34 +223,49 @@ func TestLedgerPutListGet(t *testing.T) {
 		t.Error("unknown ref accepted")
 	}
 
-	// Re-archiving identical facts hits the same address and must not
-	// corrupt anything.
+	// Re-archiving identical facts hits the same address and rewrites
+	// the same file, so the run still lists once.
 	if id3, err := led.Put(sampleManifest(1.5, 28)); err != nil || id3 != id1 {
 		t.Errorf("re-put: id=%s err=%v, want %s", id3, err, id1)
 	}
-
-	// A torn index line is skipped, not fatal.
-	f, _ := os.OpenFile(filepath.Join(dir, indexFile), os.O_APPEND|os.O_WRONLY, 0o644)
-	f.WriteString(`{"id":"torn`)
-	f.Close()
-	if entries, err = led.List(); err != nil || len(entries) != 3 {
-		t.Errorf("after torn index line: %d entries, err=%v", len(entries), err)
-	}
-
-	// Losing the index entirely falls back to scanning runs/.
-	os.Remove(filepath.Join(dir, indexFile))
-	entries, err = led.List()
-	if err != nil {
+	// A manifest that cannot be loaded is counted, not listed and not
+	// fatal.
+	if err := os.WriteFile(filepath.Join(dir, runsDir, "torn.json"), []byte(`{"id":"torn`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 {
-		t.Errorf("index-less List found %d runs, want 2", len(entries))
+	entries, unreadable, err = led.List()
+	if err != nil || unreadable != 1 || len(entries) != 2 || entries[0].ID != id1 || entries[1].ID != id2 {
+		t.Errorf("after a re-put and a torn manifest: List = %+v, %d unreadable, err=%v; want runs %.8s and %.8s, 1 unreadable",
+			entries, unreadable, err, id1, id2)
+	}
+	// No index is written: the manifests are the listing.
+	if _, err := os.Stat(filepath.Join(dir, "index.jsonl")); !os.IsNotExist(err) {
+		t.Errorf("index.jsonl exists (stat err %v)", err)
 	}
 
 	// A manifest file path works without any ledger.
 	var nilLed *Ledger
 	if _, err := nilLed.Get(filepath.Join(dir, runsDir, id1+".json")); err != nil {
 		t.Errorf("path lookup without ledger: %v", err)
+	}
+}
+
+// TestGetAmbiguousShortNames: an ambiguous reference names its matches
+// by their first 12 characters, and a name shorter than that is named
+// whole rather than sliced out of range.
+func TestGetAmbiguousShortNames(t *testing.T) {
+	dir := t.TempDir()
+	led, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"bad.json", "b.json"} {
+		if err := os.WriteFile(filepath.Join(dir, runsDir, name), []byte("garbage"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := led.Get("b"); err == nil || !strings.Contains(err.Error(), "ambiguous: matches b, bad") {
+		t.Errorf("Get(b) = %v, want an ambiguity naming b and bad", err)
 	}
 }
 

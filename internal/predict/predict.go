@@ -118,7 +118,6 @@ type Ridge struct {
 	Lambda float64
 	xtx    [FeatureCount][FeatureCount]float64
 	xty    [FeatureCount]float64
-	n      int
 }
 
 // NewRidge returns a model with the given L2 regularization strength.
@@ -134,11 +133,7 @@ func (r *Ridge) Observe(x [FeatureCount]float64, y float64) {
 		}
 		r.xty[i] += x[i] * y
 	}
-	r.n++
 }
-
-// Samples returns the number of observations.
-func (r *Ridge) Samples() int { return r.n }
 
 // Weights solves (X'X + λI) w = X'y by Gaussian elimination with
 // partial pivoting. It returns false if the system is singular even

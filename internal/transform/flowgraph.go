@@ -155,9 +155,6 @@ func (g *FlowGraph) MismatchedEdges() []FlowEdge {
 	return out
 }
 
-// Node returns the node for a declaration.
-func (g *FlowGraph) Node(d *ft.VarDecl) *FlowNode { return g.byDecl[d] }
-
 // String renders the graph compactly for debugging and tests.
 func (g *FlowGraph) String() string {
 	var sb strings.Builder

@@ -36,10 +36,7 @@ func cmdRuns(args []string) error {
 	if *dir == "" {
 		return fmt.Errorf("runs: -ledger DIR is required (or -decisions FILE)")
 	}
-	led, err := ledger.Open(*dir)
-	if err != nil {
-		return err
-	}
+	led := ledger.Open(*dir)
 	if fs.NArg() > 0 {
 		return renderRun(led, fs.Arg(0), *format)
 	}
@@ -165,10 +162,7 @@ func cmdCompare(args []string) error {
 	}
 	var led *ledger.Ledger
 	if *dir != "" {
-		var err error
-		if led, err = ledger.Open(*dir); err != nil {
-			return err
-		}
+		led = ledger.Open(*dir)
 	}
 	a, err := led.Get(fs.Arg(0))
 	if err != nil {

@@ -18,8 +18,9 @@ func TestLedgerCLI(t *testing.T) {
 	dir := t.TempDir()
 	led := filepath.Join(dir, "ledger")
 
-	// Run A: the full funarc search. Run B: starved to 3 evaluations,
-	// which deterministically loses the passing variant and convergence.
+	// Run A: the full funarc search, archived into a ledger directory
+	// that does not exist yet. Run B: starved to 3 evaluations, which
+	// deterministically loses the passing variant and convergence.
 	if err := cmdTune([]string{"-model", "funarc", "-journal", filepath.Join(dir, "a.jsonl"), "-ledger", led}); err != nil {
 		t.Fatalf("tune A: %v", err)
 	}
@@ -36,10 +37,7 @@ func TestLedgerCLI(t *testing.T) {
 		t.Errorf("runs did not list both runs:\n%s", out)
 	}
 
-	store, err := ledger.Open(led)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := ledger.Open(led)
 	entries, unreadable, err := store.List()
 	if err != nil || len(entries) != 2 || unreadable != 0 {
 		t.Fatalf("List: %d entries, %d unreadable, err=%v", len(entries), unreadable, err)
@@ -133,6 +131,33 @@ func TestLedgerCLI(t *testing.T) {
 	}
 	if err := cmdCompare([]string{"-ledger", led, idA, "no-such-run"}); err == nil {
 		t.Error("compare with an unknown run accepted")
+	}
+}
+
+// TestLedgerReadersRefuseMissingDir: `prose runs` (list and detail)
+// and `prose compare` on a ledger directory that does not exist fail
+// naming it, and leave nothing behind.
+func TestLedgerReadersRefuseMissingDir(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-ledger")
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"runs", func() error { return cmdRuns([]string{"-ledger", missing}) }},
+		{"runs <id>", func() error { return cmdRuns([]string{"-ledger", missing, "abc"}) }},
+		{"compare", func() error { return cmdCompare([]string{"-ledger", missing, "A", "A"}) }},
+	} {
+		var err error
+		out := captureStdout(t, func() { err = c.run() })
+		if err == nil || !strings.Contains(err.Error(), missing) {
+			t.Errorf("%s: err = %v, want an error naming %s\n%s", c.name, err, missing, out)
+		}
+		if got := exitCodeFor(err); got == 0 {
+			t.Errorf("%s: exit code 0", c.name)
+		}
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("a read command created the ledger directory (stat err %v)", err)
 	}
 }
 

@@ -128,10 +128,7 @@ func TestLedgerManifestArchived(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	led, err := ledger.Open(ledDir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	led := ledger.Open(ledDir)
 	entries, _, err := led.List()
 	if err != nil {
 		t.Fatal(err)

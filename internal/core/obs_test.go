@@ -51,7 +51,10 @@ func TestTracingDoesNotPerturbJournal(t *testing.T) {
 
 // TestTraceSpanCountsMatchJournal reconciles the trace against the
 // journal on a fresh, fault-free run: one eval span per journaled
-// record, one journal.append span per record, and no retry spans.
+// record, one journal.append and one journal.checkpoint span per record,
+// both under the batch that added the record, and no retry spans. At
+// par 1 no span's children overlap, so no span's self time (duration
+// minus its children's, as `prose trace` reports it) may be negative.
 func TestTraceSpanCountsMatchJournal(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "j.jsonl")
@@ -72,6 +75,9 @@ func TestTraceSpanCountsMatchJournal(t *testing.T) {
 	if counts[obs.SpanJournalAppend] != len(recs) {
 		t.Errorf("journal.append spans = %d, journal records = %d", counts[obs.SpanJournalAppend], len(recs))
 	}
+	if counts[obs.SpanJournalCheckpoint] != len(recs) {
+		t.Errorf("journal.checkpoint spans = %d, journal records = %d", counts[obs.SpanJournalCheckpoint], len(recs))
+	}
 	if counts[obs.SpanInterpRun] != len(recs) {
 		t.Errorf("interp.run spans = %d, journal records = %d", counts[obs.SpanInterpRun], len(recs))
 	}
@@ -80,6 +86,26 @@ func TestTraceSpanCountsMatchJournal(t *testing.T) {
 	}
 	if counts[obs.SpanTune] != 1 {
 		t.Errorf("tune spans = %d, want 1", counts[obs.SpanTune])
+	}
+	var walk func(n, parent *obs.TraceNode)
+	walk = func(n, parent *obs.TraceNode) {
+		switch name := n.Rec.Name; name {
+		case obs.SpanJournalAppend, obs.SpanJournalCheckpoint:
+			if parent == nil || parent.Rec.Name != obs.SpanBatch {
+				t.Errorf("%s span %d is not a child of a batch span", name, n.Rec.ID)
+			}
+		}
+		self := n.Rec.Dur
+		for _, c := range n.Children {
+			self -= c.Rec.Dur
+			walk(c, n)
+		}
+		if self < 0 {
+			t.Errorf("%s span %d has negative self time %v", n.Rec.Name, n.Rec.ID, self)
+		}
+	}
+	for _, root := range obs.BuildTree(tracer.Records()) {
+		walk(root, nil)
 	}
 }
 

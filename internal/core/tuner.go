@@ -920,9 +920,9 @@ func (t *Tuner) Run(ctx context.Context) (*Result, error) {
 		ckptPath := journal.CheckpointPath(t.opts.JournalPath)
 		sopts.Warm = js.warm
 		sopts.Salvaged = js.salvaged
-		sopts.OnAdd = func(ev *search.Evaluation, replayed bool) {
+		sopts.OnAdd = func(ev *search.Evaluation, replayed bool, sp *obs.Span) {
 			if !replayed {
-				jsp := root.Child(obs.SpanJournalAppend)
+				jsp := sp.Child(obs.SpanJournalAppend)
 				jsp.AttrInt("index", int64(ev.Index))
 				err := jnl.Append(journal.FromEvaluation(fp, ev))
 				jsp.End()
@@ -935,9 +935,13 @@ func (t *Tuner) Run(ctx context.Context) (*Result, error) {
 			}
 			// The checkpoint is rewritten after the journal append is
 			// durable, so it can lag the journal but never lead it.
-			if err := journal.SaveCheckpoint(ckptPath, journal.Checkpoint{
+			csp := sp.Child(obs.SpanJournalCheckpoint)
+			csp.AttrInt("index", int64(ev.Index))
+			err := journal.SaveCheckpoint(ckptPath, journal.Checkpoint{
 				Fingerprint: fp, Model: t.model.Name, Evaluations: ev.Index,
-			}); err != nil {
+			})
+			csp.End()
+			if err != nil {
 				panic(journalAbort{err})
 			}
 		}
@@ -958,9 +962,9 @@ func (t *Tuner) Run(ctx context.Context) (*Result, error) {
 		// Progress follows the log, not the evaluators: adds arrive one
 		// at a time in deterministic order, whoever evaluated them.
 		journalAdd := sopts.OnAdd
-		sopts.OnAdd = func(ev *search.Evaluation, replayed bool) {
+		sopts.OnAdd = func(ev *search.Evaluation, replayed bool, sp *obs.Span) {
 			if journalAdd != nil {
-				journalAdd(ev, replayed)
+				journalAdd(ev, replayed, sp)
 			}
 			if !replayed {
 				progress(ev)
@@ -1148,10 +1152,7 @@ func (t *Tuner) Run(ctx context.Context) (*Result, error) {
 	// otherwise-successful run.
 	if t.opts.LedgerDir != "" {
 		m := t.buildManifest(result, start, abortErr, cancelErr, decisionDigest, decisionEvents)
-		led, lerr := ledger.Open(t.opts.LedgerDir)
-		if lerr == nil {
-			_, lerr = led.Put(m)
-		}
+		_, lerr := ledger.Open(t.opts.LedgerDir).Put(m)
 		if lerr != nil && abortErr == nil && cancelErr == nil {
 			return nil, lerr
 		}

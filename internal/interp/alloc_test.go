@@ -239,13 +239,51 @@ end program p
 	return prog
 }
 
-// runAllocs returns the allocations made by one VM Run of prog (New is
-// outside the measurement), the least of three tries.
-func runAllocs(t *testing.T, prog *ft.Program) uint64 {
+// localArrayProgram makes n calls of a subroutine with a local
+// real(kind=8) :: w(m) sized by a dummy, as a generated wrapper's
+// temporary of the callee's kind is. m cycles through 7, 8 and 6: the
+// second call outgrows the first one's array, and every later call
+// reuses the second one's.
+func localArrayProgram(n int) *ft.Program {
+	src := fmt.Sprintf(`
+module loc
+  implicit none
+  integer, parameter :: ncall = %d
+  real(kind=8) :: acc
+contains
+  subroutine work(m)
+    integer, intent(in) :: m
+    real(kind=8) :: w(m)
+    integer :: i
+    do i = 1, m
+      w(i) = 0.5d0 * i
+    end do
+    acc = acc + w(m)
+  end subroutine work
+end module loc
+
+program p
+  use loc
+  implicit none
+  integer :: i
+  do i = 1, ncall
+    call work(mod(i, 3) + 6)
+  end do
+end program p
+`, n)
+	prog := ft.MustParse(src)
+	ft.MustAnalyze(prog, ft.Options{})
+	return prog
+}
+
+// runAllocs returns the allocations made by one VM Run of prog compiled
+// unboxed or boxed (New is outside the measurement), the least of three
+// tries.
+func runAllocs(t *testing.T, prog *ft.Program, boxed bool) uint64 {
 	t.Helper()
 	best := ^uint64(0)
 	for try := 0; try < 3; try++ {
-		in, err := New(prog, Config{Model: perfmodel.Default()})
+		in, err := newInterp(prog, Config{Model: perfmodel.Default()}, boxed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,19 +300,24 @@ func runAllocs(t *testing.T, prog *ft.Program) uint64 {
 	return best
 }
 
-// TestVMCallsAllocationFree pins that a VM call allocates nothing: a run
+// TestVMCallsAllocationFree pins that a VM call allocates nothing after
+// its procedure's first activation, compiled unboxed and boxed: a run
 // making 1000 calls of each procedure allocates exactly as much as one
-// making 10 (frames, arrays and the result map are per-run costs). The
-// Newton loop pins the same for its condition, rank-2 element reads and
-// integer conversions, over 10 and 1000 iterations.
+// making 10 (frames, their local arrays and the result map are per-run
+// costs). The Newton loop pins the same for its condition, rank-2
+// element reads and integer conversions, over 10 and 1000 iterations.
 func TestVMCallsAllocationFree(t *testing.T) {
 	for name, build := range map[string]func(int) *ft.Program{
 		"copy-out": callProgram, "stencil": stencilProgram, "chain": chainProgram, "newton": newtonProgram,
+		"local-array": localArrayProgram,
 	} {
-		small := runAllocs(t, build(10))
-		large := runAllocs(t, build(1000))
-		if small != large {
-			t.Errorf("%s: Run allocations grow with the call count: %d at N=10, %d at N=1000", name, small, large)
+		for _, boxed := range []bool{false, true} {
+			small := runAllocs(t, build(10), boxed)
+			large := runAllocs(t, build(1000), boxed)
+			if small != large {
+				t.Errorf("%s (%s): Run allocations grow with the call count: %d at N=10, %d at N=1000",
+					name, compileName(boxed), small, large)
+			}
 		}
 	}
 }

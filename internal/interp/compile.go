@@ -301,6 +301,12 @@ func errExpr(err error) vexpr {
 // a negative extent clamps to 0); a scalar takes its initializer
 // converted to the declared type, or zero. Initializer expressions
 // attribute dynamically (see file comment).
+//
+// A procedure-local array is re-initialized in place when its slot
+// still holds the array of the frame's previous activation and that
+// array's storage is large enough (Array.reinit); otherwise it is
+// allocated. Module arrays and a function's result (which invoke
+// returns after the frame is back in the pool) are always allocated.
 func (c *compiler) declInit(d *ft.VarDecl) vinit {
 	savedDyn := c.dyn
 	c.dyn = true
@@ -325,6 +331,8 @@ func (c *compiler) declInit(d *ft.VarDecl) vinit {
 		notReal := d.Base != ft.TReal
 		kind := d.Kind
 		setArr := c.storeArrDecl(d)
+		reuse := d.Proc != nil && d != d.Proc.Result
+		slot := d.Slot
 		name := d.Name
 		pos := d.Pos
 		rank := len(d.Dims)
@@ -364,6 +372,11 @@ func (c *compiler) declInit(d *ft.VarDecl) vinit {
 			if !arrayFits(ext) {
 				return &RunError{Pos: pos, Kind: FailInternal,
 					Msg: fmt.Sprintf("array %q has over %d elements", name, maxArrayElems)}
+			}
+			if reuse {
+				if arr := fr.a[slot]; arr != nil && arr.reinit(lo, ext, m.rec != nil) {
+					return nil
+				}
 			}
 			arr := NewArray(kind, lo, ext)
 			if m.rec != nil {

@@ -188,12 +188,3 @@ func (i *Interp) GlobalFloats(qname string) ([]float64, bool) {
 	}
 	return append([]float64(nil), v.Arr.Data...), true
 }
-
-// GlobalFloat returns a real or integer module scalar as float64.
-func (i *Interp) GlobalFloat(qname string) (float64, bool) {
-	v, ok := i.Global(qname)
-	if !ok || v.Arr != nil {
-		return 0, ok && false
-	}
-	return v.asFloat(), true
-}

@@ -45,11 +45,11 @@ func mustRun(t *testing.T, src string) (*Interp, *Result) {
 
 func globalF(t *testing.T, in *Interp, q string) float64 {
 	t.Helper()
-	v, ok := in.GlobalFloat(q)
-	if !ok {
-		t.Fatalf("global %s not found", q)
+	v, ok := in.Global(q)
+	if !ok || v.Arr != nil {
+		t.Fatalf("global scalar %s not found", q)
 	}
-	return v
+	return v.asFloat()
 }
 
 const outMod = `
@@ -811,14 +811,14 @@ end program p
 	if !ok || len(fs) != 3 || fs[2] != 3 {
 		t.Errorf("GlobalFloats: %v %v", fs, ok)
 	}
-	if v, ok := in.GlobalFloat("g.scalar"); !ok || v != 9 {
-		t.Errorf("GlobalFloat: %v %v", v, ok)
+	if v, ok := in.Global("g.scalar"); !ok || v.Arr != nil || v.F != 9 {
+		t.Errorf("Global(g.scalar): %v %v", v, ok)
 	}
 	if _, ok := in.Global("g.nope"); ok {
 		t.Error("Global found a nonexistent name")
 	}
-	if _, ok := in.GlobalFloat("g.series"); ok {
-		t.Error("GlobalFloat should refuse arrays")
+	if v, ok := in.Global("g.series"); !ok || v.Arr == nil || v.Arr.Size() != 3 {
+		t.Errorf("Global(g.series) = %v %v, want the array", v, ok)
 	}
 }
 

@@ -61,8 +61,8 @@ end program p
 	if _, err := in.Run(); err != nil {
 		t.Fatalf("run: %v\n%s", err, src)
 	}
-	v, _ := in.GlobalFloat("e.r_out")
-	return v
+	v, _ := in.Global("e.r_out")
+	return v.F
 }
 
 // TestKind4PowIntegerBinaryPowering pins the fix on an operand where

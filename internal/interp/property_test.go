@@ -42,8 +42,8 @@ end program p
 	if _, err := in.Run(); err != nil {
 		return 0, err
 	}
-	v, _ := in.GlobalFloat("e.r_out")
-	return v, nil
+	v, _ := in.Global("e.r_out")
+	return v.F, nil
 }
 
 // Property: kind-8 arithmetic matches Go float64 arithmetic exactly, and

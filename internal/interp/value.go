@@ -68,6 +68,29 @@ func NewArray(kind int, lo, ext []int) *Array {
 	}
 }
 
+// reinit makes a, in place, the zeroed array NewArray(a.Kind, lo, ext)
+// would allocate, plus a zeroed Shadow when shadow is set, if its
+// storage can hold the elements; otherwise it reports false and leaves
+// a as it was. a must have ext's rank, and ext must pass arrayFits.
+func (a *Array) reinit(lo, ext []int, shadow bool) bool {
+	n := 1
+	for _, e := range ext {
+		n *= e
+	}
+	if cap(a.Data) < n || shadow && cap(a.Shadow) < n {
+		return false
+	}
+	copy(a.Lo, lo)
+	copy(a.Ext, ext)
+	a.Data = a.Data[:n]
+	clear(a.Data)
+	if shadow {
+		a.Shadow = a.Shadow[:n]
+		clear(a.Shadow)
+	}
+	return true
+}
+
 // Size returns the total element count.
 func (a *Array) Size() int {
 	n := 1

@@ -14,9 +14,13 @@ package interp
 // lane (float64 primary, float64 shadow, int64, bool, *Array), all
 // indexed by the declaration's slot. The shadow lane exists only when
 // a numerics recorder is attached, so uninstrumented runs touch no
-// shadow storage at all. Frames are pooled per procedure: every slot
-// is either a bound argument or an initialized local, so a recycled
-// frame needs no clearing.
+// shadow storage at all. Frames are pooled per procedure and own their
+// local arrays. A recycled frame needs no clearing: every slot is
+// either a bound argument or an initialized local, and declInit
+// re-initializes a local array in place, in the array the frame's
+// previous activation left in its slot. So a call that binds no
+// rebased assumed-shape dummy allocates nothing after its procedure's
+// first activation.
 
 import (
 	"context"

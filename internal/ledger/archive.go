@@ -125,17 +125,14 @@ const runsDir = "runs"
 // rewrites the same file.
 type Ledger struct{ dir string }
 
-// Open opens (creating if needed) the ledger rooted at dir.
-func Open(dir string) (*Ledger, error) {
-	if err := os.MkdirAll(filepath.Join(dir, runsDir), 0o755); err != nil {
-		return nil, fmt.Errorf("ledger: %w", err)
-	}
-	return &Ledger{dir: dir}, nil
-}
+// Open names the ledger rooted at dir. It touches no file: Put creates
+// the directory, and List and Get fail on one that holds no ledger.
+func Open(dir string) *Ledger { return &Ledger{dir: dir} }
 
 // Put archives a manifest: computes its content address and writes
-// runs/<id>.json with journal.WriteFileAtomic. Returns the ID. The
-// manifest's ID field is set on success.
+// runs/<id>.json with journal.WriteFileAtomic, creating the ledger's
+// directories first. Returns the ID. The manifest's ID field is set on
+// success.
 func (l *Ledger) Put(m *Manifest) (string, error) {
 	id, err := m.ComputeID()
 	if err != nil {
@@ -146,6 +143,9 @@ func (l *Ledger) Put(m *Manifest) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	if err := os.MkdirAll(filepath.Join(l.dir, runsDir), 0o755); err != nil {
+		return "", fmt.Errorf("ledger: %w", err)
+	}
 	if err := journal.WriteFileAtomic(l.path(id), b); err != nil {
 		return "", fmt.Errorf("ledger: %w", err)
 	}
@@ -155,16 +155,24 @@ func (l *Ledger) Put(m *Manifest) (string, error) {
 func (l *Ledger) path(id string) string { return filepath.Join(l.dir, runsDir, id+".json") }
 
 // ids returns the names of the files under runs/ that end in .json,
-// without it, in name order.
+// without it, in name order. A directory without runs/ is an error that
+// names it: nothing was ever archived there, so a mistyped path must
+// not read as an empty ledger.
 func (l *Ledger) ids() ([]string, error) {
 	des, err := os.ReadDir(filepath.Join(l.dir, runsDir))
+	if os.IsNotExist(err) {
+		return nil, fmt.Errorf("ledger: no ledger at %s: nothing has been archived there", l.dir)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("ledger: %w", err)
+	}
 	var ids []string
 	for _, de := range des {
 		if id, ok := strings.CutSuffix(de.Name(), ".json"); ok && !de.IsDir() {
 			ids = append(ids, id)
 		}
 	}
-	return ids, err
+	return ids, nil
 }
 
 // List loads every manifest under runs/ and returns the runs oldest
@@ -174,7 +182,7 @@ func (l *Ledger) ids() ([]string, error) {
 func (l *Ledger) List() ([]Entry, int, error) {
 	ids, err := l.ids()
 	if err != nil {
-		return nil, 0, fmt.Errorf("ledger: %w", err)
+		return nil, 0, err
 	}
 	var out []Entry
 	unreadable := 0
@@ -196,16 +204,17 @@ func (l *Ledger) List() ([]Entry, int, error) {
 }
 
 // Get resolves a run reference — a full ID, a unique ID prefix, or a
-// manifest file path — to its manifest.
+// manifest file path — to its manifest. A nil ledger resolves paths
+// only.
 func (l *Ledger) Get(ref string) (*Manifest, error) {
 	var matches []string
-	if l != nil && ref != "" {
+	if l != nil {
 		ids, err := l.ids()
-		if err != nil && !os.IsNotExist(err) {
-			return nil, fmt.Errorf("ledger: %w", err)
+		if err != nil {
+			return nil, err
 		}
 		for _, id := range ids {
-			if strings.HasPrefix(id, ref) {
+			if ref != "" && strings.HasPrefix(id, ref) {
 				matches = append(matches, id)
 			}
 		}

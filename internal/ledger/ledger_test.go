@@ -184,11 +184,8 @@ func sampleManifest(speedup float64, evals int) *Manifest {
 }
 
 func TestLedgerPutListGet(t *testing.T) {
-	dir := t.TempDir()
-	led, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := filepath.Join(t.TempDir(), "new", "ledger") // Put creates it
+	led := Open(dir)
 	id1, err := led.Put(sampleManifest(1.5, 28))
 	if err != nil {
 		t.Fatal(err)
@@ -250,13 +247,29 @@ func TestLedgerPutListGet(t *testing.T) {
 	}
 }
 
+// TestMissingLedgerIsAnError: List and Get on a directory that does not
+// exist fail naming it, and neither creates it (Open touches nothing).
+func TestMissingLedgerIsAnError(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "no-such-ledger")
+	led := Open(dir)
+	if _, _, err := led.List(); err == nil || !strings.Contains(err.Error(), dir) {
+		t.Errorf("List = %v, want an error naming %s", err, dir)
+	}
+	if _, err := led.Get("abc"); err == nil || !strings.Contains(err.Error(), dir) {
+		t.Errorf("Get = %v, want an error naming %s", err, dir)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("reading a missing ledger created it (stat err %v)", err)
+	}
+}
+
 // TestGetAmbiguousShortNames: an ambiguous reference names its matches
 // by their first 12 characters, and a name shorter than that is named
 // whole rather than sliced out of range.
 func TestGetAmbiguousShortNames(t *testing.T) {
 	dir := t.TempDir()
-	led, err := Open(dir)
-	if err != nil {
+	led := Open(dir)
+	if err := os.Mkdir(filepath.Join(dir, runsDir), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"bad.json", "b.json"} {

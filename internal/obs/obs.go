@@ -14,15 +14,16 @@ package obs
 
 // Span names emitted by the tuning pipeline, outermost first.
 const (
-	SpanTune          = "tune"           // core.Tuner.Run root
-	SpanSearchRound   = "search.round"   // one ddmin candidate round
-	SpanBatch         = "batch"          // one deterministic evaluation batch
-	SpanEval          = "eval"           // one variant evaluation (per worker)
-	SpanRetry         = "retry"          // one resilience retry (backoff + re-attempt)
-	SpanInterpRun     = "interp.run"     // one interpreter execution
-	SpanJournalAppend = "journal.append" // one fsync'd journal record
-	SpanFleetLease    = "fleet.lease"    // one lease round trip to a fleet worker
-	SpanWorkerEval    = "worker.eval"    // one evaluation on a fleet worker, under the propagated lease span
+	SpanTune              = "tune"               // core.Tuner.Run root
+	SpanSearchRound       = "search.round"       // one ddmin candidate round
+	SpanBatch             = "batch"              // one deterministic evaluation batch
+	SpanEval              = "eval"               // one variant evaluation (per worker)
+	SpanRetry             = "retry"              // one resilience retry (backoff + re-attempt)
+	SpanInterpRun         = "interp.run"         // one interpreter execution
+	SpanJournalAppend     = "journal.append"     // one fsync'd journal record
+	SpanJournalCheckpoint = "journal.checkpoint" // one checkpoint rewrite after a journal record
+	SpanFleetLease        = "fleet.lease"        // one lease round trip to a fleet worker
+	SpanWorkerEval        = "worker.eval"        // one evaluation on a fleet worker, under the propagated lease span
 )
 
 // WorkerPIDBase is the Chrome-trace process lane of worker slot 0: a

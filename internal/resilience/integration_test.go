@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/transform"
 )
@@ -225,7 +226,9 @@ func TestBreakerTripSalvagesSiblingsAndResumes(t *testing.T) {
 	}
 	opts3.Salvaged = salv
 	var replayedFresh []bool
-	opts3.OnAdd = func(ev *search.Evaluation, replayed bool) { replayedFresh = append(replayedFresh, replayed) }
+	opts3.OnAdd = func(ev *search.Evaluation, replayed bool, _ *obs.Span) {
+		replayedFresh = append(replayedFresh, replayed)
+	}
 	s3 := &Supervised{Inner: fe3, Policy: Policy{Retries: 2}, Sleep: func(time.Duration) {}}
 	s3.Quarantine(all32.Key(), "search: injected crash on "+fmt.Sprintf("%q", all32.Key()))
 	out := search.Precimonious(nil, s3, atoms3, opts3)

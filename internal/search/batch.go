@@ -181,7 +181,7 @@ func batchEval(ctx context.Context, log *Log, eval Evaluator, batch []transform.
 		}
 		// A salvaged warm record was never durable in the journal proper:
 		// report it as fresh so the journal hook appends it at this index.
-		log.add(fresh[ji], jobs[ji].warm != nil && !jobs[ji].salvaged)
+		log.add(fresh[ji], jobs[ji].warm != nil && !jobs[ji].salvaged, bsp)
 	}
 	for i, a := range batch {
 		ev, ok := log.Lookup(a)

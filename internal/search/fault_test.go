@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/transform"
 )
 
@@ -26,12 +27,12 @@ func crashTarget() ([]transform.Atom, *fakeEval, Options) {
 // exactly as fsynced journal lines survive a kill.
 func journaled(atoms []transform.Atom, eval Evaluator, opts Options) (out *Outcome, seen []*Evaluation, replays []bool, fault *InjectedFault) {
 	prev := opts.OnAdd
-	opts.OnAdd = func(ev *Evaluation, replayed bool) {
+	opts.OnAdd = func(ev *Evaluation, replayed bool, sp *obs.Span) {
 		cp := *ev
 		seen = append(seen, &cp)
 		replays = append(replays, replayed)
 		if prev != nil {
-			prev(ev, replayed)
+			prev(ev, replayed, sp)
 		}
 	}
 	defer func() {

@@ -52,9 +52,11 @@ type Options struct {
 	// both Warm and Salvaged is served from Warm.
 	Salvaged map[string]*Evaluation
 	// OnAdd observes every log append in deterministic order; replayed
-	// is true for records served from Warm. The crash journal appends
-	// (and fsyncs) fresh records from this hook.
-	OnAdd func(ev *Evaluation, replayed bool)
+	// is true for records served from Warm. sp is the "batch" span the
+	// append runs inside (nil untraced), so a span the hook opens is its
+	// child and its time is not also counted as the batch's own. The
+	// crash journal appends (and fsyncs) fresh records from this hook.
+	OnAdd func(ev *Evaluation, replayed bool, sp *obs.Span)
 	// OnSalvage observes evaluations salvaged when a supervised abort
 	// unwinds a batch (completed results past the panicked slot). The
 	// crash journal persists these to its events sidecar.

@@ -168,9 +168,10 @@ type Log struct {
 	// replays to the point of death without re-running anything.
 	warm map[string]warmEntry
 	// onAdd observes every Add in deterministic log order; replayed
-	// marks records served from the warm cache. The crash journal hooks
-	// in here.
-	onAdd func(ev *Evaluation, replayed bool)
+	// marks records served from the warm cache, and sp is the span the
+	// add runs under (see Options.OnAdd). The crash journal hooks in
+	// here.
+	onAdd func(ev *Evaluation, replayed bool, sp *obs.Span)
 	// onSalvage observes every salvaged evaluation, in batch order.
 	onSalvage func(ev *Evaluation)
 	// metrics, when set, receives evaluation counters as records land in
@@ -213,7 +214,7 @@ func (l *Log) SeedSalvaged(key string, ev *Evaluation) {
 }
 
 // SetOnAdd installs the add observer (nil to remove).
-func (l *Log) SetOnAdd(fn func(ev *Evaluation, replayed bool)) { l.onAdd = fn }
+func (l *Log) SetOnAdd(fn func(ev *Evaluation, replayed bool, sp *obs.Span)) { l.onAdd = fn }
 
 // SetOnSalvage installs the salvage observer (nil to remove).
 func (l *Log) SetOnSalvage(fn func(ev *Evaluation)) { l.onSalvage = fn }
@@ -241,9 +242,9 @@ func (l *Log) salvage(ev *Evaluation) {
 }
 
 // Add records an evaluation.
-func (l *Log) Add(ev *Evaluation) { l.add(ev, false) }
+func (l *Log) Add(ev *Evaluation) { l.add(ev, false, nil) }
 
-func (l *Log) add(ev *Evaluation, replayed bool) {
+func (l *Log) add(ev *Evaluation, replayed bool, sp *obs.Span) {
 	ev.Index = len(l.Evals) + 1
 	l.Evals = append(l.Evals, ev)
 	l.cache[ev.Assignment.Key()] = ev
@@ -255,7 +256,7 @@ func (l *Log) add(ev *Evaluation, replayed bool) {
 		}
 	}
 	if l.onAdd != nil {
-		l.onAdd(ev, replayed)
+		l.onAdd(ev, replayed, sp)
 	}
 }
 

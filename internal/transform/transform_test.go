@@ -145,14 +145,16 @@ func TestApplyPreservesBaseline(t *testing.T) {
 func TestApplyUniform32RunsAndDiffers(t *testing.T) {
 	prog := analyzed(t, funarcSrc)
 	in64, _ := runProg(t, prog)
-	base, _ := in64.GlobalFloat("funarc_mod.result")
+	r64, _ := in64.Global("funarc_mod.result")
+	base := r64.F
 
 	v, err := Apply(prog, Uniform(Atoms(prog), 4))
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
 	in32, _ := runProg(t, v.Prog)
-	low, _ := in32.GlobalFloat("funarc_mod.result")
+	r32, _ := in32.Global("funarc_mod.result")
+	low := r32.F
 	if base == low {
 		t.Errorf("uniform 32-bit result identical to 64-bit: %.17g", base)
 	}
@@ -191,8 +193,7 @@ func TestApplyInsertsScalarWrapper(t *testing.T) {
 	}
 	// The variant must be a strictly legal program and runnable.
 	in, res := runProg(t, v.Prog)
-	low, _ := in.GlobalFloat("funarc_mod.result")
-	if low == 0 {
+	if low, _ := in.Global("funarc_mod.result"); low.F == 0 {
 		t.Error("variant produced no result")
 	}
 	if res.Casts == 0 {
@@ -241,8 +242,8 @@ end program p
 		t.Fatalf("strict analysis after wrapping: %v\n%s", err, ft.Print(prog))
 	}
 	in, _ := runProg(t, prog)
-	if got, _ := in.GlobalFloat("m.got"); got != 6 {
-		t.Errorf("intent(out) through wrapper: got %g, want 6", got)
+	if got, _ := in.Global("m.got"); got.F != 6 {
+		t.Errorf("intent(out) through wrapper: got %g, want 6", got.F)
 	}
 }
 
@@ -298,8 +299,8 @@ end program p
 		t.Fatalf("strict analysis: %v\n%s", err, ft.Print(prog))
 	}
 	in, res := runProg(t, prog)
-	if got, _ := in.GlobalFloat("m.total"); got != 90 { // 2*(0+..+9)
-		t.Errorf("array through wrapper: total = %g, want 90", got)
+	if got, _ := in.Global("m.total"); got.F != 90 { // 2*(0+..+9)
+		t.Errorf("array through wrapper: total = %g, want 90", got.F)
 	}
 	// The wrapper copies the 10-element array in and out: ≥20 casts.
 	if res.Casts < 20 {
@@ -349,8 +350,8 @@ end program p
 		t.Fatalf("strict analysis: %v", err)
 	}
 	in, _ := runProg(t, prog)
-	if got, _ := in.GlobalFloat("m.acc"); got != 5 {
-		t.Errorf("acc = %g, want 5", got)
+	if got, _ := in.Global("m.acc"); got.F != 5 {
+		t.Errorf("acc = %g, want 5", got.F)
 	}
 }
 

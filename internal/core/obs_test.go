@@ -3,6 +3,7 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -52,15 +53,18 @@ func TestTracingDoesNotPerturbJournal(t *testing.T) {
 // TestTraceSpanCountsMatchJournal reconciles the trace against the
 // journal on a fresh, fault-free run: one eval span per journaled
 // record, one journal.append and one journal.checkpoint span per record,
-// both under the batch that added the record, and no retry spans. At
-// par 1 no span's children overlap, so no span's self time (duration
-// minus its children's, as `prose trace` reports it) may be negative.
+// both under the batch that added the record, and no retry spans. Each
+// interp.run span's calls attribute counts at least funarc's 10,001
+// calls, and the interp_calls counter sums them. At par 1 no span's
+// children overlap, so no span's self time (duration minus its
+// children's, as `prose trace` reports it) may be negative.
 func TestTraceSpanCountsMatchJournal(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "j.jsonl")
 	tracer := obs.NewTracer("model=funarc seed=1")
+	reg := obs.NewRegistry()
 	if _, err, fault := runJournaled(t, Options{
-		Seed: 1, JournalPath: path, Trace: tracer, Metrics: obs.NewRegistry(),
+		Seed: 1, JournalPath: path, Trace: tracer, Metrics: reg,
 	}); err != nil || fault != nil {
 		t.Fatalf("run: err=%v fault=%v", err, fault)
 	}
@@ -83,6 +87,20 @@ func TestTraceSpanCountsMatchJournal(t *testing.T) {
 	}
 	if counts[obs.SpanRetry] != 0 {
 		t.Errorf("fault-free run emitted %d retry spans", counts[obs.SpanRetry])
+	}
+	var calls int64
+	for _, r := range tracer.Records() {
+		if r.Name != obs.SpanInterpRun {
+			continue
+		}
+		n, err := strconv.ParseInt(r.Attr("calls"), 10, 64)
+		if err != nil || n < 10001 {
+			t.Errorf("interp.run span %d: calls %q, want at least the 10001 calls of funarc and fun", r.ID, r.Attr("calls"))
+		}
+		calls += n
+	}
+	if got := reg.Snapshot().Counters[obs.MetricInterpCalls]; got != calls {
+		t.Errorf("%s counter = %d, interp.run spans sum to %d", obs.MetricInterpCalls, got, calls)
 	}
 	if counts[obs.SpanTune] != 1 {
 		t.Errorf("tune spans = %d, want 1", counts[obs.SpanTune])

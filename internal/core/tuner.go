@@ -510,9 +510,16 @@ func (t *Tuner) EvaluateSpan(sp *obs.Span, a transform.Assignment) *search.Evalu
 	}
 	isp := sp.Child(obs.SpanInterpRun)
 	res, runErr := in.Run()
+	var calls int64 // procedure calls, generated wrappers included
+	if res != nil && (isp != nil || t.opts.Metrics != nil) {
+		for _, r := range res.Timers.Regions() {
+			calls += r.Calls
+		}
+	}
 	if res != nil {
 		isp.AttrFloat("cycles", res.Cycles)
 		isp.AttrInt("steps", res.Steps)
+		isp.AttrInt("calls", calls)
 	}
 	if runErr != nil {
 		isp.Attr("error", runErr.Error())
@@ -533,6 +540,7 @@ func (t *Tuner) EvaluateSpan(sp *obs.Span, a transform.Assignment) *search.Evalu
 		m.Counter(obs.MetricInterpRuns).Add(1)
 		if res != nil {
 			m.Counter(obs.MetricInterpSteps).Add(res.Steps)
+			m.Counter(obs.MetricInterpCalls).Add(calls)
 		}
 		if prof != nil {
 			m.Counter(obs.MetricNumericOps).Add(prof.Ops)

@@ -130,21 +130,6 @@ func (t *Timers) Regions() []*Region {
 	return out
 }
 
-// TotalSelf sums self time over regions whose name matches keep
-// (keep == nil keeps all). Hotspot CPU time in the tuner is the total
-// self time of the hotspot module's procedures, mirroring the paper's
-// exclusion of non-targeted model functions but not of intrinsics.
-// The sum runs in Regions order, so it does not depend on map order.
-func (t *Timers) TotalSelf(keep func(name string) bool) float64 {
-	var sum float64
-	for _, r := range t.Regions() {
-		if keep == nil || keep(r.Name) {
-			sum += r.Self
-		}
-	}
-	return sum
-}
-
 // Report renders a GPTL-style table of the regions.
 func (t *Timers) Report() string { return FormatRegions(t.Regions()) }
 

@@ -1,7 +1,6 @@
 package gptl
 
 import (
-	"fmt"
 	"math"
 	"testing"
 )
@@ -82,25 +81,6 @@ func TestMismatchedStop(t *testing.T) {
 	}
 	if err := stop(tm, "a"); err == nil {
 		t.Error("Stop with empty stack did not error")
-	}
-}
-
-func TestTotalSelfFilter(t *testing.T) {
-	c := &fakeClock{}
-	tm := New(c.clock)
-	for _, name := range []string{"hot.a", "hot.b", "cold.c"} {
-		start(tm, name)
-		c.advance(10)
-		if err := stop(tm, name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := tm.TotalSelf(func(n string) bool { return n[:3] == "hot" })
-	if got != 20 {
-		t.Errorf("TotalSelf(hot) = %g, want 20", got)
-	}
-	if all := tm.TotalSelf(nil); all != 30 {
-		t.Errorf("TotalSelf(nil) = %g, want 30", all)
 	}
 }
 
@@ -232,31 +212,6 @@ func TestFormatRegionsMatchesReport(t *testing.T) {
 	}
 	if FormatRegions(nil) == "" {
 		t.Error("FormatRegions(nil) lost the header")
-	}
-}
-
-// TestTotalSelfDeterministic: the total of self times is one value,
-// summed in Regions order, however often it is asked for. Float addition
-// is not associative, so a sum in map order could differ between calls.
-func TestTotalSelfDeterministic(t *testing.T) {
-	c := &fakeClock{}
-	tm := New(c.clock)
-	for i, self := range []float64{0.1, 0.2, 0.3, 0.001, 7.7} {
-		name := fmt.Sprintf("r%d", i)
-		start(tm, name)
-		c.advance(self)
-		if err := stop(tm, name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var want float64
-	for _, r := range tm.Regions() {
-		want += r.Self
-	}
-	for call := 0; call < 200; call++ {
-		if got := tm.TotalSelf(nil); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("call %d: TotalSelf(nil) = %.17g, want %.17g (the sum in Regions order)", call, got, want)
-		}
 	}
 }
 

@@ -43,14 +43,20 @@ type compiler struct {
 	siteProc string // recorder attribution for the body being compiled
 	dyn      bool   // compiling decl inits: attribute to the dynamic caller
 	// boxed makes every unboxed form decline (realExpr, boolExpr, affine
-	// indices, integer argument binding and copy-out), so each expression
-	// runs the Value closure that is its fallback. Only tests compile
-	// boxed (newInterp), to check the unboxed forms against those closures.
+	// indices, integer argument binding, copy-out and assignment, skipped
+	// copy-outs and zero-inits), so each expression runs the Value closure
+	// that is its fallback and every call copies out and zero-inits. Only
+	// tests compile boxed (newInterp), to check the unboxed forms against
+	// those closures.
 	boxed bool
+	facts *callFacts // nil when boxed
 }
 
 func compileProgram(prog *ft.Program, model *perfmodel.Model, an *perfmodel.Analysis, rec *numerics.Recorder, boxed bool) *cprog {
 	c := &compiler{prog: prog, model: model, an: an, rec: rec, boxed: boxed}
+	if !boxed {
+		c.facts = newCallFacts(prog)
+	}
 	cp := &cprog{prog: prog, procs: make([]*cproc, len(prog.AllProcs))}
 	c.cp = cp
 	shadow := rec != nil
@@ -84,8 +90,12 @@ func compileProgram(prog *ft.Program, model *perfmodel.Model, an *perfmodel.Anal
 		} else {
 			c.siteProc = tp.qname
 		}
+		var first []bool // locals the body assigns before reading: no zero-init
+		if !c.boxed {
+			first = assignedFirst(p)
+		}
 		for _, d := range p.Decls {
-			if d.IsArg {
+			if d.IsArg || first != nil && first[d.Slot] {
 				continue
 			}
 			tp.inits = append(tp.inits, c.declInit(d))
@@ -1856,6 +1866,10 @@ type ccall struct {
 	brCost   float64
 	callCost float64
 	timerOv  float64
+	// skipOut: every scalar copy-out would write back the value its dummy
+	// was bound with (callFacts.skips), so run queues only those whose
+	// bound real would trap under TrapNonFinite.
+	skipOut bool
 }
 
 // callSite compiles the argument binding plans for a call of proc.
@@ -1867,6 +1881,7 @@ func (c *compiler) callSite(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) *cca
 		brCost:   c.cost(perfmodel.OpBranch, 4),
 		callCost: c.model.CallCycles,
 		timerOv:  c.model.TimerOverhead,
+		skipOut:  c.facts != nil && c.facts.skips(proc, args),
 	}
 	for ai, argExpr := range args {
 		p := &s.plans[ai]
@@ -2011,7 +2026,12 @@ func (s *ccall) run(m *vm, fr, cf *vframe) error {
 				cf.sh[p.slot] = sh
 			}
 			p.elem.recharge(m)
-			copyOuts = append(copyOuts, coRec{p: p, arr: arr, off: off})
+			// A skipped element copy-out never needs queuing for its trap:
+			// every store into an array traps a non-finite value, so under
+			// TrapNonFinite no element holds one.
+			if !s.skipOut {
+				copyOuts = append(copyOuts, coRec{p: p, arr: arr, off: off})
+			}
 			continue
 		case p.rval != nil:
 			f, sh, err := p.rval(m, fr)
@@ -2038,13 +2058,21 @@ func (s *ccall) run(m *vm, fr, cf *vframe) error {
 			p.store(m, cf, convertScalar(v, p.dummyType))
 		}
 		if p.wantOut {
+			// A skipped copy-out still resolves its element (for the
+			// charges and the intent error), and is queued when its bound
+			// real would trap, so the copy-out phase fails as it would.
+			queue := !s.skipOut || p.realDummy && m.trap && nonFinite(cf.f[p.slot])
 			switch {
 			case p.outScalar != nil:
-				copyOuts = append(copyOuts, coRec{p: p})
+				if queue {
+					copyOuts = append(copyOuts, coRec{p: p})
+				}
 			case p.outElem != nil:
 				arr, off, err := p.outElem.resolve(m, fr)
 				if err == nil {
-					copyOuts = append(copyOuts, coRec{p: p, arr: arr, off: off})
+					if queue {
+						copyOuts = append(copyOuts, coRec{p: p, arr: arr, off: off})
+					}
 				} else if p.required {
 					return p.intentErr
 				}
@@ -2518,6 +2546,9 @@ func (c *compiler) assign(s *ft.AssignStmt) vstmt {
 				return c.realAssignVar(s, lhs.Decl, lhs.Name, rv, chConv, atom)
 			}
 		}
+		if lt.Base == ft.TInteger && lhs.Decl != nil && !lhs.Decl.IsArray() && !c.boxed && affineIndex(s.RHS) {
+			return c.intAssignVar(s, lhs.Decl, atom)
+		}
 		rhs := c.expr(s.RHS)
 		store := c.storeDecl(lhs.Decl)
 		as := c.asite(pos.Line, atom)
@@ -2596,6 +2627,35 @@ func (c *compiler) assign(s *ft.AssignStmt) vstmt {
 		}
 	default:
 		return errStmt(pos, &RunError{Pos: pos, Kind: FailInternal, Msg: "bad assignment target"})
+	}
+}
+
+// intAssignVar compiles `intvar = <affine>` through intIndex, with the
+// Value path's budget check, target push and pop, and charges. An
+// integer store converts nothing, traps nothing and records nothing.
+func (c *compiler) intAssignVar(s *ft.AssignStmt, d *ft.VarDecl, atom string) vstmt {
+	pos := s.Pos
+	iv := c.intIndex(s.RHS)
+	if d.Proc != nil && c.rec == nil {
+		// A local without a recorder, whose push and pop are no-ops.
+		slot := d.Slot
+		return func(m *vm, fr *vframe) (control, error) {
+			if err := m.checkBudget(pos); err != nil {
+				return ctlNone, err
+			}
+			fr.i[slot] = iv(m, fr)
+			return ctlNone, nil
+		}
+	}
+	store := c.storeIntDecl(d)
+	return func(m *vm, fr *vframe) (control, error) {
+		if err := m.checkBudget(pos); err != nil {
+			return ctlNone, err
+		}
+		m.rec.PushTarget(atom)
+		store(m, fr, iv(m, fr))
+		m.rec.PopTarget()
+		return ctlNone, nil
 	}
 }
 

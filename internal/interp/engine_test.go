@@ -72,8 +72,15 @@ func runVM(t *testing.T, prog *ft.Program, boxed bool, o runOpts) *engineRun {
 		t.Fatalf("New(%s): %v", compileName(boxed), err)
 	}
 	res, rerr := in.Run()
+	if res == nil {
+		t.Fatalf("%s run returned no Result (error %v)", compileName(boxed), rerr)
+	}
 	r := &engineRun{in: in, res: res, stdout: out.Bytes()}
 	if rerr != nil {
+		var re *RunError
+		if !errors.As(rerr, &re) {
+			t.Fatalf("%s run error %T is not a *RunError: %v", compileName(boxed), rerr, rerr)
+		}
 		r.errStr = rerr.Error()
 	}
 	if res.Timers != nil {
@@ -434,14 +441,7 @@ func TestEngineDifferentialModels(t *testing.T) {
 			}
 			both("uniform-32", v.Prog)
 
-			mixed := transform.Assignment{}
-			for k := 0; k < len(atoms); k += 2 {
-				mixed[atoms[k].QName] = 4
-			}
-			v, err = transform.Apply(prog, mixed)
-			if err != nil {
-				t.Fatalf("alternate-atom transform: %v", err)
-			}
+			v = lowerAlternate(t, prog)
 			if want, ok := wantWrappers[filepath.Base(f)]; !ok || v.Wrappers != want {
 				t.Errorf("alternate-atom lowering generated %d wrappers, want %d (known model: %v)", v.Wrappers, want, ok)
 			}
@@ -453,6 +453,22 @@ func TestEngineDifferentialModels(t *testing.T) {
 		})
 	}
 	allGoldens()
+}
+
+// lowerAlternate lowers every other atom of prog to kind 4: a partial
+// lowering whose mismatched call sites go through generated wrappers.
+func lowerAlternate(t *testing.T, prog *ft.Program) *transform.Result {
+	t.Helper()
+	atoms := transform.Atoms(prog)
+	mixed := transform.Assignment{}
+	for k := 0; k < len(atoms); k += 2 {
+		mixed[atoms[k].QName] = 4
+	}
+	v, err := transform.Apply(prog, mixed)
+	if err != nil {
+		t.Fatalf("alternate-atom transform: %v", err)
+	}
+	return v
 }
 
 // TestEngineDifferentialBudget pins that a cycle budget truncating a
@@ -1754,6 +1770,514 @@ end program p
 		// One ulp above the boundary: the run completes.
 		if _, err := run(boxed, full, math.Nextafter(c1, math.Inf(1))); err != nil {
 			t.Errorf("%s: budget just above the boundary still tripped: %v", mode, err)
+		}
+	}
+}
+
+// TestEngineDifferentialCopyOuts feeds seeded programs built around the
+// VM's skipped copy-outs, locals assigned first and unboxed integer
+// assignments through both compiles; the boxed one keeps every copy-out
+// and zero-init. Each program mixes procedures whose call sites may skip
+// (pure functions and subroutines, a function passing its dummy on to
+// one) with every case the rules refuse, each built so that a wrong skip
+// changes a result: a callee that assigns a dummy, makes it a DO
+// variable or passes it on to a kept copy-out; one that stores into a
+// module array or through an array dummy whose element is also an
+// actual; one variable passed twice to a callee that writes one of its
+// dummies; a later actual whose call writes an earlier actual's element;
+// a recursive callee; actuals of the other kind (the program is analyzed
+// with AllowKindMismatch); a kind-4 dummy that holds 1.0d300 converted
+// on copy-in (FT initializes only PARAMETERs, and an assignment would
+// trap first), passed on under TrapNonFinite to a skipping site, whose
+// copy-out must still fail; and locals read by their body's first statement,
+// by an array bound, or assigned first only inside an IF. Results must
+// agree bit for bit with and without numerics and TrapNonFinite.
+func TestEngineDifferentialCopyOuts(t *testing.T) {
+	tally, tallied := map[string]int{}, 0
+	formTally := map[string]int{}
+	skipped, kept := map[string]int{}, map[string]int{}
+	for seed := 1; seed <= 120; seed++ {
+		src, forms, wantLocal := genCopyOutProgram(uint64(seed))
+		for f := range forms {
+			formTally[f]++
+		}
+		prog, err := ft.Parse(src)
+		if err != nil {
+			t.Fatalf("seed %d: parse: %v\n%s", seed, err, src)
+		}
+		if _, err := ft.Analyze(prog, ft.Options{AllowKindMismatch: true}); err != nil {
+			t.Fatalf("seed %d: analyze: %v\n%s", seed, err, src)
+		}
+		facts := newCallFacts(prog)
+		for _, p := range prog.AllProcs {
+			if want, ok := wantLocal[p.Name]; ok && facts.proc(p).local != want {
+				t.Errorf("seed %d: %s stores only into its own frame = %v, want %v", seed, p.Name, !want, want)
+			}
+		}
+		forEachCopyOutSite(prog, func(_, q *ft.Procedure, args []ft.Expr, _ bool) {
+			if facts.skips(q, args) {
+				skipped[q.Name]++
+			} else {
+				kept[q.Name]++
+			}
+		})
+		for _, trap := range []bool{false, true} {
+			for _, num := range []bool{false, true} {
+				name := fmt.Sprintf("seed%d/trap=%v/numerics=%v", seed, trap, num)
+				ok := t.Run(name, func(t *testing.T) {
+					msg := compareEngines(t, prog, src, runOpts{numerics: num, trap: trap})
+					if trap && !num {
+						tally[copyOutOutcome(msg)]++
+						tallied++
+					}
+				})
+				if !ok {
+					t.Logf("seed %d source:\n%s", seed, src)
+				}
+			}
+		}
+	}
+	t.Logf("programs containing each form: %v", formTally)
+	for _, form := range []string{"pure-func", "pure-sub", "pass-on-skip", "assign-dummy", "do-dummy",
+		"pass-on-kept", "module-store", "array-dummy-store", "passed-twice", "later-actual-writes",
+		"recursive", "kind-mismatch", "nonfinite-dummy", "read-first", "read-by-bound", "assigned-in-if", "int-assign"} {
+		if formTally[form] < 10 {
+			t.Errorf("only %d of 120 programs contain form %q, want at least 10 (tally %v)", formTally[form], form, formTally)
+		}
+	}
+	// Sites that bind a variable to a dummy without intent(in): callees
+	// that write back a changed value, or store outside their frame,
+	// must never skip; the pure ones must skip often.
+	t.Logf("copy-out sites skipped %v, kept %v", skipped, kept)
+	for _, q := range []string{"sa", "sd", "sk", "sm", "sv", "fr"} {
+		if skipped[q] > 0 {
+			t.Errorf("%d call sites of %s skip their copy-outs", skipped[q], q)
+		}
+		if kept[q] < 10 {
+			t.Errorf("only %d call sites of %s keep their copy-outs, want at least 10", kept[q], q)
+		}
+	}
+	for _, q := range []string{"pf", "ps", "pn", "zl", "zb", "zi"} {
+		if skipped[q] < 10 {
+			t.Errorf("only %d call sites of %s skip their copy-outs, want at least 10", skipped[q], q)
+		}
+	}
+	if kept["pf"] < 10 {
+		t.Errorf("only %d call sites of pf keep their copy-outs, want at least 10 (kind mismatches, writing actuals)", kept["pf"])
+	}
+	t.Logf("outcomes under TrapNonFinite: %v", tally)
+	if tallied < 120 {
+		return
+	}
+	for outcome, least := range map[string]int{"ok": 40, "bounds": 5, "copy-out": 5, "non-finite": 5} {
+		if tally[outcome] < least {
+			t.Errorf("only %d of 120 programs ended %q, want at least %d (tally %v)", tally[outcome], outcome, least, tally)
+		}
+	}
+}
+
+// copyOutOutcome classifies a run's error text for
+// TestEngineDifferentialCopyOuts's tally.
+func copyOutOutcome(msg string) string {
+	switch {
+	case msg == "":
+		return "ok"
+	case strings.Contains(msg, "out of bounds"):
+		return "bounds"
+	case strings.Contains(msg, "returned into"):
+		return "copy-out"
+	case strings.Contains(msg, "assigning non-finite"):
+		return "non-finite"
+	}
+	return msg
+}
+
+// forEachCopyOutSite calls fn for every user-procedure call site in prog
+// that binds a variable or element to a scalar dummy without
+// intent(in): the sites that copy out. isFunc marks a function call.
+func forEachCopyOutSite(prog *ft.Program, fn func(caller, q *ft.Procedure, args []ft.Expr, isFunc bool)) {
+	for _, p := range prog.AllProcs {
+		site := func(q *ft.Procedure, args []ft.Expr, isFunc bool) {
+			if q == nil {
+				return
+			}
+			for k, a := range args {
+				if k < len(q.ParamDecl) && outDest(q.ParamDecl[k], a) != nil {
+					fn(p, q, args, isFunc)
+					return
+				}
+			}
+		}
+		ft.WalkStmts(p.Body, func(s ft.Stmt) bool {
+			if cs, ok := s.(*ft.CallStmt); ok {
+				site(cs.Proc, cs.Args, false)
+			}
+			return true
+		})
+		ft.WalkExprs(p.Body, func(e ft.Expr) bool {
+			if ce, ok := e.(*ft.CallExpr); ok {
+				site(ce.Proc, ce.Args, true)
+			}
+			return true
+		})
+	}
+}
+
+// genCopyOutProgram builds one program for TestEngineDifferentialCopyOuts
+// and returns it, the forms it contains, and whether each of its
+// procedures stores only into its own frame. The main loop runs i =
+// 1..4, so every procedure runs several times in a recycled frame, and
+// main's locals are folded into module scalars at the end, where the
+// comparison sees them. Every index stays inside its bounds over that
+// range except one deliberately out-of-bounds element in about one
+// program in six.
+func genCopyOutProgram(seed uint64) (string, map[string]bool, map[string]bool) {
+	forms := map[string]bool{}
+	rng := (seed^0xc0b1e5)*0x9e3779b97f4a7c15 | 1
+	next := func(n int) int { // xorshift, deterministic across runs
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return int(rng % uint64(n))
+	}
+	pick := func(xs ...string) string { return xs[next(len(xs))] }
+	kind := func() int { return 4 + 4*next(2) }
+
+	loA := []int{1, 3, -4}[next(3)]
+	extA, extB := 8+next(4), 8+next(4)
+	kA, kB := kind(), kind()
+	oobLeft := 0
+	if next(6) == 0 {
+		oobLeft = 1
+	}
+	// index returns an index into [lo, lo+ext-1] for i = 1..4, or one past
+	// the top for the out-of-bounds one.
+	index := func(lo, ext int) string {
+		if oobLeft > 0 && next(5) == 0 {
+			oobLeft--
+			return fmt.Sprintf("i + %d", lo+ext-1)
+		}
+		if next(4) == 0 {
+			return fmt.Sprint(lo + next(ext))
+		}
+		switch off := lo - 1 + next(ext-3); {
+		case off > 0:
+			return fmt.Sprintf("i + %d", off)
+		case off < 0:
+			return fmt.Sprintf("i - %d", -off)
+		}
+		return "i"
+	}
+	elemA := func() string { return fmt.Sprintf("a(%s)", index(loA, extA)) }
+	elemB := func() string { return fmt.Sprintf("b(%s)", index(1, extB)) }
+	// A real variable or element, of either kind: the destinations.
+	realVar := func() string {
+		switch next(4) {
+		case 0:
+			return elemA()
+		case 1:
+			return elemB()
+		}
+		return pick("x8", "y8", "x4", "y4", "s8", "s4")
+	}
+	kindOf := map[string]int{"x8": 8, "y8": 8, "s8": 8, "x4": 4, "y4": 4, "s4": 4}
+	// varOfKind returns a real variable or element of kind k.
+	varOfKind := func(k int) string {
+		var cands []string
+		for _, v := range []string{"x8", "y8", "s8", "x4", "y4", "s4"} {
+			if kindOf[v] == k {
+				cands = append(cands, v)
+			}
+		}
+		if kA == k {
+			cands = append(cands, elemA())
+		}
+		if kB == k {
+			cands = append(cands, elemB())
+		}
+		return cands[next(len(cands))]
+	}
+	// realArg returns an actual bound to a dummy of kind k: mostly a
+	// variable of that kind, sometimes one of the other kind or an
+	// expression, which copies nothing out.
+	realArg := func(k int) string {
+		switch next(6) {
+		case 0:
+			forms["kind-mismatch"] = true
+			return varOfKind(12 - k)
+		case 1:
+			return pick("x8 * 0.5d0", "0.25d0", "-y4", "s8 + 1.0d0")
+		}
+		return varOfKind(k)
+	}
+	intArg := func() string { return pick("n", "si", "n", "3", "i + 1") }
+	// varArg returns a variable bound to a dummy of kind k that the callee
+	// writes (or that is intent(inout)), sometimes of the other kind.
+	varArg := func(k int) string {
+		if next(6) == 0 {
+			forms["kind-mismatch"] = true
+			return varOfKind(12 - k)
+		}
+		return varOfKind(k)
+	}
+
+	kf, ks, kn := kind(), kind(), kind()
+	kas, kd, kk, kr, kz := kind(), kind(), kind(), kind(), kind()
+	big := next(3) == 0
+	if big {
+		kf = 4 // pt passes its kind-4 dummy on to pf's unused dummy z
+	}
+	var mod strings.Builder
+	// pf: pure; its dummy z is never read, so a non-finite actual reaches
+	// only the copy-out. In one program in six its result overflows.
+	fmt.Fprintf(&mod, "  function pf(x, y, z, k) result(r)\n    real(kind=%d) :: x\n    real(kind=%d) :: y\n    real(kind=%d) :: z\n    integer :: k\n    real(kind=%d) :: t\n    real(kind=%d) :: r\n", kf, kf, kf, kf, kf)
+	fmt.Fprintf(&mod, "    t = x * y + k\n    r = t - 0.5d0 * x\n")
+	if next(6) == 0 {
+		fmt.Fprintf(&mod, "    if (k > 7) then\n      r = r * 1.0d300 * 1.0d300\n    end if\n")
+	}
+	fmt.Fprintf(&mod, "  end function pf\n")
+	// ps: pure subroutine with an intent(inout) dummy it never assigns and
+	// a local array; m takes the unboxed integer assignment.
+	fmt.Fprintf(&mod, "  subroutine ps(x, y, k)\n    real(kind=%d), intent(inout) :: x\n    real(kind=%d) :: y\n    integer :: k\n    real(kind=8) :: w(3)\n    integer :: m\n", ks, ks)
+	fmt.Fprintf(&mod, "    m = k * 2 + 1\n    w(1) = x\n    w(2) = y * m\n    w(3) = w(1) + w(2)\n  end subroutine ps\n")
+	// pn passes its dummy on to pf: a skipping site when the kinds agree,
+	// a kept one (so x may change) when they do not.
+	fmt.Fprintf(&mod, "  function pn(x, k) result(r)\n    real(kind=%d) :: x\n    integer :: k\n    real(kind=%d) :: r\n    r = pf(x, x, x, k) * 0.5d0\n  end function pn\n", kn, kn)
+	// sa assigns a dummy; sd makes one its DO variable; sk passes one on
+	// to sa, whose copy-out is kept.
+	fmt.Fprintf(&mod, "  subroutine sa(x, y)\n    real(kind=%d) :: x\n    real(kind=%d) :: y\n    x = x * 0.5d0 + y\n  end subroutine sa\n", kas, kas)
+	fmt.Fprintf(&mod, "  subroutine sd(n, x)\n    integer :: n\n    real(kind=%d) :: x\n    real(kind=%d) :: t\n    t = x\n    do n = 1, 3\n      t = t + x * n\n    end do\n  end subroutine sd\n", kd, kd)
+	fmt.Fprintf(&mod, "  subroutine sk(x, y)\n    real(kind=%d) :: x\n    real(kind=%d) :: y\n    call sa(x, y)\n  end subroutine sk\n", kk, kk)
+	// sm stores into module array a; sv stores through its array dummy;
+	// fw writes its array dummy's first element, fm the module scalar s8.
+	fmt.Fprintf(&mod, "  subroutine sm(x)\n    real(kind=%d) :: x\n    integer :: k\n    do k = %d, %d\n      a(k) = a(k) * 0.5d0 + x\n    end do\n  end subroutine sm\n", kA, loA, loA+extA-1)
+	fmt.Fprintf(&mod, "  subroutine sv(v, x)\n    real(kind=%d), intent(inout) :: v(:)\n    real(kind=%d) :: x\n    v(1) = v(1) + x * 2.0d0\n  end subroutine sv\n", kB, kB)
+	fmt.Fprintf(&mod, "  function fw(v) result(r)\n    real(kind=%d), intent(inout) :: v(:)\n    real(kind=%d) :: r\n    v(1) = v(1) + 1.0d0\n    r = v(1)\n  end function fw\n", kA, kA)
+	fmt.Fprintf(&mod, "  function fm(x) result(r)\n    real(kind=8) :: x\n    real(kind=8) :: r\n    r = s8 + x\n    s8 = s8 + 1.0d0\n  end function fm\n")
+	// fr is recursive: it never qualifies.
+	fmt.Fprintf(&mod, "  function fr(x, k) result(r)\n    real(kind=%d) :: x\n    integer :: k\n    real(kind=%d) :: r\n    if (k > 1) then\n      r = fr(x, k - 1) * 0.5d0 + x\n    else\n      r = x\n    end if\n  end function fr\n", kr, kr)
+	// zl reads acc first, zb reads m in an array bound, and zi assigns t
+	// only inside an IF: each keeps its zero-init.
+	fmt.Fprintf(&mod, "  function zl(x) result(r)\n    real(kind=%d) :: x\n    real(kind=%d) :: acc\n    real(kind=%d) :: r\n    acc = acc + x\n    r = acc\n  end function zl\n", kz, kz, kz)
+	fmt.Fprintf(&mod, "  function zb(x) result(r)\n    real(kind=%d) :: x\n    integer :: m\n    real(kind=8) :: w(m + 2)\n    real(kind=%d) :: r\n    m = 3\n    w = x\n    r = x * size(w)\n  end function zb\n", kz, kz)
+	fmt.Fprintf(&mod, "  function zi(x) result(r)\n    real(kind=%d) :: x\n    real(kind=%d) :: t\n    real(kind=%d) :: r\n    if (x > 0.0d0) then\n      t = x\n    end if\n    r = t + 1.0d0\n  end function zi\n", kz, kz, kz)
+	// pt's kind-4 dummy holds whatever a kind-8 actual converts to on
+	// copy-in, 1.0d300 included, without a trap; it passes it on to pf.
+	fmt.Fprintf(&mod, "  subroutine pt(x)\n    real(kind=4) :: x\n    real(kind=4) :: u\n    u = pf(0.5, 0.25, x, 2)\n  end subroutine pt\n")
+	local := map[string]bool{"pt": true, "pf": true, "ps": true, "pn": true, "sa": true, "sd": true, "sk": true,
+		"sm": false, "sv": false, "fw": false, "fm": false, "fr": false, "zl": true, "zb": true, "zi": true}
+
+	var body strings.Builder
+	for s := 0; s < 6+next(5); s++ {
+		switch next(14) {
+		case 0, 1:
+			forms["pure-func"] = true
+			if big && next(2) == 0 {
+				forms["nonfinite-dummy"] = true
+				fmt.Fprintf(&body, "    y8 = 1.0d300\n    call pt(%s)\n", pick("y8", "y8", "x8"))
+			}
+			fmt.Fprintf(&body, "    %s = %s * 0.5d0 + pf(%s, %s, %s, %s)\n", pick("x8", "y4", "s8"), pick("x8", "y4", "s8"), realArg(kf), realArg(kf), realArg(kf), intArg())
+		case 2:
+			forms["pure-sub"] = true
+			fmt.Fprintf(&body, "    call ps(%s, %s, %s)\n", varArg(ks), realArg(ks), intArg())
+		case 3:
+			forms["pass-on-skip"] = true
+			fmt.Fprintf(&body, "    %s = pn(%s, %s)\n", pick("y8", "x4"), realArg(kn), intArg())
+		case 4:
+			forms["assign-dummy"] = true
+			if next(3) == 0 {
+				forms["passed-twice"] = true
+				v := varOfKind(kas)
+				fmt.Fprintf(&body, "    call sa(%s, %s)\n", v, v)
+			} else {
+				fmt.Fprintf(&body, "    call sa(%s, %s)\n", varArg(kas), realArg(kas))
+			}
+		case 5:
+			forms["do-dummy"] = true
+			fmt.Fprintf(&body, "    call sd(%s, %s)\n", pick("n", "si"), realArg(kd))
+		case 6:
+			forms["pass-on-kept"] = true
+			fmt.Fprintf(&body, "    call sk(%s, %s)\n", varArg(kk), realArg(kk))
+		case 7:
+			forms["module-store"] = true
+			fmt.Fprintf(&body, "    call sm(%s)\n", elemA())
+		case 8:
+			forms["array-dummy-store"] = true
+			fmt.Fprintf(&body, "    call sv(b, %s)\n", elemB())
+		case 9:
+			forms["later-actual-writes"] = true
+			if next(2) == 0 && kf == kA {
+				fmt.Fprintf(&body, "    s8 = s8 + pf(a(%d), fw(a), %s, n)\n", loA, realArg(kf))
+			} else {
+				fmt.Fprintf(&body, "    x8 = x8 + pf(%s, %s, %s, n) + fm(x8)\n", varOfKind(kf), realArg(kf), realArg(kf))
+				if kf == 8 {
+					fmt.Fprintf(&body, "    x8 = pf(s8, fm(0.5d0), y8, n)\n")
+				}
+			}
+		case 10:
+			forms["recursive"] = true
+			fmt.Fprintf(&body, "    %s = fr(%s, 3)\n", pick("y4", "y8"), realArg(kr))
+		case 11:
+			forms["read-first"], forms["read-by-bound"], forms["assigned-in-if"] = true, true, true
+			fmt.Fprintf(&body, "    x8 = x8 + zl(%s) + zb(%s) + zi(%s)\n", realArg(kz), realArg(kz), pick(realArg(kz), realArg(kz), "-"+realVar()))
+		case 12:
+			forms["int-assign"] = true
+			fmt.Fprintf(&body, "    %s\n", pick("n = n * 3 + i - mk", "si = si * 1000003 + i", "n = (n + si) - 2", "si = mk * i"))
+		default:
+			fmt.Fprintf(&body, "    %s = %s + %s * 0.25d0\n", realVar(), realVar(), realVar())
+		}
+	}
+
+	var b strings.Builder
+	b.WriteString("module g\n  implicit none\n  integer :: mk, si\n  real(kind=8) :: s8\n  real(kind=4) :: s4\n")
+	fmt.Fprintf(&b, "  real(kind=%d) :: a(%d:%d)\n  real(kind=%d) :: b(%d)\n", kA, loA, loA+extA-1, kB, extB)
+	b.WriteString("contains\n")
+	b.WriteString(mod.String())
+	b.WriteString("end module g\n\nprogram main\n  use g\n  implicit none\n")
+	b.WriteString("  integer :: i, n\n  real(kind=8) :: x8, y8\n  real(kind=4) :: x4, y4\n")
+	fmt.Fprintf(&b, "  mk = %d\n  n = 2\n  si = 5\n  s8 = 0.25d0\n  s4 = 4.0\n", 1+next(3))
+	b.WriteString("  x8 = 1.5d0\n  y8 = -0.75d0\n  x4 = 2.5\n  y4 = 0.375\n")
+	fmt.Fprintf(&b, "  do i = %d, %d\n    a(i) = 0.25d0 * i + 0.5d0\n  end do\n", loA, loA+extA-1)
+	fmt.Fprintf(&b, "  do i = 1, %d\n    b(i) = 0.5d0 - 0.125d0 * i\n  end do\n", extB)
+	b.WriteString("  do i = 1, 4\n")
+	b.WriteString(body.String())
+	b.WriteString("  end do\n  s8 = s8 + x8 + y8\n  s4 = s4 + x4 + y4\n  si = si + n\nend program main\n")
+	return b.String(), forms, local
+}
+
+// TestCopyOutFormsOnModels pins where the bundled models take the
+// skipped copy-out and locals-assigned-first forms, so a change that
+// quietly turns either off, or on where it must not be, fails. It names
+// the procedures that store only into their own frames, checks that in
+// MOM6 and MPAS-A every function-call site binding a variable to a dummy
+// without intent(in) skips, in the source and in a lowering of every
+// other atom (whose wrappers add sites), and that the subroutine sites
+// that write back keep their copy-outs. A run then shows the compiled
+// sites queue no copy-out, unboxed, where every boxed call queues them.
+func TestCopyOutFormsOnModels(t *testing.T) {
+	type want struct {
+		local          []string
+		sites, lowered int // function-call copy-out sites: all must skip
+		keep           []string
+	}
+	models := map[string]want{
+		"mom6.ft":   {[]string{"merid_flux_layer", "uvel_face", "vvel_face", "zonal_flux_layer"}, 10, 11, []string{"continuity_ppm"}},
+		"mpas_a.ft": {[]string{"flux3", "flux4"}, 6, 12, nil},
+		"funarc.ft": {[]string{"fun"}, -1, -1, nil},
+		"adcirc.ft": {[]string{"peror"}, -1, -1, []string{"jcg"}},
+	}
+	for file, w := range models {
+		t.Run(file, func(t *testing.T) {
+			prog := parseModelFile(t, "../models/src/"+file)
+			facts := newCallFacts(prog)
+			var local []string
+			for _, p := range prog.AllProcs {
+				if facts.proc(p).local {
+					local = append(local, p.Name)
+				}
+			}
+			sort.Strings(local)
+			if fmt.Sprint(local) != fmt.Sprint(w.local) {
+				t.Errorf("procedures storing only into their own frames: %v, want %v", local, w.local)
+			}
+			for _, q := range w.keep {
+				n := 0
+				forEachCopyOutSite(prog, func(_, callee *ft.Procedure, args []ft.Expr, _ bool) {
+					if callee.Name == q {
+						n++
+						if facts.skips(callee, args) {
+							t.Errorf("the call of %s skips its copy-outs", q)
+						}
+					}
+				})
+				if n == 0 {
+					t.Errorf("no copy-out call site of %s", q)
+				}
+			}
+			if w.sites < 0 {
+				return
+			}
+			v := lowerAlternate(t, prog)
+			for _, c := range []struct {
+				name string
+				prog *ft.Program
+				want int
+			}{{"source", prog, w.sites}, {"alternate-atom", v.Prog, w.lowered}} {
+				facts := newCallFacts(c.prog)
+				n, skip := 0, 0
+				forEachCopyOutSite(c.prog, func(caller, q *ft.Procedure, args []ft.Expr, isFunc bool) {
+					if !isFunc {
+						return
+					}
+					n++
+					if facts.skips(q, args) {
+						skip++
+					} else {
+						t.Errorf("%s: %s's call of %s keeps its copy-outs", c.name, caller.Name, q.Name)
+					}
+				})
+				if n != c.want || skip != n {
+					t.Errorf("%s: %d of %d function-call copy-out sites skip, want %d of %d", c.name, skip, n, c.want, c.want)
+				}
+			}
+		})
+	}
+
+	// Every function the models call for a scalar result stores it in
+	// its first statement, and a generated wrapper stores its result and
+	// scalar temporaries before it calls: none of them is zero-initialized.
+	for file, procs := range map[string][]string{
+		"mom6.ft":   {"zonal_flux_layer", "merid_flux_layer", "uvel_face", "vvel_face"},
+		"mpas_a.ft": {"flux3", "flux4"},
+		"funarc.ft": {"fun"},
+	} {
+		prog := parseModelFile(t, "../models/src/"+file)
+		for _, name := range procs {
+			for _, p := range prog.AllProcs {
+				if first := assignedFirst(p); p.Name == name && (first == nil || !first[p.Result.Slot]) {
+					t.Errorf("%s: %s's result is zero-initialized", file, name)
+				}
+			}
+		}
+	}
+	for _, file := range []string{"mom6.ft", "mpas_a.ft"} {
+		for _, p := range lowerAlternate(t, parseModelFile(t, "../models/src/"+file)).Prog.AllProcs {
+			if p.WrapperFor == "" {
+				continue
+			}
+			first := assignedFirst(p)
+			for _, d := range p.Decls {
+				if !d.IsArg && !d.IsArray() && (first == nil || !first[d.Slot]) {
+					t.Errorf("%s: wrapper %s zero-initializes %s", file, p.Name, d.Name)
+				}
+			}
+		}
+	}
+
+	// The compiled program: unboxed, MOM6's flux and face functions
+	// compile no zero-init and queue no copy-out, while continuity_ppm
+	// queues maxcfl's; boxed, every procedure that copies out queues.
+	prog := parseModelFile(t, "../models/src/mom6.ft")
+	for _, boxed := range []bool{false, true} {
+		r := runVM(t, prog, boxed, runOpts{trap: true})
+		if r.errStr != "" {
+			t.Fatalf("%s MOM6 run: %s", compileName(boxed), r.errStr)
+		}
+		for _, cp := range r.in.vmr.cp.procs {
+			queued := false
+			for _, fr := range cp.pool {
+				for _, co := range fr.co[:cap(fr.co)] {
+					queued = queued || co.p != nil
+				}
+			}
+			name := cp.proc.Name
+			skips := !boxed && strings.Contains(" zonal_flux_layer merid_flux_layer uvel_face vvel_face ", " "+name+" ")
+			if cp.numCo > 0 && len(cp.pool) > 0 && queued == skips {
+				t.Errorf("%s: %s queued a copy-out: %v, want %v", compileName(boxed), name, queued, !skips)
+			}
+			if skips && len(cp.inits) != 0 {
+				t.Errorf("%s: %s compiles %d zero-inits, want none", compileName(boxed), name, len(cp.inits))
+			}
 		}
 	}
 }

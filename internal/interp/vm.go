@@ -15,12 +15,13 @@ package interp
 // indexed by the declaration's slot. The shadow lane exists only when
 // a numerics recorder is attached, so uninstrumented runs touch no
 // shadow storage at all. Frames are pooled per procedure and own their
-// local arrays. A recycled frame needs no clearing: every slot is
-// either a bound argument or an initialized local, and declInit
-// re-initializes a local array in place, in the array the frame's
-// previous activation left in its slot. So a call that binds no
-// rebased assumed-shape dummy allocates nothing after its procedure's
-// first activation.
+// local arrays. A recycled frame needs no clearing: every slot is a
+// bound argument, an initialized local, or a scalar local that the
+// body's leading assignments store before anything reads it
+// (assignedFirst), and declInit re-initializes a local array in place,
+// in the array the frame's previous activation left in its slot. So a
+// call that binds no rebased assumed-shape dummy allocates nothing
+// after its procedure's first activation.
 
 import (
 	"context"
@@ -58,7 +59,7 @@ type vframe struct {
 type cproc struct {
 	proc     *ft.Procedure
 	qname    string
-	inits    []vinit // non-argument locals, in declaration order
+	inits    []vinit // non-argument locals but those assigned first, in declaration order
 	body     []vstmt
 	inlined  bool
 	numSlots int
@@ -68,8 +69,9 @@ type cproc struct {
 }
 
 // frame returns a pooled or fresh activation frame. No clearing is
-// needed: argument slots are written by the caller's binding plan and
-// every non-argument declaration has an init closure.
+// needed: argument slots are written by the caller's binding plan, and
+// every other slot by an init closure or, before anything reads it, by
+// one of the body's leading assignments.
 func (cp *cproc) frame() *vframe {
 	if n := len(cp.pool); n > 0 {
 		fr := cp.pool[n-1]

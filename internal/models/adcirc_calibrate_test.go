@@ -43,7 +43,7 @@ func TestADCIRCCalibration(t *testing.T) {
 	for _, q := range m.HotspotProcs(prog) {
 		hot[q] = true
 	}
-	hotCycles := res.Timers.TotalSelf(func(n string) bool { return hot[n] })
+	hotCycles := hotSelf(res, hot)
 	t.Logf("total cycles %.0f, hotspot share %.1f%% (paper ~12%%)", res.Cycles, hotCycles/res.Cycles*100)
 	t.Logf("atoms in hotspot: %d", len(transform.Atoms(prog, m.Hotspot)))
 	for _, r := range res.Timers.Regions() {
@@ -88,7 +88,7 @@ func TestADCIRCCalibration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hotP := resp.Timers.TotalSelf(func(n string) bool { return hot[n] })
+		hotP := hotSelf(resp, hot)
 		jcgP := resp.Timers.Region("itpackv.jcg")
 		pIters, _ := inp.GlobalFloats("adcirc_state.solve_iters")
 		pIers, _ := inp.GlobalFloats("adcirc_state.solve_ier")

@@ -50,7 +50,7 @@ func TestMPASCalibration(t *testing.T) {
 	for _, q := range m.HotspotProcs(prog) {
 		hot[q] = true
 	}
-	hotCycles := res.Timers.TotalSelf(func(n string) bool { return hot[n] })
+	hotCycles := hotSelf(res, hot)
 	share := hotCycles / res.Cycles * 100
 	t.Logf("total cycles %.0f, hotspot share %.1f%% (paper: ~15%%)", res.Cycles, share)
 	t.Logf("atoms in hotspot: %d", len(transform.Atoms(prog, m.Hotspot)))
@@ -104,7 +104,7 @@ func TestMPASCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hotCycles32 := resh.Timers.TotalSelf(func(n string) bool { return hot[n] })
+	hotCycles32 := hotSelf(resh, hot)
 	t.Logf("hotspot-32: hotspot speedup %.3f (paper ~1.9x), whole-model speedup %.3f, metric error %.3e (uniform-32 err %.3e), wrappers %d, casts %d",
 		hotCycles/hotCycles32, res.Cycles/resh.Cycles, errH32, errU32, vh.Wrappers, resh.Casts)
 
@@ -171,7 +171,7 @@ func TestMPASCalibration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hotP := resp.Timers.TotalSelf(func(n string) bool { return hot[n] })
+		hotP := hotSelf(resp, hot)
 		t.Logf("knob probe (%s): hotspot speedup %.3f, error %.3e (hotspot-32 err %.3e, threshold %.3e)",
 			pr.name, hotCycles/hotP, errP, errH32, 0.1*errU32)
 	}
@@ -189,7 +189,7 @@ func TestMPASCalibration(t *testing.T) {
 		t.Fatalf("bad-variant run failed: %v", err)
 	}
 	_ = inb
-	hotB := resb.Timers.TotalSelf(func(n string) bool { return hot[n] })
+	hotB := hotSelf(resb, hot)
 	fluxBase := res.Timers.Region("atm_time_integration.flux4")
 	fluxBad := resb.Timers.Region("atm_time_integration.flux4")
 	wrapSelf := 0.0
@@ -201,4 +201,16 @@ func TestMPASCalibration(t *testing.T) {
 	t.Logf("mixed-flux variant: hotspot speedup %.3f, whole-model speedup %.3f, flux4 per-call %.2f -> %.2f (plus wrapper self %.0f over %d calls)",
 		hotCycles/hotB, res.Cycles/resb.Cycles,
 		fluxBase.PerCall(), fluxBad.PerCall(), wrapSelf, fluxBad.Calls)
+}
+
+// hotSelf sums the self cycles of the hot regions in Regions order, as
+// the tuner's hotspot time does.
+func hotSelf(res *interp.Result, hot map[string]bool) float64 {
+	var sum float64
+	for _, r := range res.Timers.Regions() {
+		if hot[r.Name] {
+			sum += r.Self
+		}
+	}
+	return sum
 }

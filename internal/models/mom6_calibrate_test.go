@@ -30,7 +30,7 @@ func TestMOM6Calibration(t *testing.T) {
 	for _, q := range m.HotspotProcs(prog) {
 		hot[q] = true
 	}
-	hotCycles := res.Timers.TotalSelf(func(n string) bool { return hot[n] })
+	hotCycles := hotSelf(res, hot)
 	t.Logf("total cycles %.0f, hotspot share %.1f%% (paper ~9%%)", res.Cycles, hotCycles/res.Cycles*100)
 	t.Logf("atoms in hotspot: %d", len(transform.Atoms(prog, m.Hotspot)))
 	for _, r := range res.Timers.Regions() {
@@ -94,7 +94,7 @@ func TestMOM6Calibration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hotP := resp.Timers.TotalSelf(func(n string) bool { return hot[n] })
+		hotP := hotSelf(resp, hot)
 		adjP := resp.Timers.Region("mom_continuity_ppm.zonal_flux_adjust")
 		t.Logf("probe %-20s => hotspot speedup %.3f, whole %.3f, flux_adjust/call %.0f->%.0f (%.2fx), err %.3e (thr %.1e), casts %d",
 			pr.name, hotCycles/hotP, res.Cycles/resp.Cycles,

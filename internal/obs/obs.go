@@ -46,6 +46,7 @@ const (
 	MetricEventsPrefix   = "events_"         // events_<type>: every resilience event by type
 	MetricInterpRuns     = "interp_runs"     // interpreter executions
 	MetricInterpSteps    = "interp_steps"    // interpreter statements executed, summed
+	MetricInterpCalls    = "interp_calls"    // procedure calls (GPTL region calls, wrappers included), summed
 
 	// Numeric-diagnostics counters, populated only when shadow
 	// execution is on (core Options.Numerics / interp Config.Numerics).

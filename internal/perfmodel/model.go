@@ -185,15 +185,6 @@ func (m *Model) AllreduceCost() float64 {
 	return m.AllreduceLatency + m.AllreducePerHop*hops
 }
 
-// MemFactor clamps a vectorization factor for memory operations to the
-// bandwidth floor.
-func (m *Model) MemFactor(f float64) float64 {
-	if f < m.MemVecFloor {
-		return m.MemVecFloor
-	}
-	return f
-}
-
 // VecFactor returns the per-operation cost multiplier for a vectorized
 // loop of the given element kind: 1/(width*efficiency).
 func (m *Model) VecFactor(kind int, masked, reduction bool) float64 {

@@ -357,12 +357,6 @@ func TestModelCostShape(t *testing.T) {
 	if m.VecFactor(8, false, true) <= f64 {
 		t.Error("reductions must reduce vector efficiency")
 	}
-	if m.MemFactor(0.01) != m.MemVecFloor {
-		t.Error("MemFactor must clamp to the floor")
-	}
-	if m.MemFactor(0.9) != 0.9 {
-		t.Error("MemFactor must pass through above the floor")
-	}
 	if m.AllreduceCost() <= m.AllreduceLatency {
 		t.Error("allreduce cost must include per-hop term")
 	}

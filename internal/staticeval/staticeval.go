@@ -63,14 +63,9 @@ type Filter struct {
 	hotspotCycles float64
 }
 
-// NewFilter builds a static filter from the analyzed baseline program,
-// its profiled timers, and the hotspot cycle count.
-func NewFilter(base *ft.Program, timers *gptl.Timers, hotspotCycles float64, model *perfmodel.Model) *Filter {
-	return NewFilterFromRegions(base, timers.Regions(), hotspotCycles, model)
-}
-
-// NewFilterFromRegions is NewFilter taking the baseline profile as a
-// region list (as exposed by the tuner's Baseline).
+// NewFilterFromRegions builds a static filter from the analyzed
+// baseline program, its profiled regions (as exposed by the tuner's
+// Baseline), and the hotspot cycle count.
 func NewFilterFromRegions(base *ft.Program, regions []*gptl.Region, hotspotCycles float64, model ...*perfmodel.Model) *Filter {
 	m := perfmodel.Default()
 	if len(model) > 0 && model[0] != nil {

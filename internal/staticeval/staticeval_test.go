@@ -4,38 +4,23 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	ft "repro/internal/fortran"
 	"repro/internal/gptl"
-	"repro/internal/interp"
 	"repro/internal/models"
-	"repro/internal/perfmodel"
 	"repro/internal/transform"
 )
 
-// buildFilter profiles the MPAS-A surrogate baseline and builds a filter.
+// buildFilter builds a filter over an MPAS-A tuner's baseline profile,
+// as the static-filter ablation does.
 func buildFilter(t *testing.T) (*Filter, *ft.Program, []transform.Atom) {
 	t.Helper()
-	m := models.MPASA()
-	prog, err := m.Parse()
+	tn, err := core.New(models.MPASA(), core.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	machine := perfmodel.Default()
-	in, err := interp.New(prog, interp.Config{Model: machine, TrapNonFinite: true, Profile: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := in.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot := map[string]bool{}
-	for _, q := range m.HotspotProcs(prog) {
-		hot[q] = true
-	}
-	hotCycles := res.Timers.TotalSelf(func(n string) bool { return hot[n] })
-	f := NewFilter(prog, res.Timers, hotCycles, machine)
-	return f, prog, transform.Atoms(prog, m.Hotspot)
+	bl := tn.BaselineInfo()
+	return NewFilterFromRegions(tn.Program(), bl.Regions, bl.HotspotCycles), tn.Program(), tn.Atoms()
 }
 
 func TestFilterAcceptsBaselineAndUniform(t *testing.T) {

@@ -19,6 +19,7 @@ package repro
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -30,9 +31,14 @@ import (
 	"repro/internal/transform"
 )
 
+// sharedSuite builds the seed-1 suite once per process.
+var sharedSuite = sync.OnceValues(func() (*experiments.Suite, error) {
+	return experiments.RunSuiteOpts(nil, 1, experiments.Options{})
+})
+
 func suite(b *testing.B) *experiments.Suite {
 	b.Helper()
-	s, err := experiments.Shared()
+	s, err := sharedSuite()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -244,7 +250,8 @@ func BenchmarkSubstrateTransformApply(b *testing.B) {
 
 // BenchmarkSubstrateInterpModelRun compiles and runs each bundled
 // model's baseline the way a tuner evaluation does (GPTL profiling and
-// the non-finite trap on), one sub-benchmark per model. Profile one:
+// the non-finite trap on, through one interp.Pool, each run released
+// after it), one sub-benchmark per model. Profile one:
 // go test -run '^$' -bench SubstrateInterpModelRun/mom6 -cpuprofile cpu.out
 func BenchmarkSubstrateInterpModelRun(b *testing.B) {
 	machine := perfmodel.Default()
@@ -254,15 +261,17 @@ func BenchmarkSubstrateInterpModelRun(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(m.Name, func(b *testing.B) {
+			var pool interp.Pool
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				in, err := interp.New(prog, interp.Config{Model: machine, TrapNonFinite: true, Profile: true})
+				in, err := pool.New(prog, interp.Config{Model: machine, TrapNonFinite: true, Profile: true})
 				if err != nil {
 					b.Fatal(err)
 				}
 				if _, err := in.Run(); err != nil {
 					b.Fatal(err)
 				}
+				in.Release()
 			}
 		})
 	}

@@ -164,8 +164,8 @@ func TestFleetJournalByteIdentity(t *testing.T) {
 				switch e.Type {
 				case fleet.EventWorkerExit, fleet.EventWorkerLost:
 					exits++
-					if e.WorkerID() < 0 || e.WorkerID() >= workers {
-						t.Errorf("exit event names worker %d of %d", e.WorkerID(), workers)
+					if e.Worker < 1 || e.Worker > workers { // 1-based on the wire
+						t.Errorf("exit event names worker slot %d of %d", e.Worker, workers)
 					}
 				case fleet.EventLeaseGrant:
 					grants++

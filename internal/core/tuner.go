@@ -247,6 +247,12 @@ type Tuner struct {
 	log       *search.Log
 	procAtoms map[string][]string // proc -> its atom qnames
 
+	// pool recycles module arrays: every interpreter the tuner builds
+	// comes from it and is released back once its output is read, so a
+	// tune allocates its model's module arrays about once per
+	// concurrent evaluation.
+	pool interp.Pool
+
 	// runCtx is the hard-cancellation context of the current Run: once
 	// it is done, in-flight interpreter runs unwind with FailCancelled.
 	// Written once before the search spawns workers (the go statement
@@ -347,24 +353,10 @@ func entryProcs(prog *ft.Program, hotspot string) map[string]bool {
 }
 
 func (t *Tuner) runBaseline() error {
-	in, err := interp.New(t.prog, interp.Config{
-		Model:         t.machine,
-		TrapNonFinite: true,
-		Profile:       true,
-	})
+	res, err := t.profileBaseline()
 	if err != nil {
 		return err
 	}
-	res, err := in.Run()
-	if err != nil {
-		return fmt.Errorf("core: %s baseline run failed: %w", t.model.Name, err)
-	}
-	out, err := t.model.Extract(in)
-	if err != nil {
-		return err
-	}
-	t.baseOut = out
-
 	hotspot := t.hotspotTime(res, nil)
 	t.baseline = &Baseline{
 		TotalCycles:   res.Cycles,
@@ -400,6 +392,26 @@ func (t *Tuner) runBaseline() error {
 	return nil
 }
 
+// profileBaseline runs the baseline with GPTL profiling and keeps its
+// output series as t.baseOut.
+func (t *Tuner) profileBaseline() (*interp.Result, error) {
+	in, err := t.pool.New(t.prog, interp.Config{
+		Model:         t.machine,
+		TrapNonFinite: true,
+		Profile:       true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer in.Release()
+	res, err := in.Run()
+	if err != nil {
+		return nil, fmt.Errorf("core: %s baseline run failed: %w", t.model.Name, err)
+	}
+	t.baseOut, err = t.model.Extract(in)
+	return res, err
+}
+
 // uniform32Error measures the correctness metric of the whole-program
 // uniform 32-bit build (the supported single-precision configuration).
 func (t *Tuner) uniform32Error() (float64, error) {
@@ -408,10 +420,11 @@ func (t *Tuner) uniform32Error() (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("core: uniform-32 build: %w", err)
 	}
-	in, err := interp.New(v.Prog, interp.Config{Model: t.machine, TrapNonFinite: true})
+	in, err := t.pool.New(v.Prog, interp.Config{Model: t.machine, TrapNonFinite: true})
 	if err != nil {
 		return 0, err
 	}
+	defer in.Release()
 	if _, err := in.Run(); err != nil {
 		return 0, fmt.Errorf("core: uniform-32 run: %w", err)
 	}
@@ -495,7 +508,7 @@ func (t *Tuner) EvaluateSpan(sp *obs.Span, a transform.Assignment) *search.Evalu
 	if t.opts.Numerics {
 		nrec = numerics.NewRecorder(t.model.Name+".ft", numerics.Options{})
 	}
-	in, err := interp.New(v.Prog, interp.Config{
+	in, err := t.pool.New(v.Prog, interp.Config{
 		Model:         t.machine,
 		TrapNonFinite: true,
 		Profile:       true,
@@ -508,6 +521,7 @@ func (t *Tuner) EvaluateSpan(sp *obs.Span, a transform.Assignment) *search.Evalu
 		ev.Detail = err.Error()
 		return ev
 	}
+	defer in.Release() // on every return, and on the cancellation panic below
 	isp := sp.Child(obs.SpanInterpRun)
 	res, runErr := in.Run()
 	var calls int64 // procedure calls, generated wrappers included
@@ -859,6 +873,9 @@ func (t *Tuner) Run(ctx context.Context) (*Result, error) {
 	root.Attr("model", t.model.Name)
 	root.AttrInt("budget", int64(budget))
 	defer root.End()
+	// A finished tune's caller may keep its Tuner (and Result) long
+	// after the last run: hold no module arrays for it.
+	defer t.pool.Clear()
 
 	// Two-phase cancellation: ctx itself is the soft stop (gates new
 	// evaluations in the search layer); the hard context reaches the

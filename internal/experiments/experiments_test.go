@@ -2,10 +2,15 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/search"
 )
+
+// sharedSuite builds the seed-1 suite once per process, for the tests
+// that need the same searches.
+var sharedSuite = sync.OnceValues(func() (*Suite, error) { return RunSuiteOpts(nil, 1, Options{}) })
 
 // TestTable1 checks the hotspot statistics against the paper's bands.
 func TestTable1(t *testing.T) {
@@ -38,7 +43,7 @@ func TestSuiteReproducesPaperShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite is slow")
 	}
-	s, err := Shared()
+	s, err := sharedSuite()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +211,7 @@ func TestPredictorStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs the shared suite")
 	}
-	s, err := Shared()
+	s, err := sharedSuite()
 	if err != nil {
 		t.Fatal(err)
 	}

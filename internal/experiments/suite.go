@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/models"
@@ -43,14 +42,10 @@ type Options struct {
 	Resilience resilience.Policy
 }
 
-// RunSuite executes the four searches of the case study (the artifact's
-// four parallel experiment instances). Deterministic for a given seed.
-// ctx cancels the suite between and within searches (nil never cancels).
-func RunSuite(ctx context.Context, seed int64) (*Suite, error) {
-	return RunSuiteOpts(ctx, seed, Options{})
-}
-
-// RunSuiteOpts is RunSuite with crash-safety and resilience options.
+// RunSuiteOpts executes the four searches of the case study (the
+// artifact's four parallel experiment instances) with crash-safety and
+// resilience options. Deterministic for a given seed. ctx cancels the
+// suite between and within searches (nil never cancels).
 func RunSuiteOpts(ctx context.Context, seed int64, sopts Options) (*Suite, error) {
 	par := suiteParallelism()
 	build := func(whole bool, journalName string) core.Options {
@@ -94,21 +89,6 @@ func runSearch(ctx context.Context, m *models.Model, opts core.Options) (*core.R
 		return nil, err
 	}
 	return t.Run(ctx)
-}
-
-var (
-	sharedOnce  sync.Once
-	sharedSuite *Suite
-	sharedErr   error
-)
-
-// Shared returns a lazily built, process-wide suite (seed 1), so tests
-// and benchmarks that need the same searches do not repeat them.
-func Shared() (*Suite, error) {
-	sharedOnce.Do(func() {
-		sharedSuite, sharedErr = RunSuite(nil, 1)
-	})
-	return sharedSuite, sharedErr
 }
 
 // Point is one variant in a speedup-error scatter (Figures 2, 5, 7).

@@ -26,13 +26,6 @@ func Print(prog *Program) string {
 	return pr.sb.String()
 }
 
-// PrintProc renders a single procedure (used in variant diffs).
-func PrintProc(p *Procedure) string {
-	var pr printer
-	pr.proc(p)
-	return pr.sb.String()
-}
-
 type printer struct {
 	sb     strings.Builder
 	indent int

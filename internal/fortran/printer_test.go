@@ -177,14 +177,18 @@ func TestCloneRoundTripPrint(t *testing.T) {
 	}
 }
 
-func TestPrintProcOnly(t *testing.T) {
+// TestPrintFunctionResult: Print renders a function with its result
+// clause once, between its module's contains and the next procedure.
+func TestPrintFunctionResult(t *testing.T) {
 	prog := MustParse(miniModule)
 	MustAnalyze(prog, Options{})
-	out := PrintProc(prog.ProcMap["phys.fun"])
-	if !strings.Contains(out, "function fun(x) result(y)") {
-		t.Errorf("PrintProc output:\n%s", out)
+	out := Print(prog)
+	fn := strings.Index(out, "function fun(x) result(y)")
+	end := strings.Index(out, "end function fun")
+	if fn < 0 || strings.Count(out, "function fun(x) result(y)") != 1 || end < fn {
+		t.Fatalf("Print does not render fun's header and end once:\n%s", out)
 	}
-	if strings.Contains(out, "subroutine") {
-		t.Errorf("PrintProc leaked other procedures:\n%s", out)
+	if c, sub := strings.Index(out, "contains"), strings.Index(out, "subroutine advance"); c < 0 || c > fn || sub < end {
+		t.Errorf("fun is not printed between contains and advance:\n%s", out)
 	}
 }

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -283,7 +284,7 @@ func runAllocs(t *testing.T, prog *ft.Program, boxed bool) uint64 {
 	t.Helper()
 	best := ^uint64(0)
 	for try := 0; try < 3; try++ {
-		in, err := newInterp(prog, Config{Model: perfmodel.Default()}, boxed)
+		in, err := newInterp(prog, Config{Model: perfmodel.Default()}, boxed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,5 +320,33 @@ func TestVMCallsAllocationFree(t *testing.T) {
 					name, compileName(boxed), small, large)
 			}
 		}
+	}
+}
+
+// TestNewAllocsOnModels pins that compiling each bundled model as a
+// tuner evaluation does (GPTL profiling and the trap on, New computing
+// the analysis) allocates fewer objects than it did while every element
+// reference, array assignment and array argument built its "is not an
+// allocated array" error, and every assignment its recorder target
+// name, whether or not anything read them.
+func TestNewAllocsOnModels(t *testing.T) {
+	before := map[string]float64{"adcirc.ft": 2058, "funarc.ft": 153, "mom6.ft": 2017, "mpas_a.ft": 2228}
+	files, err := filepath.Glob("../models/src/*.ft")
+	if err != nil || len(files) != len(before) {
+		t.Fatalf("model sources %v (%v), want the %d of %v", files, err, len(before), before)
+	}
+	for _, f := range files {
+		prog := parseModelFile(t, f)
+		cfg := Config{Model: perfmodel.Default(), TrapNonFinite: true, Profile: true}
+		got := testing.AllocsPerRun(5, func() {
+			if _, err := New(prog, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		name := filepath.Base(f)
+		if got >= before[name] {
+			t.Errorf("%s: New allocates %.0f objects, want fewer than %.0f", name, got, before[name])
+		}
+		t.Logf("%s: New allocates %.0f objects (%.0f before)", name, got, before[name])
 	}
 }

@@ -315,8 +315,10 @@ func errExpr(err error) vexpr {
 // A procedure-local array is re-initialized in place when its slot
 // still holds the array of the frame's previous activation and that
 // array's storage is large enough (Array.reinit); otherwise it is
-// allocated. Module arrays and a function's result (which invoke
-// returns after the frame is back in the pool) are always allocated.
+// allocated. A module array comes from the run's Pool (Pool.take),
+// which allocates only when it holds no released array of the same
+// rank and element count. A function's result (which invoke returns
+// after the frame is back in the pool) is always allocated.
 func (c *compiler) declInit(d *ft.VarDecl) vinit {
 	savedDyn := c.dyn
 	c.dyn = true
@@ -341,7 +343,8 @@ func (c *compiler) declInit(d *ft.VarDecl) vinit {
 		notReal := d.Base != ft.TReal
 		kind := d.Kind
 		setArr := c.storeArrDecl(d)
-		reuse := d.Proc != nil && d != d.Proc.Result
+		local := d.Proc != nil
+		reuse := local && d != d.Proc.Result
 		slot := d.Slot
 		name := d.Name
 		pos := d.Pos
@@ -388,11 +391,11 @@ func (c *compiler) declInit(d *ft.VarDecl) vinit {
 					return nil
 				}
 			}
-			arr := NewArray(kind, lo, ext)
-			if m.rec != nil {
-				arr.Shadow = make([]float64, len(arr.Data))
+			pool := m.pool
+			if local {
+				pool = nil
 			}
-			setArr(m, fr, arr)
+			setArr(m, fr, pool.take(kind, lo, ext, m.rec != nil))
 			return nil
 		}
 	}
@@ -511,7 +514,6 @@ type eref struct {
 	name      string
 	pos       ft.Pos
 	ialu      float64
-	errNil    error
 }
 
 const (
@@ -553,8 +555,6 @@ func (c *compiler) elemRef(e *ft.IndexExpr) *eref {
 		name:   e.Arr.Name,
 		pos:    e.Pos,
 		ialu:   c.cost(perfmodel.OpIntALU, 4),
-		errNil: &RunError{Pos: e.Pos, Kind: FailInternal,
-			Msg: fmt.Sprintf("%q is not an allocated array", e.Arr.Name)},
 	}
 	if d := e.Arr.Decl; d != nil {
 		r.slot, r.mod = int32(d.Slot), arrLocal
@@ -719,7 +719,7 @@ func (r *eref) resolve(m *vm, fr *vframe) (*Array, int, error) {
 		arr = fr.a[r.slot]
 	}
 	if arr == nil {
-		return nil, 0, r.errNil
+		return nil, 0, notAllocated(r.pos, r.name)
 	}
 	if r.affine {
 		// Rank 1 or 2 inline. An out-of-range index, or a header of
@@ -782,6 +782,13 @@ func (r *eref) resolve(m *vm, fr *vframe) (*Array, int, error) {
 		}
 	}
 	return r.flat(arr, idx)
+}
+
+// notAllocated is the error of reading array name at pos while its slot
+// holds no array.
+func notAllocated(pos ft.Pos, name string) error {
+	return &RunError{Pos: pos, Kind: FailInternal,
+		Msg: fmt.Sprintf("%q is not an allocated array", name)}
 }
 
 // flat resolves idx through flatIndex, the general bounds check.
@@ -874,9 +881,10 @@ func isLiteral(e ft.Expr) bool {
 
 // assignAtom is the search-atom qualified name of an assignment target:
 // the declaration behind a real variable or array-element LHS ("" for
-// integer/logical targets, which are not atoms).
-func assignAtom(lhs ft.Expr, lt ft.Type) string {
-	if lt.Base != ft.TReal {
+// integer/logical targets, which are not atoms). Only the recorder reads
+// it, so without one it is "" too.
+func (c *compiler) assignAtom(lhs ft.Expr, lt ft.Type) string {
+	if c.rec == nil || lt.Base != ft.TReal {
 		return ""
 	}
 	switch lhs := lhs.(type) {
@@ -1174,12 +1182,11 @@ func (c *compiler) argArrayGet(e ft.Expr) func(m *vm, fr *vframe) (*Array, error
 		return func(m *vm, fr *vframe) (*Array, error) { return nil, err }
 	}
 	get := c.arrGet(ref.Decl)
-	errNil := &RunError{Pos: e.ExprPos(), Kind: FailInternal,
-		Msg: fmt.Sprintf("%q is not an allocated array", ref.Name)}
+	pos, name := e.ExprPos(), ref.Name
 	return func(m *vm, fr *vframe) (*Array, error) {
 		arr := get(m, fr)
 		if arr == nil {
-			return nil, errNil
+			return nil, notAllocated(pos, name)
 		}
 		return arr, nil
 	}
@@ -1806,7 +1813,7 @@ func (c *compiler) argArrayBind(argExpr ft.Expr, dummy *ft.VarDecl) func(m *vm, 
 	name := ref.Name
 	pos := argExpr.ExprPos()
 	dKind := dummy.Kind
-	dProcQ := dummy.Proc.QName()
+	dProc := dummy.Proc
 	dName := dummy.Name
 	assumed := true
 	for _, d := range dummy.Dims {
@@ -1818,8 +1825,7 @@ func (c *compiler) argArrayBind(argExpr ft.Expr, dummy *ft.VarDecl) func(m *vm, 
 	return func(m *vm, fr *vframe) (*Array, error) {
 		arr := get(m, fr)
 		if arr == nil {
-			return nil, &RunError{Pos: pos, Kind: FailInternal,
-				Msg: fmt.Sprintf("%q is not an allocated array", name)}
+			return nil, notAllocated(pos, name)
 		}
 		if arr.Kind != dKind {
 			// Arrays pass by reference; a kind mismatch cannot be patched by
@@ -1827,7 +1833,7 @@ func (c *compiler) argArrayBind(argExpr ft.Expr, dummy *ft.VarDecl) func(m *vm, 
 			// call — reaching here means the variant is malformed.
 			return nil, &RunError{Pos: pos, Kind: FailInternal,
 				Msg: fmt.Sprintf("array kind mismatch passing %s (kind=%d) to %s.%s (kind=%d): wrapper required",
-					name, arr.Kind, dProcQ, dName, dKind)}
+					name, arr.Kind, dProc.QName(), dName, dKind)}
 		}
 		if assumed {
 			if ndims != len(arr.Ext) {
@@ -2519,7 +2525,7 @@ func (c *compiler) assign(s *ft.AssignStmt) vstmt {
 		return c.arrayAssign(s)
 	}
 	pos := s.Pos
-	atom := assignAtom(s.LHS, lt)
+	atom := c.assignAtom(s.LHS, lt)
 	rt := s.RHS.Type()
 
 	// Conversion cost for the store (static decision).
@@ -2667,10 +2673,11 @@ func (c *compiler) arrayAssign(s *ft.AssignStmt) vstmt {
 		return errStmt(pos, &RunError{Pos: pos, Kind: FailInternal, Msg: "bad array assignment target"})
 	}
 	dget := c.arrGet(lref.Decl)
-	qn := lref.Decl.QName()
+	qn := "" // the recorder's target, which nothing else reads
+	if c.rec != nil {
+		qn = lref.Decl.QName()
+	}
 	lname := lref.Name
-	lnameErr := &RunError{Pos: pos, Kind: FailInternal,
-		Msg: fmt.Sprintf("%q is not an allocated array", lname)}
 	rt := s.RHS.Type()
 
 	if rt.Rank == 0 {
@@ -2684,7 +2691,7 @@ func (c *compiler) arrayAssign(s *ft.AssignStmt) vstmt {
 			}
 			dst := dget(m, fr)
 			if dst == nil {
-				return ctlNone, lnameErr
+				return ctlNone, notAllocated(pos, lname)
 			}
 			n := dst.Size()
 			m.rec.PushTarget(qn)
@@ -2730,7 +2737,7 @@ func (c *compiler) arrayAssign(s *ft.AssignStmt) vstmt {
 			}
 			dst := dget(m, fr)
 			if dst == nil {
-				return ctlNone, lnameErr
+				return ctlNone, notAllocated(pos, lname)
 			}
 			m.rec.PushTarget(qn)
 			m.rec.PopTarget()
@@ -2739,8 +2746,6 @@ func (c *compiler) arrayAssign(s *ft.AssignStmt) vstmt {
 	}
 	sget := c.arrGet(rref.Decl)
 	rname := rref.Name
-	rnameErr := &RunError{Pos: pos, Kind: FailInternal,
-		Msg: fmt.Sprintf("%q is not an allocated array", rname)}
 	loadCost := [2]float64{c.cost(perfmodel.OpLoad, 4), c.cost(perfmodel.OpLoad, 8)}
 	storeCost := [2]float64{c.cost(perfmodel.OpStore, 4), c.cost(perfmodel.OpStore, 8)}
 	return func(m *vm, fr *vframe) (control, error) {
@@ -2749,14 +2754,14 @@ func (c *compiler) arrayAssign(s *ft.AssignStmt) vstmt {
 		}
 		dst := dget(m, fr)
 		if dst == nil {
-			return ctlNone, lnameErr
+			return ctlNone, notAllocated(pos, lname)
 		}
 		n := dst.Size()
 		m.rec.PushTarget(qn)
 		src := sget(m, fr)
 		if src == nil {
 			m.rec.PopTarget()
-			return ctlNone, rnameErr
+			return ctlNone, notAllocated(pos, rname)
 		}
 		if src.Size() != n {
 			m.rec.PopTarget()

@@ -39,6 +39,7 @@ type engineRun struct {
 	errStr  string
 	stdout  []byte
 	timers  string
+	rec     *numerics.Recorder // nil without numerics
 	profile []byte
 }
 
@@ -46,6 +47,7 @@ type engineRun struct {
 type runOpts struct {
 	numerics, trap bool
 	budget         float64
+	pool           *Pool // nil: the run allocates its module arrays (New)
 }
 
 // compileName names a compile mode in failure messages.
@@ -67,7 +69,7 @@ func runVM(t *testing.T, prog *ft.Program, boxed bool, o runOpts) *engineRun {
 		rec = numerics.NewRecorder("prog.ft", numerics.Options{})
 		cfg.Numerics = rec
 	}
-	in, err := newInterp(prog, cfg, boxed)
+	in, err := newInterp(prog, cfg, boxed, o.pool)
 	if err != nil {
 		t.Fatalf("New(%s): %v", compileName(boxed), err)
 	}
@@ -75,7 +77,7 @@ func runVM(t *testing.T, prog *ft.Program, boxed bool, o runOpts) *engineRun {
 	if res == nil {
 		t.Fatalf("%s run returned no Result (error %v)", compileName(boxed), rerr)
 	}
-	r := &engineRun{in: in, res: res, stdout: out.Bytes()}
+	r := &engineRun{in: in, res: res, stdout: out.Bytes(), rec: rec}
 	if rerr != nil {
 		var re *RunError
 		if !errors.As(rerr, &re) {
@@ -1736,7 +1738,7 @@ end program p
 		return prog
 	}
 	run := func(boxed bool, src string, budget float64) (*Result, error) {
-		in, err := newInterp(build(src), Config{Model: perfmodel.Default(), CycleBudget: budget}, boxed)
+		in, err := newInterp(build(src), Config{Model: perfmodel.Default(), CycleBudget: budget}, boxed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func runFrameModes(t *testing.T, src string, check func(t *testing.T, in *Interp
 					rec = numerics.NewRecorder("prog.ft", numerics.Options{})
 					cfg.Numerics = rec
 				}
-				in, err := newInterp(prog, cfg, boxed)
+				in, err := newInterp(prog, cfg, boxed, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

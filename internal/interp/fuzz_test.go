@@ -16,7 +16,10 @@ import (
 // numerics off and on and TrapNonFinite on, under a cycle budget. No run
 // may panic or hang, each must return a Result and a nil error or a
 // *RunError, and the two compiles must agree on everything diffRuns
-// compares. The seeds are the bundled models and one program from each
+// compares. Each input also runs unboxed through one Pool shared by
+// every input, released after each run, so its module arrays carry
+// other programs' values, kinds, shapes and shadow lanes into it; that
+// run too must agree with the boxed one. The seeds are the bundled models and one program from each
 // differential generator; plain go test replays them and the corpus
 // under testdata/fuzz/FuzzRun. Run it with
 //
@@ -40,6 +43,9 @@ func FuzzRun(f *testing.F) {
 	for _, src := range []string{calls, conds, shapes, copyOuts} {
 		f.Add(src)
 	}
+	// A cap under the default keeps a fuzz worker's memory small, and
+	// drops arrays, as a full pool does.
+	pool := Pool{limit: 8 << 20}
 	f.Fuzz(func(t *testing.T, src string) {
 		// A hang is a failure: the watchdog's panic ends the process,
 		// and the fuzzer keeps the input that caused it.
@@ -59,7 +65,12 @@ func FuzzRun(f *testing.F) {
 		}
 		for _, num := range []bool{false, true} {
 			o := runOpts{numerics: num, trap: true, budget: fuzzBudget}
-			diffRuns(t, prog, num, runVM(t, prog, false, o), runVM(t, prog, true, o))
+			boxed := runVM(t, prog, true, o)
+			diffRuns(t, prog, num, runVM(t, prog, false, o), boxed)
+			o.pool = &pool
+			pooled := runVM(t, prog, false, o)
+			diffRuns(t, prog, num, pooled, boxed)
+			pooled.in.Release()
 		}
 	})
 }

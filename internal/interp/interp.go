@@ -2,6 +2,7 @@ package interp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -121,12 +122,16 @@ const (
 )
 
 // Interp executes one program. An Interp is single-use: construct, Run,
-// then inspect globals. New compiles the program to the VM (vm.go);
-// Run executes it.
+// inspect globals, then Release. New compiles the program to the VM
+// (vm.go); Run executes it.
 type Interp struct {
-	prog *ft.Program
-	vmr  *vm
+	prog     *ft.Program
+	vmr      *vm
+	released bool
 }
+
+// errReleased is what Run returns after Release.
+var errReleased = errors.New("interp: Run after Release")
 
 // cancelPollInterval is how many budget checks (≈ statements) pass
 // between Context polls: rare enough to stay off the hot path, frequent
@@ -134,14 +139,15 @@ type Interp struct {
 // work.
 const cancelPollInterval = 1024
 
-// New prepares an interpreter for an analyzed program.
+// New prepares an interpreter for an analyzed program. Its run
+// allocates every module array; Pool.New recycles them instead.
 func New(prog *ft.Program, cfg Config) (*Interp, error) {
-	return newInterp(prog, cfg, false)
+	return newInterp(prog, cfg, false, nil)
 }
 
-// newInterp is New; boxed compiles the program in boxed mode
-// (compiler.boxed), which only tests ask for.
-func newInterp(prog *ft.Program, cfg Config, boxed bool) (*Interp, error) {
+// newInterp is New, or Pool.New with a pool; boxed compiles the program
+// in boxed mode (compiler.boxed), which only tests ask for.
+func newInterp(prog *ft.Program, cfg Config, boxed bool, pool *Pool) (*Interp, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("interp: Config.Model is required")
 	}
@@ -158,18 +164,38 @@ func newInterp(prog *ft.Program, cfg Config, boxed bool) (*Interp, error) {
 	if cfg.MaxDepth == 0 {
 		cfg.MaxDepth = 1000
 	}
-	return &Interp{prog: prog, vmr: newVM(prog, &cfg, an, boxed)}, nil
+	return &Interp{prog: prog, vmr: newVM(prog, &cfg, an, boxed, pool)}, nil
 }
 
-// Run initializes module storage and executes the main program.
-func (i *Interp) Run() (*Result, error) { return i.vmr.run() }
+// Run initializes module storage and executes the main program. After
+// Release it runs nothing and returns an error.
+func (i *Interp) Run() (*Result, error) {
+	if i.released {
+		return nil, errReleased
+	}
+	return i.vmr.run()
+}
+
+// Release returns the run's module arrays to the pool the Interp was
+// built through (none for New), each once: a second call finds none.
+// Call it after Run has returned and the globals have been read; after
+// it, Run, Global and GlobalFloats refuse, since a later run of the
+// pool may be using the arrays.
+func (i *Interp) Release() {
+	i.released = true
+	i.vmr.release()
+}
 
 // Cycles returns the simulated cycles consumed so far.
 func (i *Interp) Cycles() float64 { return i.vmr.cycles }
 
 // Global returns the value of a module variable by qualified name
 // ("module.var"), used by model harnesses to read output time series.
+// It reports false after Release.
 func (i *Interp) Global(qname string) (Value, bool) {
+	if i.released {
+		return Value{}, false
+	}
 	for _, m := range i.prog.Modules {
 		for _, d := range m.Decls {
 			if d.QName() == qname {
@@ -180,7 +206,8 @@ func (i *Interp) Global(qname string) (Value, bool) {
 	return Value{}, false
 }
 
-// GlobalFloats returns a copy of a real module array's contents.
+// GlobalFloats returns a copy of a real module array's contents. It
+// reports false after Release.
 func (i *Interp) GlobalFloats(qname string) ([]float64, bool) {
 	v, ok := i.Global(qname)
 	if !ok || v.Arr == nil {

@@ -1138,3 +1138,44 @@ func TestArrayCap(t *testing.T) {
 		}
 	}
 }
+
+// TestNotAllocatedError pins the error an element reference gives when
+// its array's slot holds no array, which no program can reach: declInit
+// fills every array slot before anything reads it. The reference is
+// resolved over an empty slot directly, for a module array and a local
+// one, compiled unboxed and boxed.
+func TestNotAllocatedError(t *testing.T) {
+	prog := ft.MustParse(`
+module m
+  implicit none
+  real(kind=8) :: g(4)
+end module m
+
+program p
+  use m
+  implicit none
+  real(kind=8) :: h(3), x
+  x = g(2) + h(3)
+end program p
+`)
+	ft.MustAnalyze(prog, ft.Options{})
+	sum := prog.Main.Body[0].(*ft.AssignStmt).RHS.(*ft.BinExpr)
+	want := map[string]string{
+		"g": `11:7: internal error: "g" is not an allocated array`,
+		"h": `11:14: internal error: "h" is not an allocated array`,
+	}
+	for _, boxed := range []bool{false, true} {
+		c := &compiler{prog: prog, model: perfmodel.Default(), boxed: boxed}
+		m := &vm{gl: []*vframe{{a: make([]*Array, 1)}}}
+		fr := &vframe{a: make([]*Array, 2)}
+		for _, e := range []ft.Expr{sum.X, sum.Y} {
+			ix := e.(*ft.IndexExpr)
+			arr, _, err := c.elemRef(ix).resolve(m, fr)
+			var re *RunError
+			if arr != nil || !errors.As(err, &re) || re.Kind != FailInternal || err.Error() != want[ix.Arr.Name] {
+				t.Errorf("%s: resolving %s over an empty slot = %v, %v; want %q",
+					compileName(boxed), ix.Arr.Name, arr, err, want[ix.Arr.Name])
+			}
+		}
+	}
+}

@@ -54,7 +54,7 @@ end program p
 `, declKind, x, y, expr)
 	prog := ft.MustParse(src)
 	ft.MustAnalyze(prog, ft.Options{})
-	in, err := newInterp(prog, Config{Model: perfmodel.Default()}, boxed)
+	in, err := newInterp(prog, Config{Model: perfmodel.Default()}, boxed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ end program p
 		prog := ft.MustParse(src)
 		ft.MustAnalyze(prog, ft.Options{})
 		rec := numerics.NewRecorder("test.ft", numerics.Options{})
-		in, err := newInterp(prog, Config{Model: perfmodel.Default(), Numerics: rec}, boxed)
+		in, err := newInterp(prog, Config{Model: perfmodel.Default(), Numerics: rec}, boxed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ end program p
 		prog := ft.MustParse(src)
 		ft.MustAnalyze(prog, ft.Options{})
 		for _, boxed := range []bool{false, true} {
-			in, err := newInterp(prog, Config{Model: perfmodel.Default()}, boxed)
+			in, err := newInterp(prog, Config{Model: perfmodel.Default()}, boxed, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

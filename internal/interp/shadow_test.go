@@ -206,7 +206,7 @@ end program p
 			t.Run(fmt.Sprintf("%s/boxed=%v", filepath.Base(f), boxed), func(t *testing.T) {
 				rec := numerics.NewRecorder(filepath.Base(f), numerics.Options{})
 				cfg := Config{Model: perfmodel.Default(), Numerics: rec}
-				in, err := newInterp(v.Prog, cfg, boxed)
+				in, err := newInterp(v.Prog, cfg, boxed, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -56,15 +56,11 @@ type Array struct {
 
 // NewArray allocates a zeroed array.
 func NewArray(kind int, lo, ext []int) *Array {
-	size := 1
-	for _, e := range ext {
-		size *= e
-	}
 	return &Array{
 		Kind: kind,
 		Lo:   append([]int(nil), lo...),
 		Ext:  append([]int(nil), ext...),
-		Data: make([]float64, size),
+		Data: make([]float64, elems(ext)),
 	}
 }
 
@@ -73,10 +69,7 @@ func NewArray(kind int, lo, ext []int) *Array {
 // storage can hold the elements; otherwise it reports false and leaves
 // a as it was. a must have ext's rank, and ext must pass arrayFits.
 func (a *Array) reinit(lo, ext []int, shadow bool) bool {
-	n := 1
-	for _, e := range ext {
-		n *= e
-	}
+	n := elems(ext)
 	if cap(a.Data) < n || shadow && cap(a.Shadow) < n {
 		return false
 	}
@@ -92,9 +85,12 @@ func (a *Array) reinit(lo, ext []int, shadow bool) bool {
 }
 
 // Size returns the total element count.
-func (a *Array) Size() int {
+func (a *Array) Size() int { return elems(a.Ext) }
+
+// elems is the element count of extents ext.
+func elems(ext []int) int {
 	n := 1
-	for _, e := range a.Ext {
+	for _, e := range ext {
 		n *= e
 	}
 	return n

@@ -21,7 +21,9 @@ package interp
 // (assignedFirst), and declInit re-initializes a local array in place,
 // in the array the frame's previous activation left in its slot. So a
 // call that binds no rebased assumed-shape dummy allocates nothing
-// after its procedure's first activation.
+// after its procedure's first activation. Module arrays come from the
+// run's Pool, if it was built through one (pool.go), and go back to it
+// on Release.
 
 import (
 	"context"
@@ -117,7 +119,8 @@ type vm struct {
 	// Nothing resets timers, so the handles stay valid for the run.
 	regions []*gptl.Region
 
-	gl []*vframe // module storage by Module.Index
+	gl   []*vframe // module storage by Module.Index
+	pool *Pool     // where module arrays come from and go back to (nil: allocate)
 
 	cycles    float64
 	vecFactor float64
@@ -139,9 +142,10 @@ type vm struct {
 }
 
 // newVM compiles the program and prepares its run state.
-func newVM(prog *ft.Program, cfg *Config, an *perfmodel.Analysis, boxed bool) *vm {
+func newVM(prog *ft.Program, cfg *Config, an *perfmodel.Analysis, boxed bool, pool *Pool) *vm {
 	model := cfg.Model
 	m := &vm{
+		pool:      pool,
 		model:     model,
 		rec:       cfg.Numerics,
 		stdout:    cfg.Stdout,
@@ -196,6 +200,14 @@ func (m *vm) run() (*Result, error) {
 	_, err := m.runStmts(fr, cp.body)
 	cp.put(fr)
 	return m.result(), err
+}
+
+// release hands every module array to the pool and clears its slot.
+func (m *vm) release() {
+	for _, fr := range m.gl {
+		m.pool.put(fr.a)
+		clear(fr.a)
+	}
 }
 
 func (m *vm) result() *Result {

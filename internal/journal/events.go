@@ -78,10 +78,6 @@ func (r *EventRecord) SetWorker(id int) {
 	}
 }
 
-// WorkerID returns the 0-based fleet worker slot ID, or -1 if the
-// event carries none.
-func (r *EventRecord) WorkerID() int { return r.Worker - 1 }
-
 // eventsFormat checks each salvage payload's content key. Indices are
 // not checked: events interleave nondeterministically under parallel
 // evaluation.

@@ -140,11 +140,11 @@ func TestEventsWorkerFieldRoundTrip(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("replayed %d records, want 2", len(recs))
 	}
-	if got := recs[0].WorkerID(); got != 0 {
-		t.Errorf("worker 0 round-tripped as %d", got)
+	if got := recs[0].Worker; got != 1 {
+		t.Errorf("worker 0 round-tripped as wire slot %d, want 1", got)
 	}
-	if got := recs[1].WorkerID(); got >= 0 {
-		t.Errorf("no-worker event reports worker %d", got)
+	if got := recs[1].Worker; got != 0 {
+		t.Errorf("no-worker event reports wire slot %d, want 0", got)
 	}
 	// Worker 0 must actually occupy bytes on the wire (omitempty would
 	// silently drop a 0-valued field).

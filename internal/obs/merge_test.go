@@ -7,7 +7,8 @@ import (
 )
 
 // TestHistogramMergeMatchesConcatenation is the merge-correctness
-// property behind the fleet's metric aggregation: merging N worker
+// property behind the fleet's metric aggregation (Histogram.Merge of
+// each worker's snapshot, as the coordinator does): merging N worker
 // histograms must equal one histogram fed the concatenated observation
 // streams. Count, min, max, and the power-of-two buckets are exact;
 // sum (and therefore mean) tolerates float addition-order differences.
@@ -31,11 +32,11 @@ func TestHistogramMergeMatchesConcatenation(t *testing.T) {
 			workers[rng.Intn(len(workers))].Histogram(name).Observe(v)
 			combined.Histogram(name).Observe(v)
 		}
-		snaps := make([]Snapshot, len(workers))
-		for i, w := range workers {
-			snaps[i] = w.Snapshot()
+		merged := NewRegistry()
+		for _, w := range workers {
+			merged.Histogram(name).Merge(w.Snapshot().Histograms[name])
 		}
-		got := MergeSnapshots(snaps...).Histograms[name]
+		got := merged.Snapshot().Histograms[name]
 		want := combined.Snapshot().Histograms[name]
 		if got.Count != want.Count || got.Min != want.Min || got.Max != want.Max {
 			t.Errorf("seed %d: merged count/min/max = %d/%g/%g, want %d/%g/%g",
@@ -58,39 +59,25 @@ func TestHistogramMergeMatchesConcatenation(t *testing.T) {
 	}
 }
 
-// TestMergeSnapshotsEmpty: empty-registry merges are no-ops — they
-// fabricate no instruments and never disturb live ones.
+// TestMergeSnapshotsEmpty: merging an empty snapshot is a no-op. It
+// gives an empty histogram no observations, changes nothing in a live
+// one, and is safe on a nil histogram.
 func TestMergeSnapshotsEmpty(t *testing.T) {
-	if m := MergeSnapshots(); len(m.Counters)+len(m.Gauges)+len(m.Histograms) != 0 {
-		t.Errorf("MergeSnapshots() of nothing produced %+v", m)
-	}
-	if m := MergeSnapshots(NewRegistry().Snapshot(), Snapshot{}); len(m.Counters)+len(m.Gauges)+len(m.Histograms) != 0 {
-		t.Errorf("merge of empty snapshots produced %+v", m)
+	reg := NewRegistry()
+	reg.Histogram("empty").Merge(NewRegistry().Snapshot().Histograms["h"])
+	if h := reg.Snapshot().Histograms["empty"]; h.Count != 0 || len(h.Buckets) != 0 {
+		t.Errorf("merging nothing into an empty histogram produced %+v", h)
 	}
 
-	// Merging an empty snapshot into a live histogram changes nothing.
-	reg := NewRegistry()
-	reg.Counter("c").Add(3)
-	reg.Gauge("g").Set(1.5)
 	reg.Histogram("h").Observe(5)
-	before := reg.Snapshot()
+	before := reg.Snapshot().Histograms["h"]
 	reg.Histogram("h").Merge(HistogramSnapshot{})
-	merged := MergeSnapshots(before, NewRegistry().Snapshot())
-	after := reg.Snapshot()
-	for _, pair := range []struct {
-		name string
-		a, b HistogramSnapshot
-	}{
-		{"Merge(empty)", before.Histograms["h"], after.Histograms["h"]},
-		{"MergeSnapshots(live, empty)", before.Histograms["h"], merged.Histograms["h"]},
-	} {
-		a, b := pair.a, pair.b
-		if a.Count != b.Count || a.Sum != b.Sum || a.Min != b.Min || a.Max != b.Max || len(a.Buckets) != len(b.Buckets) {
-			t.Errorf("%s changed the histogram: %+v -> %+v", pair.name, a, b)
-		}
-	}
-	if merged.Counters["c"] != 3 || merged.Gauges["g"] != 1.5 {
-		t.Errorf("merge with an empty snapshot disturbed counters/gauges: %+v", merged)
+	var nilHist *Histogram
+	nilHist.Merge(before)
+	after := reg.Snapshot().Histograms["h"]
+	if before.Count != after.Count || before.Sum != after.Sum || before.Min != after.Min ||
+		before.Max != after.Max || len(before.Buckets) != len(after.Buckets) {
+		t.Errorf("Merge(empty) changed the histogram: %+v -> %+v", before, after)
 	}
 }
 

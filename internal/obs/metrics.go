@@ -301,64 +301,6 @@ func (s HistogramSnapshot) Quantiles() Quantiles {
 	return Quantiles{P50: s.Quantile(0.50), P95: s.Quantile(0.95), P99: s.Quantile(0.99)}
 }
 
-// mergeHistSnapshots folds b into a and returns the combined summary.
-func mergeHistSnapshots(a, b HistogramSnapshot) HistogramSnapshot {
-	if b.Count == 0 {
-		return a
-	}
-	if a.Count == 0 {
-		return b
-	}
-	out := HistogramSnapshot{
-		Count: a.Count + b.Count,
-		Sum:   a.Sum + b.Sum,
-		Min:   math.Min(a.Min, b.Min),
-		Max:   math.Max(a.Max, b.Max),
-	}
-	out.Mean = out.Sum / float64(out.Count)
-	if len(a.Buckets)+len(b.Buckets) > 0 {
-		out.Buckets = make(map[int]int64, len(a.Buckets)+len(b.Buckets))
-		for e, n := range a.Buckets {
-			out.Buckets[e] += n
-		}
-		for e, n := range b.Buckets {
-			out.Buckets[e] += n
-		}
-	}
-	return out
-}
-
-// MergeSnapshots combines registry snapshots from several sources into
-// one: counters sum, histogram summaries fold exactly (counts, sums,
-// and power-of-two buckets add; min/max widen), gauges are last-write-
-// wins in argument order. Merging zero or all-empty snapshots returns
-// the zero Snapshot. This is the aggregation the fleet coordinator
-// applies to worker metric snapshots.
-func MergeSnapshots(snaps ...Snapshot) Snapshot {
-	var out Snapshot
-	for _, s := range snaps {
-		for k, v := range s.Counters {
-			if out.Counters == nil {
-				out.Counters = make(map[string]int64)
-			}
-			out.Counters[k] += v
-		}
-		for k, v := range s.Gauges {
-			if out.Gauges == nil {
-				out.Gauges = make(map[string]float64)
-			}
-			out.Gauges[k] = v
-		}
-		for k, v := range s.Histograms {
-			if out.Histograms == nil {
-				out.Histograms = make(map[string]HistogramSnapshot)
-			}
-			out.Histograms[k] = mergeHistSnapshots(out.Histograms[k], v)
-		}
-	}
-	return out
-}
-
 // Snapshot is a point-in-time copy of every instrument in a registry.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`

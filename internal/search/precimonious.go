@@ -228,7 +228,7 @@ func Precimonious(ctx context.Context, eval Evaluator, atoms []transform.Atom, o
 			n = 2
 		case pick >= 0:
 			cur = cands[pick]
-			n = maxInt(n-1, 2)
+			n = max(n-1, 2)
 		default:
 			if n >= len(cur) {
 				// 1-minimal.
@@ -238,12 +238,45 @@ func Precimonious(ctx context.Context, eval Evaluator, atoms []transform.Atom, o
 				}
 				return out
 			}
-			n = minInt(len(cur), 2*n)
+			n = min(len(cur), 2*n)
 		}
 	}
 	out.Minimal = atomNames(atoms, cur)
 	if ev, okc := log.Lookup(lowerAllBut(cur)); okc {
 		out.Final = ev
+	}
+	return out
+}
+
+// split partitions items into n nearly equal contiguous chunks.
+func split(items []int, n int) [][]int {
+	if n > len(items) {
+		n = len(items)
+	}
+	out := make([][]int, 0, n)
+	start := 0
+	for i := 0; i < n; i++ {
+		end := start + (len(items)-start)/(n-i)
+		if end > start {
+			out = append(out, items[start:end])
+		}
+		start = end
+	}
+	return out
+}
+
+// complement returns items minus chunk (chunk is a contiguous slice of
+// items, so identity comparison over values suffices).
+func complement(items, chunk []int) []int {
+	drop := make(map[int]bool, len(chunk))
+	for _, v := range chunk {
+		drop[v] = true
+	}
+	out := make([]int, 0, len(items)-len(chunk))
+	for _, v := range items {
+		if !drop[v] {
+			out = append(out, v)
+		}
 	}
 	return out
 }

@@ -11,83 +11,78 @@ import (
 	"repro/internal/transform"
 )
 
-// TestDDMinFindsExactSubset: interesting iff subset contains {3, 7}.
-func TestDDMinFindsExactSubset(t *testing.T) {
-	items := seq(20)
-	calls := 0
-	test := func(sub []int) bool {
-		calls++
-		return contains(sub, 3) && contains(sub, 7)
+// ddmin runs Precimonious over n atoms, of which those at the indices
+// in core must stay 64-bit (fakeEval), and returns the indices of its
+// minimal set, sorted, and how many variants it evaluated. Precimonious
+// is Zeller & Hildebrandt's ddmin, batched, over the stay-high set.
+func ddmin(t *testing.T, n int, core ...int) ([]int, int64) {
+	t.Helper()
+	atoms := mkAtoms(n)
+	fe := &fakeEval{atoms: atoms, critical: map[string]bool{}}
+	for _, i := range core {
+		fe.critical[atoms[i].QName] = true
 	}
-	got := DDMin(items, test)
+	out := Precimonious(nil, fe, atoms, Options{Criteria: Criteria{MaxRelError: 1e-3, MinSpeedup: 1.0}})
+	if !out.Converged {
+		t.Fatalf("search over %d atoms did not converge", n)
+	}
+	got := []int{}
+	for _, q := range out.Minimal {
+		for i, at := range atoms {
+			if at.QName == q {
+				got = append(got, i)
+			}
+		}
+	}
 	sort.Ints(got)
+	return got, fe.calls.Load()
+}
+
+// TestDDMinFindsExactSubset: a variant passes iff atoms 3 and 7 stay
+// 64-bit.
+func TestDDMinFindsExactSubset(t *testing.T) {
+	got, calls := ddmin(t, 20, 3, 7)
 	if len(got) != 2 || got[0] != 3 || got[1] != 7 {
-		t.Fatalf("DDMin = %v, want [3 7]", got)
+		t.Fatalf("minimal set = %v, want [3 7]", got)
 	}
 	if calls > 200 {
-		t.Errorf("DDMin used %d tests for n=20; expected far fewer than 2^20", calls)
+		t.Errorf("the search ran %d variants for n=20; expected far fewer than 2^20", calls)
 	}
 }
 
 func TestDDMinSingleElement(t *testing.T) {
-	got := DDMin(seq(16), func(sub []int) bool { return contains(sub, 11) })
-	if len(got) != 1 || got[0] != 11 {
-		t.Fatalf("DDMin = %v, want [11]", got)
+	if got, _ := ddmin(t, 16, 11); len(got) != 1 || got[0] != 11 {
+		t.Fatalf("minimal set = %v, want [11]", got)
 	}
 }
 
+// TestDDMinEmptyInteresting: when every variant passes, the all-32-bit
+// one does too, and the search stops there with an empty set after two
+// evaluations (all 32-bit and all 64-bit), before any ddmin round.
 func TestDDMinEmptyInteresting(t *testing.T) {
-	// If even the empty set is interesting, callers handle that before
-	// DDMin; DDMin itself must still return a 1-minimal set when any
-	// subset is interesting — a single element.
-	got := DDMin(seq(8), func(sub []int) bool { return true })
-	if len(got) != 1 {
-		t.Fatalf("DDMin with always-true test = %v, want singleton", got)
+	if got, calls := ddmin(t, 8); len(got) != 0 || calls != 2 {
+		t.Fatalf("always-passing target: minimal set %v after %d evaluations, want [] after 2", got, calls)
 	}
 }
 
 func TestDDMinFullSetNeeded(t *testing.T) {
-	all := seq(6)
-	got := DDMin(all, func(sub []int) bool { return len(sub) == len(all) })
-	if len(got) != len(all) {
-		t.Fatalf("DDMin = %v, want all 6 items", got)
+	if got, _ := ddmin(t, 6, 0, 1, 2, 3, 4, 5); len(got) != 6 {
+		t.Fatalf("minimal set = %v, want all 6 atoms", got)
 	}
 }
 
-// Property: DDMin's result is interesting and 1-minimal for random
-// superset-closed ("monotone") tests.
+// Property: for a random monotone target (a variant passes iff a random
+// core of k atoms stays 64-bit), the search finds exactly the core,
+// which is interesting and 1-minimal.
 func TestDDMinOneMinimalProperty(t *testing.T) {
 	f := func(seed int64, nRaw, kRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%20) + 2
 		k := int(kRaw)%n + 1
-		// Required core: k random distinct items.
-		perm := rng.Perm(n)
-		core := perm[:k]
-		test := func(sub []int) bool {
-			for _, c := range core {
-				if !contains(sub, c) {
-					return false
-				}
-			}
-			return true
-		}
-		got := DDMin(seq(n), test)
-		if !test(got) {
-			return false
-		}
-		// 1-minimality: dropping any single element fails.
-		for i := range got {
-			reduced := append(append([]int(nil), got[:i]...), got[i+1:]...)
-			if test(reduced) {
-				return false
-			}
-		}
-		// For monotone tests, ddmin finds the exact core.
-		if len(got) != k {
-			return false
-		}
-		return true
+		core := rng.Perm(n)[:k]
+		got, _ := ddmin(t, n, core...)
+		sort.Ints(core)
+		return fmt.Sprint(got) == fmt.Sprint(core)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -412,13 +407,4 @@ func seq(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -119,18 +119,9 @@ type Result struct {
 // mutated, so variant generation may run in parallel.
 func Apply(base *ft.Program, a Assignment) (*Result, error) {
 	variant := ft.Clone(base)
-	// Clone strips analysis; re-analyze to rebuild QNames.
-	info, err := ft.Analyze(variant, ft.Options{AllowKindMismatch: true})
-	if err != nil {
-		return nil, fmt.Errorf("transform: clone analysis: %w", err)
-	}
-	byName := make(map[string]*ft.VarDecl)
-	for _, d := range ft.RealDecls(variant) {
-		byName[d.QName()] = d
-	}
 	for q, kind := range a {
-		d, ok := byName[q]
-		if !ok {
+		d := atomDecl(variant, q)
+		if d == nil {
 			return nil, fmt.Errorf("transform: assignment names unknown atom %q", q)
 		}
 		if kind != 4 && kind != 8 {
@@ -138,9 +129,9 @@ func Apply(base *ft.Program, a Assignment) (*Result, error) {
 		}
 		d.Kind = kind
 	}
-	// Re-analyze tolerantly to discover kind mismatches at call sites,
+	// Analyze tolerantly to discover kind mismatches at call sites,
 	// then patch them with wrappers until the flow graph invariant holds.
-	info, err = ft.Analyze(variant, ft.Options{AllowKindMismatch: true})
+	info, err := ft.Analyze(variant, ft.Options{AllowKindMismatch: true})
 	if err != nil {
 		return nil, fmt.Errorf("transform: variant analysis: %w", err)
 	}
@@ -154,6 +145,47 @@ func Apply(base *ft.Program, a Assignment) (*Result, error) {
 		return nil, fmt.Errorf("transform: variant is malformed after wrapper insertion: %w", err)
 	}
 	return &Result{Prog: variant, Info: info, Wrappers: wrappers, WrapperOf: WrapperMap(variant)}, nil
+}
+
+// atomDecl returns the search atom of prog whose qualified name
+// (VarDecl.QName) is q, or nil: a real, non-parameter declaration of
+// module m ("m.x"), of procedure p of module m ("m.p.x"), or of the
+// main program ("main.x"). prog need not be analyzed, so Apply can
+// resolve atoms on a fresh clone. Should two atoms share a name, the
+// last in RealDecls order wins, as in a map built over RealDecls: the
+// main program's come after every module's.
+func atomDecl(prog *ft.Program, q string) *ft.VarDecl {
+	head, rest, ok := strings.Cut(q, ".")
+	if !ok {
+		return nil
+	}
+	var found *ft.VarDecl
+	find := func(decls []*ft.VarDecl, name string) {
+		for _, d := range decls {
+			if d.Name == name && d.Base == ft.TReal && !d.IsParam {
+				found = d
+			}
+		}
+	}
+	for _, m := range prog.Modules {
+		if m.Name != head {
+			continue
+		}
+		proc, name, inProc := strings.Cut(rest, ".")
+		if !inProc {
+			find(m.Decls, rest)
+			continue
+		}
+		for _, p := range m.Procs {
+			if p.Name == proc {
+				find(p.Decls, name)
+			}
+		}
+	}
+	if p := prog.Main; p != nil && p.Name == head {
+		find(p.Decls, rest)
+	}
+	return found
 }
 
 // KindOf reports the effective kind of atom q under a, given its

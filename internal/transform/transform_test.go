@@ -1,6 +1,9 @@
 package transform
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -479,6 +482,89 @@ func TestApplyErrors(t *testing.T) {
 	}
 	if _, err := Apply(prog, Assignment{"funarc_mod.fun.x": 16}); err == nil {
 		t.Error("bad kind accepted")
+	}
+}
+
+// clashSrc names its main program after its module, and declares x in
+// the module, in its subroutine and in the main program: two atoms share
+// the qualified name "clash.x".
+const clashSrc = `
+module clash
+  implicit none
+  real(kind=8) :: x
+  real(kind=8), parameter :: c = 2.0d0
+  integer :: n
+contains
+  subroutine s(y)
+    real(kind=8) :: y
+    real(kind=8) :: x
+    x = 2.0d0 * y
+    y = x
+  end subroutine s
+end module clash
+
+program clash
+  use clash
+  implicit none
+  real(kind=8) :: x
+  x = c
+  call s(x)
+end program clash
+`
+
+// TestAtomDecl checks that Apply's atom lookup on a fresh, unanalyzed
+// clone finds the declaration that a map from QName over RealDecls of
+// the analyzed clone gives, for every bundled model, funarcSrc and
+// clashSrc. A name that is no atom (a parameter, an integer, a
+// procedure, a module, a name too long or unknown) finds nothing, and
+// Apply refuses it with the same error as before.
+func TestAtomDecl(t *testing.T) {
+	srcs := map[string]string{"funarcSrc": funarcSrc, "clashSrc": clashSrc}
+	files, err := filepath.Glob("../models/src/*.ft")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no model sources found: %v", err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[filepath.Base(f)] = string(src)
+	}
+	for name, src := range srcs {
+		base := analyzed(t, src)
+		clone := ft.Clone(base)
+		got := make(map[string]*ft.VarDecl)
+		for _, d := range ft.RealDecls(base) {
+			got[d.QName()] = atomDecl(clone, d.QName())
+		}
+		if _, err := ft.Analyze(clone, ft.Options{}); err != nil {
+			t.Fatalf("%s: clone analysis: %v", name, err)
+		}
+		want := make(map[string]*ft.VarDecl)
+		for _, d := range ft.RealDecls(clone) {
+			want[d.QName()] = d
+		}
+		if len(got) != len(want) {
+			t.Errorf("%s: %d atom names, want %d", name, len(got), len(want))
+		}
+		for q, d := range want {
+			if got[q] != d {
+				t.Errorf("%s: atom %s resolves to %p, want %p", name, q, got[q], d)
+			}
+		}
+	}
+
+	prog := analyzed(t, clashSrc)
+	for _, q := range []string{"", "x", "clash", "clash.c", "clash.n", "clash.s",
+		"clash.s.x.y", "clash.s.z", "clash.t.x", "nosuch.x", "clash.x.", ".x"} {
+		if d := atomDecl(ft.Clone(prog), q); d != nil {
+			t.Errorf("atomDecl(%q) = %s, want none", q, d.QName())
+		}
+		want := fmt.Sprintf("transform: assignment names unknown atom %q", q)
+		if _, err := Apply(prog, Assignment{q: 4}); err == nil || err.Error() != want {
+			t.Errorf("Apply(%q) error = %v, want %s", q, err, want)
+		}
 	}
 }
 

@@ -45,12 +45,6 @@ func InsertWrappers(prog *ft.Program, info *ft.Info) (int, error) {
 	for _, k := range order {
 		ms := sites[k]
 		callee := ms[0].Callee
-		var args []ft.Expr
-		if k.cs != nil {
-			args = k.cs.Args
-		} else {
-			args = k.ce.Args
-		}
 
 		// Actual kind per parameter: default to the dummy's own kind,
 		// overridden by the recorded mismatches.
@@ -85,7 +79,6 @@ func InsertWrappers(prog *ft.Program, info *ft.Info) (int, error) {
 			k.ce.Name = w.Name
 			k.ce.Proc = nil
 		}
-		_ = args
 	}
 	return created, nil
 }

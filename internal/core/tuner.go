@@ -353,7 +353,24 @@ func entryProcs(prog *ft.Program, hotspot string) map[string]bool {
 }
 
 func (t *Tuner) runBaseline() error {
+	// The uniform-32 build and run read nothing of the baseline run's
+	// until Compare, so they run beside it.
+	var done chan uniform32Run
+	if t.model.ThresholdMode == models.ThresholdUniform32 {
+		done = make(chan uniform32Run, 1)
+		go func() {
+			in, err := t.runUniform32()
+			done <- uniform32Run{in, err}
+		}()
+	}
 	res, err := t.profileBaseline()
+	var u32 uniform32Run
+	if done != nil {
+		u32 = <-done
+		if u32.in != nil {
+			defer u32.in.Release()
+		}
+	}
 	if err != nil {
 		return err
 	}
@@ -377,7 +394,14 @@ func (t *Tuner) runBaseline() error {
 	// Threshold (§IV-A).
 	switch t.model.ThresholdMode {
 	case models.ThresholdUniform32:
-		th, err := t.uniform32Error()
+		if u32.err != nil {
+			return u32.err
+		}
+		out, err := t.model.Extract(u32.in)
+		if err != nil {
+			return err
+		}
+		e, err := t.model.Compare(t.baseOut, out)
 		if err != nil {
 			return err
 		}
@@ -385,7 +409,7 @@ func (t *Tuner) runBaseline() error {
 		if f == 0 {
 			f = 1
 		}
-		t.baseline.Threshold = th * f
+		t.baseline.Threshold = e * f
 	default:
 		t.baseline.Threshold = t.model.Threshold
 	}
@@ -412,27 +436,32 @@ func (t *Tuner) profileBaseline() (*interp.Result, error) {
 	return res, err
 }
 
-// uniform32Error measures the correctness metric of the whole-program
-// uniform 32-bit build (the supported single-precision configuration).
-func (t *Tuner) uniform32Error() (float64, error) {
+// uniform32Run is the finished run of the whole-program uniform 32-bit
+// build, or the error that stopped it.
+type uniform32Run struct {
+	in  *interp.Interp
+	err error
+}
+
+// runUniform32 builds and runs the whole-program uniform 32-bit build
+// (the supported single-precision configuration), whose correctness
+// metric sets a ThresholdUniform32 model's threshold. The caller
+// extracts its output and releases it.
+func (t *Tuner) runUniform32() (*interp.Interp, error) {
 	all := transform.Atoms(t.prog)
 	v, err := transform.Apply(t.prog, transform.Uniform(all, 4))
 	if err != nil {
-		return 0, fmt.Errorf("core: uniform-32 build: %w", err)
+		return nil, fmt.Errorf("core: uniform-32 build: %w", err)
 	}
 	in, err := t.pool.New(v.Prog, interp.Config{Model: t.machine, TrapNonFinite: true})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	defer in.Release()
 	if _, err := in.Run(); err != nil {
-		return 0, fmt.Errorf("core: uniform-32 run: %w", err)
+		in.Release()
+		return nil, fmt.Errorf("core: uniform-32 run: %w", err)
 	}
-	out, err := t.model.Extract(in)
-	if err != nil {
-		return 0, err
-	}
-	return t.model.Compare(t.baseOut, out)
+	return in, nil
 }
 
 // hotspotTime computes the hotspot CPU time of a run: self time of the

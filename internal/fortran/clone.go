@@ -1,146 +1,385 @@
 package fortran
 
-// Clone returns a deep copy of prog with all semantic annotations
-// stripped (the copy must be re-Analyzed). The precision tuner clones the
-// baseline AST before applying each precision assignment so that variants
-// never share mutable state — variant generation is embarrassingly
-// parallel, as in the paper's per-node variant pipeline.
+// Clone returns a deep copy of prog with every semantic annotation
+// cleared; the copy must be Analyzed again. The precision tuner clones
+// the baseline AST before applying each precision assignment, so
+// variants never share mutable state and may be built in parallel, as
+// in the paper's per-node variant pipeline: the copy shares no node, no
+// list backing array and no annotation with prog.
+//
+// A resolved node keeps its form: an IndexExpr is copied as an
+// IndexExpr with a fresh VarRef, and a CallExpr as a CallExpr, with
+// Decl, Typ, Proc and Intrinsic cleared. Analyze resolves them by name
+// again and keeps the node when the name still resolves to its form.
+//
+// The copy takes its nodes and lists from one slab per node and list
+// type, sized exactly by a counting walk over prog, so a clone costs one
+// allocation per type, not one per node. Every list is a sub-slice
+// whose capacity ends at its length, so an append to it reallocates
+// instead of writing into the list after it.
 func Clone(prog *Program) *Program {
-	out := &Program{}
-	for _, m := range prog.Modules {
-		out.Modules = append(out.Modules, cloneModule(m))
+	var c cloner
+	c.countProgram(prog)
+	c.alloc()
+	return c.program(prog)
+}
+
+// slab is the backing store of one node or list type: n counts the
+// elements the copy will take, buf holds those not yet taken.
+type slab[T any] struct {
+	n   int
+	buf []T
+}
+
+func (s *slab[T]) alloc() { s.buf = make([]T, s.n) }
+
+// put stores v in the next node and returns it.
+func (s *slab[T]) put(v T) *T {
+	p := &s.buf[0]
+	*p = v
+	s.buf = s.buf[1:]
+	return p
+}
+
+// list takes the next k elements as a list of capacity k; nil for k = 0.
+func (s *slab[T]) list(k int) []T {
+	if k == 0 {
+		return nil
 	}
-	if prog.Main != nil {
-		out.Main = cloneProc(prog.Main)
+	l := s.buf[:k:k]
+	s.buf = s.buf[k:]
+	return l
+}
+
+// cloner holds one slab per node type and per list type.
+type cloner struct {
+	mods     slab[Module]
+	procs    slab[Procedure]
+	decls    slab[VarDecl]
+	dims     slab[Dim]
+	assigns  slab[AssignStmt]
+	ifs      slab[IfStmt]
+	dos      slab[DoStmt]
+	whiles   slab[DoWhileStmt]
+	callSts  slab[CallStmt]
+	returns  slab[ReturnStmt]
+	exits    slab[ExitStmt]
+	cycles   slab[CycleStmt]
+	stops    slab[StopStmt]
+	prints   slab[PrintStmt]
+	refs     slab[VarRef]
+	ints     slab[IntLit]
+	reals    slab[RealLit]
+	logicals slab[LogicalLit]
+	strs     slab[StrLit]
+	bins     slab[BinExpr]
+	uns      slab[UnExpr]
+	applies  slab[ApplyExpr]
+	callEs   slab[CallExpr]
+	indexes  slab[IndexExpr]
+	modList  slab[*Module]
+	procList slab[*Procedure]
+	declList slab[*VarDecl]
+	stmtList slab[Stmt]
+	exprList slab[Expr]
+	strList  slab[string]
+}
+
+func (c *cloner) alloc() {
+	c.mods.alloc()
+	c.procs.alloc()
+	c.decls.alloc()
+	c.dims.alloc()
+	c.assigns.alloc()
+	c.ifs.alloc()
+	c.dos.alloc()
+	c.whiles.alloc()
+	c.callSts.alloc()
+	c.returns.alloc()
+	c.exits.alloc()
+	c.cycles.alloc()
+	c.stops.alloc()
+	c.prints.alloc()
+	c.refs.alloc()
+	c.ints.alloc()
+	c.reals.alloc()
+	c.logicals.alloc()
+	c.strs.alloc()
+	c.bins.alloc()
+	c.uns.alloc()
+	c.applies.alloc()
+	c.callEs.alloc()
+	c.indexes.alloc()
+	c.modList.alloc()
+	c.procList.alloc()
+	c.declList.alloc()
+	c.stmtList.alloc()
+	c.exprList.alloc()
+	c.strList.alloc()
+}
+
+// The counting walk visits exactly what the copy below takes, in any
+// order: a node or list it misses makes the copy run off its slab.
+
+func (c *cloner) countProgram(p *Program) {
+	c.modList.n += len(p.Modules)
+	for _, m := range p.Modules {
+		c.mods.n++
+		c.strList.n += len(m.Uses)
+		c.countDecls(m.Decls)
+		c.procList.n += len(m.Procs)
+		for _, pr := range m.Procs {
+			c.countProc(pr)
+		}
+	}
+	if p.Main != nil {
+		c.countProc(p.Main)
+	}
+}
+
+func (c *cloner) countProc(p *Procedure) {
+	c.procs.n++
+	c.strList.n += len(p.Params) + len(p.Uses)
+	c.countDecls(p.Decls)
+	c.countStmts(p.Body)
+}
+
+func (c *cloner) countDecls(decls []*VarDecl) {
+	c.declList.n += len(decls)
+	c.decls.n += len(decls)
+	for _, d := range decls {
+		c.dims.n += len(d.Dims)
+		for _, dim := range d.Dims {
+			c.countExpr(dim.Lo)
+			c.countExpr(dim.Hi)
+		}
+		c.countExpr(d.Init)
+	}
+}
+
+func (c *cloner) countStmts(list []Stmt) {
+	c.stmtList.n += len(list)
+	for _, s := range list {
+		switch s := s.(type) {
+		case *AssignStmt:
+			c.assigns.n++
+			c.countExpr(s.LHS)
+			c.countExpr(s.RHS)
+		case *IfStmt:
+			c.ifs.n++
+			c.countExpr(s.Cond)
+			c.countStmts(s.Then)
+			c.countStmts(s.Else)
+		case *DoStmt:
+			c.dos.n++
+			c.refs.n++
+			c.countExpr(s.From)
+			c.countExpr(s.To)
+			c.countExpr(s.Step)
+			c.countStmts(s.Body)
+		case *DoWhileStmt:
+			c.whiles.n++
+			c.countExpr(s.Cond)
+			c.countStmts(s.Body)
+		case *CallStmt:
+			c.callSts.n++
+			c.countExprs(s.Args)
+		case *ReturnStmt:
+			c.returns.n++
+		case *ExitStmt:
+			c.exits.n++
+		case *CycleStmt:
+			c.cycles.n++
+		case *StopStmt:
+			c.stops.n++
+			c.countExpr(s.Code)
+		case *PrintStmt:
+			c.prints.n++
+			c.countExprs(s.Args)
+		default:
+			panic("fortran.Clone: unknown statement")
+		}
+	}
+}
+
+func (c *cloner) countExprs(list []Expr) {
+	c.exprList.n += len(list)
+	for _, e := range list {
+		c.countExpr(e)
+	}
+}
+
+func (c *cloner) countExpr(e Expr) {
+	switch e := e.(type) {
+	case nil:
+	case *IntLit:
+		c.ints.n++
+	case *RealLit:
+		c.reals.n++
+	case *LogicalLit:
+		c.logicals.n++
+	case *StrLit:
+		c.strs.n++
+	case *VarRef:
+		c.refs.n++
+	case *UnExpr:
+		c.uns.n++
+		c.countExpr(e.X)
+	case *BinExpr:
+		c.bins.n++
+		c.countExpr(e.X)
+		c.countExpr(e.Y)
+	case *ApplyExpr:
+		c.applies.n++
+		c.countExprs(e.Args)
+	case *CallExpr:
+		c.callEs.n++
+		c.countExprs(e.Args)
+	case *IndexExpr:
+		c.indexes.n++
+		c.refs.n++
+		c.countExprs(e.Indices)
+	default:
+		panic("fortran.Clone: unknown expression")
+	}
+}
+
+func (c *cloner) program(p *Program) *Program {
+	out := &Program{Modules: c.modList.list(len(p.Modules))}
+	for i, m := range p.Modules {
+		out.Modules[i] = c.module(m)
+	}
+	if p.Main != nil {
+		out.Main = c.proc(p.Main)
 	}
 	return out
 }
 
-func cloneModule(m *Module) *Module {
-	out := &Module{Pos: m.Pos, Name: m.Name}
-	out.Uses = append([]string(nil), m.Uses...)
-	for _, d := range m.Decls {
-		out.Decls = append(out.Decls, cloneDecl(d))
-	}
-	for _, p := range m.Procs {
-		out.Procs = append(out.Procs, cloneProc(p))
+func (c *cloner) module(m *Module) *Module {
+	out := c.mods.put(Module{
+		Pos: m.Pos, Name: m.Name, Uses: c.strings(m.Uses), Decls: c.declsOf(m.Decls),
+		Procs: c.procList.list(len(m.Procs)),
+	})
+	for i, p := range m.Procs {
+		out.Procs[i] = c.proc(p)
 	}
 	return out
 }
 
-func cloneProc(p *Procedure) *Procedure {
-	out := &Procedure{
+func (c *cloner) proc(p *Procedure) *Procedure {
+	return c.procs.put(Procedure{
 		Pos:        p.Pos,
 		Kind:       p.Kind,
 		Name:       p.Name,
+		Params:     c.strings(p.Params),
 		ResultName: p.ResultName,
+		Uses:       c.strings(p.Uses),
+		Decls:      c.declsOf(p.Decls),
+		Body:       c.stmts(p.Body),
 		WrapperFor: p.WrapperFor,
-	}
-	out.Params = append([]string(nil), p.Params...)
-	out.Uses = append([]string(nil), p.Uses...)
-	for _, d := range p.Decls {
-		out.Decls = append(out.Decls, cloneDecl(d))
-	}
-	out.Body = cloneStmts(p.Body)
+	})
+}
+
+func (c *cloner) strings(list []string) []string {
+	out := c.strList.list(len(list))
+	copy(out, list)
 	return out
 }
 
-func cloneDecl(d *VarDecl) *VarDecl {
-	out := &VarDecl{
-		Pos: d.Pos, Name: d.Name, Base: d.Base, Kind: d.Kind,
-		Intent: d.Intent, IsParam: d.IsParam,
-	}
-	for _, dim := range d.Dims {
-		out.Dims = append(out.Dims, Dim{
-			Lo: cloneExpr(dim.Lo), Hi: cloneExpr(dim.Hi), Assumed: dim.Assumed,
+func (c *cloner) declsOf(list []*VarDecl) []*VarDecl {
+	out := c.declList.list(len(list))
+	for i, d := range list {
+		dims := c.dims.list(len(d.Dims))
+		for j, dim := range d.Dims {
+			dims[j] = Dim{Lo: c.expr(dim.Lo), Hi: c.expr(dim.Hi), Assumed: dim.Assumed}
+		}
+		out[i] = c.decls.put(VarDecl{
+			Pos: d.Pos, Name: d.Name, Base: d.Base, Kind: d.Kind, Dims: dims,
+			Intent: d.Intent, IsParam: d.IsParam, Init: c.expr(d.Init),
 		})
 	}
-	out.Init = cloneExpr(d.Init)
 	return out
 }
 
-func cloneStmts(list []Stmt) []Stmt {
-	if list == nil {
-		return nil
-	}
-	out := make([]Stmt, len(list))
+func (c *cloner) stmts(list []Stmt) []Stmt {
+	out := c.stmtList.list(len(list))
 	for i, s := range list {
-		out[i] = cloneStmt(s)
+		out[i] = c.stmt(s)
 	}
 	return out
 }
 
-func cloneStmt(s Stmt) Stmt {
+func (c *cloner) stmt(s Stmt) Stmt {
 	switch s := s.(type) {
 	case *AssignStmt:
-		return &AssignStmt{Pos: s.Pos, LHS: cloneExpr(s.LHS), RHS: cloneExpr(s.RHS)}
+		return c.assigns.put(AssignStmt{Pos: s.Pos, LHS: c.expr(s.LHS), RHS: c.expr(s.RHS)})
 	case *IfStmt:
-		return &IfStmt{
-			Pos: s.Pos, Cond: cloneExpr(s.Cond),
-			Then: cloneStmts(s.Then), Else: cloneStmts(s.Else), ElseIf: s.ElseIf,
-		}
+		return c.ifs.put(IfStmt{
+			Pos: s.Pos, Cond: c.expr(s.Cond),
+			Then: c.stmts(s.Then), Else: c.stmts(s.Else), ElseIf: s.ElseIf,
+		})
 	case *DoStmt:
-		return &DoStmt{
-			Pos: s.Pos, Var: cloneExpr(s.Var).(*VarRef),
-			From: cloneExpr(s.From), To: cloneExpr(s.To), Step: cloneExpr(s.Step),
-			Body: cloneStmts(s.Body), NoVector: s.NoVector,
-		}
+		return c.dos.put(DoStmt{
+			Pos: s.Pos, Var: c.ref(s.Var),
+			From: c.expr(s.From), To: c.expr(s.To), Step: c.expr(s.Step),
+			Body: c.stmts(s.Body), NoVector: s.NoVector,
+		})
 	case *DoWhileStmt:
-		return &DoWhileStmt{Pos: s.Pos, Cond: cloneExpr(s.Cond), Body: cloneStmts(s.Body)}
+		return c.whiles.put(DoWhileStmt{Pos: s.Pos, Cond: c.expr(s.Cond), Body: c.stmts(s.Body)})
 	case *CallStmt:
-		return &CallStmt{Pos: s.Pos, Name: s.Name, Args: cloneExprs(s.Args)}
+		return c.callSts.put(CallStmt{Pos: s.Pos, Name: s.Name, Args: c.exprs(s.Args)})
 	case *ReturnStmt:
-		return &ReturnStmt{Pos: s.Pos}
+		return c.returns.put(*s)
 	case *ExitStmt:
-		return &ExitStmt{Pos: s.Pos}
+		return c.exits.put(*s)
 	case *CycleStmt:
-		return &CycleStmt{Pos: s.Pos}
+		return c.cycles.put(*s)
 	case *StopStmt:
-		return &StopStmt{Pos: s.Pos, Code: cloneExpr(s.Code)}
+		return c.stops.put(StopStmt{Pos: s.Pos, Code: c.expr(s.Code)})
 	case *PrintStmt:
-		return &PrintStmt{Pos: s.Pos, Args: cloneExprs(s.Args)}
+		return c.prints.put(PrintStmt{Pos: s.Pos, Args: c.exprs(s.Args)})
 	default:
 		panic("fortran.Clone: unknown statement")
 	}
 }
 
-func cloneExprs(list []Expr) []Expr {
-	if list == nil {
-		return nil
-	}
-	out := make([]Expr, len(list))
+func (c *cloner) exprs(list []Expr) []Expr {
+	out := c.exprList.list(len(list))
 	for i, e := range list {
-		out[i] = cloneExpr(e)
+		out[i] = c.expr(e)
 	}
 	return out
 }
 
-func cloneExpr(e Expr) Expr {
+// ref copies a variable reference without its resolution.
+func (c *cloner) ref(r *VarRef) *VarRef {
+	return c.refs.put(VarRef{Pos: r.Pos, Name: r.Name})
+}
+
+func (c *cloner) expr(e Expr) Expr {
 	switch e := e.(type) {
 	case nil:
 		return nil
 	case *IntLit:
-		return &IntLit{Pos: e.Pos, Val: e.Val}
+		return c.ints.put(*e)
 	case *RealLit:
-		return &RealLit{Pos: e.Pos, Val: e.Val, Kind: e.Kind}
+		return c.reals.put(*e)
 	case *LogicalLit:
-		return &LogicalLit{Pos: e.Pos, Val: e.Val}
+		return c.logicals.put(*e)
 	case *StrLit:
-		return &StrLit{Pos: e.Pos, Val: e.Val}
+		return c.strs.put(*e)
 	case *VarRef:
-		return &VarRef{Pos: e.Pos, Name: e.Name}
+		return c.ref(e)
 	case *UnExpr:
-		return &UnExpr{Pos: e.Pos, Op: e.Op, X: cloneExpr(e.X)}
+		return c.uns.put(UnExpr{Pos: e.Pos, Op: e.Op, X: c.expr(e.X)})
 	case *BinExpr:
-		return &BinExpr{Pos: e.Pos, Op: e.Op, X: cloneExpr(e.X), Y: cloneExpr(e.Y)}
+		return c.bins.put(BinExpr{Pos: e.Pos, Op: e.Op, X: c.expr(e.X), Y: c.expr(e.Y)})
 	case *ApplyExpr:
-		return &ApplyExpr{Pos: e.Pos, Name: e.Name, Args: cloneExprs(e.Args)}
+		return c.applies.put(ApplyExpr{Pos: e.Pos, Name: e.Name, Args: c.exprs(e.Args)})
 	case *CallExpr:
-		// Resolution is stripped: the clone reverts to the ambiguous form
-		// and is re-resolved by Analyze.
-		return &ApplyExpr{Pos: e.Pos, Name: e.Name, Args: cloneExprs(e.Args)}
+		return c.callEs.put(CallExpr{Pos: e.Pos, Name: e.Name, Args: c.exprs(e.Args)})
 	case *IndexExpr:
-		return &ApplyExpr{Pos: e.Pos, Name: e.Arr.Name, Args: cloneExprs(e.Indices)}
+		return c.indexes.put(IndexExpr{Pos: e.Pos, Arr: c.ref(e.Arr), Indices: c.exprs(e.Indices)})
 	default:
 		panic("fortran.Clone: unknown expression")
 	}

@@ -9,7 +9,8 @@ import (
 
 // FuzzParse checks the front end on arbitrary source: Parse and Analyze
 // never panic or hang, and a program both accept prints to source that
-// parses, analyzes and prints the same again. The seeds are funarc and
+// parses, analyzes and prints the same again. Its clone shares no memory
+// with it, analyzes, and prints the same. The seeds are funarc and
 // the unclosed-list reproducers checked in under testdata/fuzz/FuzzParse;
 // plain go test replays both. Run it with
 //
@@ -35,6 +36,16 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		out := Print(prog)
+		c := Clone(prog)
+		if s := shared(prog, c); s != "" {
+			t.Fatalf("program and clone share %s\n%s", s, out)
+		}
+		if _, err := Analyze(c, Options{}); err != nil {
+			t.Fatalf("clone does not analyze: %v\n%s", err, out)
+		}
+		if cout := Print(c); cout != out {
+			t.Fatalf("clone prints differently:\n--- program ---\n%s\n--- clone ---\n%s", out, cout)
+		}
 		again, err := Parse(out)
 		if err != nil {
 			t.Fatalf("printed program does not parse: %v\n%s", err, out)

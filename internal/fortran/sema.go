@@ -1,9 +1,6 @@
 package fortran
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Mismatch records a real-kind mismatch between an actual argument and
 // the corresponding dummy argument at a call site. The Fortran standard
@@ -99,6 +96,7 @@ func (c *checker) collect() {
 	p.ModMap = make(map[string]*Module, len(p.Modules))
 	p.ProcMap = make(map[string]*Procedure)
 	p.AllProcs = nil
+	declared := make(map[string]bool)
 	for i, m := range p.Modules {
 		if _, dup := p.ModMap[m.Name]; dup {
 			c.errorf(m.Pos, "duplicate module %q", m.Name)
@@ -106,7 +104,13 @@ func (c *checker) collect() {
 		}
 		m.Index = i
 		p.ModMap[m.Name] = m
+		clear(declared)
 		for slot, d := range m.Decls {
+			if declared[d.Name] {
+				c.errorf(d.Pos, "duplicate declaration of %q in module %s", d.Name, m.Name)
+				continue
+			}
+			declared[d.Name] = true
 			d.Slot = slot
 			d.InMod = m
 			d.Proc = nil
@@ -117,6 +121,11 @@ func (c *checker) collect() {
 		}
 	}
 	if p.Main != nil {
+		// A program unit's name is global: a main program named like a
+		// module would give its variables the module's qualified names.
+		if _, clash := p.ModMap[p.Main.Name]; clash {
+			c.errorf(p.Main.Pos, "program %q shares its name with a module", p.Main.Name)
+		}
 		p.Main.Module = nil
 		c.registerProc(p.Main)
 	}
@@ -386,24 +395,15 @@ func (c *checker) lookupProc(name string, mod *Module) *Procedure {
 		}
 	}
 	var found *Procedure
-	count := 0
-	// Deterministic iteration for stable diagnostics.
-	keys := make([]string, 0, len(c.prog.ProcMap))
-	for k := range c.prog.ProcMap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		pr := c.prog.ProcMap[k]
+	for _, pr := range c.prog.AllProcs {
 		if pr.Name == name {
+			if found != nil {
+				return nil
+			}
 			found = pr
-			count++
 		}
 	}
-	if count == 1 {
-		return found
-	}
-	return nil
+	return found
 }
 
 func (c *checker) checkCallStmt(s *CallStmt, mod *Module) {
@@ -530,45 +530,11 @@ func (c *checker) checkExpr(e Expr, mod *Module) Expr {
 		e.Typ = c.binType(e)
 		return e
 	case *ApplyExpr:
-		return c.resolveApply(e, mod)
-	case *CallExpr:
-		// Already resolved (Analyze re-run), or renamed by a transform
-		// pass (Proc reset to nil): re-resolve by name if needed.
-		for i, a := range e.Args {
-			e.Args[i] = c.checkExpr(a, mod)
-		}
-		if e.Proc == nil && e.Intrinsic == "" {
-			if _, ok := intrinsicFuncs[e.Name]; ok {
-				e.Intrinsic = e.Name
-			} else if pr := c.lookupProc(e.Name, mod); pr != nil && pr.Kind == KFunction {
-				e.Proc = pr
-				if pr.Result != nil {
-					e.Typ = pr.Result.Type()
-				}
-			} else {
-				c.errorf(e.Pos, "undefined function %q", e.Name)
-				return e
-			}
-		}
-		if e.Proc != nil {
-			if e.Proc.Result != nil {
-				e.Typ = e.Proc.Result.Type()
-			}
-			c.checkArgs(e.Proc, e.Args, e.Pos, nil, e)
-		} else if e.Intrinsic != "" {
-			e.Typ = c.intrinsicType(e)
-		}
-		return e
+		return c.resolveApply(e, e.Pos, e.Name, e.Args, mod)
 	case *IndexExpr:
-		for i, a := range e.Indices {
-			e.Indices[i] = c.checkIntExpr(a, mod, "array index")
-		}
-		ref := c.checkExpr(e.Arr, mod)
-		e.Arr = ref.(*VarRef)
-		if d := e.Arr.Decl; d != nil {
-			e.Typ = Type{Base: d.Base, Kind: d.Kind}
-		}
-		return e
+		return c.resolveApply(e, e.Pos, e.Arr.Name, e.Indices, mod)
+	case *CallExpr:
+		return c.resolveApply(e, e.Pos, e.Name, e.Args, mod)
 	default:
 		c.errorf(e.ExprPos(), "internal: unknown expression %T", e)
 		return e
@@ -665,38 +631,64 @@ func promotePoly(xe, ye Expr, x, y Type) Type {
 	return promote(x, y)
 }
 
-// resolveApply rewrites name(args) into an array index or a call.
-func (c *checker) resolveApply(e *ApplyExpr, mod *Module) Expr {
-	if d := c.lookupVar(e.Name, mod); d != nil && d.IsArray() {
-		idx := &IndexExpr{Pos: e.Pos, Arr: &VarRef{Pos: e.Pos, Name: e.Name}, Indices: e.Args}
-		if len(e.Args) != len(d.Dims) {
-			c.errorf(e.Pos, "array %q has rank %d but %d index(es) given", e.Name, len(d.Dims), len(e.Args))
+// resolveApply resolves name(args), the form e of which is a parsed
+// ApplyExpr, a cloned or analyzed IndexExpr or CallExpr, or a CallExpr
+// that a transform renamed (Proc reset) or built. A call that is
+// already resolved, to a procedure by an earlier analysis or to an
+// intrinsic by the transform that built it (a wrapper's size()), stays
+// so. Otherwise an array variable in scope makes name(args) an element
+// reference, and an intrinsic or a user function a call. resolveApply
+// returns e itself when e already has the form the name resolves to,
+// and builds the other form otherwise.
+func (c *checker) resolveApply(e Expr, pos Pos, name string, args []Expr, mod *Module) Expr {
+	call, isCall := e.(*CallExpr)
+	resolved := isCall && (call.Proc != nil || call.Intrinsic != "")
+	var d *VarDecl
+	if !resolved {
+		d = c.lookupVar(name, mod)
+	}
+	if d != nil && d.IsArray() {
+		idx, ok := e.(*IndexExpr)
+		if !ok {
+			idx = &IndexExpr{Pos: pos, Arr: &VarRef{Pos: pos, Name: name}, Indices: args}
 		}
-		return c.checkExpr(idx, mod)
+		if len(args) != len(d.Dims) {
+			c.errorf(pos, "array %q has rank %d but %d index(es) given", name, len(d.Dims), len(args))
+		}
+		for i, a := range args {
+			args[i] = c.checkIntExpr(a, mod, "array index")
+		}
+		idx.Arr.Decl, idx.Arr.Typ = d, d.Type()
+		idx.Typ = Type{Base: d.Base, Kind: d.Kind}
+		return idx
 	}
-	call := &CallExpr{Pos: e.Pos, Name: e.Name, Args: e.Args}
-	for i, a := range call.Args {
-		call.Args[i] = c.checkExpr(a, mod)
+	if !isCall {
+		call = &CallExpr{Pos: pos, Name: name, Args: args}
 	}
-	if _, ok := intrinsicFuncs[e.Name]; ok {
-		call.Intrinsic = e.Name
+	for i, a := range args {
+		args[i] = c.checkExpr(a, mod)
+	}
+	if !resolved {
+		if _, ok := intrinsicFuncs[name]; ok {
+			call.Intrinsic = name
+		} else if pr := c.lookupProc(name, mod); pr == nil {
+			c.errorf(pos, "undefined function or array %q", name)
+			return call
+		} else if pr.Kind != KFunction {
+			c.errorf(pos, "%q is a subroutine, not a function", name)
+			return call
+		} else {
+			call.Proc = pr
+		}
+	}
+	if call.Intrinsic != "" {
 		call.Typ = c.intrinsicType(call)
 		return call
 	}
-	pr := c.lookupProc(e.Name, mod)
-	if pr == nil {
-		c.errorf(e.Pos, "undefined function or array %q", e.Name)
-		return call
+	if call.Proc.Result != nil {
+		call.Typ = call.Proc.Result.Type()
 	}
-	if pr.Kind != KFunction {
-		c.errorf(e.Pos, "%q is a subroutine, not a function", e.Name)
-		return call
-	}
-	call.Proc = pr
-	if pr.Result != nil {
-		call.Typ = pr.Result.Type()
-	}
-	c.checkArgs(pr, call.Args, call.Pos, nil, call)
+	c.checkArgs(call.Proc, call.Args, call.Pos, nil, call)
 	return call
 }
 

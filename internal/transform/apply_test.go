@@ -1,0 +1,103 @@
+package transform
+
+import (
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+
+	ft "repro/internal/fortran"
+)
+
+// TestApplyAllocsOnModels pins that building a variant of each bundled
+// model, with every other atom lowered, allocates fewer objects than it
+// did while Clone allocated every node and list on its own and the
+// variant's analysis rebuilt every resolved element reference and call.
+func TestApplyAllocsOnModels(t *testing.T) {
+	before := map[string]float64{"adcirc.ft": 1923, "funarc.ft": 175, "mom6.ft": 2249, "mpas_a.ft": 2835}
+	files, err := filepath.Glob("../models/src/*.ft")
+	if err != nil || len(files) != len(before) {
+		t.Fatalf("model sources %v (%v), want the %d of %v", files, err, len(before), before)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := analyzed(t, string(src))
+		a := Assignment{}
+		for i, at := range Atoms(prog) {
+			if i%2 == 0 {
+				a[at.QName] = 4
+			}
+		}
+		got := testing.AllocsPerRun(5, func() {
+			if _, err := Apply(prog, a); err != nil {
+				t.Fatal(err)
+			}
+		})
+		name := filepath.Base(f)
+		if got >= before[name] {
+			t.Errorf("%s: Apply allocates %.0f objects, want fewer than %.0f", name, got, before[name])
+		}
+		t.Logf("%s: Apply allocates %.0f objects (%.0f before)", name, got, before[name])
+	}
+}
+
+// TestConcurrentApply builds eight variants of one analyzed MPAS-A base
+// at once, as a -par 8 tune does, and checks that each prints the same
+// as its assignment applied alone. Under go test -race it also checks
+// that building a variant writes nothing that the base or another
+// variant holds.
+func TestConcurrentApply(t *testing.T) {
+	src, err := os.ReadFile("../models/src/mpas_a.ft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := analyzed(t, string(src))
+	atoms := Atoms(base)
+	assignments := make([]Assignment, 8)
+	want := make([]string, len(assignments))
+	for i := range assignments {
+		assignments[i] = Assignment{}
+		for j, at := range atoms {
+			if j%len(assignments) <= i {
+				assignments[i][at.QName] = 4
+			}
+		}
+		v, err := Apply(base, assignments[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = ft.Print(v.Prog)
+	}
+	if want[0] == want[len(want)-1] {
+		t.Fatal("the assignments build the same variant")
+	}
+	got := make([]string, len(assignments))
+	errs := make([]error, len(assignments))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, a := range assignments {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			v, err := Apply(base, a)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got[i] = ft.Print(v.Prog)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := range assignments {
+		if errs[i] != nil {
+			t.Errorf("assignment %d: %v", i, errs[i])
+		} else if got[i] != want[i] {
+			t.Errorf("assignment %d: the variant built beside seven others prints differently from the one built alone", i)
+		}
+	}
+}

@@ -151,21 +151,24 @@ func Apply(base *ft.Program, a Assignment) (*Result, error) {
 // (VarDecl.QName) is q, or nil: a real, non-parameter declaration of
 // module m ("m.x"), of procedure p of module m ("m.p.x"), or of the
 // main program ("main.x"). prog need not be analyzed, so Apply can
-// resolve atoms on a fresh clone. Should two atoms share a name, the
-// last in RealDecls order wins, as in a map built over RealDecls: the
-// main program's come after every module's.
+// resolve atoms on a fresh clone. Analysis refuses a program in which
+// two declarations would share a qualified name, so the first match is
+// the only one.
 func atomDecl(prog *ft.Program, q string) *ft.VarDecl {
 	head, rest, ok := strings.Cut(q, ".")
 	if !ok {
 		return nil
 	}
-	var found *ft.VarDecl
-	find := func(decls []*ft.VarDecl, name string) {
+	find := func(decls []*ft.VarDecl, name string) *ft.VarDecl {
 		for _, d := range decls {
 			if d.Name == name && d.Base == ft.TReal && !d.IsParam {
-				found = d
+				return d
 			}
 		}
+		return nil
+	}
+	if p := prog.Main; p != nil && p.Name == head {
+		return find(p.Decls, rest)
 	}
 	for _, m := range prog.Modules {
 		if m.Name != head {
@@ -173,19 +176,16 @@ func atomDecl(prog *ft.Program, q string) *ft.VarDecl {
 		}
 		proc, name, inProc := strings.Cut(rest, ".")
 		if !inProc {
-			find(m.Decls, rest)
-			continue
+			return find(m.Decls, rest)
 		}
 		for _, p := range m.Procs {
 			if p.Name == proc {
-				find(p.Decls, name)
+				return find(p.Decls, name)
 			}
 		}
+		return nil
 	}
-	if p := prog.Main; p != nil && p.Name == head {
-		find(p.Decls, rest)
-	}
-	return found
+	return nil
 }
 
 // KindOf reports the effective kind of atom q under a, given its

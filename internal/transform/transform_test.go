@@ -311,6 +311,79 @@ end program p
 	}
 }
 
+// TestWrapperNamesNotCaptured checks that what wrapper insertion adds
+// leaves the variant's names resolved as before: an array wrapper's
+// temporaries take their extents from the size intrinsic although a
+// module array named size is in scope, and a call resolved to a user
+// function named g_wrapper_4 keeps it after the wrapper of g gets that
+// name in another module.
+func TestWrapperNamesNotCaptured(t *testing.T) {
+	src := `
+module m
+  implicit none
+  real(kind=8) :: size(3)
+  real(kind=8) :: v(4)
+  real(kind=8) :: w
+contains
+  subroutine s(a)
+    real(kind=8), intent(inout) :: a(:)
+    a(1) = 1.0d0
+  end subroutine s
+  function g(x) result(y)
+    real(kind=8), intent(in) :: x
+    real(kind=8) :: y
+    y = 2.0d0 * x
+  end function g
+  subroutine t()
+    call s(v)
+    w = g(1.5d0 + w)
+  end subroutine t
+end module m
+module other
+  implicit none
+contains
+  function g_wrapper_4(x) result(y)
+    real(kind=8), intent(in) :: x
+    real(kind=8) :: y
+    y = x + 1.0d0
+  end function g_wrapper_4
+end module other
+module user
+  use other
+  implicit none
+  real(kind=8) :: z
+contains
+  subroutine u()
+    z = g_wrapper_4(1.0d0)
+  end subroutine u
+end module user
+program p
+  use m
+  use user
+  implicit none
+  call t()
+  call u()
+end program p
+`
+	res, err := Apply(analyzed(t, src), Assignment{"m.v": 4, "m.w": 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := ft.Print(res.Prog)
+	if !strings.Contains(out, "real(kind=8) :: t1(size(a1, 1))") || !strings.Contains(out, "function g_wrapper_4(a1) result(wres)") {
+		t.Errorf("unexpected wrappers:\n%s", out)
+	}
+	in, _ := runProg(t, res.Prog)
+	for q, want := range map[string]float64{"m.w": 3, "user.z": 2} {
+		if got, _ := in.Global(q); got.F != want {
+			t.Errorf("%s = %v, want %v", q, got.F, want)
+		}
+	}
+	if got, _ := in.Global("m.v"); got.Arr.Data[0] != 1 {
+		t.Errorf("m.v(1) = %v after the wrapped call, want 1", got.Arr.Data[0])
+	}
+}
+
 func TestWrappersSharedAcrossCallSites(t *testing.T) {
 	src := `
 module m
@@ -486,9 +559,43 @@ func TestApplyErrors(t *testing.T) {
 }
 
 // clashSrc names its main program after its module, and declares x in
-// the module, in its subroutine and in the main program: two atoms share
-// the qualified name "clash.x".
+// both, so that both declarations would be the atom "clash.x".
 const clashSrc = `
+module clash
+  implicit none
+  real(kind=8) :: x
+end module clash
+
+program clash
+  use clash
+  implicit none
+  real(kind=8) :: x
+  x = 1.0d0
+end program clash
+`
+
+// TestSharedAtomNamesRefused checks that analysis refuses both kinds of
+// program that would give two atoms one qualified name: a main program
+// named like a module (clashSrc), and a module that declares a variable
+// twice.
+func TestSharedAtomNamesRefused(t *testing.T) {
+	for src, want := range map[string]string{
+		clashSrc: `7:1: program "clash" shares its name with a module`,
+		"module m\n  implicit none\n  real(kind=8) :: x\n  real(kind=4) :: x\nend module m\n": `4:19: duplicate declaration of "x" in module m`,
+	} {
+		prog, err := ft.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ft.Analyze(prog, ft.Options{AllowKindMismatch: true}); err == nil || err.Error() != want {
+			t.Errorf("Analyze error = %v, want %s\n%s", err, want, src)
+		}
+	}
+}
+
+// atomsSrc declares x in its module, in the module's subroutine and in
+// its main program: three atoms, clash.x, clash.s.x and main.x.
+const atomsSrc = `
 module clash
   implicit none
   real(kind=8) :: x
@@ -503,23 +610,23 @@ contains
   end subroutine s
 end module clash
 
-program clash
+program main
   use clash
   implicit none
   real(kind=8) :: x
   x = c
   call s(x)
-end program clash
+end program main
 `
 
 // TestAtomDecl checks that Apply's atom lookup on a fresh, unanalyzed
 // clone finds the declaration that a map from QName over RealDecls of
 // the analyzed clone gives, for every bundled model, funarcSrc and
-// clashSrc. A name that is no atom (a parameter, an integer, a
+// atomsSrc. A name that is no atom (a parameter, an integer, a
 // procedure, a module, a name too long or unknown) finds nothing, and
 // Apply refuses it with the same error as before.
 func TestAtomDecl(t *testing.T) {
-	srcs := map[string]string{"funarcSrc": funarcSrc, "clashSrc": clashSrc}
+	srcs := map[string]string{"funarcSrc": funarcSrc, "atomsSrc": atomsSrc}
 	files, err := filepath.Glob("../models/src/*.ft")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no model sources found: %v", err)
@@ -545,8 +652,8 @@ func TestAtomDecl(t *testing.T) {
 		for _, d := range ft.RealDecls(clone) {
 			want[d.QName()] = d
 		}
-		if len(got) != len(want) {
-			t.Errorf("%s: %d atom names, want %d", name, len(got), len(want))
+		if len(got) != len(want) || len(want) != len(ft.RealDecls(clone)) {
+			t.Errorf("%s: %d atom names, want %d, one per atom", name, len(got), len(want))
 		}
 		for q, d := range want {
 			if got[q] != d {
@@ -555,9 +662,9 @@ func TestAtomDecl(t *testing.T) {
 		}
 	}
 
-	prog := analyzed(t, clashSrc)
+	prog := analyzed(t, atomsSrc)
 	for _, q := range []string{"", "x", "clash", "clash.c", "clash.n", "clash.s",
-		"clash.s.x.y", "clash.s.z", "clash.t.x", "nosuch.x", "clash.x.", ".x"} {
+		"clash.s.x.y", "clash.s.z", "clash.t.x", "nosuch.x", "clash.x.", ".x", "main", "main.s.x"} {
 		if d := atomDecl(ft.Clone(prog), q); d != nil {
 			t.Errorf("atomDecl(%q) = %s, want none", q, d.QName())
 		}

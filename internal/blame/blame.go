@@ -82,18 +82,6 @@ func rankAtoms(atoms []AtomReport) {
 	})
 }
 
-// Top returns the n most blamed atoms' names.
-func (r *Report) Top(n int) []string {
-	if n > len(r.Atoms) {
-		n = len(r.Atoms)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = r.Atoms[i].QName
-	}
-	return out
-}
-
 // Render formats the ranking.
 func (r *Report) Render(limit int) string {
 	var sb strings.Builder

@@ -64,26 +64,26 @@ func TestMPASBlameMissesInteractions(t *testing.T) {
 	}
 	// What blame *does* see: the prognostic state path (hh) carries the
 	// largest individual rounding impact.
-	top := rep.Top(3)
+	top := rep.Atoms[:min(3, len(rep.Atoms))]
 	sawState := false
-	for _, q := range top {
-		if q == "atm_time_integration.atm_srk3.hh" ||
-			q == "atm_time_integration.atm_recover_large_step_variables_work.hh" {
+	for _, a := range top {
+		if a.QName == "atm_time_integration.atm_srk3.hh" ||
+			a.QName == "atm_time_integration.atm_recover_large_step_variables_work.hh" {
 			sawState = true
 		}
 	}
 	if !sawState {
-		t.Errorf("state path not top-blamed: %v", top)
+		t.Errorf("state path not top-blamed:\n%s", rep.Render(3))
 	}
 	t.Logf("\n%s", rep.Render(6))
 }
 
-func TestTopAndRenderBounds(t *testing.T) {
+func TestRenderBounds(t *testing.T) {
 	rep := &Report{Model: "x", Atoms: []AtomReport{
 		{QName: "a", Blame: 2}, {QName: "b", Blame: 1},
 	}}
-	if got := rep.Top(5); len(got) != 2 {
-		t.Errorf("Top(5) over 2 atoms = %v", got)
+	if out := rep.Render(5); !contains(out, "2. b") || contains(out, "more atoms") {
+		t.Errorf("Render(5) over 2 atoms:\n%s", out)
 	}
 	out := rep.Render(1)
 	if !contains(out, "1. a") || !contains(out, "1 more atoms") {

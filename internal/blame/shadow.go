@@ -144,18 +144,6 @@ func ShadowAnalyze(m *models.Model, opts ShadowOptions) (*ShadowReport, error) {
 	return rep, nil
 }
 
-// Top returns the n highest-scoring atoms' names.
-func (r *ShadowReport) Top(n int) []string {
-	if n > len(r.Atoms) {
-		n = len(r.Atoms)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = r.Atoms[i].QName
-	}
-	return out
-}
-
 // Render formats the one-run ranking.
 func (r *ShadowReport) Render(limit int) string {
 	var sb strings.Builder

@@ -31,11 +31,11 @@ func TestShadowAnalyzeMatchesAnalyzeOnFunarc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := sh.Top(1)[0], ref.Top(1)[0]; got != want {
+	if got, want := sh.Atoms[0].QName, ref.Atoms[0].QName; got != want {
 		t.Errorf("shadow top atom %s, Analyze top atom %s\nshadow:\n%s\nanalyze:\n%s",
 			got, want, sh.Render(8), ref.Render(8))
 	}
-	if got := sh.Top(1)[0]; got != "funarc_mod.funarc.s1" {
+	if got := sh.Atoms[0].QName; got != "funarc_mod.funarc.s1" {
 		t.Errorf("top shadow atom %s, want funarc s1", got)
 	}
 	// funarc's (t2-t1)**2 at the arc-length accumulation is the

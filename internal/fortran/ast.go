@@ -160,14 +160,23 @@ type Procedure struct {
 	Result    *VarDecl   // function result declaration
 	NumSlots  int        // local frame size
 	Index     int        // global procedure index
+
+	// qname is QName as analysis last rendered it; Clone copies it.
+	qname string
 }
 
-// QName returns "module.name" ("name" for the main program).
+// QName returns "module.name" ("name" for the main program). A
+// procedure analyzed under its module and name, or cloned from one that
+// was, returns the string rendered then.
 func (p *Procedure) QName() string {
-	if p.Module != nil {
-		return p.Module.Name + "." + p.Name
+	if p.Module == nil {
+		return p.Name
 	}
-	return p.Name
+	mod, q := p.Module.Name, p.qname
+	if len(q) == len(mod)+1+len(p.Name) && q[:len(mod)] == mod && q[len(mod)] == '.' && q[len(mod)+1:] == p.Name {
+		return q
+	}
+	return mod + "." + p.Name
 }
 
 // Module is an FT module: module-level declarations plus procedures.

@@ -24,25 +24,28 @@ func Clone(prog *Program) *Program {
 	return c.program(prog)
 }
 
-// slab is the backing store of one node or list type: n counts the
-// elements the copy will take, buf holds those not yet taken.
-type slab[T any] struct {
-	n   int
+// Slab is the backing store of one node or list type, for a builder
+// that counts what it will build first: N counts the elements, Alloc
+// allocates them at once, and Put and List take them in turn. Clone
+// and transform's wrapper insertion build their nodes from slabs.
+type Slab[T any] struct {
+	N   int
 	buf []T
 }
 
-func (s *slab[T]) alloc() { s.buf = make([]T, s.n) }
+// Alloc allocates the N elements.
+func (s *Slab[T]) Alloc() { s.buf = make([]T, s.N) }
 
-// put stores v in the next node and returns it.
-func (s *slab[T]) put(v T) *T {
+// Put stores v in the next node and returns it.
+func (s *Slab[T]) Put(v T) *T {
 	p := &s.buf[0]
 	*p = v
 	s.buf = s.buf[1:]
 	return p
 }
 
-// list takes the next k elements as a list of capacity k; nil for k = 0.
-func (s *slab[T]) list(k int) []T {
+// List takes the next k elements as a list of capacity k; nil for k = 0.
+func (s *Slab[T]) List(k int) []T {
 	if k == 0 {
 		return nil
 	}
@@ -53,81 +56,81 @@ func (s *slab[T]) list(k int) []T {
 
 // cloner holds one slab per node type and per list type.
 type cloner struct {
-	mods     slab[Module]
-	procs    slab[Procedure]
-	decls    slab[VarDecl]
-	dims     slab[Dim]
-	assigns  slab[AssignStmt]
-	ifs      slab[IfStmt]
-	dos      slab[DoStmt]
-	whiles   slab[DoWhileStmt]
-	callSts  slab[CallStmt]
-	returns  slab[ReturnStmt]
-	exits    slab[ExitStmt]
-	cycles   slab[CycleStmt]
-	stops    slab[StopStmt]
-	prints   slab[PrintStmt]
-	refs     slab[VarRef]
-	ints     slab[IntLit]
-	reals    slab[RealLit]
-	logicals slab[LogicalLit]
-	strs     slab[StrLit]
-	bins     slab[BinExpr]
-	uns      slab[UnExpr]
-	applies  slab[ApplyExpr]
-	callEs   slab[CallExpr]
-	indexes  slab[IndexExpr]
-	modList  slab[*Module]
-	procList slab[*Procedure]
-	declList slab[*VarDecl]
-	stmtList slab[Stmt]
-	exprList slab[Expr]
-	strList  slab[string]
+	mods     Slab[Module]
+	procs    Slab[Procedure]
+	decls    Slab[VarDecl]
+	dims     Slab[Dim]
+	assigns  Slab[AssignStmt]
+	ifs      Slab[IfStmt]
+	dos      Slab[DoStmt]
+	whiles   Slab[DoWhileStmt]
+	callSts  Slab[CallStmt]
+	returns  Slab[ReturnStmt]
+	exits    Slab[ExitStmt]
+	cycles   Slab[CycleStmt]
+	stops    Slab[StopStmt]
+	prints   Slab[PrintStmt]
+	refs     Slab[VarRef]
+	ints     Slab[IntLit]
+	reals    Slab[RealLit]
+	logicals Slab[LogicalLit]
+	strs     Slab[StrLit]
+	bins     Slab[BinExpr]
+	uns      Slab[UnExpr]
+	applies  Slab[ApplyExpr]
+	callEs   Slab[CallExpr]
+	indexes  Slab[IndexExpr]
+	modList  Slab[*Module]
+	procList Slab[*Procedure]
+	declList Slab[*VarDecl]
+	stmtList Slab[Stmt]
+	exprList Slab[Expr]
+	strList  Slab[string]
 }
 
 func (c *cloner) alloc() {
-	c.mods.alloc()
-	c.procs.alloc()
-	c.decls.alloc()
-	c.dims.alloc()
-	c.assigns.alloc()
-	c.ifs.alloc()
-	c.dos.alloc()
-	c.whiles.alloc()
-	c.callSts.alloc()
-	c.returns.alloc()
-	c.exits.alloc()
-	c.cycles.alloc()
-	c.stops.alloc()
-	c.prints.alloc()
-	c.refs.alloc()
-	c.ints.alloc()
-	c.reals.alloc()
-	c.logicals.alloc()
-	c.strs.alloc()
-	c.bins.alloc()
-	c.uns.alloc()
-	c.applies.alloc()
-	c.callEs.alloc()
-	c.indexes.alloc()
-	c.modList.alloc()
-	c.procList.alloc()
-	c.declList.alloc()
-	c.stmtList.alloc()
-	c.exprList.alloc()
-	c.strList.alloc()
+	c.mods.Alloc()
+	c.procs.Alloc()
+	c.decls.Alloc()
+	c.dims.Alloc()
+	c.assigns.Alloc()
+	c.ifs.Alloc()
+	c.dos.Alloc()
+	c.whiles.Alloc()
+	c.callSts.Alloc()
+	c.returns.Alloc()
+	c.exits.Alloc()
+	c.cycles.Alloc()
+	c.stops.Alloc()
+	c.prints.Alloc()
+	c.refs.Alloc()
+	c.ints.Alloc()
+	c.reals.Alloc()
+	c.logicals.Alloc()
+	c.strs.Alloc()
+	c.bins.Alloc()
+	c.uns.Alloc()
+	c.applies.Alloc()
+	c.callEs.Alloc()
+	c.indexes.Alloc()
+	c.modList.Alloc()
+	c.procList.Alloc()
+	c.declList.Alloc()
+	c.stmtList.Alloc()
+	c.exprList.Alloc()
+	c.strList.Alloc()
 }
 
 // The counting walk visits exactly what the copy below takes, in any
 // order: a node or list it misses makes the copy run off its slab.
 
 func (c *cloner) countProgram(p *Program) {
-	c.modList.n += len(p.Modules)
+	c.modList.N += len(p.Modules)
 	for _, m := range p.Modules {
-		c.mods.n++
-		c.strList.n += len(m.Uses)
+		c.mods.N++
+		c.strList.N += len(m.Uses)
 		c.countDecls(m.Decls)
-		c.procList.n += len(m.Procs)
+		c.procList.N += len(m.Procs)
 		for _, pr := range m.Procs {
 			c.countProc(pr)
 		}
@@ -138,17 +141,17 @@ func (c *cloner) countProgram(p *Program) {
 }
 
 func (c *cloner) countProc(p *Procedure) {
-	c.procs.n++
-	c.strList.n += len(p.Params) + len(p.Uses)
+	c.procs.N++
+	c.strList.N += len(p.Params) + len(p.Uses)
 	c.countDecls(p.Decls)
 	c.countStmts(p.Body)
 }
 
 func (c *cloner) countDecls(decls []*VarDecl) {
-	c.declList.n += len(decls)
-	c.decls.n += len(decls)
+	c.declList.N += len(decls)
+	c.decls.N += len(decls)
 	for _, d := range decls {
-		c.dims.n += len(d.Dims)
+		c.dims.N += len(d.Dims)
 		for _, dim := range d.Dims {
 			c.countExpr(dim.Lo)
 			c.countExpr(dim.Hi)
@@ -158,43 +161,43 @@ func (c *cloner) countDecls(decls []*VarDecl) {
 }
 
 func (c *cloner) countStmts(list []Stmt) {
-	c.stmtList.n += len(list)
+	c.stmtList.N += len(list)
 	for _, s := range list {
 		switch s := s.(type) {
 		case *AssignStmt:
-			c.assigns.n++
+			c.assigns.N++
 			c.countExpr(s.LHS)
 			c.countExpr(s.RHS)
 		case *IfStmt:
-			c.ifs.n++
+			c.ifs.N++
 			c.countExpr(s.Cond)
 			c.countStmts(s.Then)
 			c.countStmts(s.Else)
 		case *DoStmt:
-			c.dos.n++
-			c.refs.n++
+			c.dos.N++
+			c.refs.N++
 			c.countExpr(s.From)
 			c.countExpr(s.To)
 			c.countExpr(s.Step)
 			c.countStmts(s.Body)
 		case *DoWhileStmt:
-			c.whiles.n++
+			c.whiles.N++
 			c.countExpr(s.Cond)
 			c.countStmts(s.Body)
 		case *CallStmt:
-			c.callSts.n++
+			c.callSts.N++
 			c.countExprs(s.Args)
 		case *ReturnStmt:
-			c.returns.n++
+			c.returns.N++
 		case *ExitStmt:
-			c.exits.n++
+			c.exits.N++
 		case *CycleStmt:
-			c.cycles.n++
+			c.cycles.N++
 		case *StopStmt:
-			c.stops.n++
+			c.stops.N++
 			c.countExpr(s.Code)
 		case *PrintStmt:
-			c.prints.n++
+			c.prints.N++
 			c.countExprs(s.Args)
 		default:
 			panic("fortran.Clone: unknown statement")
@@ -203,7 +206,7 @@ func (c *cloner) countStmts(list []Stmt) {
 }
 
 func (c *cloner) countExprs(list []Expr) {
-	c.exprList.n += len(list)
+	c.exprList.N += len(list)
 	for _, e := range list {
 		c.countExpr(e)
 	}
@@ -213,31 +216,31 @@ func (c *cloner) countExpr(e Expr) {
 	switch e := e.(type) {
 	case nil:
 	case *IntLit:
-		c.ints.n++
+		c.ints.N++
 	case *RealLit:
-		c.reals.n++
+		c.reals.N++
 	case *LogicalLit:
-		c.logicals.n++
+		c.logicals.N++
 	case *StrLit:
-		c.strs.n++
+		c.strs.N++
 	case *VarRef:
-		c.refs.n++
+		c.refs.N++
 	case *UnExpr:
-		c.uns.n++
+		c.uns.N++
 		c.countExpr(e.X)
 	case *BinExpr:
-		c.bins.n++
+		c.bins.N++
 		c.countExpr(e.X)
 		c.countExpr(e.Y)
 	case *ApplyExpr:
-		c.applies.n++
+		c.applies.N++
 		c.countExprs(e.Args)
 	case *CallExpr:
-		c.callEs.n++
+		c.callEs.N++
 		c.countExprs(e.Args)
 	case *IndexExpr:
-		c.indexes.n++
-		c.refs.n++
+		c.indexes.N++
+		c.refs.N++
 		c.countExprs(e.Indices)
 	default:
 		panic("fortran.Clone: unknown expression")
@@ -245,7 +248,7 @@ func (c *cloner) countExpr(e Expr) {
 }
 
 func (c *cloner) program(p *Program) *Program {
-	out := &Program{Modules: c.modList.list(len(p.Modules))}
+	out := &Program{Modules: c.modList.List(len(p.Modules))}
 	for i, m := range p.Modules {
 		out.Modules[i] = c.module(m)
 	}
@@ -256,9 +259,9 @@ func (c *cloner) program(p *Program) *Program {
 }
 
 func (c *cloner) module(m *Module) *Module {
-	out := c.mods.put(Module{
+	out := c.mods.Put(Module{
 		Pos: m.Pos, Name: m.Name, Uses: c.strings(m.Uses), Decls: c.declsOf(m.Decls),
-		Procs: c.procList.list(len(m.Procs)),
+		Procs: c.procList.List(len(m.Procs)),
 	})
 	for i, p := range m.Procs {
 		out.Procs[i] = c.proc(p)
@@ -267,7 +270,7 @@ func (c *cloner) module(m *Module) *Module {
 }
 
 func (c *cloner) proc(p *Procedure) *Procedure {
-	return c.procs.put(Procedure{
+	return c.procs.Put(Procedure{
 		Pos:        p.Pos,
 		Kind:       p.Kind,
 		Name:       p.Name,
@@ -277,23 +280,24 @@ func (c *cloner) proc(p *Procedure) *Procedure {
 		Decls:      c.declsOf(p.Decls),
 		Body:       c.stmts(p.Body),
 		WrapperFor: p.WrapperFor,
+		qname:      p.qname,
 	})
 }
 
 func (c *cloner) strings(list []string) []string {
-	out := c.strList.list(len(list))
+	out := c.strList.List(len(list))
 	copy(out, list)
 	return out
 }
 
 func (c *cloner) declsOf(list []*VarDecl) []*VarDecl {
-	out := c.declList.list(len(list))
+	out := c.declList.List(len(list))
 	for i, d := range list {
-		dims := c.dims.list(len(d.Dims))
+		dims := c.dims.List(len(d.Dims))
 		for j, dim := range d.Dims {
 			dims[j] = Dim{Lo: c.expr(dim.Lo), Hi: c.expr(dim.Hi), Assumed: dim.Assumed}
 		}
-		out[i] = c.decls.put(VarDecl{
+		out[i] = c.decls.Put(VarDecl{
 			Pos: d.Pos, Name: d.Name, Base: d.Base, Kind: d.Kind, Dims: dims,
 			Intent: d.Intent, IsParam: d.IsParam, Init: c.expr(d.Init),
 		})
@@ -302,7 +306,7 @@ func (c *cloner) declsOf(list []*VarDecl) []*VarDecl {
 }
 
 func (c *cloner) stmts(list []Stmt) []Stmt {
-	out := c.stmtList.list(len(list))
+	out := c.stmtList.List(len(list))
 	for i, s := range list {
 		out[i] = c.stmt(s)
 	}
@@ -312,39 +316,39 @@ func (c *cloner) stmts(list []Stmt) []Stmt {
 func (c *cloner) stmt(s Stmt) Stmt {
 	switch s := s.(type) {
 	case *AssignStmt:
-		return c.assigns.put(AssignStmt{Pos: s.Pos, LHS: c.expr(s.LHS), RHS: c.expr(s.RHS)})
+		return c.assigns.Put(AssignStmt{Pos: s.Pos, LHS: c.expr(s.LHS), RHS: c.expr(s.RHS)})
 	case *IfStmt:
-		return c.ifs.put(IfStmt{
+		return c.ifs.Put(IfStmt{
 			Pos: s.Pos, Cond: c.expr(s.Cond),
 			Then: c.stmts(s.Then), Else: c.stmts(s.Else), ElseIf: s.ElseIf,
 		})
 	case *DoStmt:
-		return c.dos.put(DoStmt{
+		return c.dos.Put(DoStmt{
 			Pos: s.Pos, Var: c.ref(s.Var),
 			From: c.expr(s.From), To: c.expr(s.To), Step: c.expr(s.Step),
 			Body: c.stmts(s.Body), NoVector: s.NoVector,
 		})
 	case *DoWhileStmt:
-		return c.whiles.put(DoWhileStmt{Pos: s.Pos, Cond: c.expr(s.Cond), Body: c.stmts(s.Body)})
+		return c.whiles.Put(DoWhileStmt{Pos: s.Pos, Cond: c.expr(s.Cond), Body: c.stmts(s.Body)})
 	case *CallStmt:
-		return c.callSts.put(CallStmt{Pos: s.Pos, Name: s.Name, Args: c.exprs(s.Args)})
+		return c.callSts.Put(CallStmt{Pos: s.Pos, Name: s.Name, Args: c.exprs(s.Args)})
 	case *ReturnStmt:
-		return c.returns.put(*s)
+		return c.returns.Put(*s)
 	case *ExitStmt:
-		return c.exits.put(*s)
+		return c.exits.Put(*s)
 	case *CycleStmt:
-		return c.cycles.put(*s)
+		return c.cycles.Put(*s)
 	case *StopStmt:
-		return c.stops.put(StopStmt{Pos: s.Pos, Code: c.expr(s.Code)})
+		return c.stops.Put(StopStmt{Pos: s.Pos, Code: c.expr(s.Code)})
 	case *PrintStmt:
-		return c.prints.put(PrintStmt{Pos: s.Pos, Args: c.exprs(s.Args)})
+		return c.prints.Put(PrintStmt{Pos: s.Pos, Args: c.exprs(s.Args)})
 	default:
 		panic("fortran.Clone: unknown statement")
 	}
 }
 
 func (c *cloner) exprs(list []Expr) []Expr {
-	out := c.exprList.list(len(list))
+	out := c.exprList.List(len(list))
 	for i, e := range list {
 		out[i] = c.expr(e)
 	}
@@ -353,7 +357,7 @@ func (c *cloner) exprs(list []Expr) []Expr {
 
 // ref copies a variable reference without its resolution.
 func (c *cloner) ref(r *VarRef) *VarRef {
-	return c.refs.put(VarRef{Pos: r.Pos, Name: r.Name})
+	return c.refs.Put(VarRef{Pos: r.Pos, Name: r.Name})
 }
 
 func (c *cloner) expr(e Expr) Expr {
@@ -361,25 +365,25 @@ func (c *cloner) expr(e Expr) Expr {
 	case nil:
 		return nil
 	case *IntLit:
-		return c.ints.put(*e)
+		return c.ints.Put(*e)
 	case *RealLit:
-		return c.reals.put(*e)
+		return c.reals.Put(*e)
 	case *LogicalLit:
-		return c.logicals.put(*e)
+		return c.logicals.Put(*e)
 	case *StrLit:
-		return c.strs.put(*e)
+		return c.strs.Put(*e)
 	case *VarRef:
 		return c.ref(e)
 	case *UnExpr:
-		return c.uns.put(UnExpr{Pos: e.Pos, Op: e.Op, X: c.expr(e.X)})
+		return c.uns.Put(UnExpr{Pos: e.Pos, Op: e.Op, X: c.expr(e.X)})
 	case *BinExpr:
-		return c.bins.put(BinExpr{Pos: e.Pos, Op: e.Op, X: c.expr(e.X), Y: c.expr(e.Y)})
+		return c.bins.Put(BinExpr{Pos: e.Pos, Op: e.Op, X: c.expr(e.X), Y: c.expr(e.Y)})
 	case *ApplyExpr:
-		return c.applies.put(ApplyExpr{Pos: e.Pos, Name: e.Name, Args: c.exprs(e.Args)})
+		return c.applies.Put(ApplyExpr{Pos: e.Pos, Name: e.Name, Args: c.exprs(e.Args)})
 	case *CallExpr:
-		return c.callEs.put(CallExpr{Pos: e.Pos, Name: e.Name, Args: c.exprs(e.Args)})
+		return c.callEs.Put(CallExpr{Pos: e.Pos, Name: e.Name, Args: c.exprs(e.Args)})
 	case *IndexExpr:
-		return c.indexes.put(IndexExpr{Pos: e.Pos, Arr: c.ref(e.Arr), Indices: c.exprs(e.Indices)})
+		return c.indexes.Put(IndexExpr{Pos: e.Pos, Arr: c.ref(e.Arr), Indices: c.exprs(e.Indices)})
 	default:
 		panic("fortran.Clone: unknown expression")
 	}

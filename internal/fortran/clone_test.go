@@ -215,7 +215,7 @@ func TestCloneSlabsExact(t *testing.T) {
 			c.countProgram(prog)
 			v := reflect.ValueOf(&c).Elem()
 			for i := 0; i < v.NumField(); i++ {
-				if v.Field(i).FieldByName("n").Int() > 0 && name == "everyNodeSrc" {
+				if v.Field(i).FieldByName("N").Int() > 0 && name == "everyNodeSrc" {
 					used[v.Type().Field(i).Name] = true
 				}
 			}

@@ -28,7 +28,9 @@ type CallSite struct {
 
 // Info is the result of semantic analysis.
 type Info struct {
-	Prog       *Program
+	Prog *Program
+	// Mismatches lists each call's mismatches together, in argument
+	// order.
 	Mismatches []Mismatch
 	CallSites  []CallSite
 	Errors     []*Error
@@ -47,6 +49,9 @@ type checker struct {
 	info  *Info
 	proc  *Procedure // procedure being checked
 	local map[string]*VarDecl
+	// names is the one name map of an analysis: bindProc and checkProc
+	// clear it and fill it with each procedure's declarations in turn.
+	names map[string]*VarDecl
 }
 
 // Analyze resolves names, types, and call sites across prog, assigning
@@ -64,6 +69,11 @@ func Analyze(prog *Program, opts Options) (*Info, error) {
 		}
 		// Bind every procedure's declarations before checking any body:
 		// call sites may reference procedures defined later.
+		most := 0
+		for _, p := range prog.AllProcs {
+			most = max(most, len(p.Decls))
+		}
+		c.names = make(map[string]*VarDecl, most)
 		for _, p := range prog.AllProcs {
 			c.bindProc(p)
 		}
@@ -93,10 +103,15 @@ func (c *checker) errorf(pos Pos, format string, args ...any) {
 // collect builds the module and procedure maps and assigns indices/slots.
 func (c *checker) collect() {
 	p := c.prog
+	procs, most := 1, 0 // the main program, and the most declarations of a module
+	for _, m := range p.Modules {
+		procs += len(m.Procs)
+		most = max(most, len(m.Decls))
+	}
 	p.ModMap = make(map[string]*Module, len(p.Modules))
-	p.ProcMap = make(map[string]*Procedure)
-	p.AllProcs = nil
-	declared := make(map[string]bool)
+	p.ProcMap = make(map[string]*Procedure, procs)
+	p.AllProcs = make([]*Procedure, 0, procs)
+	declared := make(map[string]bool, most)
 	for i, m := range p.Modules {
 		if _, dup := p.ModMap[m.Name]; dup {
 			c.errorf(m.Pos, "duplicate module %q", m.Name)
@@ -150,6 +165,7 @@ func (c *checker) collect() {
 
 func (c *checker) registerProc(pr *Procedure) {
 	q := pr.QName()
+	pr.qname = q
 	if _, dup := c.prog.ProcMap[q]; dup {
 		c.errorf(pr.Pos, "duplicate procedure %q", q)
 		return
@@ -184,7 +200,8 @@ func (c *checker) checkModuleDecl(m *Module, d *VarDecl) {
 // bindProc assigns slots and resolves dummy-argument and result
 // declarations, without touching the body.
 func (c *checker) bindProc(pr *Procedure) {
-	local := make(map[string]*VarDecl, len(pr.Decls))
+	local := c.names
+	clear(local)
 	for slot, d := range pr.Decls {
 		if _, dup := local[d.Name]; dup {
 			c.errorf(d.Pos, "duplicate declaration of %q in %s", d.Name, pr.QName())
@@ -197,8 +214,13 @@ func (c *checker) bindProc(pr *Procedure) {
 	}
 	pr.NumSlots = len(pr.Decls)
 
-	// Dummy arguments must be declared.
-	pr.ParamDecl = make([]*VarDecl, len(pr.Params))
+	// Dummy arguments must be declared. An earlier analysis's list is
+	// reused.
+	if len(pr.ParamDecl) == len(pr.Params) {
+		clear(pr.ParamDecl)
+	} else {
+		pr.ParamDecl = make([]*VarDecl, len(pr.Params))
+	}
 	for i, name := range pr.Params {
 		d, ok := local[name]
 		if !ok {
@@ -220,7 +242,8 @@ func (c *checker) bindProc(pr *Procedure) {
 
 func (c *checker) checkProc(pr *Procedure) {
 	c.proc = pr
-	c.local = make(map[string]*VarDecl, len(pr.Decls))
+	c.local = c.names
+	clear(c.local)
 	for _, d := range pr.Decls {
 		c.local[d.Name] = d
 	}

@@ -50,18 +50,141 @@ type compiler struct {
 	// those closures.
 	boxed bool
 	facts *callFacts // nil when boxed
+
+	// The compile's slabs: every element reference with its indices,
+	// every call site with its argument plans, every array declaration's
+	// dimension plans, and every statement and init list. They belong to
+	// this compile alone, and what it compiled holds them.
+	erefs slab[eref]
+	idxs  slab[index]
+	calls slab[ccall]
+	plans slab[argPlan]
+	dims  slab[dimPlan]
+	lists slab[vstmt]
+	inits slab[vinit]
 }
 
+// slab hands out one type's compiled objects from a few chunks, so a
+// compile allocates per type, not per node. The first chunk is sized by
+// a count of the program's nodes (compiler.reserve). A form that
+// declines and is compiled again takes more than its nodes, and each
+// chunk added then holds at least a quarter of what the slab has. A
+// chunk never moves, so a pointer into it stays valid. Unlike
+// ft.Slab, whose builders count exactly what they take, a slab grows.
+type slab[T any] struct {
+	free  []T // the newest chunk's elements not yet taken
+	first []T // the chunk reserve allocated
+	size  int // the elements of every chunk
+}
+
+// reserve allocates a first chunk of n elements.
+func (s *slab[T]) reserve(n int) {
+	if n > 0 {
+		s.first = make([]T, n)
+		s.free, s.size = s.first, n
+	}
+}
+
+// take returns the next n elements as a list of capacity n; nil for
+// n = 0.
+func (s *slab[T]) take(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if len(s.free) < n {
+		size := n + s.size/4
+		s.free = make([]T, size)
+		s.size += size
+	}
+	l := s.free[:n:n]
+	s.free = s.free[n:]
+	return l
+}
+
+// new returns the next element.
+func (s *slab[T]) new() *T { return &s.take(1)[0] }
+
 func compileProgram(prog *ft.Program, model *perfmodel.Model, an *perfmodel.Analysis, rec *numerics.Recorder, boxed bool) *cprog {
+	return newCompiler(prog, model, an, rec, boxed).program()
+}
+
+// newCompiler returns a compiler of prog with its slabs reserved.
+func newCompiler(prog *ft.Program, model *perfmodel.Model, an *perfmodel.Analysis, rec *numerics.Recorder, boxed bool) *compiler {
 	c := &compiler{prog: prog, model: model, an: an, rec: rec, boxed: boxed}
 	if !boxed {
 		c.facts = newCallFacts(prog)
 	}
+	c.reserve()
+	return c
+}
+
+// reserve sizes the slabs' first chunks from prog: an element reference
+// per IndexExpr, a call site per call of a user procedure and a plan per
+// actual, the dimensions of every array declaration that is not a
+// dummy, and every statement and declaration.
+func (c *compiler) reserve() {
+	var erefs, idxs, calls, plans, dims, stmts, inits int
+	countExpr := func(e ft.Expr) bool {
+		switch e := e.(type) {
+		case *ft.IndexExpr:
+			erefs++
+			idxs += len(e.Indices)
+		case *ft.CallExpr:
+			if e.Proc != nil {
+				calls++
+				plans += len(e.Args)
+			}
+		}
+		return true
+	}
+	countStmt := func(s ft.Stmt) bool {
+		stmts++
+		if s, ok := s.(*ft.CallStmt); ok && s.Proc != nil {
+			calls++
+			plans += len(s.Args)
+		}
+		return true
+	}
+	countDecls := func(decls []*ft.VarDecl) {
+		for _, d := range decls {
+			if d.IsArg {
+				continue
+			}
+			inits++
+			dims += len(d.Dims)
+			for _, dim := range d.Dims {
+				ft.WalkExpr(dim.Lo, countExpr)
+				ft.WalkExpr(dim.Hi, countExpr)
+			}
+			ft.WalkExpr(d.Init, countExpr)
+		}
+	}
+	for _, mod := range c.prog.Modules {
+		countDecls(mod.Decls)
+	}
+	for _, p := range c.prog.AllProcs {
+		countDecls(p.Decls)
+		ft.WalkStmts(p.Body, countStmt)
+		ft.WalkExprs(p.Body, countExpr)
+	}
+	c.erefs.reserve(erefs)
+	c.idxs.reserve(idxs)
+	c.calls.reserve(calls)
+	c.plans.reserve(plans)
+	c.dims.reserve(dims)
+	c.lists.reserve(stmts)
+	c.inits.reserve(inits)
+}
+
+// program compiles c.prog.
+func (c *compiler) program() *cprog {
+	prog := c.prog
 	cp := &cprog{prog: prog, procs: make([]*cproc, len(prog.AllProcs))}
 	c.cp = cp
-	shadow := rec != nil
+	shadow := c.rec != nil
 	// Shells first so call sites can reference procedures compiled later
 	// (mutual recursion).
+	shells := make([]cproc, len(prog.AllProcs))
 	for _, p := range prog.AllProcs {
 		numCo := 0
 		for _, d := range p.ParamDecl {
@@ -69,17 +192,19 @@ func compileProgram(prog *ft.Program, model *perfmodel.Model, an *perfmodel.Anal
 				numCo++
 			}
 		}
-		cp.procs[p.Index] = &cproc{
-			proc: p, qname: p.QName(), inlined: an.Inlinable[p],
+		tp := &shells[p.Index]
+		*tp = cproc{
+			proc: p, qname: p.QName(), inlined: c.an.Inlinable[p],
 			numSlots: p.NumSlots, numCo: numCo, shadow: shadow,
 		}
+		cp.procs[p.Index] = tp
 	}
 	cp.main = cp.procs[prog.Main.Index]
 	cp.modInits = make([][]vinit, len(prog.Modules))
 	for _, mod := range prog.Modules {
-		inits := make([]vinit, 0, len(mod.Decls))
-		for _, d := range mod.Decls {
-			inits = append(inits, c.declInit(d))
+		inits := c.inits.take(len(mod.Decls))
+		for k, d := range mod.Decls {
+			inits[k] = c.declInit(d)
 		}
 		cp.modInits[mod.Index] = inits
 	}
@@ -94,6 +219,13 @@ func compileProgram(prog *ft.Program, model *perfmodel.Model, an *perfmodel.Anal
 		if !c.boxed {
 			first = assignedFirst(p)
 		}
+		n := 0
+		for _, d := range p.Decls {
+			if !d.IsArg && (first == nil || !first[d.Slot]) {
+				n++
+			}
+		}
+		tp.inits = c.inits.take(n)[:0]
 		for _, d := range p.Decls {
 			if d.IsArg || first != nil && first[d.Slot] {
 				continue
@@ -182,120 +314,91 @@ func (s rsite) discretize(m *vm, name string, primary, shadow int64) {
 
 // Slot access ---------------------------------------------------------------
 
-// readDecl compiles a slot read producing the declaration's Value view.
-// Without a recorder a real's shadow reads as its primary.
-func (c *compiler) readDecl(d *ft.VarDecl) func(m *vm, fr *vframe) Value {
-	slot := d.Slot
-	kind := d.Kind
+// slotRef is a declaration's compiled storage: its slot in the running
+// frame (mod arrLocal) or in the frame of module mod. A closure that
+// reads or writes a slot captures its slotRef by value, so accessing a
+// slot compiles to no closure of its own.
+type slotRef struct {
+	slot, mod int32
+}
+
+func slotOf(d *ft.VarDecl) slotRef {
 	if d.Proc != nil {
-		switch {
-		case d.IsArray():
-			return func(m *vm, fr *vframe) Value {
-				return Value{Base: ft.TReal, Kind: kind, Arr: fr.a[slot]}
-			}
-		case d.Base == ft.TReal:
-			return func(m *vm, fr *vframe) Value {
-				v := Value{Base: ft.TReal, Kind: kind, F: fr.f[slot], Sh: fr.f[slot]}
-				if fr.sh != nil {
-					v.Sh = fr.sh[slot]
-				}
-				return v
-			}
-		case d.Base == ft.TInteger:
-			return func(m *vm, fr *vframe) Value { return intValue(fr.i[slot]) }
-		default:
-			return func(m *vm, fr *vframe) Value { return logicalValue(fr.b[slot]) }
-		}
+		return slotRef{slot: int32(d.Slot), mod: arrLocal}
 	}
-	mi := d.InMod.Index
+	return slotRef{slot: int32(d.Slot), mod: int32(d.InMod.Index)}
+}
+
+// frame returns the frame that holds r.
+func (r slotRef) frame(m *vm, fr *vframe) *vframe {
+	if r.mod >= 0 {
+		return m.gl[r.mod]
+	}
+	return fr
+}
+
+// arr returns the array in r.
+func (r slotRef) arr(m *vm, fr *vframe) *Array { return r.frame(m, fr).a[r.slot] }
+
+// setArr stores arr in r.
+func (r slotRef) setArr(m *vm, fr *vframe, arr *Array) { r.frame(m, fr).a[r.slot] = arr }
+
+// setInt stores the integer v in r.
+func (r slotRef) setInt(m *vm, fr *vframe, v int64) { r.frame(m, fr).i[r.slot] = v }
+
+// declRef is a declaration's slot with the type that its Value view
+// (read) and a scalar store (store) take.
+type declRef struct {
+	slotRef
+	base  ft.BaseType
+	kind  int
+	array bool
+}
+
+func declOf(d *ft.VarDecl) declRef {
+	return declRef{slotRef: slotOf(d), base: d.Base, kind: d.Kind, array: d.IsArray()}
+}
+
+// read returns the declaration's Value view. Without a recorder a
+// real's shadow reads as its primary.
+func (r declRef) read(m *vm, fr *vframe) Value {
+	g := r.frame(m, fr)
 	switch {
-	case d.IsArray():
-		return func(m *vm, fr *vframe) Value {
-			return Value{Base: ft.TReal, Kind: kind, Arr: m.gl[mi].a[slot]}
+	case r.array:
+		return Value{Base: ft.TReal, Kind: r.kind, Arr: g.a[r.slot]}
+	case r.base == ft.TReal:
+		v := Value{Base: ft.TReal, Kind: r.kind, F: g.f[r.slot], Sh: g.f[r.slot]}
+		if g.sh != nil {
+			v.Sh = g.sh[r.slot]
 		}
-	case d.Base == ft.TReal:
-		return func(m *vm, fr *vframe) Value {
-			g := m.gl[mi]
-			v := Value{Base: ft.TReal, Kind: kind, F: g.f[slot], Sh: g.f[slot]}
-			if g.sh != nil {
-				v.Sh = g.sh[slot]
-			}
-			return v
-		}
-	case d.Base == ft.TInteger:
-		return func(m *vm, fr *vframe) Value { return intValue(m.gl[mi].i[slot]) }
+		return v
+	case r.base == ft.TInteger:
+		return intValue(g.i[r.slot])
 	default:
-		return func(m *vm, fr *vframe) Value { return logicalValue(m.gl[mi].b[slot]) }
+		return logicalValue(g.b[r.slot])
+	}
+}
+
+// store stores the scalar v, already converted to the declared type
+// (convertScalar).
+func (r declRef) store(m *vm, fr *vframe, v Value) {
+	g := r.frame(m, fr)
+	switch r.base {
+	case ft.TReal:
+		g.f[r.slot] = v.F
+		if g.sh != nil {
+			g.sh[r.slot] = v.Sh
+		}
+	case ft.TInteger:
+		g.i[r.slot] = v.I
+	default:
+		g.b[r.slot] = v.B
 	}
 }
 
 func (c *compiler) loadDecl(d *ft.VarDecl) vexpr {
-	rd := c.readDecl(d)
-	return func(m *vm, fr *vframe) (Value, error) { return rd(m, fr), nil }
-}
-
-// storeDecl compiles a scalar store. v must already be converted to the
-// declared type (convertScalar).
-func (c *compiler) storeDecl(d *ft.VarDecl) func(m *vm, fr *vframe, v Value) {
-	slot := d.Slot
-	if d.Proc != nil {
-		switch d.Base {
-		case ft.TReal:
-			return func(m *vm, fr *vframe, v Value) {
-				fr.f[slot] = v.F
-				if fr.sh != nil {
-					fr.sh[slot] = v.Sh
-				}
-			}
-		case ft.TInteger:
-			return func(m *vm, fr *vframe, v Value) { fr.i[slot] = v.I }
-		default:
-			return func(m *vm, fr *vframe, v Value) { fr.b[slot] = v.B }
-		}
-	}
-	mi := d.InMod.Index
-	switch d.Base {
-	case ft.TReal:
-		return func(m *vm, fr *vframe, v Value) {
-			g := m.gl[mi]
-			g.f[slot] = v.F
-			if g.sh != nil {
-				g.sh[slot] = v.Sh
-			}
-		}
-	case ft.TInteger:
-		return func(m *vm, fr *vframe, v Value) { m.gl[mi].i[slot] = v.I }
-	default:
-		return func(m *vm, fr *vframe, v Value) { m.gl[mi].b[slot] = v.B }
-	}
-}
-
-// arrGet compiles a direct *Array fetch for an array declaration.
-func (c *compiler) arrGet(d *ft.VarDecl) func(m *vm, fr *vframe) *Array {
-	slot := d.Slot
-	if d.Proc != nil {
-		return func(m *vm, fr *vframe) *Array { return fr.a[slot] }
-	}
-	mi := d.InMod.Index
-	return func(m *vm, fr *vframe) *Array { return m.gl[mi].a[slot] }
-}
-
-func (c *compiler) storeArrDecl(d *ft.VarDecl) func(m *vm, fr *vframe, arr *Array) {
-	slot := d.Slot
-	if d.Proc != nil {
-		return func(m *vm, fr *vframe, arr *Array) { fr.a[slot] = arr }
-	}
-	mi := d.InMod.Index
-	return func(m *vm, fr *vframe, arr *Array) { m.gl[mi].a[slot] = arr }
-}
-
-func (c *compiler) storeIntDecl(d *ft.VarDecl) func(m *vm, fr *vframe, v int64) {
-	slot := d.Slot
-	if d.Proc != nil {
-		return func(m *vm, fr *vframe, v int64) { fr.i[slot] = v }
-	}
-	mi := d.InMod.Index
-	return func(m *vm, fr *vframe, v int64) { m.gl[mi].i[slot] = v }
+	r := declOf(d)
+	return func(m *vm, fr *vframe) (Value, error) { return r.read(m, fr), nil }
 }
 
 // errExpr compiles to a constant-error expression (the error fires at
@@ -325,11 +428,7 @@ func (c *compiler) declInit(d *ft.VarDecl) vinit {
 	defer func() { c.dyn = savedDyn }()
 
 	if d.IsArray() {
-		type dimPlan struct {
-			assumed bool
-			lo, hi  vexpr // lo nil means default lower bound 1
-		}
-		dims := make([]dimPlan, len(d.Dims))
+		dims := c.dims.take(len(d.Dims))
 		for k, dim := range d.Dims {
 			dp := dimPlan{assumed: dim.Assumed}
 			if !dim.Assumed {
@@ -342,7 +441,7 @@ func (c *compiler) declInit(d *ft.VarDecl) vinit {
 		}
 		notReal := d.Base != ft.TReal
 		kind := d.Kind
-		setArr := c.storeArrDecl(d)
+		at := slotOf(d)
 		local := d.Proc != nil
 		reuse := local && d != d.Proc.Result
 		slot := d.Slot
@@ -395,12 +494,12 @@ func (c *compiler) declInit(d *ft.VarDecl) vinit {
 			if local {
 				pool = nil
 			}
-			setArr(m, fr, pool.take(kind, lo, ext, m.rec != nil))
+			at.setArr(m, fr, pool.take(kind, lo, ext, m.rec != nil))
 			return nil
 		}
 	}
 
-	store := c.storeDecl(d)
+	st := declOf(d)
 	dt := d.Type()
 	if d.Init == nil {
 		var zero Value
@@ -413,7 +512,7 @@ func (c *compiler) declInit(d *ft.VarDecl) vinit {
 			zero = logicalValue(false)
 		}
 		return func(m *vm, fr *vframe) error {
-			store(m, fr, zero)
+			st.store(m, fr, zero)
 			return nil
 		}
 	}
@@ -423,9 +522,15 @@ func (c *compiler) declInit(d *ft.VarDecl) vinit {
 		if err != nil {
 			return err
 		}
-		store(m, fr, convertScalar(v, dt))
+		st.store(m, fr, convertScalar(v, dt))
 		return nil
 	}
+}
+
+// dimPlan is one compiled dimension of an array declaration.
+type dimPlan struct {
+	assumed bool
+	lo, hi  vexpr // lo nil means default lower bound 1
 }
 
 // maxArrayElems caps one array's element count: 1 GiB of float64, and
@@ -548,10 +653,11 @@ type vint func(m *vm, fr *vframe) int64
 
 func (c *compiler) elemRef(e *ft.IndexExpr) *eref {
 	n := len(e.Indices)
-	r := &eref{
+	r := c.erefs.new()
+	*r = eref{
 		mod:    arrUnresolved,
 		affine: n == 1 || n == 2,
-		idxs:   make([]index, n),
+		idxs:   c.idxs.take(n),
 		name:   e.Arr.Name,
 		pos:    e.Pos,
 		ialu:   c.cost(perfmodel.OpIntALU, 4),
@@ -667,7 +773,7 @@ func affineIndex(e ft.Expr) bool {
 }
 
 // intIndex compiles an affineIndex expression. It reads the same slots
-// as readDecl and charges like binary()'s integer arithmetic: both
+// as declRef.read and charges like binary()'s integer arithmetic: both
 // operands first, then one OpIntALU for the operation.
 func (c *compiler) intIndex(e ft.Expr) vint {
 	switch e := e.(type) {
@@ -1172,24 +1278,36 @@ func (c *compiler) binary(e *ft.BinExpr) vexpr {
 
 // Intrinsics ----------------------------------------------------------------
 
-// argArrayGet compiles an intrinsic's array argument, which must be a
+// arrArg is an intrinsic's compiled array argument, which must be a
 // whole allocated array.
-func (c *compiler) argArrayGet(e ft.Expr) func(m *vm, fr *vframe) (*Array, error) {
+type arrArg struct {
+	at   slotRef
+	err  error // set when the argument is not a whole array
+	pos  ft.Pos
+	name string
+}
+
+// argArray compiles e as an array argument; notWhole is the error of an
+// e that is not a whole array variable.
+func argArray(e ft.Expr, notWhole string) arrArg {
 	ref, ok := e.(*ft.VarRef)
 	if !ok || ref.Decl == nil {
-		err := &RunError{Pos: e.ExprPos(), Kind: FailInternal,
-			Msg: "intrinsic array argument must be a whole array"}
-		return func(m *vm, fr *vframe) (*Array, error) { return nil, err }
+		return arrArg{err: &RunError{Pos: e.ExprPos(), Kind: FailInternal, Msg: notWhole}}
 	}
-	get := c.arrGet(ref.Decl)
-	pos, name := e.ExprPos(), ref.Name
-	return func(m *vm, fr *vframe) (*Array, error) {
-		arr := get(m, fr)
-		if arr == nil {
-			return nil, notAllocated(pos, name)
-		}
-		return arr, nil
+	return arrArg{at: slotOf(ref.Decl), pos: e.ExprPos(), name: ref.Name}
+}
+
+const notWholeArray = "intrinsic array argument must be a whole array"
+
+func (a *arrArg) get(m *vm, fr *vframe) (*Array, error) {
+	if a.err != nil {
+		return nil, a.err
 	}
+	arr := a.at.arr(m, fr)
+	if arr == nil {
+		return nil, notAllocated(a.pos, a.name)
+	}
+	return arr, nil
 }
 
 // unIntrinsic compiles the one-real-argument intrinsic pattern.
@@ -1227,11 +1345,11 @@ func (c *compiler) intrinsic(e *ft.CallExpr) vexpr {
 	// as a scalar expression).
 	switch name {
 	case "size":
-		a0 := c.argArrayGet(e.Args[0])
+		a0 := argArray(e.Args[0], notWholeArray)
 		if len(e.Args) == 2 {
 			dE := c.expr(e.Args[1])
 			return func(m *vm, fr *vframe) (Value, error) {
-				arr, err := a0(m, fr)
+				arr, err := a0.get(m, fr)
 				if err != nil {
 					return Value{}, err
 				}
@@ -1248,34 +1366,34 @@ func (c *compiler) intrinsic(e *ft.CallExpr) vexpr {
 			}
 		}
 		return func(m *vm, fr *vframe) (Value, error) {
-			arr, err := a0(m, fr)
+			arr, err := a0.get(m, fr)
 			if err != nil {
 				return Value{}, err
 			}
 			return intValue(int64(arr.Size())), nil
 		}
 	case "sum", "minval", "maxval":
-		a0 := c.argArrayGet(e.Args[0])
+		a0 := argArray(e.Args[0], notWholeArray)
 		rs := c.rsite(pos.Line)
 		nm := name
 		return func(m *vm, fr *vframe) (Value, error) {
-			arr, err := a0(m, fr)
+			arr, err := a0.get(m, fr)
 			if err != nil {
 				return Value{}, err
 			}
 			return m.reduce(nm, arr, rs)
 		}
 	case "dot_product":
-		aG := c.argArrayGet(e.Args[0])
-		bG := c.argArrayGet(e.Args[1])
+		aG := argArray(e.Args[0], notWholeArray)
+		bG := argArray(e.Args[1], notWholeArray)
 		rs := c.rsite(pos.Line)
 		kk := e.Typ.Kind
 		return func(m *vm, fr *vframe) (Value, error) {
-			a, err := aG(m, fr)
+			a, err := aG.get(m, fr)
 			if err != nil {
 				return Value{}, err
 			}
-			b, err := bG(m, fr)
+			b, err := bG.get(m, fr)
 			if err != nil {
 				return Value{}, err
 			}
@@ -1746,7 +1864,7 @@ type argPlan struct {
 
 	// Array dummies bind by reference.
 	isArr   bool
-	arrBind func(m *vm, fr *vframe) (*Array, error)
+	arrBind arrBinding
 
 	// Scalar dummies copy in (and maybe out). Exactly one of val, rval,
 	// elem and ival is set: rval is the unboxed form of a real actual
@@ -1764,22 +1882,22 @@ type argPlan struct {
 	dummyKind int
 	lit       bool
 	dummyType ft.Type
-	store     func(m *vm, fr *vframe, v Value)
-	readBack  func(m *vm, fr *vframe) Value
+	dummy     declRef // val's store, and a copy-out's read that converts a Value
 
 	// Copy-out destination, resolved statically where possible.
-	wantOut   bool
-	required  bool // intent(out)/intent(inout) must have an lvalue
-	intentErr error
-	outScalar *ft.VarDecl
-	outType   ft.Type
-	outStore  func(m *vm, fr *vframe, v Value)
-	outName   string
-	outElem   *eref
+	wantOut     bool
+	required    bool // intent(out)/intent(inout) must have an lvalue
+	intentErr   error
+	outScalar   *ft.VarDecl
+	outType     ft.Type
+	hasOutStore bool
+	outStore    declRef
+	outName     string
+	outElem     *eref
 	// outSlot/outMod locate a real scalar destination, which is written
 	// lane by lane, or an integer one of an integer dummy (intOut),
 	// copied slot to slot; outMod < 0 for the caller's locals. outStore
-	// is set for any other scalar destination.
+	// (hasOutStore) is set for any other scalar destination.
 	outSlot int
 	outMod  int
 	intOut  bool
@@ -1800,63 +1918,60 @@ type coRec struct {
 	off int
 }
 
-// argArrayBind compiles the binding of an array actual to an array
+// arrBinding is the compiled binding of an array actual to an array
 // dummy: by reference, with assumed-shape bounds rebased to 1.
-func (c *compiler) argArrayBind(argExpr ft.Expr, dummy *ft.VarDecl) func(m *vm, fr *vframe) (*Array, error) {
-	ref, ok := argExpr.(*ft.VarRef)
-	if !ok || ref.Decl == nil {
-		err := &RunError{Pos: argExpr.ExprPos(), Kind: FailInternal,
-			Msg: "array argument must be a whole array variable"}
-		return func(m *vm, fr *vframe) (*Array, error) { return nil, err }
-	}
-	get := c.arrGet(ref.Decl)
-	name := ref.Name
-	pos := argExpr.ExprPos()
-	dKind := dummy.Kind
-	dProc := dummy.Proc
-	dName := dummy.Name
-	assumed := true
+type arrBinding struct {
+	arg     arrArg      // the actual, by the rules of an array argument
+	dummy   *ft.VarDecl // named by a kind mismatch
+	assumed bool
+}
+
+func argArrayBind(argExpr ft.Expr, dummy *ft.VarDecl) arrBinding {
+	b := arrBinding{arg: argArray(argExpr, "array argument must be a whole array variable"),
+		dummy: dummy, assumed: true}
 	for _, d := range dummy.Dims {
 		if !d.Assumed {
-			assumed = false
+			b.assumed = false
 		}
 	}
-	ndims := len(dummy.Dims)
-	return func(m *vm, fr *vframe) (*Array, error) {
-		arr := get(m, fr)
-		if arr == nil {
-			return nil, notAllocated(pos, name)
-		}
-		if arr.Kind != dKind {
-			// Arrays pass by reference; a kind mismatch cannot be patched by
-			// a hidden copy. The wrapper generator must have rewritten this
-			// call — reaching here means the variant is malformed.
-			return nil, &RunError{Pos: pos, Kind: FailInternal,
-				Msg: fmt.Sprintf("array kind mismatch passing %s (kind=%d) to %s.%s (kind=%d): wrapper required",
-					name, arr.Kind, dProc.QName(), dName, dKind)}
-		}
-		if assumed {
-			if ndims != len(arr.Ext) {
-				return nil, &RunError{Pos: pos, Kind: FailBounds,
-					Msg: fmt.Sprintf("rank mismatch passing %s", name)}
-			}
-			rebase := false
-			for _, lo := range arr.Lo {
-				if lo != 1 {
-					rebase = true
-				}
-			}
-			if rebase {
-				ones := make([]int, len(arr.Ext))
-				for k := range ones {
-					ones[k] = 1
-				}
-				return &Array{Kind: arr.Kind, Lo: ones, Ext: arr.Ext,
-					Data: arr.Data, Shadow: arr.Shadow}, nil
-			}
-		}
-		return arr, nil
+	return b
+}
+
+func (b *arrBinding) bind(m *vm, fr *vframe) (*Array, error) {
+	arr, err := b.arg.get(m, fr)
+	if err != nil {
+		return nil, err
 	}
+	pos, name := b.arg.pos, b.arg.name
+	if dKind := b.dummy.Kind; arr.Kind != dKind {
+		// Arrays pass by reference; a kind mismatch cannot be patched by
+		// a hidden copy. The wrapper generator must have rewritten this
+		// call — reaching here means the variant is malformed.
+		return nil, &RunError{Pos: pos, Kind: FailInternal,
+			Msg: fmt.Sprintf("array kind mismatch passing %s (kind=%d) to %s.%s (kind=%d): wrapper required",
+				name, arr.Kind, b.dummy.Proc.QName(), b.dummy.Name, dKind)}
+	}
+	if b.assumed {
+		if len(b.dummy.Dims) != len(arr.Ext) {
+			return nil, &RunError{Pos: pos, Kind: FailBounds,
+				Msg: fmt.Sprintf("rank mismatch passing %s", name)}
+		}
+		rebase := false
+		for _, lo := range arr.Lo {
+			if lo != 1 {
+				rebase = true
+			}
+		}
+		if rebase {
+			ones := make([]int, len(arr.Ext))
+			for k := range ones {
+				ones[k] = 1
+			}
+			return &Array{Kind: arr.Kind, Lo: ones, Ext: arr.Ext,
+				Data: arr.Data, Shadow: arr.Shadow}, nil
+		}
+	}
+	return arr, nil
 }
 
 // ccall is one compiled user-procedure call, run in four phases: bind
@@ -1880,9 +1995,10 @@ type ccall struct {
 
 // callSite compiles the argument binding plans for a call of proc.
 func (c *compiler) callSite(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) *ccall {
-	s := &ccall{
+	s := c.calls.new()
+	*s = ccall{
 		callee:   c.cp.procs[proc.Index],
-		plans:    make([]argPlan, len(args)),
+		plans:    c.plans.take(len(args)),
 		pos:      pos,
 		brCost:   c.cost(perfmodel.OpBranch, 4),
 		callCost: c.model.CallCycles,
@@ -1900,10 +2016,10 @@ func (c *compiler) callSite(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) *cca
 				Msg: fmt.Sprintf("%s: missing dummy decl", s.callee.qname)}
 			continue
 		}
-		p.slot = dummy.Slot
+		p.slot, p.dummy = dummy.Slot, declOf(dummy)
 		if dummy.IsArray() {
 			p.isArr = true
-			p.arrBind = c.argArrayBind(argExpr, dummy)
+			p.arrBind = argArrayBind(argExpr, dummy)
 			continue
 		}
 		p.realDummy = dummy.Base == ft.TReal
@@ -1927,7 +2043,6 @@ func (c *compiler) callSite(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) *cca
 		if p.rval == nil && p.ival == nil && p.elem == nil {
 			p.val = c.expr(argExpr)
 			p.dummyType = dummy.Type()
-			p.store = c.storeDecl(dummy)
 		}
 		if dummy.Intent != ft.IntentIn {
 			p.wantOut = true
@@ -1949,16 +2064,13 @@ func (c *compiler) callSite(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) *cca
 							p.outMod = a.Decl.InMod.Index
 						}
 					} else {
-						p.outStore = c.storeDecl(a.Decl)
+						p.hasOutStore, p.outStore = true, declOf(a.Decl)
 					}
 				}
 			case *ft.IndexExpr:
 				if p.elem == nil {
 					p.outElem = c.elemRef(a)
 				}
-			}
-			if p.outStore != nil || !p.realDummy && !p.intOut && (p.outScalar != nil || p.outElem != nil) {
-				p.readBack = c.readDecl(dummy)
 			}
 		}
 	}
@@ -2000,7 +2112,7 @@ func (s *ccall) run(m *vm, fr, cf *vframe) error {
 			return p.missing
 		}
 		if p.isArr {
-			arr, err := p.arrBind(m, fr)
+			arr, err := p.arrBind.bind(m, fr)
 			if err != nil {
 				return err
 			}
@@ -2061,7 +2173,7 @@ func (s *ccall) run(m *vm, fr, cf *vframe) error {
 				// is still priced correctly for raw (pre-transform) programs.
 				m.cast(1)
 			}
-			p.store(m, cf, convertScalar(v, p.dummyType))
+			p.dummy.store(m, cf, convertScalar(v, p.dummyType))
 		}
 		if p.wantOut {
 			// A skipped copy-out still resolves its element (for the
@@ -2137,8 +2249,8 @@ func (s *ccall) run(m *vm, fr, cf *vframe) error {
 	// real dummy's lanes are read directly.
 	for _, co := range copyOuts {
 		p := co.p
-		if p.outStore != nil {
-			p.outStore(m, fr, convertScalar(p.readBack(m, cf), p.outType))
+		if p.hasOutStore {
+			p.outStore.store(m, fr, convertScalar(p.dummy.read(m, cf), p.outType))
 			continue
 		}
 		if p.intOut {
@@ -2153,7 +2265,7 @@ func (s *ccall) run(m *vm, fr, cf *vframe) error {
 				sh = cf.sh[p.slot]
 			}
 		} else {
-			v := p.readBack(m, cf)
+			v := p.dummy.read(m, cf)
 			f, sh = v.asFloat(), v.sh()
 		}
 		if p.outScalar != nil {
@@ -2184,20 +2296,20 @@ func (s *ccall) run(m *vm, fr, cf *vframe) error {
 
 // invoke compiles a user-procedure call to its Value form: arrays by
 // reference, scalars by copy-in/copy-out (ccall), and a function's
-// result read through readDecl.
+// result read through its declRef.
 func (c *compiler) invoke(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) vexpr {
 	s := c.callSite(proc, args, pos)
 	callee := s.callee
 	var noResult error // a subroutine call yields the empty Value
 	if proc.Kind == ft.KFunction {
 		if proc.Result != nil {
-			readResult := c.readDecl(proc.Result)
+			result := declOf(proc.Result)
 			return func(m *vm, fr *vframe) (Value, error) {
 				cf, err := s.call(m, fr)
 				if err != nil {
 					return Value{}, err
 				}
-				v := readResult(m, cf)
+				v := result.read(m, cf)
 				callee.put(cf)
 				return v, nil
 			}
@@ -2230,7 +2342,7 @@ func errStmt(pos ft.Pos, err error) vstmt {
 }
 
 func (c *compiler) stmts(list []ft.Stmt) []vstmt {
-	out := make([]vstmt, len(list))
+	out := c.lists.take(len(list))
 	for k, s := range list {
 		out[k] = c.stmt(s)
 	}
@@ -2355,7 +2467,7 @@ func (c *compiler) doStmt(s *ft.DoStmt) vstmt {
 	vec := dec.Vectorized
 	factor := dec.Factor
 	body := c.stmts(s.Body)
-	storeVar := c.storeIntDecl(s.Var.Decl)
+	loopVar := slotOf(s.Var.Decl)
 	iterCost := c.cost(perfmodel.OpLoopIter, 4)
 	return func(m *vm, fr *vframe) (control, error) {
 		if err := m.checkBudget(pos); err != nil {
@@ -2393,7 +2505,7 @@ func (c *compiler) doStmt(s *ft.DoStmt) vstmt {
 		// The variable keeps the value of the last trip: v advances only
 		// between trips, so it never steps past the bounds.
 		for v, k := lo, uint64(0); ; v, k = v+step, k+1 {
-			storeVar(m, fr, v)
+			loopVar.setInt(m, fr, v)
 			m.charge(iterCost)
 			if err := m.checkBudget(pos); err != nil {
 				m.vecFactor = saved
@@ -2556,7 +2668,7 @@ func (c *compiler) assign(s *ft.AssignStmt) vstmt {
 			return c.intAssignVar(s, lhs.Decl, atom)
 		}
 		rhs := c.expr(s.RHS)
-		store := c.storeDecl(lhs.Decl)
+		st := declOf(lhs.Decl)
 		as := c.asite(pos.Line, atom)
 		isReal := lt.Base == ft.TReal
 		name := lhs.Name
@@ -2583,7 +2695,7 @@ func (c *compiler) assign(s *ft.AssignStmt) vstmt {
 				return ctlNone, &RunError{Pos: pos, Kind: FailNonFinite,
 					Msg: fmt.Sprintf("assigning non-finite value to %s", name)}
 			}
-			store(m, fr, v)
+			st.store(m, fr, v)
 			m.rec.PopTarget()
 			return ctlNone, nil
 		}
@@ -2653,13 +2765,13 @@ func (c *compiler) intAssignVar(s *ft.AssignStmt, d *ft.VarDecl, atom string) vs
 			return ctlNone, nil
 		}
 	}
-	store := c.storeIntDecl(d)
+	at := slotOf(d)
 	return func(m *vm, fr *vframe) (control, error) {
 		if err := m.checkBudget(pos); err != nil {
 			return ctlNone, err
 		}
 		m.rec.PushTarget(atom)
-		store(m, fr, iv(m, fr))
+		at.setInt(m, fr, iv(m, fr))
 		m.rec.PopTarget()
 		return ctlNone, nil
 	}
@@ -2672,7 +2784,7 @@ func (c *compiler) arrayAssign(s *ft.AssignStmt) vstmt {
 	if !ok {
 		return errStmt(pos, &RunError{Pos: pos, Kind: FailInternal, Msg: "bad array assignment target"})
 	}
-	dget := c.arrGet(lref.Decl)
+	dstAt := slotOf(lref.Decl)
 	qn := "" // the recorder's target, which nothing else reads
 	if c.rec != nil {
 		qn = lref.Decl.QName()
@@ -2689,7 +2801,7 @@ func (c *compiler) arrayAssign(s *ft.AssignStmt) vstmt {
 			if err := m.checkBudget(pos); err != nil {
 				return ctlNone, err
 			}
-			dst := dget(m, fr)
+			dst := dstAt.arr(m, fr)
 			if dst == nil {
 				return ctlNone, notAllocated(pos, lname)
 			}
@@ -2735,7 +2847,7 @@ func (c *compiler) arrayAssign(s *ft.AssignStmt) vstmt {
 			if err := m.checkBudget(pos); err != nil {
 				return ctlNone, err
 			}
-			dst := dget(m, fr)
+			dst := dstAt.arr(m, fr)
 			if dst == nil {
 				return ctlNone, notAllocated(pos, lname)
 			}
@@ -2744,7 +2856,7 @@ func (c *compiler) arrayAssign(s *ft.AssignStmt) vstmt {
 			return ctlNone, srcErr
 		}
 	}
-	sget := c.arrGet(rref.Decl)
+	srcAt := slotOf(rref.Decl)
 	rname := rref.Name
 	loadCost := [2]float64{c.cost(perfmodel.OpLoad, 4), c.cost(perfmodel.OpLoad, 8)}
 	storeCost := [2]float64{c.cost(perfmodel.OpStore, 4), c.cost(perfmodel.OpStore, 8)}
@@ -2752,13 +2864,13 @@ func (c *compiler) arrayAssign(s *ft.AssignStmt) vstmt {
 		if err := m.checkBudget(pos); err != nil {
 			return ctlNone, err
 		}
-		dst := dget(m, fr)
+		dst := dstAt.arr(m, fr)
 		if dst == nil {
 			return ctlNone, notAllocated(pos, lname)
 		}
 		n := dst.Size()
 		m.rec.PushTarget(qn)
-		src := sget(m, fr)
+		src := srcAt.arr(m, fr)
 		if src == nil {
 			m.rec.PopTarget()
 			return ctlNone, notAllocated(pos, rname)

@@ -61,6 +61,16 @@ func compileName(boxed bool) string {
 // runVM runs prog compiled unboxed or boxed and captures what it shows.
 func runVM(t *testing.T, prog *ft.Program, boxed bool, o runOpts) *engineRun {
 	t.Helper()
+	r, err := runEngine(prog, boxed, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// runEngine is runVM returning its failure; a goroutine other than the
+// test's may call it.
+func runEngine(prog *ft.Program, boxed bool, o runOpts) (*engineRun, error) {
 	var out bytes.Buffer
 	cfg := Config{Model: perfmodel.Default(), Profile: true, Stdout: &out,
 		TrapNonFinite: o.trap, CycleBudget: o.budget}
@@ -71,17 +81,17 @@ func runVM(t *testing.T, prog *ft.Program, boxed bool, o runOpts) *engineRun {
 	}
 	in, err := newInterp(prog, cfg, boxed, o.pool)
 	if err != nil {
-		t.Fatalf("New(%s): %v", compileName(boxed), err)
+		return nil, fmt.Errorf("New(%s): %v", compileName(boxed), err)
 	}
 	res, rerr := in.Run()
 	if res == nil {
-		t.Fatalf("%s run returned no Result (error %v)", compileName(boxed), rerr)
+		return nil, fmt.Errorf("%s run returned no Result (error %v)", compileName(boxed), rerr)
 	}
 	r := &engineRun{in: in, res: res, stdout: out.Bytes(), rec: rec}
 	if rerr != nil {
 		var re *RunError
 		if !errors.As(rerr, &re) {
-			t.Fatalf("%s run error %T is not a *RunError: %v", compileName(boxed), rerr, rerr)
+			return nil, fmt.Errorf("%s run error %T is not a *RunError: %v", compileName(boxed), rerr, rerr)
 		}
 		r.errStr = rerr.Error()
 	}
@@ -91,11 +101,11 @@ func runVM(t *testing.T, prog *ft.Program, boxed bool, o runOpts) *engineRun {
 	if rec != nil {
 		b, jerr := json.Marshal(rec.Profile())
 		if jerr != nil {
-			t.Fatalf("marshal profile: %v", jerr)
+			return nil, fmt.Errorf("marshal profile: %v", jerr)
 		}
 		r.profile = b
 	}
-	return r
+	return r, nil
 }
 
 // compareEngines is diffEngines returning only the run's error text

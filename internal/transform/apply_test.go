@@ -9,15 +9,24 @@ import (
 	ft "repro/internal/fortran"
 )
 
-// TestApplyAllocsOnModels pins that building a variant of each bundled
-// model, with every other atom lowered, allocates fewer objects than it
-// did while Clone allocated every node and list on its own and the
-// variant's analysis rebuilt every resolved element reference and call.
+// TestApplyAllocsOnModels pins how many objects building a variant of
+// each bundled model, with every other atom lowered, allocates: at most
+// the counts since wrappers are built from slabs and each analysis
+// fills one name map for every procedure and renders no procedure name
+// a clone already has. A -race build, whose count may vary, must stay
+// under the counts from before that change: 468, 61, 636 and 1,084
+// objects for adcirc, funarc, mom6 and mpas_a. While Clone allocated
+// every node and list on its own and the variant's analysis rebuilt
+// every resolved element reference and call, they were 1,923, 175,
+// 2,249 and 2,835.
 func TestApplyAllocsOnModels(t *testing.T) {
-	before := map[string]float64{"adcirc.ft": 1923, "funarc.ft": 175, "mom6.ft": 2249, "mpas_a.ft": 2835}
+	limit := map[string]float64{"adcirc.ft": 122, "funarc.ft": 46, "mom6.ft": 165, "mpas_a.ft": 175}
+	if raceBuild {
+		limit = map[string]float64{"adcirc.ft": 468, "funarc.ft": 61, "mom6.ft": 636, "mpas_a.ft": 1084}
+	}
 	files, err := filepath.Glob("../models/src/*.ft")
-	if err != nil || len(files) != len(before) {
-		t.Fatalf("model sources %v (%v), want the %d of %v", files, err, len(before), before)
+	if err != nil || len(files) != len(limit) {
+		t.Fatalf("model sources %v (%v), want the %d of %v", files, err, len(limit), limit)
 	}
 	for _, f := range files {
 		src, err := os.ReadFile(f)
@@ -37,10 +46,10 @@ func TestApplyAllocsOnModels(t *testing.T) {
 			}
 		})
 		name := filepath.Base(f)
-		if got >= before[name] {
-			t.Errorf("%s: Apply allocates %.0f objects, want fewer than %.0f", name, got, before[name])
+		if got > limit[name] {
+			t.Errorf("%s: Apply allocates %.0f objects, want at most %.0f", name, got, limit[name])
 		}
-		t.Logf("%s: Apply allocates %.0f objects (%.0f before)", name, got, before[name])
+		t.Logf("%s: Apply allocates %.0f objects (at most %.0f)", name, got, limit[name])
 	}
 }
 

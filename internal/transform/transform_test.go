@@ -2,6 +2,7 @@ package transform
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -204,8 +205,9 @@ func TestApplyInsertsScalarWrapper(t *testing.T) {
 	}
 }
 
-func TestWrapperPreservesIntentOutCopyback(t *testing.T) {
-	src := `
+// intentOutSrc passes kind-4 variables to a kind-8 intent(in) and a
+// kind-8 intent(out) dummy.
+const intentOutSrc = `
 module m
   implicit none
   real(kind=8) :: got
@@ -229,7 +231,9 @@ program p
   call driver()
 end program p
 `
-	prog, err := ft.Parse(src)
+
+func TestWrapperPreservesIntentOutCopyback(t *testing.T) {
+	prog, err := ft.Parse(intentOutSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +254,9 @@ end program p
 	}
 }
 
-func TestWrapperArrayArgument(t *testing.T) {
-	src := `
+// arrayArgSrc passes a kind-4 array with lower bound 0 to a kind-8
+// assumed-shape dummy.
+const arrayArgSrc = `
 module m
   implicit none
   real(kind=8) :: total
@@ -283,7 +288,9 @@ program p
   call driver()
 end program p
 `
-	prog, err := ft.Parse(src)
+
+func TestWrapperArrayArgument(t *testing.T) {
+	prog, err := ft.Parse(arrayArgSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,14 +318,9 @@ end program p
 	}
 }
 
-// TestWrapperNamesNotCaptured checks that what wrapper insertion adds
-// leaves the variant's names resolved as before: an array wrapper's
-// temporaries take their extents from the size intrinsic although a
-// module array named size is in scope, and a call resolved to a user
-// function named g_wrapper_4 keeps it after the wrapper of g gets that
-// name in another module.
-func TestWrapperNamesNotCaptured(t *testing.T) {
-	src := `
+// namesNotCapturedSrc declares a module array named size and a
+// function named like the wrapper of another module's function.
+const namesNotCapturedSrc = `
 module m
   implicit none
   real(kind=8) :: size(3)
@@ -365,12 +367,20 @@ program p
   call u()
 end program p
 `
-	res, err := Apply(analyzed(t, src), Assignment{"m.v": 4, "m.w": 4})
+
+// TestWrapperNamesNotCaptured checks that what wrapper insertion adds
+// leaves the variant's names resolved as before: an array wrapper's
+// temporaries take their extents from the size intrinsic although a
+// module array named size is in scope, and a call resolved to a user
+// function named g_wrapper_4 in another module keeps it, while the
+// wrapper of g takes the name g_wrapper_4_2.
+func TestWrapperNamesNotCaptured(t *testing.T) {
+	res, err := Apply(analyzed(t, namesNotCapturedSrc), Assignment{"m.v": 4, "m.w": 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := ft.Print(res.Prog)
-	if !strings.Contains(out, "real(kind=8) :: t1(size(a1, 1))") || !strings.Contains(out, "function g_wrapper_4(a1) result(wres)") {
+	if !strings.Contains(out, "real(kind=8) :: t1(size(a1, 1))") || !strings.Contains(out, "function g_wrapper_4_2(a1) result(wres)") {
 		t.Errorf("unexpected wrappers:\n%s", out)
 	}
 	in, _ := runProg(t, res.Prog)
@@ -384,8 +394,71 @@ end program p
 	}
 }
 
-func TestWrappersSharedAcrossCallSites(t *testing.T) {
-	src := `
+// wrapperClashSrc calls m.g and other.g_wrapper_4 from module user:
+// lowering user.y makes the call of g need a wrapper whose first-choice
+// name, g_wrapper_4, another module's subroutine already has.
+const wrapperClashSrc = `
+module m
+  implicit none
+contains
+  subroutine g(x)
+    real(kind=8), intent(inout) :: x
+    x = x + 1.0d0
+  end subroutine g
+end module m
+
+module other
+  implicit none
+contains
+  subroutine g_wrapper_4(x)
+    real(kind=8), intent(inout) :: x
+    x = 2.0d0 * x
+  end subroutine g_wrapper_4
+end module other
+
+module user
+  use m
+  use other
+  implicit none
+  real(kind=8) :: y, z
+contains
+  subroutine run()
+    y = 1.5d0
+    z = 3.0d0
+    call g(y)
+    call g_wrapper_4(z)
+  end subroutine run
+end module user
+
+program p
+  use user
+  implicit none
+  call run()
+end program p
+`
+
+// TestWrapperNameUniqueAcrossModules pins that a wrapper takes a name
+// no procedure of any module has: named like other's g_wrapper_4, the
+// wrapper of m.g would make user's call of g_wrapper_4 ambiguous, and
+// the variant would fail its strict analysis.
+func TestWrapperNameUniqueAcrossModules(t *testing.T) {
+	res, err := Apply(analyzed(t, wrapperClashSrc), Assignment{"user.y": 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := WrapperMap(res.Prog), map[string]string{"m.g_wrapper_4_2": "m.g"}; !maps.Equal(got, want) {
+		t.Errorf("wrappers %v, want %v", got, want)
+	}
+	in, _ := runProg(t, res.Prog)
+	for q, want := range map[string]float64{"user.y": 2.5, "user.z": 6} {
+		if got, _ := in.Global(q); got.F != want {
+			t.Errorf("%s = %v, want %v", q, got.F, want)
+		}
+	}
+}
+
+// sharedSitesSrc calls one function twice with kind-4 actuals.
+const sharedSitesSrc = `
 module m
   implicit none
   real(kind=8) :: acc
@@ -407,7 +480,9 @@ program p
   call driver()
 end program p
 `
-	prog, err := ft.Parse(src)
+
+func TestWrappersSharedAcrossCallSites(t *testing.T) {
+	prog, err := ft.Parse(sharedSitesSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

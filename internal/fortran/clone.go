@@ -20,38 +20,7 @@ package fortran
 func Clone(prog *Program) *Program {
 	var c cloner
 	c.countProgram(prog)
-	c.alloc()
 	return c.program(prog)
-}
-
-// Slab is the backing store of one node or list type, for a builder
-// that counts what it will build first: N counts the elements, Alloc
-// allocates them at once, and Put and List take them in turn. Clone
-// and transform's wrapper insertion build their nodes from slabs.
-type Slab[T any] struct {
-	N   int
-	buf []T
-}
-
-// Alloc allocates the N elements.
-func (s *Slab[T]) Alloc() { s.buf = make([]T, s.N) }
-
-// Put stores v in the next node and returns it.
-func (s *Slab[T]) Put(v T) *T {
-	p := &s.buf[0]
-	*p = v
-	s.buf = s.buf[1:]
-	return p
-}
-
-// List takes the next k elements as a list of capacity k; nil for k = 0.
-func (s *Slab[T]) List(k int) []T {
-	if k == 0 {
-		return nil
-	}
-	l := s.buf[:k:k]
-	s.buf = s.buf[k:]
-	return l
 }
 
 // cloner holds one slab per node type and per list type.
@@ -88,41 +57,8 @@ type cloner struct {
 	strList  Slab[string]
 }
 
-func (c *cloner) alloc() {
-	c.mods.Alloc()
-	c.procs.Alloc()
-	c.decls.Alloc()
-	c.dims.Alloc()
-	c.assigns.Alloc()
-	c.ifs.Alloc()
-	c.dos.Alloc()
-	c.whiles.Alloc()
-	c.callSts.Alloc()
-	c.returns.Alloc()
-	c.exits.Alloc()
-	c.cycles.Alloc()
-	c.stops.Alloc()
-	c.prints.Alloc()
-	c.refs.Alloc()
-	c.ints.Alloc()
-	c.reals.Alloc()
-	c.logicals.Alloc()
-	c.strs.Alloc()
-	c.bins.Alloc()
-	c.uns.Alloc()
-	c.applies.Alloc()
-	c.callEs.Alloc()
-	c.indexes.Alloc()
-	c.modList.Alloc()
-	c.procList.Alloc()
-	c.declList.Alloc()
-	c.stmtList.Alloc()
-	c.exprList.Alloc()
-	c.strList.Alloc()
-}
-
 // The counting walk visits exactly what the copy below takes, in any
-// order: a node or list it misses makes the copy run off its slab.
+// order: a node or list it misses costs the copy a second chunk.
 
 func (c *cloner) countProgram(p *Program) {
 	c.modList.N += len(p.Modules)

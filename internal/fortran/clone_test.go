@@ -205,25 +205,27 @@ func TestCloneSharesNothing(t *testing.T) {
 }
 
 // TestCloneSlabsExact checks that the counting walk sizes every slab to
-// exactly what the copy takes, and that everyNodeSrc, parsed (with its
-// ApplyExprs) or analyzed (with their resolved forms), takes from each.
+// exactly what the copy takes, so each slab allocates one chunk of N,
+// and that everyNodeSrc, parsed (with its ApplyExprs) or analyzed (with
+// their resolved forms), takes from each.
 func TestCloneSlabsExact(t *testing.T) {
 	used := make(map[string]bool)
 	for _, analyze := range []bool{false, true} {
 		for name, prog := range cloneFixtures(t, analyze) {
 			var c cloner
 			c.countProgram(prog)
+			c.program(prog)
 			v := reflect.ValueOf(&c).Elem()
 			for i := 0; i < v.NumField(); i++ {
-				if v.Field(i).FieldByName("N").Int() > 0 && name == "everyNodeSrc" {
-					used[v.Type().Field(i).Name] = true
+				f, slab := v.Type().Field(i).Name, v.Field(i)
+				n, held := slab.FieldByName("N").Int(), slab.FieldByName("held").Int()
+				chunk, taken := slab.FieldByName("chunk").Len(), slab.FieldByName("used").Int()
+				if n > 0 && name == "everyNodeSrc" {
+					used[f] = true
 				}
-			}
-			c.alloc()
-			c.program(prog)
-			for i := 0; i < v.NumField(); i++ {
-				if left := v.Field(i).FieldByName("buf").Len(); left != 0 {
-					t.Errorf("%s: slab %s has %d elements left after the copy", name, v.Type().Field(i).Name, left)
+				if n > 0 && (held != n || chunk != int(n) || taken != n) || n == 0 && held != 0 {
+					t.Errorf("%s: slab %s counted %d, allocated %d in chunks, the last of %d with %d taken",
+						name, f, n, held, chunk, taken)
 				}
 			}
 		}

@@ -129,9 +129,13 @@ func (c *checker) collect() {
 			d.Slot = slot
 			d.InMod = m
 			d.Proc = nil
+			if d.IsArray() {
+				c.reserved(d.Pos, "array", d.Name)
+			}
 		}
 		for _, pr := range m.Procs {
 			pr.Module = m
+			c.reserved(pr.Pos, "procedure", pr.Name)
 			c.registerProc(pr)
 		}
 	}
@@ -160,6 +164,20 @@ func (c *checker) collect() {
 	}
 	if p.Main != nil {
 		check(p.Main.Pos, p.Main.Uses)
+	}
+}
+
+// reserved refuses an array or procedure named like an intrinsic, for
+// which name(args) would be ambiguous: an array in scope captures an
+// intrinsic call of its name, such as a wrapper's size(), and an
+// intrinsic shadows a procedure of its name, which is then never
+// called. A scalar may take the name, since name(args) never resolves
+// to one.
+func (c *checker) reserved(pos Pos, what, name string) {
+	_, f := intrinsicFuncs[name]
+	_, s := intrinsicSubs[name]
+	if f || s {
+		c.errorf(pos, "%s %q is named like an intrinsic", what, name)
 	}
 }
 
@@ -211,6 +229,9 @@ func (c *checker) bindProc(pr *Procedure) {
 		d.Proc = pr
 		d.InMod = pr.Module
 		local[d.Name] = d
+		if d.IsArray() {
+			c.reserved(d.Pos, "array", d.Name)
+		}
 	}
 	pr.NumSlots = len(pr.Decls)
 

@@ -164,6 +164,10 @@ func TestAnalyzeErrors(t *testing.T) {
 		{"int to real arg", "module m\nimplicit none\ncontains\nsubroutine s(a)\nreal(kind=8) :: a\na = 0.0d0\nend subroutine s\nsubroutine t()\ninteger :: i\ni = 1\ncall s(i)\nend subroutine t\nend module m", "cannot pass"},
 		{"intent out literal", "module m\nimplicit none\ncontains\nsubroutine s(a)\nreal(kind=8), intent(out) :: a\na = 0.0d0\nend subroutine s\nsubroutine t()\ncall s(1.0d0)\nend subroutine t\nend module m", "must be a variable"},
 		{"wrong index count", "program p\nimplicit none\nreal(kind=8) :: a(3,3)\na(1) = 0.0d0\nend program p", "rank 2"},
+		{"array named like intrinsic", "module m\nimplicit none\ninteger :: size(3)\nend module m", `array "size" is named like an intrinsic`},
+		{"local array named like intrinsic", "program p\nimplicit none\nreal(kind=8) :: sum(2)\nsum(1) = 0.0d0\nend program p", `array "sum" is named like an intrinsic`},
+		{"function named like intrinsic", "module m\nimplicit none\ncontains\nfunction sign(x, y) result(r)\nreal(kind=8) :: x, y, r\nr = x + y\nend function sign\nend module m", `procedure "sign" is named like an intrinsic`},
+		{"subroutine named like intrinsic", "module m\nimplicit none\ncontains\nsubroutine mpi_allreduce_sum(x)\nreal(kind=8) :: x\nx = 0.0d0\nend subroutine mpi_allreduce_sum\nend module m", `procedure "mpi_allreduce_sum" is named like an intrinsic`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -175,6 +179,18 @@ func TestAnalyzeErrors(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestScalarNamedLikeIntrinsic checks that a scalar may take an
+// intrinsic's name: name(args) still calls the intrinsic.
+func TestScalarNamedLikeIntrinsic(t *testing.T) {
+	prog, _, err := analyzeSrc(t, "program p\nimplicit none\ninteger :: size\nreal(kind=8) :: a(3)\nsize = size(a)\nend program p", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := prog.Main.Body[0].(*AssignStmt).RHS.(*CallExpr); !ok || c.Intrinsic != "size" {
+		t.Errorf("size(a) beside a scalar size resolves to %s", ExprString(prog.Main.Body[0].(*AssignStmt).RHS))
 	}
 }
 

@@ -55,60 +55,20 @@ type compiler struct {
 	// every call site with its argument plans, every array declaration's
 	// dimension plans, and every statement and init list. They belong to
 	// this compile alone, and what it compiled holds them.
-	erefs slab[eref]
-	idxs  slab[index]
-	calls slab[ccall]
-	plans slab[argPlan]
-	dims  slab[dimPlan]
-	lists slab[vstmt]
-	inits slab[vinit]
+	erefs ft.Slab[eref]
+	idxs  ft.Slab[index]
+	calls ft.Slab[ccall]
+	plans ft.Slab[argPlan]
+	dims  ft.Slab[dimPlan]
+	lists ft.Slab[vstmt]
+	inits ft.Slab[vinit]
 }
-
-// slab hands out one type's compiled objects from a few chunks, so a
-// compile allocates per type, not per node. The first chunk is sized by
-// a count of the program's nodes (compiler.reserve). A form that
-// declines and is compiled again takes more than its nodes, and each
-// chunk added then holds at least a quarter of what the slab has. A
-// chunk never moves, so a pointer into it stays valid. Unlike
-// ft.Slab, whose builders count exactly what they take, a slab grows.
-type slab[T any] struct {
-	free  []T // the newest chunk's elements not yet taken
-	first []T // the chunk reserve allocated
-	size  int // the elements of every chunk
-}
-
-// reserve allocates a first chunk of n elements.
-func (s *slab[T]) reserve(n int) {
-	if n > 0 {
-		s.first = make([]T, n)
-		s.free, s.size = s.first, n
-	}
-}
-
-// take returns the next n elements as a list of capacity n; nil for
-// n = 0.
-func (s *slab[T]) take(n int) []T {
-	if n == 0 {
-		return nil
-	}
-	if len(s.free) < n {
-		size := n + s.size/4
-		s.free = make([]T, size)
-		s.size += size
-	}
-	l := s.free[:n:n]
-	s.free = s.free[n:]
-	return l
-}
-
-// new returns the next element.
-func (s *slab[T]) new() *T { return &s.take(1)[0] }
 
 func compileProgram(prog *ft.Program, model *perfmodel.Model, an *perfmodel.Analysis, rec *numerics.Recorder, boxed bool) *cprog {
 	return newCompiler(prog, model, an, rec, boxed).program()
 }
 
-// newCompiler returns a compiler of prog with its slabs reserved.
+// newCompiler returns a compiler of prog with its slabs sized.
 func newCompiler(prog *ft.Program, model *perfmodel.Model, an *perfmodel.Analysis, rec *numerics.Recorder, boxed bool) *compiler {
 	c := &compiler{prog: prog, model: model, an: an, rec: rec, boxed: boxed}
 	if !boxed {
@@ -118,30 +78,29 @@ func newCompiler(prog *ft.Program, model *perfmodel.Model, an *perfmodel.Analysi
 	return c
 }
 
-// reserve sizes the slabs' first chunks from prog: an element reference
-// per IndexExpr, a call site per call of a user procedure and a plan per
-// actual, the dimensions of every array declaration that is not a
-// dummy, and every statement and declaration.
+// reserve sets each slab's N, the size of its first chunk, from prog:
+// an element reference per IndexExpr, a call site per call of a user
+// procedure and a plan per actual, the dimensions of every array
+// declaration that is not a dummy, and every statement and declaration.
 func (c *compiler) reserve() {
-	var erefs, idxs, calls, plans, dims, stmts, inits int
 	countExpr := func(e ft.Expr) bool {
 		switch e := e.(type) {
 		case *ft.IndexExpr:
-			erefs++
-			idxs += len(e.Indices)
+			c.erefs.N++
+			c.idxs.N += len(e.Indices)
 		case *ft.CallExpr:
 			if e.Proc != nil {
-				calls++
-				plans += len(e.Args)
+				c.calls.N++
+				c.plans.N += len(e.Args)
 			}
 		}
 		return true
 	}
 	countStmt := func(s ft.Stmt) bool {
-		stmts++
+		c.lists.N++
 		if s, ok := s.(*ft.CallStmt); ok && s.Proc != nil {
-			calls++
-			plans += len(s.Args)
+			c.calls.N++
+			c.plans.N += len(s.Args)
 		}
 		return true
 	}
@@ -150,8 +109,8 @@ func (c *compiler) reserve() {
 			if d.IsArg {
 				continue
 			}
-			inits++
-			dims += len(d.Dims)
+			c.inits.N++
+			c.dims.N += len(d.Dims)
 			for _, dim := range d.Dims {
 				ft.WalkExpr(dim.Lo, countExpr)
 				ft.WalkExpr(dim.Hi, countExpr)
@@ -167,13 +126,6 @@ func (c *compiler) reserve() {
 		ft.WalkStmts(p.Body, countStmt)
 		ft.WalkExprs(p.Body, countExpr)
 	}
-	c.erefs.reserve(erefs)
-	c.idxs.reserve(idxs)
-	c.calls.reserve(calls)
-	c.plans.reserve(plans)
-	c.dims.reserve(dims)
-	c.lists.reserve(stmts)
-	c.inits.reserve(inits)
 }
 
 // program compiles c.prog.
@@ -202,7 +154,7 @@ func (c *compiler) program() *cprog {
 	cp.main = cp.procs[prog.Main.Index]
 	cp.modInits = make([][]vinit, len(prog.Modules))
 	for _, mod := range prog.Modules {
-		inits := c.inits.take(len(mod.Decls))
+		inits := c.inits.List(len(mod.Decls))
 		for k, d := range mod.Decls {
 			inits[k] = c.declInit(d)
 		}
@@ -225,7 +177,7 @@ func (c *compiler) program() *cprog {
 				n++
 			}
 		}
-		tp.inits = c.inits.take(n)[:0]
+		tp.inits = c.inits.List(n)[:0]
 		for _, d := range p.Decls {
 			if d.IsArg || first != nil && first[d.Slot] {
 				continue
@@ -428,7 +380,7 @@ func (c *compiler) declInit(d *ft.VarDecl) vinit {
 	defer func() { c.dyn = savedDyn }()
 
 	if d.IsArray() {
-		dims := c.dims.take(len(d.Dims))
+		dims := c.dims.List(len(d.Dims))
 		for k, dim := range d.Dims {
 			dp := dimPlan{assumed: dim.Assumed}
 			if !dim.Assumed {
@@ -653,15 +605,14 @@ type vint func(m *vm, fr *vframe) int64
 
 func (c *compiler) elemRef(e *ft.IndexExpr) *eref {
 	n := len(e.Indices)
-	r := c.erefs.new()
-	*r = eref{
+	r := c.erefs.Put(eref{
 		mod:    arrUnresolved,
 		affine: n == 1 || n == 2,
-		idxs:   c.idxs.take(n),
+		idxs:   c.idxs.List(n),
 		name:   e.Arr.Name,
 		pos:    e.Pos,
 		ialu:   c.cost(perfmodel.OpIntALU, 4),
-	}
+	})
 	if d := e.Arr.Decl; d != nil {
 		r.slot, r.mod = int32(d.Slot), arrLocal
 		if d.Proc == nil {
@@ -1995,16 +1946,15 @@ type ccall struct {
 
 // callSite compiles the argument binding plans for a call of proc.
 func (c *compiler) callSite(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) *ccall {
-	s := c.calls.new()
-	*s = ccall{
+	s := c.calls.Put(ccall{
 		callee:   c.cp.procs[proc.Index],
-		plans:    c.plans.take(len(args)),
+		plans:    c.plans.List(len(args)),
 		pos:      pos,
 		brCost:   c.cost(perfmodel.OpBranch, 4),
 		callCost: c.model.CallCycles,
 		timerOv:  c.model.TimerOverhead,
 		skipOut:  c.facts != nil && c.facts.skips(proc, args),
-	}
+	})
 	for ai, argExpr := range args {
 		p := &s.plans[ai]
 		var dummy *ft.VarDecl
@@ -2081,9 +2031,9 @@ func (c *compiler) callSite(proc *ft.Procedure, args []ft.Expr, pos ft.Pos) *cca
 // live: the caller reads the result from it and then puts it back. On
 // an error the frame is already back in the pool.
 func (s *ccall) call(m *vm, fr *vframe) (*vframe, error) {
-	if m.depth >= m.maxDepth {
+	if m.depth >= maxCallDepth {
 		return nil, &RunError{Pos: s.pos, Kind: FailInternal,
-			Msg: fmt.Sprintf("call stack exceeds %d frames", m.maxDepth)}
+			Msg: fmt.Sprintf("call stack exceeds %d frames", maxCallDepth)}
 	}
 	callee := s.callee
 	if !callee.inlined {
@@ -2342,7 +2292,7 @@ func errStmt(pos ft.Pos, err error) vstmt {
 }
 
 func (c *compiler) stmts(list []ft.Stmt) []vstmt {
-	out := c.lists.take(len(list))
+	out := c.lists.List(len(list))
 	for k, s := range list {
 		out[k] = c.stmt(s)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	ft "repro/internal/fortran"
 	"repro/internal/gptl"
@@ -66,9 +67,6 @@ func (e *RunError) Error() string {
 type Config struct {
 	// Model prices operations; required.
 	Model *perfmodel.Model
-	// Analysis supplies vectorization/inlining verdicts. If nil it is
-	// computed from the program.
-	Analysis *perfmodel.Analysis
 	// TrapNonFinite makes any assignment of NaN/±Inf a runtime error,
 	// the mechanism behind Table II's "Error" outcomes.
 	TrapNonFinite bool
@@ -87,8 +85,6 @@ type Config struct {
 	Stdout io.Writer
 	// Profile enables GPTL per-procedure timing (with modeled overhead).
 	Profile bool
-	// MaxDepth bounds the call stack (default 1000).
-	MaxDepth int
 	// Numerics, if non-nil, enables shadow execution: every real value
 	// carries a float64 shadow computed at full precision and the
 	// recorder aggregates per-statement/per-atom divergence. Strictly
@@ -133,6 +129,10 @@ type Interp struct {
 // errReleased is what Run returns after Release.
 var errReleased = errors.New("interp: Run after Release")
 
+// maxCallDepth bounds the call stack: a call that would make it deeper
+// fails with FailInternal.
+const maxCallDepth = 1000
+
 // cancelPollInterval is how many budget checks (≈ statements) pass
 // between Context polls: rare enough to stay off the hot path, frequent
 // enough that a hard cancellation lands within microseconds of real
@@ -157,13 +157,7 @@ func newInterp(prog *ft.Program, cfg Config, boxed bool, pool *Pool) (*Interp, e
 	if prog.ProcMap == nil {
 		return nil, fmt.Errorf("interp: program must be analyzed first")
 	}
-	an := cfg.Analysis
-	if an == nil {
-		an = perfmodel.Analyze(prog, cfg.Model)
-	}
-	if cfg.MaxDepth == 0 {
-		cfg.MaxDepth = 1000
-	}
+	an := perfmodel.Analyze(prog, cfg.Model)
 	return &Interp{prog: prog, vmr: newVM(prog, &cfg, an, boxed, pool)}, nil
 }
 
@@ -186,9 +180,6 @@ func (i *Interp) Release() {
 	i.vmr.release()
 }
 
-// Cycles returns the simulated cycles consumed so far.
-func (i *Interp) Cycles() float64 { return i.vmr.cycles }
-
 // Global returns the value of a module variable by qualified name
 // ("module.var"), used by model harnesses to read output time series.
 // It reports false after Release.
@@ -196,9 +187,13 @@ func (i *Interp) Global(qname string) (Value, bool) {
 	if i.released {
 		return Value{}, false
 	}
+	mod, name, _ := strings.Cut(qname, ".")
 	for _, m := range i.prog.Modules {
+		if m.Name != mod {
+			continue
+		}
 		for _, d := range m.Decls {
-			if d.QName() == qname {
+			if d.Name == name {
 				return i.vmr.globalValue(m, d), true
 			}
 		}

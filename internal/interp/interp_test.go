@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -820,6 +821,45 @@ end program p
 	if v, ok := in.Global("g.series"); !ok || v.Arr == nil || v.Arr.Size() != 3 {
 		t.Errorf("Global(g.series) = %v %v, want the array", v, ok)
 	}
+	for _, q := range []string{"g", "series", "p.scalar", "g.scalar.x"} {
+		if _, ok := in.Global(q); ok {
+			t.Errorf("Global(%q) found a variable", q)
+		}
+	}
+}
+
+// TestGlobalAllocatesNothing checks that looking up a module variable,
+// found or not, allocates nothing on every bundled model: a model
+// harness reads its outputs through Global after every run.
+func TestGlobalAllocatesNothing(t *testing.T) {
+	files, err := filepath.Glob("../models/src/*.ft")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no model sources found: %v", err)
+	}
+	for _, f := range files {
+		prog := parseModelFile(t, f)
+		in, err := New(prog, Config{Model: perfmodel.Default()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := in.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var hit, miss string // the last module variable, and a name in its module
+		for _, m := range prog.Modules {
+			if len(m.Decls) > 0 {
+				hit, miss = m.Decls[len(m.Decls)-1].QName(), m.Name+".no_such_variable"
+			}
+		}
+		for _, q := range []string{hit, miss, "no_such_module.x"} {
+			if allocs := testing.AllocsPerRun(10, func() { in.Global(q) }); allocs != 0 {
+				t.Errorf("%s: Global(%q) allocates %.0f times", filepath.Base(f), q, allocs)
+			}
+		}
+		if _, ok := in.Global(hit); !ok {
+			t.Errorf("%s: Global(%q) found nothing", filepath.Base(f), hit)
+		}
+	}
 }
 
 func TestWhileLoopConvergence(t *testing.T) {
@@ -976,13 +1016,13 @@ end program p
 `
 	prog := ft.MustParse(src)
 	ft.MustAnalyze(prog, ft.Options{})
-	in, err := New(prog, Config{Model: perfmodel.Default(), MaxDepth: 64})
+	in, err := New(prog, Config{Model: perfmodel.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = in.Run()
 	var re *RunError
-	if !errors.As(err, &re) || re.Kind != FailInternal || !strings.Contains(re.Msg, "call stack") {
+	if !errors.As(err, &re) || re.Kind != FailInternal || !strings.Contains(re.Msg, fmt.Sprintf("call stack exceeds %d frames", maxCallDepth)) {
 		t.Fatalf("unbounded recursion not guarded: %v", err)
 	}
 }

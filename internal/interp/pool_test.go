@@ -361,8 +361,7 @@ func TestPoolModelRunAllocs(t *testing.T) {
 	for _, f := range files {
 		t.Run(filepath.Base(f), func(t *testing.T) {
 			prog := parseModelFile(t, f)
-			cfg := Config{Model: perfmodel.Default(), TrapNonFinite: true, Profile: true,
-				Analysis: perfmodel.Analyze(prog, perfmodel.Default())}
+			cfg := Config{Model: perfmodel.Default(), TrapNonFinite: true, Profile: true}
 			var pool Pool
 			warm, err := pool.New(prog, cfg)
 			if err != nil {

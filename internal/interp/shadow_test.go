@@ -495,9 +495,8 @@ end program p
 			t.Fatal(err)
 		}
 		model := perfmodel.Default()
-		an := perfmodel.Analyze(prog, model)
 		return testing.AllocsPerRun(10, func() {
-			in, err := New(prog, Config{Model: model, Analysis: an})
+			in, err := New(prog, Config{Model: model})
 			if err != nil {
 				t.Fatal(err)
 			}

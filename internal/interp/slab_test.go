@@ -1,41 +1,53 @@
 package interp
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"unsafe"
 
+	ft "repro/internal/fortran"
 	"repro/internal/perfmodel"
 )
 
-// holds reports whether p points into s's first chunk.
-func holds[T any](s *slab[T], p *T) bool {
-	if len(s.first) == 0 {
-		return false
-	}
-	lo := uintptr(unsafe.Pointer(&s.first[0]))
-	a := uintptr(unsafe.Pointer(p))
-	return a >= lo && a < lo+uintptr(len(s.first))*unsafe.Sizeof(s.first[0])
+// chunk returns the bounds of s's newest chunk, the elements all its
+// chunks hold and its N.
+func chunk[T any](s *ft.Slab[T]) (lo, hi uintptr, held, n int64) {
+	v := reflect.ValueOf(s).Elem()
+	c := v.FieldByName("chunk")
+	lo = c.Pointer()
+	hi = lo + uintptr(c.Len())*reflect.TypeFor[T]().Size()
+	return lo, hi, v.FieldByName("held").Int(), v.FieldByName("N").Int()
 }
 
-// oneChunk checks that reserve sized s to all the compile took, and
-// that s's chunk and other's share no memory.
-func oneChunk[T any](t *testing.T, name string, s, other *slab[T]) {
+// holds reports whether p points into s's newest chunk.
+func holds[T any](s *ft.Slab[T], p *T) bool {
+	lo, hi, _, _ := chunk(s)
+	a := uintptr(unsafe.Pointer(p))
+	return a >= lo && a < hi
+}
+
+// oneChunk checks that the compile took all of s from one chunk of N,
+// and that s's chunk and other's share no memory.
+func oneChunk[T any](t *testing.T, name string, s, other *ft.Slab[T]) {
 	t.Helper()
+	lo, hi, held, n := chunk(s)
+	olo, ohi, _, _ := chunk(other)
 	switch {
-	case len(s.first) == 0:
+	case held == 0:
 		t.Errorf("the compile took no %s", name)
-	case s.size != len(s.first):
-		t.Errorf("the compile took %d %s chunk elements beyond the %d reserved", s.size-len(s.first), name, len(s.first))
-	case holds(other, &s.first[0]) || holds(other, &s.first[len(s.first)-1]):
+	case held != n:
+		t.Errorf("the compile allocated %d %s elements in chunks for the %d counted", held, name, n)
+	case lo < ohi && olo < hi:
 		t.Errorf("the two compiles share %s slab memory", name)
 	}
 }
 
-// TestCompilesShareNoSlab compiles one MPAS-A variant twice and checks
-// that each compile takes everything from one chunk per slab, that the
-// two compiles' chunks share no memory, and that each compiled
-// program's statement and init lists lie in its own compile's chunks.
+// TestCompilesShareNoSlab compiles one MPAS-A variant twice, unboxed,
+// and checks that each compile takes everything from one chunk per
+// slab, that the two compiles' chunks share no memory, and that each
+// compiled program's statement and init lists lie in its own compile's
+// chunks.
 func TestCompilesShareNoSlab(t *testing.T) {
 	v := lowerAlternate(t, parseModelFile(t, "../models/src/mpas_a.ft")).Prog
 	model := perfmodel.Default()

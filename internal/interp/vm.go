@@ -136,7 +136,6 @@ type vm struct {
 	budget   float64
 	ctx      context.Context
 	trap     bool
-	maxDepth int
 	memFloor float64
 	castCost float64
 }
@@ -153,7 +152,6 @@ func newVM(prog *ft.Program, cfg *Config, an *perfmodel.Analysis, boxed bool, po
 		budget:    cfg.CycleBudget,
 		ctx:       cfg.Context,
 		trap:      cfg.TrapNonFinite,
-		maxDepth:  cfg.MaxDepth,
 		memFloor:  model.MemVecFloor,
 		castCost:  model.OpCost(perfmodel.OpCast, 8),
 	}

@@ -40,9 +40,6 @@ type file[R any] struct {
 	records []R
 }
 
-// Path returns the file's path.
-func (f *file[R]) Path() string { return f.path }
-
 // Header returns the file's header.
 func (f *file[R]) Header() Header { return f.header }
 

@@ -118,14 +118,6 @@ func NewRecorder(file string, o Options) *Recorder {
 	}
 }
 
-// CancelBits returns the active cancellation threshold.
-func (r *Recorder) CancelBits() float64 {
-	if r == nil {
-		return DefaultCancelBits
-	}
-	return r.cancelBits
-}
-
 func (r *Recorder) stmt(proc string, line int) *stmtStats {
 	k := StmtKey{Proc: proc, Line: line}
 	st := r.stmts[k]
@@ -208,27 +200,8 @@ func (r *Recorder) Op(proc string, line int, op byte, x, y, xs, ys, res, exact, 
 	if r == nil {
 		return
 	}
-	r.opAt(r.stmt(proc, line), proc, line, op, x, y, xs, ys, res, exact, shadow)
-}
-
-// opAt is the keyed-path op core. Site.Op open-codes this body — keep
-// them in lockstep.
-func (r *Recorder) opAt(st *stmtStats, proc string, line int, op byte, x, y, xs, ys, res, exact, shadow float64) {
-	r.ops++
-	st.ops++
-	// When all three lanes agree, local and div are both zero and note
-	// is an arithmetic no-op — skip it (and both relErr calls). This is
-	// every op of a full-precision baseline run. NaN lanes fail the
-	// equality and fall through to relErr, which treats them as 0.
-	if res != exact || res != shadow {
-		r.note(st, relErr(res, exact), relErr(res, shadow))
-	}
-	if op == '+' || op == '-' {
-		r.cancel(st, x, y, xs, ys, res, exact)
-	}
-	if !finite(res) && finite(x) && finite(y) {
-		r.bornNonFinite(st, proc, line, string(rune(op)), shadow)
-	}
+	s := Site{r: r, key: StmtKey{Proc: proc, Line: line}}
+	s.Op(op, x, y, xs, ys, res, exact, shadow)
 }
 
 // Intrinsic records one intrinsic call: f(x) produced res in the
@@ -238,20 +211,8 @@ func (r *Recorder) Intrinsic(proc string, line int, name string, x, res, exact, 
 	if r == nil {
 		return
 	}
-	r.intrinsicAt(r.stmt(proc, line), proc, line, name, x, res, exact, shadow)
-}
-
-// intrinsicAt is the keyed-path intrinsic core. Site.Intrinsic
-// open-codes this body — keep them in lockstep.
-func (r *Recorder) intrinsicAt(st *stmtStats, proc string, line int, name string, x, res, exact, shadow float64) {
-	r.ops++
-	st.ops++
-	if res != exact || res != shadow {
-		r.note(st, relErr(res, exact), relErr(res, shadow))
-	}
-	if !finite(res) && finite(x) {
-		r.bornNonFinite(st, proc, line, name, shadow)
-	}
+	s := Site{r: r, key: StmtKey{Proc: proc, Line: line}}
+	s.Intrinsic(name, x, res, exact, shadow)
 }
 
 // note folds one operation's local rounding error and cumulative
@@ -343,35 +304,8 @@ func (r *Recorder) Assign(proc string, line int, atom string, primary, shadow, s
 	if r == nil {
 		return
 	}
-	r.assignAt(r.stmt(proc, line), nil, atom, proc, line, primary, shadow, stored)
-}
-
-// assignAt is the keyed-path assign core; at may be a pre-resolved
-// accumulator for the atom. Site.Assign open-codes this body — keep
-// them in lockstep.
-func (r *Recorder) assignAt(st *stmtStats, at *atomStats, atom, proc string, line int, primary, shadow, stored float64) {
-	st.assigns++
-	var local, div float64
-	if primary != stored || primary != shadow {
-		local = relErr(primary, stored)
-		div = relErr(primary, shadow)
-		r.note(st, local, div)
-	}
-	if !finite(primary) && r.firstNF == nil {
-		r.bornNonFinite(st, proc, line, "=", shadow)
-	}
-	if atom == "" {
-		return
-	}
-	if at == nil {
-		at = r.atom(atom)
-	}
-	at.assigns++
-	at.roundSum += local
-	at.divSum += div
-	if div > at.maxDiv {
-		at.maxDiv = div
-	}
+	s := Site{r: r, key: StmtKey{Proc: proc, Line: line}, atom: atom}
+	s.Assign(primary, shadow, stored)
 }
 
 // Branch records a comparison whose shadow-lane outcome differed from
@@ -381,19 +315,19 @@ func (r *Recorder) Branch(proc string, line int) {
 	if r == nil {
 		return
 	}
-	r.branches++
-	r.stmt(proc, line).branches++
+	s := Site{r: r, key: StmtKey{Proc: proc, Line: line}}
+	s.Branch()
 }
 
 // Discretize records a real-to-integer intrinsic (nint/int/floor) whose
 // primary and shadow lanes rounded to different integers — a
 // discretization flip, the mechanism behind iteration-count divergence.
 func (r *Recorder) Discretize(proc string, line int, name string, primary, shadow int64) {
-	if r == nil || primary == shadow {
+	if r == nil {
 		return
 	}
-	r.discrete++
-	r.stmt(proc, line).discrete++
+	s := Site{r: r, key: StmtKey{Proc: proc, Line: line}}
+	s.Discretize(primary, shadow)
 }
 
 func (r *Recorder) bornNonFinite(st *stmtStats, proc string, line int, op string, shadow float64) {
@@ -408,13 +342,14 @@ func (r *Recorder) bornNonFinite(st *stmtStats, proc string, line int, op string
 }
 
 // Site is a per-callsite handle onto the recorder: a compiled
-// interpreter that knows its (proc, line) — and, for assignments, the target atom —
-// at compile time resolves the accumulators once instead of paying two
-// map lookups per recorded event. Aggregation is byte-identical to the
-// keyed Recorder methods (both run the same cores); the statement and
-// atom map entries are still created lazily at the first recorded
-// event, so a profile never grows entries for never-executed sites.
-// A nil *Site is a no-op, mirroring the nil *Recorder contract.
+// interpreter that knows its (proc, line) — and, for assignments, the
+// target atom — at compile time resolves the accumulators once instead
+// of paying two map lookups per recorded event. The Site methods are
+// the recorder's only event cores: each keyed Recorder method runs one
+// on a Site built on its stack. The statement and atom map entries are
+// created lazily at the first recorded event, so a profile never grows
+// entries for never-executed sites. A nil *Site is a no-op, mirroring
+// the nil *Recorder contract.
 type Site struct {
 	r    *Recorder
 	key  StmtKey
@@ -448,12 +383,8 @@ func (s *Site) stats() *stmtStats {
 	return s.st
 }
 
-// Op is Recorder.Op at this site. The body mirrors opAt statement for
-// statement (keep them in lockstep — the interpreter's golden run
-// digests pin profiles recorded through the keyed path); it is
-// open-coded here because
-// this is the per-operation hot path of every instrumented run and the
-// extra call frame with its eleven arguments is measurable.
+// Op is Recorder.Op at this site: the per-operation hot path of every
+// instrumented run.
 func (s *Site) Op(op byte, x, y, xs, ys, res, exact, shadow float64) {
 	if s == nil {
 		return
@@ -461,6 +392,10 @@ func (s *Site) Op(op byte, x, y, xs, ys, res, exact, shadow float64) {
 	r, st := s.r, s.stats()
 	r.ops++
 	st.ops++
+	// When all three lanes agree, local and div are both zero and note
+	// is an arithmetic no-op — skip it (and both relErr calls). This is
+	// every op of a full-precision baseline run. NaN lanes fail the
+	// equality and fall through to relErr, which treats them as 0.
 	if res != exact || res != shadow {
 		r.note(st, relErr(res, exact), relErr(res, shadow))
 	}
@@ -472,8 +407,7 @@ func (s *Site) Op(op byte, x, y, xs, ys, res, exact, shadow float64) {
 	}
 }
 
-// Intrinsic is Recorder.Intrinsic at this site (mirrors intrinsicAt,
-// open-coded for the same reason as Op).
+// Intrinsic is Recorder.Intrinsic at this site.
 func (s *Site) Intrinsic(name string, x, res, exact, shadow float64) {
 	if s == nil {
 		return
@@ -489,9 +423,8 @@ func (s *Site) Intrinsic(name string, x, res, exact, shadow float64) {
 	}
 }
 
-// Assign is Recorder.Assign at this site (the atom was fixed at site
-// construction; mirrors assignAt, open-coded for the same reason as
-// Op).
+// Assign is Recorder.Assign at this site, whose atom was fixed at site
+// construction.
 func (s *Site) Assign(primary, shadow, stored float64) {
 	if s == nil {
 		return

@@ -20,9 +20,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Profile() != nil {
 		t.Fatal("nil recorder must yield nil profile")
 	}
-	if got := r.CancelBits(); got != DefaultCancelBits {
-		t.Fatalf("nil CancelBits = %v, want default %v", got, DefaultCancelBits)
-	}
 }
 
 func TestRelErr(t *testing.T) {
@@ -97,8 +94,14 @@ func TestCancelBitsThresholdOption(t *testing.T) {
 	if p := r.Profile(); p.Cancellations != 1 {
 		t.Fatalf("threshold 1: cancellations = %d, want 1", p.Cancellations)
 	}
-	if got := NewRecorder("x", Options{}).CancelBits(); got != DefaultCancelBits {
-		t.Fatalf("default threshold = %v, want %v", got, DefaultCancelBits)
+	// The default threshold counts a collapse of 8 bits, not one of
+	// just under 8.
+	r = NewRecorder("x", Options{})
+	r.Op("p", 3, '-', 256, 255, 256, 255, 1, 1, 1)
+	r.Op("p", 4, '-', 255, 254, 255, 254, 1, 1, 1)
+	if p := r.Profile(); p.CancelBits != DefaultCancelBits || p.Cancellations != 1 || p.Statements[0].Cancellations != 1 {
+		t.Fatalf("default threshold %v: cancellations = %d, at line %d %d, want 1 at line 3",
+			p.CancelBits, p.Cancellations, p.Statements[0].Line, p.Statements[0].Cancellations)
 	}
 }
 
@@ -245,5 +248,88 @@ func TestPushPopTargetNesting(t *testing.T) {
 	p := r.Profile()
 	if len(p.Atoms) != 1 || p.Atoms[0].QName != "outer" {
 		t.Fatalf("atoms = %+v, want only outer", p.Atoms)
+	}
+}
+
+// recordEvents records one fixed event sequence, twice, through the
+// keyed methods or through one Site per statement, as a compiled
+// interpreter holds them: ops with a rounding error, a catastrophic
+// cancellation and a non-finite birth, intrinsics, assignments to an
+// atom and to a non-atom, branches and discretizations.
+func recordEvents(r *Recorder, sites bool) {
+	held := make(map[StmtKey]*Site)
+	site := func(proc string, line int, atom string) *Site {
+		k := StmtKey{Proc: proc, Line: line}
+		if held[k] == nil {
+			held[k] = r.AssignSite(proc, line, atom)
+		}
+		return held[k]
+	}
+	op := func(proc string, line int, o byte, x, y, xs, ys, res, exact, shadow float64) {
+		if sites {
+			site(proc, line, "").Op(o, x, y, xs, ys, res, exact, shadow)
+		} else {
+			r.Op(proc, line, o, x, y, xs, ys, res, exact, shadow)
+		}
+	}
+	intrinsic := func(proc string, line int, name string, x, res, exact, shadow float64) {
+		if sites {
+			site(proc, line, "").Intrinsic(name, x, res, exact, shadow)
+		} else {
+			r.Intrinsic(proc, line, name, x, res, exact, shadow)
+		}
+	}
+	assign := func(proc string, line int, atom string, primary, shadow, stored float64) {
+		if sites {
+			site(proc, line, atom).Assign(primary, shadow, stored)
+		} else {
+			r.Assign(proc, line, atom, primary, shadow, stored)
+		}
+	}
+	tiny := math.Ldexp(1, -20)
+	for range 2 {
+		r.PushTarget("m.a")
+		op("p", 1, '+', 1, 2, 1, 2, 3, 3, 3)
+		op("p", 2, '*', 3, 0.1, 3, 0.1, float64(float32(0.3)), 3*0.1, 3*0.1)
+		op("p", 3, '-', 1+tiny, 1, 1+tiny+1e-9, 1, tiny, tiny, tiny+1e-9)
+		op("q", 4, '*', 1e300, 1e300, 1e300, 1e300, math.Inf(1), math.Inf(1), math.Inf(1))
+		intrinsic("p", 5, "sqrt", 2, float64(float32(math.Sqrt2)), math.Sqrt2, math.Sqrt2)
+		intrinsic("q", 6, "log", 0, math.Inf(-1), math.Inf(-1), math.Inf(-1))
+		assign("p", 7, "m.a", float64(float32(0.1)), 0.1, 0.1)
+		r.PopTarget()
+		assign("p", 8, "", float64(float32(1.0/3)), 1.0/3, 1.0/3)
+		assign("q", 9, "m.b", math.NaN(), 1, math.NaN())
+		if sites {
+			site("p", 10, "").Branch()
+			site("p", 11, "").Discretize(1, 2)
+			site("p", 12, "").Discretize(3, 3)
+		} else {
+			r.Branch("p", 10)
+			r.Discretize("p", 11, "nint", 1, 2)
+			r.Discretize("p", 12, "nint", 3, 3)
+		}
+	}
+}
+
+// TestKeyedMethodsRecordAsSites checks that the keyed methods record
+// what Sites record, and that a keyed op, intrinsic or assignment on a
+// statement the recorder has seen allocates nothing.
+func TestKeyedMethodsRecordAsSites(t *testing.T) {
+	keyed, sited := NewRecorder("m.ft", Options{}), NewRecorder("m.ft", Options{})
+	recordEvents(keyed, false)
+	recordEvents(sited, true)
+	p := keyed.Profile()
+	if p.Catastrophic == 0 || p.NonFinite == 0 || p.BranchDivergences == 0 || p.Discretizations == 0 || len(p.Atoms) != 2 {
+		t.Fatalf("the event sequence misses a kind of event: %+v", p)
+	}
+	if q := sited.Profile(); !reflect.DeepEqual(p, q) {
+		t.Errorf("keyed methods record\n%+v\nSites record\n%+v", p, q)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		keyed.Op("p", 2, '*', 3, 0.1, 3, 0.1, float64(float32(0.3)), 3*0.1, 3*0.1)
+		keyed.Intrinsic("p", 5, "sqrt", 2, float64(float32(math.Sqrt2)), math.Sqrt2, math.Sqrt2)
+		keyed.Assign("p", 7, "m.a", float64(float32(0.1)), 0.1, 0.1)
+	}); allocs != 0 {
+		t.Errorf("keyed Op, Intrinsic and Assign on seen statements allocate %.0f times", allocs)
 	}
 }

@@ -163,16 +163,3 @@ func renderTree(sb *strings.Builder, n *TraceNode, depth, maxDepth int) {
 		renderTree(sb, c, depth+1, maxDepth)
 	}
 }
-
-// Summary renders a top-N per-phase table for the tracer's own spans —
-// the plain-text counterpart to the Chrome export.
-func (t *Tracer) Summary(top int) string {
-	if t == nil {
-		return ""
-	}
-	regions := PhaseRegions(BuildTree(t.Records()))
-	if top > 0 && len(regions) > top {
-		regions = regions[:top]
-	}
-	return gptl.FormatRegions(regions)
-}

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/gptl"
 )
 
 // TestDeterministicSpanIDs: span IDs depend only on (fingerprint,
@@ -423,7 +425,8 @@ func TestDebugServer(t *testing.T) {
 	}
 }
 
-// TestTracerSummary: the plain-text top-N summary uses the gptl table.
+// TestTracerSummary: the tracer's spans fold into one gptl region
+// per phase, rendered as the table prose trace prints.
 func TestTracerSummary(t *testing.T) {
 	tr := NewTracer("sum")
 	root := tr.Root("tune")
@@ -432,15 +435,23 @@ func TestTracerSummary(t *testing.T) {
 		c.End()
 	}
 	root.End()
-	out := tr.Summary(1)
+	regions := PhaseRegions(BuildTree(tr.Records()))
+	out := gptl.FormatRegions(regions)
 	if !strings.Contains(out, "region") || !strings.Contains(out, "self/call") {
-		t.Errorf("summary missing gptl header:\n%s", out)
+		t.Errorf("table missing gptl header:\n%s", out)
 	}
-	if lines := strings.Count(out, "\n"); lines != 2 { // header + 1 row
-		t.Errorf("top-1 summary has %d lines:\n%s", lines, out)
+	if lines := strings.Count(out, "\n"); lines != 3 { // header + tune + eval
+		t.Errorf("two-phase table has %d lines:\n%s", lines, out)
+	}
+	calls := make(map[string]int)
+	for _, r := range regions {
+		calls[r.Name] = int(r.Calls)
+	}
+	if len(calls) != 2 || calls["tune"] != 1 || calls["eval"] != 3 {
+		t.Errorf("phase calls %v, want tune 1 and eval 3", calls)
 	}
 	var nilT *Tracer
-	if nilT.Summary(5) != "" || nilT.Len() != 0 || nilT.Records() != nil || nilT.Fingerprint() != "" {
+	if nilT.Len() != 0 || nilT.Records() != nil || nilT.Fingerprint() != "" {
 		t.Error("nil tracer not a no-op")
 	}
 }

@@ -43,7 +43,6 @@ package resilience
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -257,18 +256,6 @@ func (s *Supervised) Quarantine(key, fault string) {
 		s.quarantined[key] = fault
 		s.stats.Quarantined++
 	}
-}
-
-// Quarantined returns the quarantined assignment keys, sorted.
-func (s *Supervised) Quarantined() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.quarantined))
-	for k := range s.quarantined {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Stats returns a snapshot of the supervisor counters.

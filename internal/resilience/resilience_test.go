@@ -151,8 +151,8 @@ func TestRetriesExhaustedQuarantines(t *testing.T) {
 	if se.calls.Load() != 3 {
 		t.Errorf("quarantined key reached the inner evaluator again (%d calls)", se.calls.Load())
 	}
-	if q := s.Quarantined(); len(q) != 1 || q[0] != key {
-		t.Errorf("Quarantined() = %v, want [%s]", q, key)
+	if q := s.Stats().Quarantined; q != 1 {
+		t.Errorf("Stats().Quarantined = %d, want 1", q)
 	}
 }
 

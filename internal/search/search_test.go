@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"sync/atomic"
@@ -378,7 +379,7 @@ func TestBatchEvalDeduplicates(t *testing.T) {
 	fe := &fakeEval{atoms: atoms}
 	log := NewLog()
 	a := transform.Uniform(atoms, 4)
-	evs := batchEval(nil, log, fe, []transform.Assignment{a, a.Clone(), transform.Uniform(atoms, 8)}, 3, nil)
+	evs := batchEval(nil, log, fe, []transform.Assignment{a, maps.Clone(a), transform.Uniform(atoms, 8)}, 3, nil)
 	if fe.calls.Load() != 2 {
 		t.Errorf("evaluator called %d times, want 2", fe.calls.Load())
 	}

@@ -72,15 +72,6 @@ func (a Assignment) Lowered() int {
 	return n
 }
 
-// Clone returns a copy of the assignment.
-func (a Assignment) Clone() Assignment {
-	out := make(Assignment, len(a))
-	for k, v := range a {
-		out[k] = v
-	}
-	return out
-}
-
 // Key renders the assignment canonically, for caching identical variants:
 // the names of the atoms at kind 4, sorted, each followed by ";".
 func (a Assignment) Key() string {

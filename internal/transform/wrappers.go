@@ -49,7 +49,12 @@ func InsertWrappers(prog *ft.Program, info *ft.Info) (int, error) {
 		sites = append(sites, site{ms[0].CallStmt, ms[0].CallExpr, w})
 		ms = ms[n:]
 	}
-	b.build()
+	// Build every wrapper into its callee's module, unresolved: the
+	// caller's final Analyze pass resolves and type-checks it.
+	for i := range b.ws {
+		w := b.wrap(&b.ws[i])
+		w.Module.Procs = append(w.Module.Procs, w)
+	}
 	for _, s := range sites {
 		name := b.ws[s.w].name
 		if s.cs != nil {
@@ -143,7 +148,7 @@ func (b *wrapBuilder) plan(ms []ft.Mismatch) (int, error) {
 	w := wrapper{callee: callee, kinds: slices.Clone(b.kinds), name: b.wrapperName(callee),
 		nDecls: len(callee.Params)}
 
-	// Count the nodes build takes: per parameter a dummy of the
+	// Count the nodes wrap takes: per parameter a dummy of the
 	// callee's rank and a reference to it as the call's argument; per
 	// converted parameter a temporary with a size() extent per
 	// dimension, and a copy-in and copy-out assignment of two
@@ -227,29 +232,6 @@ func (b *wrapBuilder) taken(name []byte) bool {
 		}
 	}
 	return false
-}
-
-// build builds every planned wrapper into its callee's module. The
-// generated AST is unresolved; the caller's final Analyze pass resolves
-// and type-checks it.
-func (b *wrapBuilder) build() {
-	b.procs.Alloc()
-	b.decls.Alloc()
-	b.dims.Alloc()
-	b.refs.Alloc()
-	b.ints.Alloc()
-	b.calls.Alloc()
-	b.applies.Alloc()
-	b.assigns.Alloc()
-	b.callSts.Alloc()
-	b.declList.Alloc()
-	b.stmtList.Alloc()
-	b.exprList.Alloc()
-	b.strList.Alloc()
-	for i := range b.ws {
-		w := b.wrap(&b.ws[i])
-		w.Module.Procs = append(w.Module.Procs, w)
-	}
 }
 
 // wrap builds the wrapper that wr plans.

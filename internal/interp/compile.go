@@ -53,15 +53,17 @@ type compiler struct {
 
 	// The compile's slabs: every element reference with its indices,
 	// every call site with its argument plans, every array declaration's
-	// dimension plans, and every statement and init list. They belong to
-	// this compile alone, and what it compiled holds them.
-	erefs ft.Slab[eref]
-	idxs  ft.Slab[index]
-	calls ft.Slab[ccall]
-	plans ft.Slab[argPlan]
-	dims  ft.Slab[dimPlan]
-	lists ft.Slab[vstmt]
-	inits ft.Slab[vinit]
+	// dimension plans, every statement and init list, and every
+	// arithmetic node. They belong to this compile alone, and what it
+	// compiled holds them.
+	erefs  ft.Slab[eref]
+	idxs   ft.Slab[index]
+	calls  ft.Slab[ccall]
+	plans  ft.Slab[argPlan]
+	dims   ft.Slab[dimPlan]
+	lists  ft.Slab[vstmt]
+	inits  ft.Slab[vinit]
+	ariths ft.Slab[rarith]
 }
 
 func compileProgram(prog *ft.Program, model *perfmodel.Model, an *perfmodel.Analysis, rec *numerics.Recorder, boxed bool) *cprog {
@@ -81,8 +83,11 @@ func newCompiler(prog *ft.Program, model *perfmodel.Model, an *perfmodel.Analysi
 // reserve sets each slab's N, the size of its first chunk, from prog:
 // an element reference per IndexExpr, a call site per call of a user
 // procedure and a plan per actual, the dimensions of every array
-// declaration that is not a dummy, and every statement and declaration.
+// declaration that is not a dummy, every statement and declaration,
+// and exactly the arithmetic nodes the compile builds (stmtNodes and
+// valueNodes), which only an unboxed compile without a recorder does.
 func (c *compiler) reserve() {
+	nodes := !c.boxed && c.rec == nil
 	countExpr := func(e ft.Expr) bool {
 		switch e := e.(type) {
 		case *ft.IndexExpr:
@@ -102,6 +107,9 @@ func (c *compiler) reserve() {
 			c.calls.N++
 			c.plans.N += len(s.Args)
 		}
+		if nodes {
+			c.ariths.N += c.stmtNodes(s)
+		}
 		return true
 	}
 	countDecls := func(decls []*ft.VarDecl) {
@@ -114,8 +122,14 @@ func (c *compiler) reserve() {
 			for _, dim := range d.Dims {
 				ft.WalkExpr(dim.Lo, countExpr)
 				ft.WalkExpr(dim.Hi, countExpr)
+				if nodes && !dim.Assumed {
+					c.ariths.N += c.valueNodes(dim.Lo) + c.valueNodes(dim.Hi)
+				}
 			}
 			ft.WalkExpr(d.Init, countExpr)
+			if nodes {
+				c.ariths.N += c.valueNodes(d.Init)
+			}
 		}
 	}
 	for _, mod := range c.prog.Modules {
@@ -137,6 +151,9 @@ func (c *compiler) program() *cprog {
 	// Shells first so call sites can reference procedures compiled later
 	// (mutual recursion).
 	shells := make([]cproc, len(prog.AllProcs))
+	// Each procedure's frame list starts with room for one frame, so a
+	// procedure that does not recurse grows none.
+	frames := make([]*vframe, len(prog.AllProcs))
 	for _, p := range prog.AllProcs {
 		numCo := 0
 		for _, d := range p.ParamDecl {
@@ -148,6 +165,7 @@ func (c *compiler) program() *cprog {
 		*tp = cproc{
 			proc: p, qname: p.QName(), inlined: c.an.Inlinable[p],
 			numSlots: p.NumSlots, numCo: numCo, shadow: shadow,
+			pool: frames[p.Index : p.Index : p.Index+1],
 		}
 		cp.procs[p.Index] = tp
 	}
@@ -256,12 +274,12 @@ func (s rsite) branch(m *vm) {
 	m.rec.Branch(m.procName(), s.line)
 }
 
-func (s rsite) discretize(m *vm, name string, primary, shadow int64) {
+func (s rsite) discretize(m *vm, primary, shadow int64) {
 	if s.site != nil {
 		s.site.Discretize(primary, shadow)
 		return
 	}
-	m.rec.Discretize(m.procName(), s.line, name, primary, shadow)
+	m.rec.Discretize(m.procName(), s.line, primary, shadow)
 }
 
 // Slot access ---------------------------------------------------------------
@@ -1577,7 +1595,6 @@ func (c *compiler) intrinsic(e *ft.CallExpr) vexpr {
 		a0 := c.expr(e.Args[0])
 		cost := c.cost(perfmodel.OpConv, 4)
 		rs := c.rsite(pos.Line)
-		nm := name
 		return func(m *vm, fr *vframe) (Value, error) {
 			x, err := a0(m, fr)
 			if err != nil {
@@ -1586,7 +1603,7 @@ func (c *compiler) intrinsic(e *ft.CallExpr) vexpr {
 			m.charge(cost)
 			p := int64(fn(x.asFloat()))
 			if m.rec != nil {
-				rs.discretize(m, nm, p, int64(fn(x.sh())))
+				rs.discretize(m, p, int64(fn(x.sh())))
 			}
 			return intValue(p), nil
 		}
@@ -2040,7 +2057,7 @@ func (s *ccall) call(m *vm, fr *vframe) (*vframe, error) {
 		m.charge(s.brCost)
 		m.cycles += s.callCost * m.vecFactor
 	}
-	cf := callee.frame()
+	cf := callee.frame(m.pool)
 	if err := s.run(m, fr, cf); err != nil {
 		callee.put(cf)
 		return nil, err
@@ -2610,8 +2627,8 @@ func (c *compiler) assign(s *ft.AssignStmt) vstmt {
 		// Real scalar target with an unboxed-compilable RHS: take the
 		// float fast path (compile_real.go). Bit-identical by contract.
 		if lt.Base == ft.TReal && lhs.Decl != nil && !lhs.Decl.IsArray() {
-			if rv := c.realExpr(s.RHS); rv != nil {
-				return c.realAssignVar(s, lhs.Decl, lhs.Name, rv, chConv, atom)
+			if n, rv := c.realRHS(s.RHS); n != nil || rv != nil {
+				return c.realAssignVar(s, lhs.Decl, lhs.Name, n, rv, chConv, atom)
 			}
 		}
 		if lt.Base == ft.TInteger && lhs.Decl != nil && !lhs.Decl.IsArray() && !c.boxed && affineIndex(s.RHS) {
@@ -2650,8 +2667,8 @@ func (c *compiler) assign(s *ft.AssignStmt) vstmt {
 			return ctlNone, nil
 		}
 	case *ft.IndexExpr:
-		if rv := c.realExpr(s.RHS); rv != nil {
-			return c.realAssignElem(s, lhs, rv, chConv, atom)
+		if n, rv := c.realRHS(s.RHS); n != nil || rv != nil {
+			return c.realAssignElem(s, lhs, n, rv, chConv, atom)
 		}
 		rhs := c.expr(s.RHS)
 		er := c.elemRef(lhs)

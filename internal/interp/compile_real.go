@@ -190,8 +190,8 @@ func (c *compiler) realCall(e *ft.CallExpr) vreals {
 
 // realBinary compiles real arithmetic (the tail of compiler.binary)
 // unboxed. Operands must be realOperand forms; a ** with a non-literal
-// integer exponent falls back. Without a recorder, + - * / compile
-// through realArith.
+// integer exponent falls back. Without a recorder, + - * / compile to
+// an arithmetic node (realArith).
 func (c *compiler) realBinary(e *ft.BinExpr) vreals {
 	if e.Typ.Base != ft.TReal {
 		return nil
@@ -445,17 +445,20 @@ func (c *compiler) realBinary(e *ft.BinExpr) vreals {
 
 // rop is one operand of an uninstrumented real + - * /. A local real
 // scalar (slot >= 0), an element whose indices all have an inline shape
-// (elem) and a literal realExpr folds (lit, when neither elem nor gen is
-// set) are read inline; anything else calls its vreals closure gen.
+// (elem), a nested + - * / (node) and a literal realExpr folds (lit,
+// when none of elem, node and gen is set) are read without a closure
+// call; anything else calls its vreals closure gen.
 type rop struct {
 	slot int
 	lit  float64
 	elem *eref
+	node *rarith
 	gen  vreals
 }
 
-// arithOperand compiles an operand for realArith, or reports false when
-// realOperand rejects it. An inline operand compiles no closure.
+// arithOperand compiles an operand of an arithmetic node, or reports
+// false when realOperand rejects it. An inline operand compiles no
+// closure, and a nested + - * / is a node of its own.
 func (c *compiler) arithOperand(e ft.Expr) (rop, bool) {
 	switch e := e.(type) {
 	case *ft.RealLit:
@@ -470,14 +473,20 @@ func (c *compiler) arithOperand(e ft.Expr) (rop, bool) {
 		if shaped(e) {
 			return rop{slot: -1, elem: c.elemRef(e)}, true
 		}
+	case *ft.BinExpr:
+		if c.arithForm(e) {
+			n := c.arith(e)
+			return rop{slot: -1, node: n}, n != nil
+		}
 	}
 	gen := c.realOperand(e)
 	return rop{slot: -1, gen: gen}, gen != nil
 }
 
-// rarith is an uninstrumented real + - * /: its operands, their cast
-// charges (nil when none applies), the operation and its cost, and the
-// OpLoad cost of an element operand by kindIdx.
+// rarith is an uninstrumented real + - * /, an arithmetic node: its
+// operands, their cast charges (nil when none applies), the operation
+// and its cost, and the OpLoad cost of an element operand by kindIdx.
+// The compile takes every node from its slab (compiler.ariths).
 type rarith struct {
 	x, y     rop
 	chX, chY func(m *vm)
@@ -495,13 +504,19 @@ const (
 	arKind4 // added to the operation at kind 4
 )
 
-// realArith compiles an uninstrumented real + - * / to one closure that
-// reads inline operands without a call and does its arithmetic inline,
-// switching on the (op, kind) pair; the switch costs no more than one
-// closure per pair did. It skips the operands' convertReal: float32(x)
-// == float32(rnd32(x)), and kind-8 conversion is the identity, so the
-// primary bits are unchanged.
-func (c *compiler) realArith(e *ft.BinExpr) vreals {
+// arithForm reports whether realExpr compiles e to an arithmetic node:
+// a real + - * / in an unboxed compile without a recorder.
+func (c *compiler) arithForm(e *ft.BinExpr) bool {
+	switch e.Op {
+	case ft.PLUS, ft.MINUS, ft.STAR, ft.SLASH:
+		return !c.boxed && c.rec == nil && e.Typ.Base == ft.TReal
+	}
+	return false
+}
+
+// arith compiles an arithmetic node, or returns nil when an operand has
+// no unboxed form.
+func (c *compiler) arith(e *ft.BinExpr) *rarith {
 	x, ok := c.arithOperand(e.X)
 	if !ok {
 		return nil
@@ -511,8 +526,8 @@ func (c *compiler) realArith(e *ft.BinExpr) vreals {
 		return nil
 	}
 	k := e.Typ.Kind
-	b := rarith{x: x, y: y, chX: c.operandCast(e.X, e.X.Type(), k), chY: c.operandCast(e.Y, e.Y.Type(), k),
-		load: [2]float64{c.cost(perfmodel.OpLoad, 4), c.cost(perfmodel.OpLoad, 8)}}
+	b := c.ariths.Put(rarith{x: x, y: y, chX: c.operandCast(e.X, e.X.Type(), k), chY: c.operandCast(e.Y, e.Y.Type(), k),
+		load: [2]float64{c.cost(perfmodel.OpLoad, 4), c.cost(perfmodel.OpLoad, 8)}})
 	switch e.Op {
 	case ft.PLUS:
 		b.op, b.cost = arAdd, c.cost(perfmodel.OpAddSub, k)
@@ -526,78 +541,131 @@ func (c *compiler) realArith(e *ft.BinExpr) vreals {
 	if k == 4 {
 		b.op += arKind4
 	}
-	// x and y are read by two copies of one switch: a loop over the pair
-	// measured 10% slower.
+	return b
+}
+
+// realArith is an arithmetic node as a vreals closure, for the
+// consumers that take one (argument binding, the unboxed intrinsics,
+// unary minus, a pow's or a comparison's operand).
+func (c *compiler) realArith(e *ft.BinExpr) vreals {
+	b := c.arith(e)
+	if b == nil {
+		return nil
+	}
 	return func(m *vm, fr *vframe) (float64, float64, error) {
-		var xf, yf float64
-		switch {
-		case b.x.slot >= 0:
-			xf = fr.f[b.x.slot]
-		case b.x.elem != nil:
-			arr, off, err := b.x.elem.resolve(m, fr)
-			if err != nil {
-				return 0, 0, err
-			}
-			m.chargeMem(b.load[kindIdx(arr.Kind)])
-			xf = arr.Data[off]
-		case b.x.gen == nil:
-			xf = b.x.lit
-		default:
-			var err error
-			if xf, _, err = b.x.gen(m, fr); err != nil {
-				return 0, 0, err
-			}
-		}
-		switch {
-		case b.y.slot >= 0:
-			yf = fr.f[b.y.slot]
-		case b.y.elem != nil:
-			arr, off, err := b.y.elem.resolve(m, fr)
-			if err != nil {
-				return 0, 0, err
-			}
-			m.chargeMem(b.load[kindIdx(arr.Kind)])
-			yf = arr.Data[off]
-		case b.y.gen == nil:
-			yf = b.y.lit
-		default:
-			var err error
-			if yf, _, err = b.y.gen(m, fr); err != nil {
-				return 0, 0, err
-			}
-		}
-		if b.chX != nil {
-			b.chX(m)
-		}
-		if b.chY != nil {
-			b.chY(m)
-		}
-		m.charge(b.cost)
-		var f float64
-		switch b.op {
-		case arAdd:
-			f = xf + yf
-		case arSub:
-			f = xf - yf
-		case arMul:
-			f = xf * yf
-		case arDiv:
-			f = xf / yf
-		case arKind4 + arAdd:
-			f = float64(float32(xf) + float32(yf))
-		case arKind4 + arSub:
-			f = float64(float32(xf) - float32(yf))
-		case arKind4 + arMul:
-			f = float64(float32(xf) * float32(yf))
-		default:
-			f = float64(float32(xf) / float32(yf))
-		}
-		return f, f, nil
+		f, err := b.eval(m, fr)
+		return f, f, err
 	}
 }
 
-// realIntrinsic compiles the single-argument real intrinsics (the
-// unIntrinsic table), real and dble, and sign, min and max over real
+// eval reads inline operands without a call, calls a nested node
+// directly, and does its arithmetic inline, switching on the (op, kind)
+// pair; the switch costs no more than one closure per pair did. It
+// skips the operands' convertReal: float32(x) == float32(rnd32(x)), and
+// kind-8 conversion is the identity, so the primary bits are unchanged.
+// x and y are read by two copies of one switch: a loop over the pair
+// measured 10% slower.
+func (b *rarith) eval(m *vm, fr *vframe) (float64, error) {
+	var xf, yf float64
+	switch {
+	case b.x.slot >= 0:
+		xf = fr.f[b.x.slot]
+	case b.x.elem != nil:
+		arr, off, err := b.x.elem.resolve(m, fr)
+		if err != nil {
+			return 0, err
+		}
+		m.chargeMem(b.load[kindIdx(arr.Kind)])
+		xf = arr.Data[off]
+	case b.x.node != nil:
+		var err error
+		if xf, err = b.x.node.eval(m, fr); err != nil {
+			return 0, err
+		}
+	case b.x.gen == nil:
+		xf = b.x.lit
+	default:
+		var err error
+		if xf, _, err = b.x.gen(m, fr); err != nil {
+			return 0, err
+		}
+	}
+	switch {
+	case b.y.slot >= 0:
+		yf = fr.f[b.y.slot]
+	case b.y.elem != nil:
+		arr, off, err := b.y.elem.resolve(m, fr)
+		if err != nil {
+			return 0, err
+		}
+		m.chargeMem(b.load[kindIdx(arr.Kind)])
+		yf = arr.Data[off]
+	case b.y.node != nil:
+		var err error
+		if yf, err = b.y.node.eval(m, fr); err != nil {
+			return 0, err
+		}
+	case b.y.gen == nil:
+		yf = b.y.lit
+	default:
+		var err error
+		if yf, _, err = b.y.gen(m, fr); err != nil {
+			return 0, err
+		}
+	}
+	if b.chX != nil {
+		b.chX(m)
+	}
+	if b.chY != nil {
+		b.chY(m)
+	}
+	m.charge(b.cost)
+	switch b.op {
+	case arAdd:
+		return xf + yf, nil
+	case arSub:
+		return xf - yf, nil
+	case arMul:
+		return xf * yf, nil
+	case arDiv:
+		return xf / yf, nil
+	case arKind4 + arAdd:
+		return float64(float32(xf) + float32(yf)), nil
+	case arKind4 + arSub:
+		return float64(float32(xf) - float32(yf)), nil
+	case arKind4 + arMul:
+		return float64(float32(xf) * float32(yf)), nil
+	default:
+		return float64(float32(xf) / float32(yf)), nil
+	}
+}
+
+// realUnary is the unIntrinsic table that realIntrinsic compiles:
+// each one-argument real intrinsic's operation class and function.
+var realUnary = map[string]struct {
+	cls perfmodel.OpClass
+	fn  func(float64) float64
+}{
+	"abs":   {perfmodel.OpSimple, math.Abs},
+	"sqrt":  {perfmodel.OpSqrt, math.Sqrt},
+	"exp":   {perfmodel.OpTrans, math.Exp},
+	"log":   {perfmodel.OpTrans, math.Log},
+	"log10": {perfmodel.OpTrans, math.Log10},
+	"sin":   {perfmodel.OpTrans, math.Sin},
+	"cos":   {perfmodel.OpTrans, math.Cos},
+	"tan":   {perfmodel.OpTrans, math.Tan},
+	"asin":  {perfmodel.OpTrans, math.Asin},
+	"acos":  {perfmodel.OpTrans, math.Acos},
+	"atan":  {perfmodel.OpTrans, math.Atan},
+	"sinh":  {perfmodel.OpTrans, math.Sinh},
+	"cosh":  {perfmodel.OpTrans, math.Cosh},
+	"tanh":  {perfmodel.OpTrans, math.Tanh},
+	"aint":  {perfmodel.OpSimple, math.Trunc},
+	"anint": {perfmodel.OpSimple, math.Round},
+}
+
+// realIntrinsic compiles the single-argument real intrinsics
+// (realUnary), real and dble, and sign, min and max over real
 // arguments, unboxed. Everything else falls back.
 func (c *compiler) realIntrinsic(e *ft.CallExpr) vreals {
 	if e.Typ.Base != ft.TReal {
@@ -611,47 +679,11 @@ func (c *compiler) realIntrinsic(e *ft.CallExpr) vreals {
 	case "real", "dble":
 		return c.realConv(e)
 	}
-	if len(e.Args) != 1 {
+	u, ok := realUnary[e.Intrinsic]
+	if !ok || len(e.Args) != 1 {
 		return nil
 	}
-	var cls perfmodel.OpClass
-	var fn func(float64) float64
-	switch e.Intrinsic {
-	case "abs":
-		cls, fn = perfmodel.OpSimple, math.Abs
-	case "sqrt":
-		cls, fn = perfmodel.OpSqrt, math.Sqrt
-	case "exp":
-		cls, fn = perfmodel.OpTrans, math.Exp
-	case "log":
-		cls, fn = perfmodel.OpTrans, math.Log
-	case "log10":
-		cls, fn = perfmodel.OpTrans, math.Log10
-	case "sin":
-		cls, fn = perfmodel.OpTrans, math.Sin
-	case "cos":
-		cls, fn = perfmodel.OpTrans, math.Cos
-	case "tan":
-		cls, fn = perfmodel.OpTrans, math.Tan
-	case "asin":
-		cls, fn = perfmodel.OpTrans, math.Asin
-	case "acos":
-		cls, fn = perfmodel.OpTrans, math.Acos
-	case "atan":
-		cls, fn = perfmodel.OpTrans, math.Atan
-	case "sinh":
-		cls, fn = perfmodel.OpTrans, math.Sinh
-	case "cosh":
-		cls, fn = perfmodel.OpTrans, math.Cosh
-	case "tanh":
-		cls, fn = perfmodel.OpTrans, math.Tanh
-	case "aint":
-		cls, fn = perfmodel.OpSimple, math.Trunc
-	case "anint":
-		cls, fn = perfmodel.OpSimple, math.Round
-	default:
-		return nil
-	}
+	cls, fn := u.cls, u.fn
 	a0 := c.realExpr(e.Args[0])
 	if a0 == nil {
 		return nil
@@ -849,9 +881,23 @@ func (c *compiler) realMinMax(e *ft.CallExpr) vreals {
 	}
 }
 
-// realAssignVar compiles `realvar = <vreals>` — the hot-loop statement
-// shape — without boxing. Mirrors assign()'s VarRef case exactly.
-func (c *compiler) realAssignVar(s *ft.AssignStmt, d *ft.VarDecl, name string, rv vreals, chConv func(m *vm), atom string) vstmt {
+// realRHS compiles the right-hand side of a scalar assignment unboxed:
+// to an arithmetic node, which the statement's closure calls itself,
+// when realExpr would build one, and otherwise through realExpr. Both
+// are nil when the statement needs the Value path, so an arithmetic
+// right-hand side with an operand that has no unboxed form is not
+// compiled a second time.
+func (c *compiler) realRHS(e ft.Expr) (*rarith, vreals) {
+	if b, ok := e.(*ft.BinExpr); ok && c.arithForm(b) {
+		return c.arith(b), nil
+	}
+	return nil, c.realExpr(e)
+}
+
+// realAssignVar compiles `realvar = <node or vreals>` — the hot-loop
+// statement shape — without boxing. Mirrors assign()'s VarRef case
+// exactly. n is set only without a recorder.
+func (c *compiler) realAssignVar(s *ft.AssignStmt, d *ft.VarDecl, name string, n *rarith, rv vreals, chConv func(m *vm), atom string) vstmt {
 	pos := s.Pos
 	kind := d.Kind
 	slot := d.Slot
@@ -865,7 +911,13 @@ func (c *compiler) realAssignVar(s *ft.AssignStmt, d *ft.VarDecl, name string, r
 			if err := m.checkBudget(pos); err != nil {
 				return ctlNone, err
 			}
-			f, _, err := rv(m, fr)
+			var f float64
+			var err error
+			if n != nil {
+				f, err = n.eval(m, fr)
+			} else {
+				f, _, err = rv(m, fr)
+			}
 			if err != nil {
 				return ctlNone, err
 			}
@@ -919,9 +971,9 @@ func (c *compiler) realAssignVar(s *ft.AssignStmt, d *ft.VarDecl, name string, r
 	}
 }
 
-// realAssignElem compiles `arr(i, ...) = <vreals>`, mirroring assign()'s
-// IndexExpr case.
-func (c *compiler) realAssignElem(s *ft.AssignStmt, lhs *ft.IndexExpr, rv vreals, chConv func(m *vm), atom string) vstmt {
+// realAssignElem compiles `arr(i, ...) = <node or vreals>`, mirroring
+// assign()'s IndexExpr case. n is set only without a recorder.
+func (c *compiler) realAssignElem(s *ft.AssignStmt, lhs *ft.IndexExpr, n *rarith, rv vreals, chConv func(m *vm), atom string) vstmt {
 	pos := s.Pos
 	er := c.elemRef(lhs)
 	storeCost := [2]float64{c.cost(perfmodel.OpStore, 4), c.cost(perfmodel.OpStore, 8)}
@@ -931,7 +983,13 @@ func (c *compiler) realAssignElem(s *ft.AssignStmt, lhs *ft.IndexExpr, rv vreals
 			if err := m.checkBudget(pos); err != nil {
 				return ctlNone, err
 			}
-			f, _, err := rv(m, fr)
+			var f float64
+			var err error
+			if n != nil {
+				f, err = n.eval(m, fr)
+			} else {
+				f, _, err = rv(m, fr)
+			}
 			if err != nil {
 				return ctlNone, err
 			}
@@ -986,4 +1044,276 @@ func (c *compiler) realAssignElem(s *ft.AssignStmt, lhs *ft.IndexExpr, rv vreals
 		m.rec.PopTarget()
 		return ctlNone, nil
 	}
+}
+
+// Counting arithmetic nodes ------------------------------------------------
+
+// The compile takes its arithmetic nodes from one chunk of exactly the
+// size reserve counts with the functions below. They walk the program
+// as program() compiles it and mirror each decision that builds a node
+// or declines: realExpr's (realNodes), boolExpr's (boolNodes) and
+// callSite's (argNodes). Where a form declines after an operand built
+// nodes, those nodes stay built and count, and so do the nodes of the
+// Value form compiled in its place. TestArithSlabExact checks the count
+// on the bundled models and on programs of every differential
+// generator.
+
+// stmtNodes counts the nodes of compiling s itself, not the statements
+// nested in it.
+func (c *compiler) stmtNodes(s ft.Stmt) int {
+	switch s := s.(type) {
+	case *ft.AssignStmt:
+		lhs, isVar := s.LHS.(*ft.VarRef)
+		switch lt := s.LHS.Type(); {
+		case lt.Rank > 0: // arrayAssign: only a fill compiles its right-hand side
+			if isVar && s.RHS.Type().Rank == 0 {
+				return c.valueNodes(s.RHS)
+			}
+		case isVar:
+			if lt.Base == ft.TReal && lhs.Decl != nil && !lhs.Decl.IsArray() {
+				return c.entryNodes(s.RHS, c.realNodes)
+			}
+			return c.valueNodes(s.RHS)
+		default:
+			if ix, ok := s.LHS.(*ft.IndexExpr); ok {
+				return c.entryNodes(s.RHS, c.realNodes) + c.valueNodes(ix)
+			}
+		}
+	case *ft.IfStmt:
+		return c.entryNodes(s.Cond, c.boolNodes)
+	case *ft.DoWhileStmt:
+		return c.entryNodes(s.Cond, c.boolNodes)
+	case *ft.DoStmt:
+		return c.valueNodes(s.From) + c.valueNodes(s.To) + c.valueNodes(s.Step)
+	case *ft.CallStmt:
+		switch {
+		case s.Intrinsic == "mpi_allreduce_sum" || s.Intrinsic == "mpi_allreduce_max":
+			return c.valueNodes(s.Args[0])
+		case s.Intrinsic == "" && s.Proc != nil:
+			return c.argNodes(s.Proc, s.Args)
+		}
+	case *ft.StopStmt:
+		return c.valueNodes(s.Code)
+	case *ft.PrintStmt:
+		n := 0
+		for _, a := range s.Args {
+			n += c.valueNodes(a)
+		}
+		return n
+	}
+	return 0
+}
+
+// entryNodes counts the nodes of compiling e unboxed, as form counts
+// them (realNodes, boolNodes), and of its Value form when the unboxed
+// form declines: an assignment's right-hand side, a real actual, a
+// condition.
+func (c *compiler) entryNodes(e ft.Expr, form func(ft.Expr) (int, bool)) int {
+	n, ok := form(e)
+	if !ok {
+		n += c.valueNodes(e)
+	}
+	return n
+}
+
+// valueNodes counts the nodes of e's Value form: those of the call
+// sites in it.
+func (c *compiler) valueNodes(e ft.Expr) int {
+	n := 0
+	switch e := e.(type) {
+	case *ft.UnExpr:
+		n = c.valueNodes(e.X)
+	case *ft.BinExpr:
+		n = c.valueNodes(e.X) + c.valueNodes(e.Y)
+	case *ft.IndexExpr:
+		for _, ix := range e.Indices {
+			n += c.valueNodes(ix)
+		}
+	case *ft.CallExpr:
+		if e.Intrinsic == "" {
+			if e.Proc != nil {
+				n = c.argNodes(e.Proc, e.Args)
+			}
+			break
+		}
+		for _, a := range e.Args {
+			n += c.valueNodes(a)
+		}
+	}
+	return n
+}
+
+// argNodes counts the nodes of a call site's argument plans (callSite).
+func (c *compiler) argNodes(proc *ft.Procedure, args []ft.Expr) int {
+	n := 0
+	for ai, arg := range args {
+		if ai >= len(proc.ParamDecl) {
+			continue
+		}
+		d := proc.ParamDecl[ai]
+		if d == nil || d.IsArray() {
+			continue
+		}
+		at := arg.Type()
+		ix, isElem := arg.(*ft.IndexExpr)
+		out := d.Intent != ft.IntentIn
+		switch {
+		case d.Base == ft.TInteger && affineIndex(arg):
+		case d.Base == ft.TReal && at.Base == ft.TReal && at.Rank == 0:
+			if isElem && out && shaped(ix) {
+				continue // one resolve reads it and queues its copy-out
+			}
+			n += c.entryNodes(arg, c.realNodes)
+		default:
+			n += c.valueNodes(arg)
+		}
+		if isElem && out {
+			n += c.valueNodes(ix)
+		}
+	}
+	return n
+}
+
+// realNodes counts the nodes realExpr(e) builds, and reports whether it
+// returns a closure.
+func (c *compiler) realNodes(e ft.Expr) (int, bool) {
+	switch e := e.(type) {
+	case *ft.RealLit, *ft.IntLit:
+		return 0, true
+	case *ft.VarRef:
+		d := e.Decl
+		return 0, d != nil && !d.IsArray() && d.Base == ft.TReal
+	case *ft.IndexExpr:
+		return c.valueNodes(e), true
+	case *ft.UnExpr:
+		if e.Op == ft.PLUS || e.Op == ft.MINUS && e.X.Type().Base == ft.TReal {
+			return c.realNodes(e.X)
+		}
+	case *ft.BinExpr:
+		return c.binaryNodes(e)
+	case *ft.CallExpr:
+		if e.Intrinsic != "" {
+			return c.intrinsicNodes(e)
+		}
+		if p := e.Proc; p != nil && p.Result != nil && !p.Result.IsArray() && p.Result.Base == ft.TReal {
+			return c.argNodes(p, e.Args), true
+		}
+	}
+	return 0, false
+}
+
+// operandNodes is realNodes for realOperand.
+func (c *compiler) operandNodes(e ft.Expr) (int, bool) {
+	if _, lit := e.(*ft.IntLit); lit || e.Type().Base != ft.TInteger {
+		return c.realNodes(e)
+	}
+	return 0, affineIndex(e)
+}
+
+// binaryNodes is realNodes for realBinary: one node for each + - * /,
+// after its operands'.
+func (c *compiler) binaryNodes(e *ft.BinExpr) (int, bool) {
+	if e.Typ.Base != ft.TReal {
+		return 0, false
+	}
+	arith := c.arithForm(e)
+	if !arith && e.Op != ft.POW {
+		return 0, false
+	}
+	operand := c.operandNodes
+	if arith {
+		operand = c.arithOperandNodes
+	} else if _, lit := e.Y.(*ft.IntLit); !lit && e.Y.Type().Base != ft.TReal {
+		return 0, false
+	}
+	x, ok := operand(e.X)
+	if !ok {
+		return x, false
+	}
+	y, ok := operand(e.Y)
+	if !ok || !arith {
+		return x + y, ok
+	}
+	return x + y + 1, true
+}
+
+// arithOperandNodes is realNodes for arithOperand, which reads a shaped
+// element of any type inline.
+func (c *compiler) arithOperandNodes(e ft.Expr) (int, bool) {
+	if ix, ok := e.(*ft.IndexExpr); ok && shaped(ix) {
+		return 0, true
+	}
+	return c.operandNodes(e)
+}
+
+// intrinsicNodes is realNodes for realIntrinsic.
+func (c *compiler) intrinsicNodes(e *ft.CallExpr) (int, bool) {
+	if e.Typ.Base != ft.TReal {
+		return 0, false
+	}
+	switch e.Intrinsic {
+	case "sign", "min", "max": // realArgs
+		n := 0
+		for _, a := range e.Args {
+			if t := a.Type(); t.Base != ft.TReal || t.Rank != 0 {
+				return n, false
+			}
+			k, ok := c.realNodes(a)
+			if n += k; !ok {
+				return n, false
+			}
+		}
+		if e.Intrinsic == "sign" {
+			return n, len(e.Args) == 2
+		}
+		return n, len(e.Args) >= 2
+	case "real", "dble":
+		return c.operandNodes(e.Args[0])
+	}
+	if _, ok := realUnary[e.Intrinsic]; !ok || len(e.Args) != 1 {
+		return 0, false
+	}
+	return c.realNodes(e.Args[0])
+}
+
+// boolNodes counts the nodes boolExpr(e) builds, and reports whether it
+// returns a closure.
+func (c *compiler) boolNodes(e ft.Expr) (int, bool) {
+	switch e := e.(type) {
+	case *ft.LogicalLit:
+		return 0, true
+	case *ft.VarRef:
+		d := e.Decl
+		return 0, d != nil && !d.IsArray() && d.Base == ft.TLogical
+	case *ft.UnExpr:
+		if e.Op == ft.NOT {
+			return c.boolNodes(e.X)
+		}
+	case *ft.BinExpr:
+		operand := c.boolNodes
+		switch e.Op {
+		case ft.AND, ft.OR:
+		case ft.EQ, ft.NE, ft.LT, ft.LE, ft.GT, ft.GE:
+			xt, yt := e.X.Type(), e.Y.Type()
+			switch {
+			case xt.Base == ft.TLogical:
+				if yt.Base != ft.TLogical {
+					return 0, false
+				}
+			case xt.Base == ft.TInteger && yt.Base == ft.TInteger:
+				return 0, affineIndex(e.X) && affineIndex(e.Y)
+			default:
+				operand = c.operandNodes
+			}
+		default:
+			return 0, false
+		}
+		x, ok := operand(e.X)
+		if !ok {
+			return x, false
+		}
+		y, ok := operand(e.Y)
+		return x + y, ok
+	}
+	return 0, false
 }

@@ -192,3 +192,209 @@ end program p
 		}
 	})
 }
+
+// A run built through a Pool takes its procedures' first frames from
+// the frames earlier runs of the pool released, whichever procedure of
+// whichever program they served. The tests below pin that this cannot
+// be observed either.
+
+// frameWriter's procedures leave a value in every slot of their
+// frames: w's reals, integers, logical, local array and copy-out
+// dummies, and rw's at every depth of its recursion.
+const frameWriter = `
+module d
+  implicit none
+  real(kind=8) :: acc
+contains
+  subroutine w(a, b, n)
+    real(kind=8) :: a
+    real(kind=8) :: b
+    integer :: n
+    real(kind=8) :: x, y, buf(4)
+    integer :: j
+    logical :: f
+    x = a + 7.5d0
+    y = b - 3.25d0
+    j = n * 11
+    f = .true.
+    buf = 9.0d0
+    a = x * y
+    b = x + y + j
+    n = j + 1
+    if (f) acc = acc + a + b + sum(buf)
+  end subroutine w
+
+  subroutine rw(dep)
+    integer, intent(in) :: dep
+    real(kind=8) :: u, v
+    integer :: m
+    u = 5.5d0 * dep
+    v = u * u
+    m = dep * 3
+    if (dep > 1) call rw(dep - 1)
+    acc = acc + u + v + m
+  end subroutine rw
+end module d
+
+program p
+  use d
+  implicit none
+  real(kind=8) :: s, t
+  integer :: k
+  s = 1.0d0
+  t = 2.0d0
+  k = 3
+  call w(s, t, k)
+  call rw(7)
+end program p
+`
+
+// frameReader's procedures have frameWriter's frame shapes, and read
+// locals before writing them: r's real, integer, logical and local
+// array, and rr's at every depth of its recursion. Each must read zero.
+const frameReader = `
+module e
+  implicit none
+  real(kind=8) :: seen, out
+contains
+  subroutine r(a, b, n)
+    real(kind=8) :: a
+    real(kind=8) :: b
+    integer :: n
+    real(kind=8) :: x, y, buf(4)
+    integer :: j
+    logical :: f
+    seen = seen + abs(x) + abs(y) + abs(sum(buf)) + abs(j)
+    if (f) seen = seen + 1.0d0
+    x = a * 2.0d0
+    a = x + b + n
+    out = out + a
+  end subroutine r
+
+  subroutine rr(dep)
+    integer, intent(in) :: dep
+    real(kind=8) :: u, v
+    integer :: m
+    seen = seen + abs(u) + abs(v) + abs(m)
+    u = 1.5d0 * dep
+    v = u + dep
+    m = dep
+    if (dep > 1) call rr(dep - 1)
+    out = out + u * v + m
+  end subroutine rr
+end module e
+
+program q
+  use e
+  implicit none
+  real(kind=8) :: s, t
+  integer :: k
+  s = 0.5d0
+  t = 0.25d0
+  k = 2
+  call r(s, t, k)
+  call rr(9)
+  call r(s, t, k)
+end program q
+`
+
+// pooledFrames returns the frames p holds.
+func pooledFrames(p *Pool) map[*vframe]bool {
+	out := make(map[*vframe]bool)
+	for _, frs := range p.frames {
+		for _, fr := range frs {
+			out[fr] = true
+		}
+	}
+	return out
+}
+
+// checkPoolFramesEmpty fails unless every frame p holds is free of
+// arrays and copy-out records.
+func checkPoolFramesEmpty(t *testing.T, p *Pool) {
+	t.Helper()
+	for fr := range pooledFrames(p) {
+		for k, a := range fr.a {
+			if a != nil {
+				t.Fatalf("a pooled frame holds an array in slot %d", k)
+			}
+		}
+		for _, co := range fr.co[:cap(fr.co)] {
+			if co != (coRec{}) {
+				t.Fatalf("a pooled frame holds a copy-out record %+v", co)
+			}
+		}
+	}
+}
+
+// TestPoolFramesFromOtherPrograms runs frameReader through a pool that
+// frameWriter's run filled, and a second frameReader run through the
+// same pool: each takes frames another procedure, of another program or
+// of its own, left full of values, and must show exactly what a run
+// through New shows, with every local read before it is written
+// reading zero, its shadow lane too.
+func TestPoolFramesFromOtherPrograms(t *testing.T) {
+	writer, reader := ft.MustParse(frameWriter), ft.MustParse(frameReader)
+	ft.MustAnalyze(writer, ft.Options{})
+	ft.MustAnalyze(reader, ft.Options{})
+	forPoolModes(t, func(t *testing.T, boxed, num bool) {
+		var pool Pool
+		o := runOpts{numerics: num, pool: &pool}
+		w := runVM(t, writer, boxed, o)
+		if w.errStr != "" {
+			t.Fatalf("writer run: %s", w.errStr)
+		}
+		w.in.Release()
+		checkPoolFramesEmpty(t, &pool)
+		fresh := runVM(t, reader, boxed, runOpts{numerics: num})
+		for run := 0; run < 2; run++ {
+			released := pooledFrames(&pool)
+			pooled := runVM(t, reader, boxed, o)
+			taken := 0
+			for _, fr := range runFrames(pooled.in) {
+				if released[fr] {
+					taken++
+				}
+			}
+			// r, rr's first activation and main (of the reader's own
+			// first run) at the least.
+			if want := 2 + run; taken < want {
+				t.Errorf("run %d took %d released frames, want at least %d", run, taken, want)
+			}
+			if f, sh := frameScalar(t, pooled.in, "e.seen"); f != 0 || sh != 0 {
+				t.Errorf("run %d: seen = %g (shadow %g): a local read before it was written is not zero", run, f, sh)
+			}
+			if num {
+				if d := pooled.rec.Profile().MaxDivergence; d != 0 {
+					t.Errorf("run %d diverged: MaxDivergence %g", run, d)
+				}
+			}
+			diffRuns(t, reader, num, pooled, fresh)
+			pooled.in.Release()
+			checkPoolFramesEmpty(t, &pool)
+		}
+	})
+}
+
+// TestPoolFramesCap releases frames into pools whose byte cap holds
+// none of them, and one that holds them all.
+func TestPoolFramesCap(t *testing.T) {
+	writer := ft.MustParse(frameWriter)
+	ft.MustAnalyze(writer, ft.Options{})
+	for _, limit := range []int{1, 200, 1 << 20} {
+		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
+			pool := Pool{limit: limit}
+			r := runVM(t, writer, false, runOpts{pool: &pool})
+			frames := runFrames(r.in)
+			r.in.Release()
+			if pool.held > limit {
+				t.Fatalf("the pool holds %d bytes, over its cap of %d", pool.held, limit)
+			}
+			if held := len(pooledFrames(&pool)); limit == 1<<20 && held != len(frames) {
+				t.Errorf("the pool holds %d of the run's %d frames under a cap of %d bytes", held, len(frames), limit)
+			} else if limit == 1 && held != 0 {
+				t.Errorf("the pool holds %d frames under a cap of 1 byte", held)
+			}
+		})
+	}
+}

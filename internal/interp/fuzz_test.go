@@ -17,11 +17,13 @@ import (
 // may panic or hang, each must return a Result and a nil error or a
 // *RunError, and the two compiles must agree on everything diffRuns
 // compares. Each input also runs unboxed through one Pool shared by
-// every input, released after each run, so its module arrays carry
-// other programs' values, kinds, shapes and shadow lanes into it; that
-// run too must agree with the boxed one. The seeds are the bundled models and one program from each
-// differential generator; plain go test replays them and the corpus
-// under testdata/fuzz/FuzzRun. Run it with
+// every input, released after each run, so its module arrays and its
+// procedures' frames carry other programs' values, kinds, shapes and
+// shadow lanes into it; that run too must agree with the boxed one.
+// The seeds are the bundled models, one program from each differential
+// generator and the fused-assignment program (fusedSource); plain go
+// test replays them and the corpus under testdata/fuzz/FuzzRun. Run it
+// with
 //
 //	go test -run '^$' -fuzz '^FuzzRun$' -fuzztime 30s ./internal/interp/
 func FuzzRun(f *testing.F) {
@@ -40,7 +42,7 @@ func FuzzRun(f *testing.F) {
 	conds, _ := genCondProgram(1)
 	shapes, _ := genShapeProgram(1)
 	copyOuts, _, _ := genCopyOutProgram(1)
-	for _, src := range []string{calls, conds, shapes, copyOuts} {
+	for _, src := range []string{calls, conds, shapes, copyOuts, fusedSource(8, "1.0")} {
 		f.Add(src)
 	}
 	// A cap under the default keeps a fuzz worker's memory small, and

@@ -2,35 +2,53 @@ package interp
 
 import (
 	"sync"
+	"unsafe"
 
 	ft "repro/internal/fortran"
 )
 
-// Pool recycles module arrays between the runs its owner builds through
-// it (Pool.New). A run takes each module array from the arrays an
-// earlier run of the same pool released (Interp.Release), matched by
-// rank and element count, and re-initializes it to exactly what
-// NewArray returns: the taking declaration's kind and bounds, zeroed
-// Data, and a zeroed Shadow with a recorder attached, nil without. So
-// a tune whose runs declare the same module arrays allocates them
-// once. Procedure-local arrays stay in their procedure's pooled frames
-// (declInit), and a function's result array is always allocated.
+// Pool recycles module arrays and procedure frames between the runs its
+// owner builds through it (Pool.New). A run takes each module array
+// from the arrays an earlier run of the same pool released
+// (Interp.Release), matched by rank and element count, and
+// re-initializes it to exactly what NewArray returns: the taking
+// declaration's kind and bounds, zeroed Data, and a zeroed Shadow with
+// a recorder attached, nil without. So a tune whose runs declare the
+// same module arrays allocates them once. Procedure-local arrays stay
+// in their procedure's pooled frames (declInit) for the run, and a
+// function's result array is always allocated.
+//
+// A procedure's first activation in a run takes a released frame of
+// its shape (frameKey), whichever procedure of whichever program it
+// served, so a tune's runs allocate a frame only for a shape or a call
+// depth no earlier run reached. A released frame holds no array, so a
+// local array is allocated on its procedure's first activation in each
+// run.
 //
 // A Pool is safe for concurrent use, and its zero value is empty and
-// ready. It keeps no state outside itself. It holds at most
-// poolLimit bytes of released arrays and drops the rest to the
+// ready. It keeps no state outside itself. It holds at most poolLimit
+// bytes of released arrays and frames and drops the rest to the
 // garbage collector, so runs whose bounds vary cannot grow it without
 // limit.
 type Pool struct {
-	mu    sync.Mutex
-	free  map[poolKey][]*Array
-	held  int // bytes of Data and Shadow in free
-	limit int // byte cap; 0 means poolLimit
+	mu     sync.Mutex
+	free   map[poolKey][]*Array
+	frames map[frameKey][]*vframe
+	held   int // bytes of Data and Shadow in free, and of the frames' lanes
+	limit  int // byte cap; 0 means poolLimit
 }
 
 // poolKey is what a released array must share with a declaration to
 // serve it.
 type poolKey struct{ rank, size int }
+
+// frameKey is what a released frame must share with a procedure to
+// serve it: the slot count, the copy-out capacity and whether it has a
+// shadow lane.
+type frameKey struct {
+	slots, co int
+	shadow    bool
+}
 
 // poolLimit caps a Pool's held bytes: over 100 runs' worth of ADCIRC's
 // 561 KB of module arrays, the most of any bundled model.
@@ -43,12 +61,12 @@ func (p *Pool) New(prog *ft.Program, cfg Config) (*Interp, error) {
 	return newInterp(prog, cfg, false, p)
 }
 
-// Clear drops every array the pool holds to the garbage collector. The
-// pool stays ready for use.
+// Clear drops every array and frame the pool holds to the garbage
+// collector. The pool stays ready for use.
 func (p *Pool) Clear() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.free, p.held = nil, 0
+	p.free, p.frames, p.held = nil, nil, 0
 }
 
 // take returns an array equal to NewArray(kind, lo, ext), with a
@@ -99,10 +117,7 @@ func (p *Pool) put(arrs []*Array) {
 	if p == nil {
 		return
 	}
-	limit := p.limit
-	if limit == 0 {
-		limit = poolLimit
-	}
+	limit := p.byteCap()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.free == nil {
@@ -122,5 +137,61 @@ func (p *Pool) put(arrs []*Array) {
 	}
 }
 
+// frame removes and returns a released frame of shape k, or nil. A nil
+// pool holds none.
+func (p *Pool) frame(k frameKey) *vframe {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s := p.frames[k]
+	if len(s) == 0 {
+		return nil
+	}
+	fr := s[len(s)-1]
+	s[len(s)-1] = nil
+	p.frames[k] = s[:len(s)-1]
+	p.held -= frameBytes(fr)
+	return fr
+}
+
+// putFrames returns frames of shape k, which hold no array and no
+// copy-out record, to the pool, dropping each one that would take it
+// over its byte cap.
+func (p *Pool) putFrames(k frameKey, frames []*vframe) {
+	if len(frames) == 0 {
+		return
+	}
+	limit := p.byteCap()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.frames == nil {
+		p.frames = make(map[frameKey][]*vframe)
+	}
+	for _, fr := range frames {
+		b := frameBytes(fr)
+		if p.held+b > limit {
+			continue
+		}
+		p.frames[k] = append(p.frames[k], fr)
+		p.held += b
+	}
+}
+
+// byteCap is the most bytes the pool holds.
+func (p *Pool) byteCap() int {
+	if p.limit == 0 {
+		return poolLimit
+	}
+	return p.limit
+}
+
 // arrayBytes is the storage a released array holds.
 func arrayBytes(a *Array) int { return 8 * (cap(a.Data) + cap(a.Shadow)) }
+
+// frameBytes is the storage a released frame's lanes hold.
+func frameBytes(fr *vframe) int {
+	return 8*(cap(fr.f)+cap(fr.sh)+cap(fr.i)+cap(fr.a)) + cap(fr.b) +
+		int(unsafe.Sizeof(coRec{}))*cap(fr.co)
+}

@@ -246,9 +246,9 @@ end program p
 	})
 }
 
-// TestPoolReleaseTwice releases a run twice: its arrays go back once,
-// so two later runs share none. After Release, Run, Global and
-// GlobalFloats refuse.
+// TestPoolReleaseTwice releases a run twice: its arrays and frames go
+// back once, so two later runs share none. After Release, Run, Global
+// and GlobalFloats refuse.
 func TestPoolReleaseTwice(t *testing.T) {
 	prog := poolProgram(8, poolFill)
 	forPoolModes(t, func(t *testing.T, boxed, num bool) {
@@ -258,6 +258,9 @@ func TestPoolReleaseTwice(t *testing.T) {
 		want := 0
 		for _, a := range moduleArrays(t, prog, first.in) {
 			want += arrayBytes(a)
+		}
+		for _, fr := range runFrames(first.in) {
+			want += frameBytes(fr)
 		}
 		first.in.Release()
 		first.in.Release()
@@ -288,6 +291,15 @@ func TestPoolReleaseTwice(t *testing.T) {
 			}
 		}
 	})
+}
+
+// runFrames returns the procedure frames a finished run holds.
+func runFrames(in *Interp) []*vframe {
+	var out []*vframe
+	for _, cp := range in.vmr.cp.procs {
+		out = append(out, cp.pool...)
+	}
+	return out
 }
 
 // TestPoolCap releases more bytes than the pool's cap: the pool ends
@@ -351,7 +363,8 @@ func runBytes(t *testing.T, in *Interp) (bytes, objects uint64) {
 // TestPoolModelRunAllocs runs each bundled model the way a tuner
 // evaluation does, through New and through a warmed pool: the pooled
 // run allocates none of its module arrays, so it allocates at least
-// their storage less. (MOM6's Run allocates 310,624 B in 184 objects
+// their storage less, and no frame: every frame it runs in is one the
+// warm run released. (MOM6's Run allocates 310,624 B in 184 objects
 // through New, 302,176 B of it module arrays.)
 func TestPoolModelRunAllocs(t *testing.T) {
 	files, err := filepath.Glob("../models/src/*.ft")
@@ -376,6 +389,7 @@ func TestPoolModelRunAllocs(t *testing.T) {
 				storage += 8 * uint64(len(a.Data))
 			}
 			warm.Release()
+			frames := pooledFrames(&pool)
 
 			fresh, pooled := ^uint64(0), ^uint64(0)
 			var freshObjs, pooledObjs uint64
@@ -396,6 +410,11 @@ func TestPoolModelRunAllocs(t *testing.T) {
 					pooled, pooledObjs = b, n
 				}
 				reusedFrom(t, moduleArrays(t, prog, in), released)
+				for _, fr := range runFrames(in) {
+					if !frames[fr] {
+						t.Fatal("a warmed-pool run allocated a frame")
+					}
+				}
 				in.Release()
 			}
 			if fresh < pooled+storage {

@@ -1,13 +1,17 @@
 package interp
 
 import (
+	"fmt"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 	"unsafe"
 
 	ft "repro/internal/fortran"
+	"repro/internal/numerics"
 	"repro/internal/perfmodel"
+	"repro/internal/transform"
 )
 
 // chunk returns the bounds of s's newest chunk, the elements all its
@@ -65,6 +69,7 @@ func TestCompilesShareNoSlab(t *testing.T) {
 		oneChunk(t, "dimPlan", &c.mine.dims, &c.other.dims)
 		oneChunk(t, "vstmt", &c.mine.lists, &c.other.lists)
 		oneChunk(t, "vinit", &c.mine.inits, &c.other.inits)
+		oneChunk(t, "rarith", &c.mine.ariths, &c.other.ariths)
 		for _, tp := range c.cp.procs {
 			if len(tp.body) > 0 && (!holds(&c.mine.lists, &tp.body[0]) || holds(&c.other.lists, &tp.body[0])) {
 				t.Errorf("%s: a compile's body is not in its own slab", tp.qname)
@@ -74,6 +79,72 @@ func TestCompilesShareNoSlab(t *testing.T) {
 			if len(inits) > 0 && (!holds(&c.mine.inits, &inits[0]) || holds(&c.other.inits, &inits[0])) {
 				t.Errorf("module %d: a compile's inits are not in its own slab", k)
 			}
+		}
+	}
+}
+
+// arithExact checks that compiling prog unboxed and without a recorder
+// took exactly its counted arithmetic nodes, from one chunk.
+func arithExact(t *testing.T, name string, prog *ft.Program) {
+	t.Helper()
+	model := perfmodel.Default()
+	c := newCompiler(prog, model, perfmodel.Analyze(prog, model), nil, false)
+	c.program()
+	v := reflect.ValueOf(&c.ariths).Elem()
+	used, held := v.FieldByName("used").Int(), v.FieldByName("held").Int()
+	if n := int64(c.ariths.N); used != n || held != n {
+		t.Errorf("%s: the compile took %d arithmetic nodes in chunks of %d elements for the %d counted", name, used, held, n)
+	}
+}
+
+// TestArithSlabExact checks the arithmetic node count (arithNodes)
+// against what the compile takes, on every bundled model as written,
+// at uniform 32-bit and with every other atom lowered, on programs of
+// every differential generator and on the fused-form program. A
+// recorder or a boxed compile builds no node.
+func TestArithSlabExact(t *testing.T) {
+	files, err := filepath.Glob("../models/src/*.ft")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no model sources found: %v", err)
+	}
+	for _, f := range files {
+		prog := parseModelFile(t, f)
+		arithExact(t, f, prog)
+		u, err := transform.Apply(prog, transform.Uniform(transform.Atoms(prog), 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		arithExact(t, f+"/uniform-32", u.Prog)
+		arithExact(t, f+"/alternate-atom", lowerAlternate(t, prog).Prog)
+	}
+	for seed := uint64(1); seed <= 40; seed++ {
+		calls, _ := genCallProgram(seed)
+		conds, _ := genCondProgram(seed)
+		shapes, _ := genShapeProgram(seed)
+		copyOuts, _, _ := genCopyOutProgram(seed)
+		for k, src := range []string{calls, conds, shapes, copyOuts} {
+			prog := ft.MustParse(src)
+			if _, err := ft.Analyze(prog, ft.Options{AllowKindMismatch: true}); err != nil {
+				t.Fatalf("generator %d seed %d: %v", k, seed, err)
+			}
+			arithExact(t, fmt.Sprintf("generator %d seed %d", k, seed), prog)
+		}
+	}
+	fused := fusedProgram(t, 8, "1.0")
+	arithExact(t, "fusedSource", fused)
+	if n := newCompiler(fused, perfmodel.Default(), nil, nil, false).ariths.N; n < 30 {
+		t.Errorf("fusedSource compiles to %d arithmetic nodes, want at least 30", n)
+	}
+	prog := parseModelFile(t, "../models/src/mpas_a.ft")
+	model := perfmodel.Default()
+	an := perfmodel.Analyze(prog, model)
+	for _, c := range []*compiler{
+		newCompiler(prog, model, an, numerics.NewRecorder("mpas_a.ft", numerics.Options{}), false),
+		newCompiler(prog, model, an, nil, true),
+	} {
+		c.program()
+		if _, _, held, n := chunk(&c.ariths); n != 0 || held != 0 {
+			t.Errorf("a recorder or boxed compile counted %d arithmetic nodes and took %d", n, held)
 		}
 	}
 }

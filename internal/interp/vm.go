@@ -21,9 +21,11 @@ package interp
 // (assignedFirst), and declInit re-initializes a local array in place,
 // in the array the frame's previous activation left in its slot. So a
 // call that binds no rebased assumed-shape dummy allocates nothing
-// after its procedure's first activation. Module arrays come from the
-// run's Pool, if it was built through one (pool.go), and go back to it
-// on Release.
+// after its procedure's first activation. Module arrays and, emptied of
+// their arrays, procedure frames come from the run's Pool, if it was
+// built through one (pool.go), and go back to it on Release: a
+// procedure's first activation in a run takes a frame that an earlier
+// run left, of any procedure with the same frame shape.
 
 import (
 	"context"
@@ -70,14 +72,19 @@ type cproc struct {
 	pool     []*vframe
 }
 
-// frame returns a pooled or fresh activation frame. No clearing is
-// needed: argument slots are written by the caller's binding plan, and
-// every other slot by an init closure or, before anything reads it, by
-// one of the body's leading assignments.
-func (cp *cproc) frame() *vframe {
+// frame returns an activation frame: one of cp's own, else one that an
+// earlier run of p released (Pool.frame), else a new one. No clearing
+// is needed, whichever procedure's frame it was: argument slots are
+// written by the caller's binding plan, and every other slot by an init
+// closure or, before anything reads it, by one of the body's leading
+// assignments. A frame from the pool holds no array (vm.release).
+func (cp *cproc) frame(p *Pool) *vframe {
 	if n := len(cp.pool); n > 0 {
 		fr := cp.pool[n-1]
 		cp.pool = cp.pool[:n-1]
+		return fr
+	}
+	if fr := p.frame(cp.frameKey()); fr != nil {
 		return fr
 	}
 	fr := &vframe{
@@ -96,6 +103,9 @@ func (cp *cproc) frame() *vframe {
 }
 
 func (cp *cproc) put(fr *vframe) { cp.pool = append(cp.pool, fr) }
+
+// frameKey is the shape of cp's frames.
+func (cp *cproc) frameKey() frameKey { return frameKey{cp.numSlots, cp.numCo, cp.shadow} }
 
 // cprog is a compiled program.
 type cprog struct {
@@ -189,7 +199,7 @@ func (m *vm) run() (*Result, error) {
 		}
 	}
 	cp := m.cp.main
-	fr := cp.frame()
+	fr := cp.frame(m.pool)
 	for _, init := range cp.inits {
 		if err := init(m, fr); err != nil {
 			return m.result(), err
@@ -200,11 +210,25 @@ func (m *vm) run() (*Result, error) {
 	return m.result(), err
 }
 
-// release hands every module array to the pool and clears its slot.
+// release hands every module array to the pool and clears its slot,
+// then hands the pool every procedure frame. A frame goes back holding
+// no array and no copy-out record, so the pool keeps neither the run's
+// arrays nor the compile's argument plans alive.
 func (m *vm) release() {
 	for _, fr := range m.gl {
 		m.pool.put(fr.a)
 		clear(fr.a)
+	}
+	if m.pool == nil {
+		return
+	}
+	for _, cp := range m.cp.procs {
+		for _, fr := range cp.pool {
+			clear(fr.a)
+			clear(fr.co[:cap(fr.co)])
+		}
+		m.pool.putFrames(cp.frameKey(), cp.pool)
+		cp.pool = nil
 	}
 }
 

@@ -322,7 +322,7 @@ func (r *Recorder) Branch(proc string, line int) {
 // Discretize records a real-to-integer intrinsic (nint/int/floor) whose
 // primary and shadow lanes rounded to different integers — a
 // discretization flip, the mechanism behind iteration-count divergence.
-func (r *Recorder) Discretize(proc string, line int, name string, primary, shadow int64) {
+func (r *Recorder) Discretize(proc string, line int, primary, shadow int64) {
 	if r == nil {
 		return
 	}

@@ -14,7 +14,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Intrinsic("p", 1, "sqrt", 4, 2, 2, 2)
 	r.Assign("p", 1, "a", 1, 1, 1)
 	r.Branch("p", 1)
-	r.Discretize("p", 1, "nint", 1, 2)
+	r.Discretize("p", 1, 1, 2)
 	r.PushTarget("a")
 	r.PopTarget()
 	if r.Profile() != nil {
@@ -148,8 +148,8 @@ func TestAssignAtomAttribution(t *testing.T) {
 
 func TestDiscretizeCountsOnlyFlips(t *testing.T) {
 	r := NewRecorder("m.ft", Options{})
-	r.Discretize("p", 2, "nint", 3, 3)
-	r.Discretize("p", 2, "nint", 3, 4)
+	r.Discretize("p", 2, 3, 3)
+	r.Discretize("p", 2, 3, 4)
 	if p := r.Profile(); p.Discretizations != 1 {
 		t.Fatalf("discretizations = %d, want 1", p.Discretizations)
 	}
@@ -186,7 +186,7 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 	r.Assign("funarc", 37, "funarc_mod.funarc.s1", 1e-4, 1.0001e-4, 1e-4)
 	r.PopTarget()
 	r.Op("funarc", 19, '*', 3e38, 3e38, 3e38, 3e38, math.Inf(1), math.Inf(1), 9e76)
-	r.Discretize("fun", 12, "nint", 1, 2)
+	r.Discretize("fun", 12, 1, 2)
 	r.Branch("fun", 13)
 
 	p := r.Profile()
@@ -305,8 +305,8 @@ func recordEvents(r *Recorder, sites bool) {
 			site("p", 12, "").Discretize(3, 3)
 		} else {
 			r.Branch("p", 10)
-			r.Discretize("p", 11, "nint", 1, 2)
-			r.Discretize("p", 12, "nint", 3, 3)
+			r.Discretize("p", 11, 1, 2)
+			r.Discretize("p", 12, 3, 3)
 		}
 	}
 }
